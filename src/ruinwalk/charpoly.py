@@ -128,9 +128,17 @@ def phi_roots(char: CharData) -> PhiPair:
     A clearly negative discriminant means the supplied theta is not a valid
     coupling constant, so it is reported instead of silently clipped; tiny
     negatives from roundoff at a genuine double root are clamped to zero.
+    A discriminant that is not finite (theta**2 overflows at large
+    ``i0*|log omega|``) would give phi1=inf and phi2=0, so it is reported
+    as an unsupported regime instead.
     """
     th = char.theta
     disc = th * th - 4.0 * char.omega_pow
+    if not math.isfinite(disc):
+        raise UnsupportedRegimeError(
+            f"barrier roots overflow (theta={th}, omega**i0={char.omega_pow}); "
+            "no closed-form answer is available for this instance"
+        )
     if disc < 0.0:
         if disc < -1e-12 * max(th * th, 1.0):
             raise ParameterError(

@@ -90,11 +90,12 @@ def absorption_profile(
         return _absorption_s1(params, strategy)
 
     fn = {Strategy.A: mgf.mgf_a, Strategy.B: mgf.mgf_b, Strategy.C: mgf.mgf_c}[strategy]
-    p0 = fn(params, 1.0, 0)
+    values = fn(params, 1.0, range(kmax + 1))
+    p0 = values[0]
     pk: dict[int, float] = {}
     for k in range(1, kmax + 1):
         stop = 0.0 if (strategy is Strategy.C and k == 1) else s
-        pk[k] = stop * fn(params, 1.0, k)
+        pk[k] = stop * values[k]
     phi2 = _phi(params).phi2
     tail = pk[kmax] * phi2 / (1.0 - phi2)
     return AbsorptionProfile(p0=p0, pk=pk, tail_bound=tail)
@@ -272,26 +273,24 @@ def _killed_times(
     log_common = dgi / gi - 1.0 - dg1 / g1
     phi_rate = der.dphi2 / phi.phi2
 
+    ks = range(kmin, kmax + 1)
     out: dict[int, float] = {}
     if strategy in (Strategy.A, Strategy.B):
-        for k in range(kmin, kmax + 1):
+        for k, u in zip(ks, mgf.mgf_a(params, 1.0, ks)):
             if k == 0:
                 val = der.dphi2 / wpow
             else:
-                u = mgf.mgf_a(params, 1.0, k)
                 val = s * u * (log_common + k * phi_rate)
             out[k] = val / (1.0 - s) if strategy is Strategy.B else val
         return out
 
     pole_rate = (dsi - der.dphi2) / (si - phi.phi2)
-    for k in range(kmin, kmax + 1):
+    for k, wk in zip(ks, mgf.mgf_c(params, 1.0, ks)):
         if k == 0:
-            w0 = mgf.mgf_c(params, 1.0, 0)
-            out[k] = w0 * w0 * (der.dphi2 - dsi)
+            out[k] = wk * wk * (der.dphi2 - dsi)
         elif k == 1:
             out[k] = 0.0
         else:
-            wk = mgf.mgf_c(params, 1.0, k)
             out[k] = s * wk * (log_common + (k - 1) * phi_rate - pole_rate)
     return out
 

@@ -17,7 +17,6 @@ cross-checked against the step-by-step propagation oracle in
 from __future__ import annotations
 
 from .charpoly import (
-    CharData,
     PhiPair,
     RootPair,
     phi_roots,
@@ -36,54 +35,87 @@ def _require_interior_s(params: WalkParams) -> None:
         )
 
 
-def _char_context(params: WalkParams, z: float) -> tuple[RootPair, CharData, PhiPair]:
+# step roots, barrier roots and D_i0: everything a barrier value needs
+_Context = tuple[RootPair, PhiPair, float]
+
+
+def _char_context(params: WalkParams, z: float) -> _Context:
     roots = tau_roots(z, params)
-    char = theta(z, params)
-    return roots, char, phi_roots(char)
+    phi = phi_roots(theta(z, params))
+    return roots, phi, power_divided_difference(roots, params.i0)
 
 
-def mgf_a(params: WalkParams, z: float, k: int) -> float:
-    """Strategy-A generating function on the barrier state k*i0 (k >= 0)."""
-    _require_interior_s(params)
-    if k < 0:
-        raise ParameterError(f"barrier index must be >= 0, got {k}")
-    roots, _, phi = _char_context(params, z)
-    if k == 0:
-        return phi.phi2 / params.omega_pow
-    d_i0 = power_divided_difference(roots, params.i0)
+def _a_values(params: WalkParams, z: float, context: _Context, ks: range) -> list[float]:
+    _, phi, d_i0 = context
+    phi2 = phi.phi2
     base = d_i0 / (params.q * (1.0 - params.s) * z * params.omega_pow)
-    return base * phi.phi2 ** k
+    return [phi2 / params.omega_pow if k == 0 else base * phi2 ** k for k in ks]
 
 
-def mgf_b(params: WalkParams, z: float, k: int) -> float:
+def _b_values(params: WalkParams, z: float, context: _Context, ks: range) -> list[float]:
+    one_ms = 1.0 - params.s
+    a_values = _a_values(params, z, context, ks)
+    return [(ua - (1.0 if k == 1 else 0.0)) / one_ms for k, ua in zip(ks, a_values)]
+
+
+def _c_values(params: WalkParams, z: float, context: _Context, ks: range) -> list[float]:
+    roots, phi, d_i0 = context
+    i0, phi2 = params.i0, phi.phi2
+    denom = roots.tau1 ** i0 + roots.tau2 ** i0 - phi2
+    denom_far = params.q * (1.0 - params.s) * z * denom
+    out = []
+    for k in ks:
+        if k == 0:
+            out.append(1.0 / denom)
+        elif k == 1:
+            out.append(d_i0 / (params.q * z * denom))
+        else:
+            out.append(d_i0 * phi2 ** (k - 1) / denom_far)
+    return out
+
+
+def _barrier_values(values, params: WalkParams, z: float, k: int | range):
+    """``values`` at every barrier index in ``k`` from one solve of the roots.
+
+    An int ``k`` gives a float, a range gives a list.
+    """
+    _require_interior_s(params)
+    ks = k if isinstance(k, range) else range(k, k + 1)
+    if not ks:
+        return []
+    lowest = min(ks[0], ks[-1])
+    if lowest < 0:
+        raise ParameterError(f"barrier index must be >= 0, got {lowest}")
+    out = values(params, z, _char_context(params, z), ks)
+    return out if isinstance(k, range) else out[0]
+
+
+def mgf_a(params: WalkParams, z: float, k: int | range) -> float | list[float]:
+    """Strategy-A generating function on the barrier state k*i0 (k >= 0).
+
+    ``k`` may be a ``range`` of barrier indices, which returns the list of
+    values from one solve of the roots: for k >= 1 they are geometric,
+    ``base * phi2**k``.
+    """
+    return _barrier_values(_a_values, params, z, k)
+
+
+def mgf_b(params: WalkParams, z: float, k: int | range) -> float | list[float]:
     """Strategy-B generating function on k*i0: A's value rescaled by 1/(1-s).
 
     The start state additionally sheds its m=0 self-term, so
-    ``value_B = (value_A - delta(k,1)) / (1-s)``.
+    ``value_B = (value_A - delta(k,1)) / (1-s)``.  ``k`` may be a ``range``,
+    as for :func:`mgf_a`.
     """
-    ua = mgf_a(params, z, k)
-    delta = 1.0 if k == 1 else 0.0
-    return (ua - delta) / (1.0 - params.s)
+    return _barrier_values(_b_values, params, z, k)
 
 
-def mgf_c(params: WalkParams, z: float, k: int) -> float:
-    """Strategy-C generating function on the barrier state k*i0 (k >= 0)."""
-    _require_interior_s(params)
-    if k < 0:
-        raise ParameterError(f"barrier index must be >= 0, got {k}")
-    roots, _, phi = _char_context(params, z)
-    i0 = params.i0
-    denom = roots.tau1 ** i0 + roots.tau2 ** i0 - phi.phi2
-    if k == 0:
-        return 1.0 / denom
-    d_i0 = power_divided_difference(roots, i0)
-    if k == 1:
-        return d_i0 / (params.q * z * denom)
-    return (
-        d_i0
-        * phi.phi2 ** (k - 1)
-        / (params.q * (1.0 - params.s) * z * denom)
-    )
+def mgf_c(params: WalkParams, z: float, k: int | range) -> float | list[float]:
+    """Strategy-C generating function on the barrier state k*i0 (k >= 0).
+
+    ``k`` may be a ``range``, as for :func:`mgf_a`.
+    """
+    return _barrier_values(_c_values, params, z, k)
 
 
 def _barrier_fn(strategy: Strategy):
@@ -115,29 +147,27 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
             f"position {position} is a barrier-lattice state; use the barrier forms"
         )
     strategy = Strategy(strategy)
-    roots, _, _ = _char_context(params, z)
+    context = _char_context(params, z)
+    roots, _, d_i0 = context
     d_n = power_divided_difference(roots, n)
     d_co = power_divided_difference(roots, i0 - n)
-    d_i0 = power_divided_difference(roots, i0)
     one_ms = 1.0 - params.s
     omega_n = params.omega ** n
 
     if strategy in (Strategy.A, Strategy.B):
-        u_next = mgf_a(params, z, k + 1)
+        u_here, u_next = _a_values(params, z, context, range(k, k + 2))
         if k == 0:
             value = one_ms * u_next * d_n / d_i0
         else:
-            u_here = mgf_a(params, z, k)
             value = one_ms * (u_here * omega_n * d_co + u_next * d_n) / d_i0
         if strategy is Strategy.B:
             value /= one_ms
         return value
 
-    w_next = mgf_c(params, z, k + 1)
+    w_here, w_next = _c_values(params, z, context, range(k, k + 2))
     if k == 0:
         # the segment [0, i0] has normal states on both sides for C
         return w_next * d_n / d_i0
-    w_here = mgf_c(params, z, k)
     if k == 1:
         # only the upper end (2*i0) of this segment is a barrier
         return (w_here * omega_n * d_co + one_ms * w_next * d_n) / d_i0

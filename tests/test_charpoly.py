@@ -121,6 +121,12 @@ class TestPhiRoots:
         with pytest.raises(ParameterError):
             cp.phi_roots(char)
 
+    def test_overflowing_discriminant_is_unsupported(self):
+        # theta ~ 1.6e191 here, so theta**2 is inf and phi2 would come out 0
+        char = cp.theta(1.0, WalkParams(0.9, 0.5, 200))
+        with pytest.raises(UnsupportedRegimeError):
+            cp.phi_roots(char)
+
     def test_ordering_and_product_on_grid(self):
         for params in grid_params():
             for z in (0.2, 0.6, 1.0):

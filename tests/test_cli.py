@@ -51,6 +51,16 @@ class TestAnalytic:
         assert code == 2
         assert "error" in json.loads(err)
 
+    def test_theta_overflow_exits_2_with_json_error(self, capsys):
+        code, out, err = run_cli(
+            ["analytic", "--p", "0.9", "--s", "0.5", "--i0", "200", "--strategy", "B"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "overflow" in json.loads(err)["error"]
+
     def test_conditional_times_flag(self, capsys):
         code, out, _ = run_cli(
             ["analytic", "--p", "0.4", "--s", "0.5", "--i0", "1", "--strategy", "B",

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from ruinwalk import metrics, oracle
+from ruinwalk import charpoly as cp
+from ruinwalk import metrics, mgf, oracle
 from ruinwalk.core import (
     AbsorptionNotCertainError,
     Strategy,
@@ -72,6 +73,34 @@ class TestAbsorptionProfile:
             near = metrics.absorption_profile(WalkParams(p, 1e-6, i0), Strategy.B, 64)
             limit = metrics.absorption_profile(WalkParams(p, 0.0, i0), Strategy.B, 64)
             assert near.p0 == pytest.approx(limit.p0, abs=1e-4)
+
+    def test_theta_overflow_raises_instead_of_negative_mass(self, strategy):
+        # theta**2 overflows here; the profile used to total -1.0
+        with pytest.raises(UnsupportedRegimeError):
+            metrics.absorption_profile(WalkParams(0.9, 0.5, 200), strategy)
+
+
+class TestOneSolvePerProfile:
+    def test_theta_calls_do_not_grow_with_kmax(self, strategy, monkeypatch):
+        calls = [0]
+        theta = cp.theta
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return theta(*args, **kwargs)
+
+        # metrics calls charpoly.theta; mgf calls its own imported binding
+        monkeypatch.setattr(cp, "theta", counted)
+        monkeypatch.setattr(mgf, "theta", counted)
+        params = WalkParams(0.45, 0.3, 2)
+
+        def count(profile, kmax):
+            calls[0] = 0
+            profile(params, strategy, kmax=kmax)
+            return calls[0]
+
+        for profile in (metrics.absorption_profile, metrics.time_profile):
+            assert count(profile, 256) == count(profile, 8) > 0, profile.__name__
 
 
 class TestBCRatio:

@@ -95,7 +95,37 @@ class TestBarrierValues:
     def test_values_nonnegative(self, z, p, s, i0, k):
         params = WalkParams(p, s, i0)
         for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c):
-            assert fn(params, z, k) >= 0.0
+            value = fn(params, z, k)
+            assert value >= 0.0
+            # the range form evaluates the scalar form's expression exactly
+            assert fn(params, z, range(0, k + 1))[k] == value
+            assert fn(params, z, range(k, k + 3))[0] == value
+
+
+class TestBarrierRanges:
+    """A range of barrier indices shares one solve and keeps the scalar values."""
+
+    FNS = (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c)
+
+    def test_empty_range_returns_empty_list(self):
+        for fn in self.FNS:
+            assert fn(WalkParams(0.4, 0.5, 2), 1.0, range(0)) == []
+            assert fn(WalkParams(0.4, 0.5, 2), 1.0, range(5, 5)) == []
+
+    def test_range_below_zero_rejected(self):
+        for fn in self.FNS:
+            with pytest.raises(ParameterError):
+                fn(WalkParams(0.4, 0.5, 2), 1.0, range(-1, 3))
+            with pytest.raises(ParameterError):
+                fn(WalkParams(0.4, 0.5, 2), 1.0, -1)
+
+    def test_range_rejects_limit_stop_values(self):
+        for fn in self.FNS:
+            for s in (0.0, 1.0):
+                with pytest.raises(UnsupportedRegimeError):
+                    fn(WalkParams(0.4, s, 1), 1.0, range(0, 4))
+                with pytest.raises(UnsupportedRegimeError):
+                    fn(WalkParams(0.4, s, 1), 1.0, 2)
 
 
 class TestInterior:
