@@ -217,6 +217,7 @@ def cmd_simulate(args) -> int:
         "seed": sim.seed,
         "generator": dict(sim.generator),
         "escaped": sim.escaped,
+        "trial_steps": sim.trial_steps,
         "estimates": {
             str(state): {
                 "probability": sim.probability(state)[0],

@@ -164,12 +164,17 @@ def _pair_diff(a: dict[str, float], b: dict[str, float]) -> float:
 _TIME_PREFIXES = ("et", "m_total")
 
 
-def _aitken(v1: dict, v2: dict, v3: dict, tol: float) -> tuple[dict, bool]:
+def _aitken(
+    v1: dict, v2: dict, v3: dict, tol: float, can_escape: bool
+) -> tuple[dict, bool]:
     """Per-scalar Aitken extrapolation of three doubling solutions.
 
     Returns the extrapolated dict and a flag saying whether every scalar was
     tractable (geometric decay, already converged, or a time-like quantity
-    growing without bound, reported as inf).
+    growing without bound, reported as inf).  A growing time is reported as
+    inf only when ``can_escape``: otherwise the walk is absorbed with
+    probability one, every mean time is finite, and growth only says the
+    truncation is still too short.
     """
     out: dict[str, float] = {}
     ok = True
@@ -186,12 +191,15 @@ def _aitken(v1: dict, v2: dict, v3: dict, tol: float) -> tuple[dict, bool]:
             continue
         r = d2 / d1
         if r >= 1.02:
-            if key.startswith(_TIME_PREFIXES):
-                out[key] = math.inf
-            else:
+            if not key.startswith(_TIME_PREFIXES):
                 raise ConvergenceError(
                     f"absorption probability diverges under truncation doubling ({key})"
                 )
+            if can_escape:
+                out[key] = math.inf
+            else:
+                out[key] = c
+                ok = False
         elif abs(r) < 0.97:
             out[key] = c + d2 * r / (1.0 - r)
         else:
@@ -214,11 +222,17 @@ def solve_exact(
     doubling stalls (no stopping barriers and a flat or upward drift, where
     truncation error decays like 1/K or the mean time is infinite), Aitken
     extrapolation over the doubling sequence supplies the limit, with
-    genuinely divergent time entries reported as ``inf``.
+    genuinely divergent time entries reported as ``inf``.  A time can be
+    infinite only when the walk can escape or wander forever (s = 0 and
+    p >= q); in every other case a still-growing time keeps the doubling
+    going, and ``ConvergenceError`` is raised past ``max_k``.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     strategy = Strategy(strategy)
+    # without stopping barriers an upward or flat drift can carry the walk
+    # off forever (p > q) or make its mean time infinite (p == q)
+    can_escape = params.s == 0.0 and params.p >= params.q
     history: list[dict] = []
     flats: list[dict[str, float]] = []
     prev_extrap: dict[str, float] | None = None
@@ -232,7 +246,7 @@ def solve_exact(
             if diff < tol:
                 return _finish(sol, trunc_k, diff)
         if len(flats) >= 3:
-            extrap, ok = _aitken(flats[-3], flats[-2], flats[-1], tol)
+            extrap, ok = _aitken(flats[-3], flats[-2], flats[-1], tol, can_escape)
             if ok and prev_extrap is not None:
                 ediff = _pair_diff(extrap, prev_extrap)
                 if ediff < tol:
@@ -367,6 +381,7 @@ class SimResult:
     seed: int
     generator: tuple[tuple[str, object], ...]
     escaped: int
+    trial_steps: int  # steps walked by all trials, escaped ones included
     absorption_counts: dict[int, int]
     time_sum_by_state: dict[int, float]
     time_sq_sum_by_state: dict[int, float]
@@ -405,43 +420,51 @@ def _chunk_trials(
     lo: int,
     hi: int,
     max_steps: int,
-) -> tuple[dict[int, int], dict[int, float], dict[int, float], int]:
+) -> tuple[dict[int, int], dict[int, float], dict[int, float], int, int]:
+    """Walk trials ``lo..hi-1``; returns the sums, the escapes and the steps walked."""
     p, s, i0 = params.p, params.s, params.i0
-    kmin = strategy.first_barrier_multiple
+    low_barrier = strategy.first_barrier_multiple * i0
+    up_on_barrier = s + (1.0 - s) * p
     ids = np.arange(lo, hi, dtype=np.uint64)
     x = np.full(hi - lo, i0, dtype=np.int64)
     counts: dict[int, int] = {}
     tsum: dict[int, float] = {}
     tsq: dict[int, float] = {}
+    steps = 0  # summed over finished trials
 
-    def record(states: np.ndarray, when: int) -> None:
-        vals, cnt = np.unique(states, return_counts=True)
-        for v, c in zip(vals.tolist(), cnt.tolist()):
-            counts[v] = counts.get(v, 0) + c
-            tsum[v] = tsum.get(v, 0.0) + c * float(when)
-            tsq[v] = tsq.get(v, 0.0) + c * float(when) ** 2
+    def record(state: int, count: int, when: int) -> None:
+        nonlocal steps
+        steps += count * when
+        counts[state] = counts.get(state, 0) + count
+        tsum[state] = tsum.get(state, 0.0) + count * float(when)
+        tsq[state] = tsq.get(state, 0.0) + count * float(when) ** 2
 
     t = 0
     while x.size and t < max_steps:
-        u = rng.step_uniforms(seed, ids, t)
-        on_barrier = (x % i0 == 0) & (x >= kmin * i0)
+        if t % rng.LANES == 0:  # one Philox evaluation serves steps t .. t+3
+            lanes = rng.block_uniforms(seed, ids, t // rng.LANES).T  # row j: step t + j
+        u = rng.step_uniforms(seed, ids, t, lanes.T)
+        on_barrier = (x % i0 == 0) & (x >= low_barrier)
         if strategy is Strategy.B and t == 0:
             on_barrier &= x != i0
-        sbar = np.where(on_barrier, s, 0.0)
-        stopped = u < sbar
-        if stopped.any():
-            record(x[stopped], t)
-            keep = ~stopped
-            x, ids, u, sbar = x[keep], ids[keep], u[keep], sbar[keep]
-        up = u < sbar + (1.0 - sbar) * p
-        x = x + np.where(up, 1, -1)
-        ruined = x == 0
-        if ruined.any():
-            record(x[ruined], t + 1)
-            keep = ~ruined
-            x, ids = x[keep], ids[keep]
+        stopped = on_barrier & (u < s)
+        moved = x + np.where(u < np.where(on_barrier, up_on_barrier, p), 1, -1)
+        # a stopped trial drew u < s, below its up threshold, so it moved up
+        # and is never also counted as ruined
+        ruined = moved == 0
+        done = stopped | ruined
+        if done.any():
+            per_state = np.bincount(x[stopped])
+            for state in np.flatnonzero(per_state).tolist():
+                record(state, int(per_state[state]), t)
+            n_ruined = int(np.count_nonzero(ruined))
+            if n_ruined:
+                record(0, n_ruined, t + 1)
+            keep = np.flatnonzero(~done)  # `take` beats boolean masks on 2-D arrays
+            moved, ids, lanes = moved.take(keep), ids.take(keep), lanes.take(keep, axis=1)
+        x = moved
         t += 1
-    return counts, tsum, tsq, int(x.size)
+    return counts, tsum, tsq, int(x.size), steps + int(x.size) * t
 
 
 def simulate(
@@ -455,7 +478,8 @@ def simulate(
     """Monte Carlo estimate of the absorption profile and killed times.
 
     Trial ``t`` draws its uniforms from the counter-based stream
-    ``(seed, t, step)``, so the result is bit-identical for any chunking or
+    ``(seed, t, step)``, one Philox block per four steps (see
+    :mod:`ruinwalk.rng`), so the result is bit-identical for any chunking or
     ``workers`` value.  Trials still alive after ``max_steps`` are counted
     as escaped, never dropped silently.
     """
@@ -481,8 +505,10 @@ def simulate(
     tsum: dict[int, float] = {}
     tsq: dict[int, float] = {}
     escaped = 0
-    for c, ts, t2, esc in partials:
+    trial_steps = 0
+    for c, ts, t2, esc, walked in partials:
         escaped += esc
+        trial_steps += walked
         for k in sorted(c):
             counts[k] = counts.get(k, 0) + c[k]
             tsum[k] = tsum.get(k, 0.0) + ts[k]
@@ -494,10 +520,11 @@ def simulate(
         generator=(
             ("name", rng.GENERATOR_NAME),
             ("key", key),
-            ("counter_layout", "(step, trial_lo32, trial_hi32, 0)"),
-            ("output_lane", 0),
+            ("counter_layout", "(step // 4, trial_lo32, trial_hi32, 0)"),
+            ("output_lane", "step % 4"),
         ),
         escaped=escaped,
+        trial_steps=trial_steps,
         absorption_counts=dict(sorted(counts.items())),
         time_sum_by_state=dict(sorted(tsum.items())),
         time_sq_sum_by_state=dict(sorted(tsq.items())),

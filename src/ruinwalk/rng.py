@@ -5,12 +5,16 @@ The simulator needs one uniform per (trial, step) that is a pure function of
 or worker count.  Stateful generators cannot give that cheaply, so this
 module implements the Philox-4x32 block cipher (10 rounds) over numpy
 arrays.  Each evaluation maps a 128-bit counter and a 64-bit key to four
-32-bit words; the simulator uses the counter layout
+32-bit words, and the simulator uses all four: the counter layout is
 
-    (step, trial_low32, trial_high32, 0)    key = (seed_low32, seed_high32)
+    (step // 4, trial_low32, trial_high32, 0)    key = (seed_low32, seed_high32)
 
-and keeps word 0 of the output as its uniform.  The implementation is
-checked against the published known-answer vectors in the test suite.
+and the uniform for ``step`` is output word ``step % 4``.  One evaluation
+(:func:`block_uniforms`) therefore serves four consecutive steps of a trial;
+:func:`step_uniforms` is the per-step view of the same stream, and reads a
+step from a block already drawn when it is handed one.  The
+implementation is checked against the published known-answer vectors in the
+test suite.
 """
 
 from __future__ import annotations
@@ -19,18 +23,14 @@ import numpy as np
 
 PHILOX_M0 = np.uint64(0xD2511F53)
 PHILOX_M1 = np.uint64(0xCD9E8D57)
-PHILOX_W0 = np.uint32(0x9E3779B9)
-PHILOX_W1 = np.uint32(0xBB67AE85)
+PHILOX_W0 = 0x9E3779B9
+PHILOX_W1 = 0xBB67AE85
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _ROUNDS = 10
 
 GENERATOR_NAME = "philox4x32-10"
-
-
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """32x32 -> 64 bit product split into (hi, lo) 32-bit words."""
-    prod = m * x.astype(np.uint64)
-    return (prod >> np.uint64(32)).astype(np.uint32), (prod & _MASK32).astype(np.uint32)
+LANES = 4  # output words per evaluation, so steps served per block
 
 
 def philox4x32(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
@@ -42,24 +42,39 @@ def philox4x32(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
     counter = np.asarray(counter, dtype=np.uint32)
     if counter.ndim != 2 or counter.shape[1] != 4:
         raise ValueError(f"counter must have shape (n, 4), got {counter.shape}")
-    c0 = counter[:, 0].copy()
-    c1 = counter[:, 1].copy()
-    c2 = counter[:, 2].copy()
-    c3 = counter[:, 3].copy()
-    k0 = np.uint32(key[0])
-    k1 = np.uint32(key[1])
+    words = np.empty((4, counter.shape[0]), dtype=np.uint64)
+    words[...] = counter.T
+    key0, key1 = int(key[0]), int(key[1])
+    _rounds(words, key0, key1)
+    return words.T.astype(np.uint32)
+
+
+def _rounds(words: np.ndarray, key0: int, key1: int) -> None:
+    """The ten Philox rounds, in place on a (4, m) block of uint64 words.
+
+    Each word is held in a uint64, so the 32x32-bit products are exact and
+    no round converts dtypes.  Only uint64 operands meet, so the dtypes are
+    the same under numpy 1.x value-based casting and NEP 50 promotion.
+    """
+    c0, c1, c2, c3 = words
+    prod0 = np.empty_like(c0)
+    prod1 = np.empty_like(c2)
     for rnd in range(_ROUNDS):
-        if rnd > 0:
-            # key schedule is wrap-around 32-bit addition
-            k0 = np.uint32((int(k0) + int(PHILOX_W0)) & 0xFFFFFFFF)
-            k1 = np.uint32((int(k1) + int(PHILOX_W1)) & 0xFFFFFFFF)
-        hi0, lo0 = _mulhilo(PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(PHILOX_M1, c2)
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
+        # key schedule: wrap-around 32-bit addition of the Weyl constants
+        k0 = np.uint64((key0 + rnd * PHILOX_W0) & 0xFFFFFFFF)
+        k1 = np.uint64((key1 + rnd * PHILOX_W1) & 0xFFFFFFFF)
+        np.multiply(c0, PHILOX_M0, out=prod0)
+        np.multiply(c2, PHILOX_M1, out=prod1)
+        # c0' = hi(M1*c2) ^ c1 ^ k0,  c2' = hi(M0*c0) ^ c3 ^ k1
+        np.right_shift(prod1, _SHIFT32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.right_shift(prod0, _SHIFT32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        # c1' = lo(M1*c2),  c3' = lo(M0*c0)
+        np.bitwise_and(prod1, _MASK32, out=c1)
+        np.bitwise_and(prod0, _MASK32, out=c3)
 
 
 def split_key(seed: int) -> tuple[int, int]:
@@ -68,18 +83,37 @@ def split_key(seed: int) -> tuple[int, int]:
     return seed & 0xFFFFFFFF, seed >> 32
 
 
-def step_uniforms(seed: int, trials: np.ndarray, step: int) -> np.ndarray:
+def block_uniforms(seed: int, trials: np.ndarray, block: int) -> np.ndarray:
+    """Uniforms in [0, 1) for steps ``4*block .. 4*block + 3`` of each trial.
+
+    Returns an (n, 4) float64 array whose column ``j`` is the uniform of
+    step ``4*block + j``; it is laid out column by column, so ``.T`` is a
+    C-contiguous (4, n) array.  ``trials`` is an integer array of trial
+    indices; the result for a given (seed, trial, step) is the same however
+    the call is batched.
+    """
+    if not 0 <= block <= 0xFFFFFFFF:
+        raise ValueError(f"block must be in [0, 2**32), got {block}")
+    trials = np.asarray(trials, dtype=np.uint64)
+    counter = np.zeros((trials.shape[0], 4), dtype=np.uint32)
+    counter[:, 0] = block
+    counter[:, 1] = trials & _MASK32
+    counter[:, 2] = trials >> _SHIFT32
+    return philox4x32(counter, split_key(seed)) * 2.0**-32
+
+
+def step_uniforms(
+    seed: int, trials: np.ndarray, step: int, block: np.ndarray | None = None
+) -> np.ndarray:
     """One uniform in [0, 1) per trial for a given step index.
 
-    ``trials`` is an integer array of trial indices; the result for a given
-    (seed, trial, step) triple is the same however the call is batched.
+    The per-step view of :func:`block_uniforms`: word ``step % 4`` of the
+    block ``step // 4``.  ``block``, if given, is that block's
+    :func:`block_uniforms` result for these same trials (rows may have been
+    dropped from both alike); the step's uniforms are read from it instead
+    of evaluating Philox again, so a caller walking steps in order pays one
+    evaluation per four steps.
     """
-    trials = np.asarray(trials, dtype=np.uint64)
-    n = trials.shape[0]
-    counter = np.empty((n, 4), dtype=np.uint32)
-    counter[:, 0] = np.uint32(step & 0xFFFFFFFF)
-    counter[:, 1] = (trials & _MASK32).astype(np.uint32)
-    counter[:, 2] = (trials >> np.uint64(32)).astype(np.uint32)
-    counter[:, 3] = 0
-    words = philox4x32(counter, split_key(seed))
-    return words[:, 0].astype(np.float64) * 2.0 ** -32
+    if block is None:
+        block = block_uniforms(seed, trials, step // LANES)
+    return block[:, step % LANES]

@@ -101,6 +101,18 @@ class TestSimulate:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_reports_trial_steps_and_is_identical_across_workers(self, capsys):
+        args = ["simulate", "--p", "0.5", "--s", "0.5", "--i0", "1", "--strategy", "B",
+                "--trials", "140000", "--seed", "11", "--max-steps", "1000"]
+        _, out1, _ = run_cli(args + ["--workers", "1"], capsys)
+        _, out3, _ = run_cli(args + ["--workers", "3"], capsys)
+        assert out1 == out3
+        report = json.loads(out1)
+        assert isinstance(report["trial_steps"], int)
+        walked = sum(est["killed_time"] for est in report["estimates"].values()) * report["trials"]
+        assert report["trial_steps"] == pytest.approx(walked + 1000 * report["escaped"], rel=1e-12)
+        assert report["generator"]["output_lane"] == "step % 4"
+
     def test_all_stop_eager_mean_time_zero(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--p", "0.3", "--s", "1", "--i0", "2", "--strategy", "A",
@@ -120,6 +132,15 @@ class TestSimulate:
 
 
 class TestExact:
+    def test_unconverged_stopping_walk_exits_1_with_json_error(self, capsys):
+        code, out, err = run_cli(
+            ["exact", "--p", "0.55", "--s", "1e-4", "--i0", "2", "--strategy", "B"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "did not converge" in json.loads(err)["error"]
+
     def test_reports_solution(self, capsys):
         code, out, _ = run_cli(
             ["exact", "--p", "0.5", "--s", "0.5", "--i0", "1", "--strategy", "B",

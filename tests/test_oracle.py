@@ -42,10 +42,47 @@ class TestPhilox:
         assert np.array_equal(a, c)
 
     def test_uniforms_in_unit_interval_and_roughly_uniform(self):
-        u = rng.step_uniforms(123, np.arange(200_000), 0)
-        assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
-        assert abs(float(u.mean()) - 0.5) < 0.005
-        assert abs(float(u.var()) - 1.0 / 12.0) < 0.002
+        block = rng.block_uniforms(123, np.arange(200_000), 0)
+        lanes = [rng.step_uniforms(123, np.arange(200_000), 0)] + list(block.T)
+        for u in lanes:  # every output word of the block, not only word 0
+            assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
+            assert abs(float(u.mean()) - 0.5) < 0.005
+            assert abs(float(u.var()) - 1.0 / 12.0) < 0.002
+
+    # trial ids on both sides of 2**32 exercise the high counter word
+    TRIALS = np.array(
+        [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**64 - 1], dtype=np.uint64
+    )
+    SEED = 0x1234_5678_9ABC  # a key with both 32-bit words non-zero
+
+    def test_step_uniform_is_word_step_mod_4_of_counter_step_div_4(self):
+        key = rng.split_key(self.SEED)
+        lo = [int(t) & 0xFFFFFFFF for t in self.TRIALS]
+        hi = [int(t) >> 32 for t in self.TRIALS]
+        for step in (0, 1, 2, 3, 4, 5, 11, 4 * 1000 + 2, 4 * (2**32 - 1) + 3):
+            counter = np.array([[step // 4, a, b, 0] for a, b in zip(lo, hi)], dtype=np.uint32)
+            words = rng.philox4x32(counter, key)
+            want = [int(w) * 2.0**-32 for w in words[:, step % 4]]
+            assert rng.step_uniforms(self.SEED, self.TRIALS, step).tolist() == want
+
+    def test_block_uniforms_agree_with_step_uniforms(self):
+        for block in (0, 1, 9, 2**32 - 1):
+            got = rng.block_uniforms(self.SEED, self.TRIALS, block)
+            assert got.shape == (len(self.TRIALS), 4)
+            for lane in range(4):
+                want = rng.step_uniforms(self.SEED, self.TRIALS, 4 * block + lane)
+                assert np.array_equal(got[:, lane], want)
+                # a block handed in, with rows dropped from it and the trials alike
+                kept = [0, 3, 6]
+                from_block = rng.step_uniforms(
+                    self.SEED, self.TRIALS[kept], 4 * block + lane, got[kept]
+                )
+                assert np.array_equal(from_block, want[kept])
+
+    def test_block_outside_the_counter_word_is_rejected(self):
+        for block in (-1, 2**32):
+            with pytest.raises(ValueError):
+                rng.block_uniforms(1, self.TRIALS, block)
 
 
 class TestSolveExact:
@@ -88,6 +125,14 @@ class TestSolveExact:
             assert a.m_total == pytest.approx(
                 b.m_total, abs=max(a.error_estimate * 10, 1e-8)
             )
+
+    def test_stopping_walk_never_reports_an_infinite_time(self):
+        # Upward drift with rare stops: every trial is eventually absorbed and
+        # the true mean time is 6624.92, but the truncated times keep growing
+        # up to max_k.  That must be a typed error, not inf.
+        params = WalkParams(0.55, 1e-4, 2)
+        with pytest.raises(oracle.ConvergenceError):
+            oracle.solve_exact(params, Strategy.B)
 
     def test_escape_mass_negligible_with_interior_stop(self, strategy):
         for params in small_grid():
@@ -138,7 +183,8 @@ class TestSimulate:
         a = oracle.simulate(params, Strategy.B, 150_000, seed=42)
         b = oracle.simulate(params, Strategy.B, 150_000, seed=42)
         c = oracle.simulate(params, Strategy.B, 150_000, seed=42, workers=4)
-        assert a == b == c
+        d = oracle.simulate(params, Strategy.B, 150_000, seed=42, workers=2)
+        assert a == b == c == d
 
     def test_seed_changes_the_sample(self):
         params = WalkParams(0.5, 0.5, 1)
@@ -157,9 +203,42 @@ class TestSimulate:
 
     def test_counts_and_escapes_add_up(self):
         params = WalkParams(0.5, 0.1, 2)
-        sim = oracle.simulate(params, Strategy.C, 50_000, seed=5, max_steps=200)
+        # a trial survives 100 steps with probability 1.29e-3 (forward
+        # propagation of the chain), so about 64 of 50,000 are expected to
+        # escape; this seed gives 66
+        sim = oracle.simulate(params, Strategy.C, 50_000, seed=5, max_steps=100)
         assert sum(sim.absorption_counts.values()) + sim.escaped == sim.trials
         assert sim.escaped > 0  # tight cap forces visible escapes
+        assert sim.trial_steps == sum(sim.time_sum_by_state.values()) + 100 * sim.escaped
+
+    @pytest.mark.parametrize(
+        "p, s, i0, strategy, max_steps",
+        [
+            (0.5, 0.3, 2, Strategy.B, 1001),
+            (0.45, 0.1, 3, Strategy.A, 1001),
+            (0.4, 0.5, 1, Strategy.B, 1001),  # stop and ruin both possible at state 1
+            (0.4, 0.5, 1, Strategy.A, 1001),
+            (0.5, 0.1, 2, Strategy.C, 37),  # many escapes, cap not a multiple of 4
+        ],
+    )
+    def test_matches_per_step_reference_loop(self, p, s, i0, strategy, max_steps):
+        params = WalkParams(p, s, i0)
+        sim = oracle.simulate(params, strategy, 3000, seed=77, max_steps=max_steps)
+        counts, tsum, tsq, escaped, steps = _reference_walk(params, strategy, 3000, 77, max_steps)
+        assert sim.absorption_counts == counts
+        assert sim.time_sum_by_state == tsum
+        assert sim.time_sq_sum_by_state == tsq
+        assert (sim.escaped, sim.trial_steps) == (escaped, steps)
+        if max_steps == 37:
+            assert escaped > 0
+
+    def test_generator_reports_the_four_lane_stream(self):
+        sim = oracle.simulate(WalkParams(0.5, 0.5, 1), Strategy.B, 10, seed=3)
+        gen = dict(sim.generator)
+        assert gen["counter_layout"] == "(step // 4, trial_lo32, trial_hi32, 0)"
+        assert gen["output_lane"] == "step % 4"
+        assert gen["key"] == rng.split_key(3)
+        assert isinstance(sim.trial_steps, int)
 
     def test_rejects_bad_arguments(self):
         params = WalkParams(0.5, 0.5, 1)
@@ -167,3 +246,41 @@ class TestSimulate:
             oracle.simulate(params, Strategy.B, 0, seed=1)
         with pytest.raises(ParameterError):
             oracle.simulate(params, Strategy.B, 10, seed=1, max_steps=0)
+
+
+def _reference_walk(params, strategy, trials, seed, max_steps):
+    """Plain per-step Monte Carlo: one ``step_uniforms`` call per step."""
+    p, s, i0 = params.p, params.s, params.i0
+    kmin = strategy.first_barrier_multiple
+    ids = np.arange(trials, dtype=np.uint64)
+    x = np.full(trials, i0, dtype=np.int64)
+    counts, tsum, tsq = {}, {}, {}
+    steps = 0
+
+    def record(states, when):
+        nonlocal steps
+        vals, cnt = np.unique(states, return_counts=True)
+        for v, c in zip(vals.tolist(), cnt.tolist()):
+            counts[v] = counts.get(v, 0) + c
+            tsum[v] = tsum.get(v, 0.0) + c * float(when)
+            tsq[v] = tsq.get(v, 0.0) + c * float(when) ** 2
+            steps += c * when
+
+    t = 0
+    while x.size and t < max_steps:
+        u = rng.step_uniforms(seed, ids, t)
+        on_barrier = (x % i0 == 0) & (x >= kmin * i0)
+        if strategy is Strategy.B and t == 0:
+            on_barrier &= x != i0
+        sbar = np.where(on_barrier, s, 0.0)
+        stopped = u < sbar
+        record(x[stopped], t)
+        x, ids, u, sbar = x[~stopped], ids[~stopped], u[~stopped], sbar[~stopped]
+        x = x + np.where(u < sbar + (1.0 - sbar) * p, 1, -1)
+        ruined = x == 0
+        record(x[ruined], t + 1)
+        x, ids = x[~ruined], ids[~ruined]
+        t += 1
+    steps += int(x.size) * max_steps
+    by_state = (dict(sorted(d.items())) for d in (counts, tsum, tsq))
+    return (*by_state, int(x.size), steps)
