@@ -241,6 +241,7 @@ def cmd_exact(args) -> int:
         "params": {"p": params.p, "s": params.s, "i0": params.i0},
         "strategy": args.strategy,
         "truncation_k": sol.truncation_k,
+        "method": sol.method,
         "error_estimate": sol.error_estimate,
         "escape_mass": sol.escape_mass,
         "absorption": {

@@ -8,7 +8,11 @@ dynamics.  Three layers:
   to get tridiagonal systems for per-barrier absorption probabilities and
   killed expected times on a truncated lattice, then doubles the truncation
   until the answers stabilize (with Aitken acceleration for the slowly
-  converging no-barrier cases).
+  converging no-barrier cases).  Each truncation takes two single-column
+  solves of the transposed system, one for the masses and one for the
+  times, in Python floats with O(states) time and memory; the tridiagonal
+  solver is this module's own (:func:`solve_banded`), so nothing here
+  needs scipy.
 * :func:`mgf_dp` propagates the surviving probability mass step by step and
   accumulates the visit generating function directly from its definition.
 * :func:`simulate` runs seeded Monte Carlo trials with a counter-based
@@ -23,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import rng
 from .core import ParameterError, Strategy, WalkParams
@@ -50,6 +53,7 @@ class ExactSolution:
     m_total: float
     escape_mass: float
     error_estimate: float
+    method: str = "doubling"  # or "aitken": extrapolated over three truncations
 
     def probability(self, k: int) -> float:
         return self.p0 if k == 0 else self.pk.get(k, 0.0)
@@ -65,6 +69,47 @@ def _steady_barrier_mask(strategy: Strategy, n_states: int, i0: int) -> np.ndarr
     return (states % i0 == 0) & (states >= kmin * i0)
 
 
+def _factor_tridiagonal(sub: list[float], diag: list[float], sup: list[float]) -> tuple:
+    """Eliminate a tridiagonal matrix without pivoting, for :func:`solve_banded`.
+
+    ``diag`` holds the n diagonal entries, ``sub[j]`` the entry at row j+1,
+    column j and ``sup[j]`` the one at row j, column j+1 (n-1 each).
+    Pivoting is not needed when the matrix is diagonally dominant by
+    columns (Golub & Van Loan, *Matrix Computations*, §4.3).  Returns the
+    multipliers, the reciprocal pivots and ``sup``.
+    """
+    piv = diag[0]
+    mult = [0.0]
+    inv_piv = [1.0 / piv]
+    for below, d, above in zip(sub, diag[1:], sup):
+        m = below / piv
+        piv = d - m * above
+        mult.append(m)
+        inv_piv.append(1.0 / piv)
+    return mult, inv_piv, sup
+
+
+def solve_banded(factors: tuple, rhs: list[float]) -> list[float]:
+    """Solve a factored tridiagonal system: one forward and one back substitution.
+
+    ``factors`` comes from :func:`_factor_tridiagonal`.  Works on lists of
+    Python floats in O(n) time and memory.
+    """
+    mult, inv_piv, sup = factors
+    y = 0.0
+    fwd = []
+    for m, b in zip(mult, rhs):
+        y = b - m * y
+        fwd.append(y)
+    x = fwd[-1] * inv_piv[-1]
+    out = [x]
+    for y, r, above in zip(reversed(fwd[:-1]), reversed(inv_piv[:-1]), reversed(sup)):
+        x = (y - above * x) * r
+        out.append(x)
+    out.reverse()
+    return out
+
+
 def _solve_truncated(params: WalkParams, strategy: Strategy, trunc_k: int) -> dict:
     """Solve the first-step systems with the lattice cut at trunc_k * i0.
 
@@ -73,73 +118,62 @@ def _solve_truncated(params: WalkParams, strategy: Strategy, trunc_k: int) -> di
     barrier the walker is absorbed with probability s and otherwise steps,
     which makes the systems tridiagonal with row weights 1-s on barrier
     rows.  Strategy A's stop decision at t=0 and strategy B's inactive
-    start barrier live only in the start-state assembly, not in the matrix.
+    start barrier live only in the start-state functional ``c``, not in the
+    matrix ``A``.
+
+    Every answer is ``c`` applied to a solution column, and the right-hand
+    side of target y has one nonzero, ``R_y`` (s in row y, or alpha_1*q in
+    row 1 for ruin), so the adjoint systems give all targets at once:
+    ``A^T w = c`` yields the masses ``w[y] * R_y``, and ``A^T u = v`` with
+    ``v = (p S+ + q S-)^T D_alpha w`` yields the killed times ``u[y] * R_y``.
+    That is two single-column solves on one factorization, O(trunc_k * i0)
+    time and memory, where a solve per target would cost O(trunc_k^2 * i0).
     """
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     strategy = Strategy(strategy)
     top = trunc_k * i0
-    n_int = top - 1
-    barrier = _steady_barrier_mask(strategy, top, i0)  # top itself excluded
-    alpha = np.where(barrier[1:top], 1.0 - s, 1.0)  # row weights, states 1..top-1
+    barrier = _steady_barrier_mask(strategy, top, i0).tolist()  # top itself excluded
+    # row weights of states 1..top-1; list index j is state j+1 from here on
+    alpha = [1.0 - s if b else 1.0 for b in barrier[1:top]]
+    factors = _factor_tridiagonal(  # A^T: A has -alpha*p above and -alpha*q below
+        [-a * p for a in alpha[:-1]], [1.0] * (top - 1), [-a * q for a in alpha[1:]]
+    )
 
-    ab = np.zeros((3, n_int))
-    ab[1, :] = 1.0
-    ab[0, 1:] = -alpha[:-1] * p
-    ab[2, :-1] = -alpha[1:] * q
-
-    if s == 0.0:
-        targets = [0]  # no barrier can absorb; every other column is zero
+    c = [0.0] * (top + 1)  # the start-state functional over states 0..top
+    if strategy is Strategy.C:
+        c[i0] = 1.0
     else:
-        targets = [0] + [k * i0 for k in range(1, trunc_k)]
-    rhs = np.zeros((n_int, len(targets)))
-    for col, y in enumerate(targets):
-        if y == 0:
-            rhs[0, col] = alpha[0] * q  # boundary h_0 = 1 folded into row 1
-        elif barrier[y]:
-            rhs[y - 1, col] = s
+        step = 1.0 - s if strategy is Strategy.A else 1.0
+        c[i0 + 1] = step * p
+        c[i0 - 1] = step * q
+    w = solve_banded(factors, c[1:top])
+    aw = [0.0] + [a * x for a, x in zip(alpha, w)] + [0.0]  # D_alpha w over 0..top
+    v = [p * below + q * above for below, above in zip(aw, aw[2:])]  # states 1..top-1
+    u = solve_banded(factors, v)
 
-    h = np.zeros((top + 1, len(targets)))
-    h[1:top] = solve_banded((1, 1), ab, rhs)
-    if targets[0] == 0:
-        h[0, 0] = 1.0
-
-    rhs_t = alpha[:, None] * (p * h[2 : top + 1] + q * h[0 : top - 1])
-    t = np.zeros((top + 1, len(targets)))
-    t[1:top] = solve_banded((1, 1), ab, rhs_t)
-
-    up_h, dn_h = h[i0 + 1], h[i0 - 1]
-    up_ht, dn_ht = h[i0 + 1] + t[i0 + 1], h[i0 - 1] + t[i0 - 1]
+    # c^T h and c^T t per target; state 0's h = 1 adds c[0] and, via t's
+    # right-hand side, q * alpha_1 * w_1
+    ruin_row = alpha[0] * q
+    mass = {0: w[0] * ruin_row + c[0]}
+    killed = {0: u[0] * ruin_row + q * aw[1]}
+    for k in range(1, trunc_k):
+        r = s if barrier[k * i0] else 0.0
+        mass[k] = w[k * i0 - 1] * r
+        killed[k] = u[k * i0 - 1] * r
+    if strategy is not Strategy.C:  # the first step is taken before anything else
+        for k in killed:
+            killed[k] += mass[k]
     if strategy is Strategy.A:
-        start_h = (1.0 - s) * (p * up_h + q * dn_h)
-        start_t = (1.0 - s) * (p * up_ht + q * dn_ht)
-        for col, y in enumerate(targets):
-            if y == i0:
-                start_h[col] += s
-    elif strategy is Strategy.B:
-        start_h = p * up_h + q * dn_h
-        start_t = p * up_ht + q * dn_ht
-    else:
-        start_h = h[i0].copy()
-        start_t = t[i0].copy()
+        mass[1] += s  # stopped at the start, at time 0
 
-    out = {"p0": 0.0, "m_total": float(start_t.sum())}
-    pk: dict[int, float] = {}
-    et: dict[int, float] = {}
-    for col, y in enumerate(targets):
-        if y == 0:
-            out["p0"] = float(start_h[col])
-            et[0] = float(start_t[col])
-        else:
-            pk[y // i0] = float(start_h[col])
-            et[y // i0] = float(start_t[col])
-    if s == 0.0:
-        for k in range(1, trunc_k):
-            pk[k] = 0.0
-            et[k] = 0.0
-    out["pk"] = pk
-    out["et"] = et
-    out["escape"] = float(max(0.0, 1.0 - start_h.sum()))
-    return out
+    pk = {k: mass[k] for k in range(1, trunc_k)}
+    return {
+        "p0": mass[0],
+        "m_total": sum(killed.values()),
+        "pk": pk,
+        "et": killed,
+        "escape": max(0.0, 1.0 - sum(mass.values())),
+    }
 
 
 def _flatten(sol: dict) -> dict[str, float]:
@@ -225,7 +259,9 @@ def solve_exact(
     genuinely divergent time entries reported as ``inf``.  A time can be
     infinite only when the walk can escape or wander forever (s = 0 and
     p >= q); in every other case a still-growing time keeps the doubling
-    going, and ``ConvergenceError`` is raised past ``max_k``.
+    going, and ``ConvergenceError`` is raised past ``max_k``.  The result's
+    ``method`` says which of the two, ``"doubling"`` or ``"aitken"``,
+    supplied it.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
@@ -244,14 +280,14 @@ def solve_exact(
         if len(flats) >= 2:
             diff = _pair_diff(flats[-1], flats[-2])
             if diff < tol:
-                return _finish(sol, trunc_k, diff)
+                return _finish(sol, trunc_k, diff, "doubling")
         if len(flats) >= 3:
             extrap, ok = _aitken(flats[-3], flats[-2], flats[-1], tol, can_escape)
             if ok and prev_extrap is not None:
                 ediff = _pair_diff(extrap, prev_extrap)
                 if ediff < tol:
                     merged = _apply_extrapolation(sol, extrap)
-                    return _finish(merged, trunc_k, ediff)
+                    return _finish(merged, trunc_k, ediff, "aitken")
             prev_extrap = extrap if ok else None
         trunc_k *= 2
     raise ConvergenceError(
@@ -276,7 +312,7 @@ def _apply_extrapolation(sol: dict, extrap: dict[str, float]) -> dict:
     return out
 
 
-def _finish(sol: dict, trunc_k: int, err: float) -> ExactSolution:
+def _finish(sol: dict, trunc_k: int, err: float, method: str) -> ExactSolution:
     return ExactSolution(
         truncation_k=trunc_k,
         p0=sol["p0"],
@@ -285,6 +321,7 @@ def _finish(sol: dict, trunc_k: int, err: float) -> ExactSolution:
         m_total=sol["m_total"],
         escape_mass=sol["escape"],
         error_estimate=err,
+        method=method,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -150,6 +151,15 @@ class TestExact:
         report = json.loads(out)
         assert report["absorption"]["p0"] == pytest.approx(4 - 2 * SQRT3, abs=1e-9)
         assert report["times"]["m_total"] == pytest.approx(2 * (SQRT3 - 1), abs=1e-9)
+        assert report["method"] == "doubling"
+
+    def test_reports_aitken_extrapolation(self, capsys):
+        code, out, _ = run_cli(
+            ["exact", "--p", "0.5", "--s", "0", "--i0", "2", "--strategy", "B"], capsys
+        )
+        report = json.loads(out)
+        assert report["method"] == "aitken"
+        assert report["times"]["m_total"] == math.inf
 
 
 class TestMgfCommand:
@@ -254,3 +264,26 @@ class TestSubprocessEntryPoints:
         cmd = [sys.executable, "-m", "ruinwalk", "analytic", "--p", "0.5"]
         proc = subprocess.run(cmd, capture_output=True)
         assert proc.returncode == 2
+
+    def test_cli_start_and_exact_solve_import_no_scipy(self, tmp_path):
+        # ruinwalk needs numpy only; importing scipy.linalg used to be most
+        # of every CLI process's start-up time
+        script = (
+            "import json, sys\n"
+            "import ruinwalk.cli as cli\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "cli.build_parser()\n"
+            "after_parser = scipy()\n"
+            "code = cli.main(['exact', '--p', '0.5', '--s', '0.5', '--i0', '1',\n"
+            "                 '--strategy', 'B', '--out', sys.argv[1]])\n"
+            "print(json.dumps([code, after_parser, scipy()]))\n"
+        )
+        out = tmp_path / "exact.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, [], []]
+        assert json.loads(out.read_text())["absorption"]["p0"] == pytest.approx(
+            4 - 2 * SQRT3, abs=1e-9
+        )

@@ -99,9 +99,15 @@ class TestSolveExact:
 
     def test_no_stop_symmetric_extrapolates(self):
         sol = oracle.solve_exact(WalkParams(0.5, 0.0, 2), Strategy.B)
+        assert sol.method == "aitken"
         assert sol.p0 == pytest.approx(1.0, abs=1e-10)
         assert math.isinf(sol.m_total)
         assert math.isinf(sol.et[0])
+
+    def test_stopping_walk_converges_by_plain_doubling(self, strategy):
+        sol = oracle.solve_exact(WalkParams(0.5, 0.1, 2), strategy)
+        assert sol.method == "doubling"
+        assert sol.truncation_k == 128
 
     def test_no_stop_upward_drift_reports_escape(self):
         params = WalkParams(0.7, 0.0, 2)
@@ -138,6 +144,71 @@ class TestSolveExact:
         for params in small_grid():
             sol = oracle.solve_exact(params, strategy, tol=1e-10)
             assert sol.escape_mass < 1e-9
+
+
+class TestSolveBanded:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
+    def test_matches_dense_solve(self, n):
+        gen = np.random.default_rng(n)
+        for _ in range(20):
+            sub = gen.uniform(-1.0, 1.0, n - 1)
+            sup = gen.uniform(-1.0, 1.0, n - 1)
+            # diagonally dominant by columns, pivots of either sign
+            col = np.abs(np.append(sub, 0.0)) + np.abs(np.insert(sup, 0, 0.0))
+            diag = (col + gen.uniform(0.01, 1.0, n)) * gen.choice([-1.0, 1.0], n)
+            rhs = gen.uniform(-1.0, 1.0, n)
+            dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+            factors = oracle._factor_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist())
+            got = oracle.solve_banded(factors, rhs.tolist())
+            want = np.linalg.solve(dense, rhs)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _dense_truncated(params, strategy, trunc_k):
+    """The forward first-step systems, one dense column per target."""
+    p, q, s, i0 = params.p, params.q, params.s, params.i0
+    top = trunc_k * i0
+    kmin = strategy.first_barrier_multiple
+    barrier = [x % i0 == 0 and x >= kmin * i0 for x in range(top)]
+    alpha = np.array([1.0 - s if barrier[x] else 1.0 for x in range(1, top)])
+    a = np.eye(top - 1) - np.diag(alpha[:-1] * p, 1) - np.diag(alpha[1:] * q, -1)
+    targets = [k * i0 for k in range(trunc_k)]
+    rhs = np.zeros((top - 1, trunc_k))
+    rhs[0, 0] = alpha[0] * q  # ruin: h = 1 at state 0
+    for col, y in enumerate(targets[1:], start=1):
+        rhs[y - 1, col] = s if barrier[y] else 0.0
+    h = np.zeros((top + 1, trunc_k))
+    h[0, 0] = 1.0
+    h[1:top] = np.linalg.solve(a, rhs)
+    t = np.zeros((top + 1, trunc_k))
+    t[1:top] = np.linalg.solve(a, alpha[:, None] * (p * h[2:] + q * h[:-2]))
+    if strategy is Strategy.C:
+        return h[i0], t[i0]
+    step = 1.0 - s if strategy is Strategy.A else 1.0
+    start_h = step * (p * h[i0 + 1] + q * h[i0 - 1])
+    start_t = start_h + step * (p * t[i0 + 1] + q * t[i0 - 1])
+    if strategy is Strategy.A:
+        start_h[1] += s
+    return start_h, start_t
+
+
+class TestAdjointSolve:
+    @pytest.mark.parametrize("trunc_k", [8, 64])
+    @pytest.mark.parametrize("i0", [1, 3])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_matches_dense_forward_solve(self, p, s, i0, trunc_k, strategy):
+        params = WalkParams(p, s, i0)
+        sol = oracle._solve_truncated(params, strategy, trunc_k)
+        mass, time = _dense_truncated(params, strategy, trunc_k)
+        assert sorted(sol["pk"]) == list(range(1, trunc_k))
+        assert sorted(sol["et"]) == list(range(trunc_k))
+        got_mass = [sol["p0"]] + [sol["pk"][k] for k in range(1, trunc_k)]
+        assert np.allclose(got_mass, mass, rtol=0.0, atol=1e-13)
+        assert sol["escape"] == pytest.approx(max(0.0, 1.0 - mass.sum()), abs=1e-13)
+        got_time = [sol["et"][k] for k in range(trunc_k)]
+        assert np.allclose(got_time, time, rtol=1e-12, atol=0.0)
+        assert sol["m_total"] == pytest.approx(time.sum(), rel=1e-12)
 
 
 class TestMgfDp:
