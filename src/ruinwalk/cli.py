@@ -326,14 +326,20 @@ def _parse_range(text: str, integer: bool = False) -> list:
         raise ParameterError(f"malformed range {text!r}; use start:stop:step")
 
 
-def _sweep_row(params: WalkParams, strategy: Strategy, args) -> dict:
-    prof = metrics.absorption_profile(params, strategy, kmax=args.kmax)
-    times = _times_block(params, strategy, max(args.kmax, 3), args.tol)
-    diag = _diagnostics(params)
+def _instance_columns(params: WalkParams) -> dict:
+    """The sweep columns that depend on the instance alone, not on the strategy."""
     try:
         ratio = metrics.bc_ratio(params)
     except UnsupportedRegimeError:
         ratio = None
+    return {"bc_ratio": ratio, **_diagnostics(params)}
+
+
+def _sweep_row(params: WalkParams, strategy: Strategy, args, instance: dict) -> dict:
+    """One sweep row; ``instance`` comes from :func:`_instance_columns`."""
+    prof = metrics.absorption_profile(params, strategy, kmax=args.kmax)
+    # the row prints et0..et3, and each et_k is the same whatever the profile's length
+    times = _times_block(params, strategy, 3, args.tol)
     return {
         "p": params.p,
         "s": params.s,
@@ -350,12 +356,7 @@ def _sweep_row(params: WalkParams, strategy: Strategy, args) -> dict:
         "et1": times["et"][1],
         "et2": times["et"][2],
         "et3": times["et"][3],
-        "bc_ratio": ratio,
-        "tau1": diag["tau1"],
-        "tau2": diag["tau2"],
-        "theta": diag["theta"],
-        "phi1": diag["phi1"],
-        "phi2": diag["phi2"],
+        **instance,
     }
 
 
@@ -373,8 +374,11 @@ def cmd_sweep(args) -> int:
         for s in ss:
             for i0 in i0s:
                 params = WalkParams(p=p, s=s, i0=i0)
+                if args.kmax < 1:  # absorption_profile's check, still ahead of every other error
+                    raise ParameterError(f"kmax must be >= 1, got {args.kmax}")
+                instance = _instance_columns(params)
                 for strategy in strategies:
-                    row = _sweep_row(params, strategy, args)
+                    row = _sweep_row(params, strategy, args, instance)
                     lines.append(
                         ",".join(_float_cell(row[c]) for c in _SWEEP_COLUMNS)
                     )

@@ -169,8 +169,12 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
             return float(i0 * i0)
         wi = params.omega_pow
         return i0 * (1.0 - wi) / ((params.q - params.p) * (1.0 + wi))
+    return _mean_time_interior(params, strategy, _phi(params))
 
-    phi = _phi(params)
+
+def _mean_time_interior(params: WalkParams, strategy: Strategy, phi: cp.PhiPair) -> float:
+    """:func:`mean_time_any` for 0 < s < 1, from the barrier roots at z=1."""
+    s, i0 = params.s, params.i0
     inv_phi1 = 1.0 / phi.phi1
     m_a = i0 * (1.0 - s) / s * (1.0 - inv_phi1)
     if strategy is Strategy.A:
@@ -251,16 +255,18 @@ def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
             "per-barrier times have no closed form for the driftless walk; "
             "use oracle.solve_exact"
         )
-    return _killed_times(params, strategy, k, k)[k]
+    return _killed_times(params, strategy, k, k, _phi(params))[k]
 
 
 def _killed_times(
-    params: WalkParams, strategy: Strategy, kmin: int, kmax: int
+    params: WalkParams, strategy: Strategy, kmin: int, kmax: int, phi: cp.PhiPair
 ) -> dict[int, float]:
-    """Derivative assembly of killed times for barriers kmin..kmax, 0 < s < 1."""
+    """Derivative assembly of killed times for barriers kmin..kmax, 0 < s < 1.
+
+    ``phi`` is the pair of barrier roots at z=1, ``_phi(params)``.
+    """
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     roots = cp.tau_roots(1.0, params)
-    phi = _phi(params)
     der = cp.derivatives_at_1(params)
     t1, t2 = roots.tau1, roots.tau2
     g1, gi = t2 - t1, t2 ** i0 - t1 ** i0
@@ -307,10 +313,9 @@ def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> Time
         raise ParameterError(f"kmax must be >= 2, got {kmax}")
     strategy = Strategy(strategy)
     s = params.s
-    m_total = mean_time_any_or_inf(params, strategy)
     if s == 0.0:
         return TimeProfile(
-            m_total=m_total,
+            m_total=mean_time_any_or_inf(params, strategy),
             et={0: _ruin_killed_time_s0(params)},
             tail_bound=0.0,
         )
@@ -322,14 +327,18 @@ def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> Time
             if strategy is Strategy.B
             else _c_s1_killed_times(params)
         )
-        return TimeProfile(m_total=m_total, et=table, tail_bound=0.0)
+        return TimeProfile(
+            m_total=mean_time_any_or_inf(params, strategy), et=table, tail_bound=0.0
+        )
     if params.symmetric:
         raise UnsupportedRegimeError(
             "per-barrier times have no closed form for the driftless walk; "
             "use oracle.solve_exact"
         )
-    et = _killed_times(params, strategy, 0, kmax)
-    phi2 = _phi(params).phi2
+    phi = _phi(params)  # one solve serves the total, every barrier and the tail
+    m_total = _mean_time_interior(params, strategy, phi)
+    et = _killed_times(params, strategy, 0, kmax, phi)
+    phi2 = phi.phi2
     last, prev = et[kmax], et[kmax - 1]
     ratio = phi2
     if prev > 0.0 and last > 0.0:

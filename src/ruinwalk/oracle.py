@@ -18,17 +18,17 @@ dynamics.  Three layers:
 * :func:`simulate` runs seeded Monte Carlo trials with a counter-based
   per-trial random stream, so results are bit-identical for any chunking or
   worker count.
+
+Only the last two layers use numpy; they import it (and :mod:`ruinwalk.rng`)
+when they run, so the exact solver, and every command that needs nothing
+else, starts without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import rng
 from .core import ParameterError, Strategy, WalkParams
 
 _CHUNK = 1 << 16
@@ -62,11 +62,10 @@ class ExactSolution:
         return self.et.get(k, 0.0)
 
 
-def _steady_barrier_mask(strategy: Strategy, n_states: int, i0: int) -> np.ndarray:
+def _steady_barrier_mask(strategy: Strategy, n_states: int, i0: int) -> list[bool]:
     """Active-barrier mask over states 0..n_states-1 for times t > 0."""
-    states = np.arange(n_states)
-    kmin = Strategy(strategy).first_barrier_multiple
-    return (states % i0 == 0) & (states >= kmin * i0)
+    low = Strategy(strategy).first_barrier_multiple * i0
+    return [j % i0 == 0 and j >= low for j in range(n_states)]
 
 
 def _factor_tridiagonal(sub: list[float], diag: list[float], sup: list[float]) -> tuple:
@@ -132,7 +131,7 @@ def _solve_truncated(params: WalkParams, strategy: Strategy, trunc_k: int) -> di
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     strategy = Strategy(strategy)
     top = trunc_k * i0
-    barrier = _steady_barrier_mask(strategy, top, i0).tolist()  # top itself excluded
+    barrier = _steady_barrier_mask(strategy, top, i0)  # top itself excluded
     # row weights of states 1..top-1; list index j is state j+1 from here on
     alpha = [1.0 - s if b else 1.0 for b in barrier[1:top]]
     factors = _factor_tridiagonal(  # A^T: A has -alpha*p above and -alpha*q below
@@ -262,9 +261,17 @@ def solve_exact(
     going, and ``ConvergenceError`` is raised past ``max_k``.  The result's
     ``method`` says which of the two, ``"doubling"`` or ``"aitken"``,
     supplied it.
+
+    ``start_k`` must be at least 2: a lattice cut at one barrier spacing
+    puts the start state on the sink.  ``max_k`` below ``start_k`` would
+    solve nothing, so both raise ``ParameterError``.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    if start_k < 2:
+        raise ParameterError(f"start_k must be >= 2, got {start_k}")
+    if max_k < start_k:
+        raise ParameterError(f"max_k must be >= start_k={start_k}, got {max_k}")
     strategy = Strategy(strategy)
     # without stopping barriers an upward or flat drift can carry the walk
     # off forever (p > q) or make its mean time infinite (p == q)
@@ -371,10 +378,12 @@ def _dp_once(
     trunc_k: int,
     tail_tol: float,
 ) -> float:
+    import numpy as np
+
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     top = trunc_k * i0
     stop_steady = np.zeros(top, dtype=float)
-    stop_steady[_steady_barrier_mask(strategy, top, i0)] = s
+    stop_steady[np.array(_steady_barrier_mask(strategy, top, i0))] = s
     stop_steady[0] = 1.0
     stop_t0 = stop_steady.copy()
     if strategy is not Strategy.A:
@@ -459,6 +468,10 @@ def _chunk_trials(
     max_steps: int,
 ) -> tuple[dict[int, int], dict[int, float], dict[int, float], int, int]:
     """Walk trials ``lo..hi-1``; returns the sums, the escapes and the steps walked."""
+    import numpy as np
+
+    from . import rng
+
     p, s, i0 = params.p, params.s, params.i0
     low_barrier = strategy.first_barrier_multiple * i0
     up_on_barrier = s + (1.0 - s) * p
@@ -526,6 +539,10 @@ def simulate(
         raise ParameterError(f"max_steps must be >= 1, got {max_steps}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import rng
+
     strategy = Strategy(strategy)
     bounds = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
 

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from ruinwalk import cli
+from ruinwalk import charpoly as cp
+from ruinwalk import cli, metrics, mgf, oracle
+from ruinwalk.core import Strategy, UnsupportedRegimeError, WalkParams
 
 from conftest import SQRT3
 
@@ -240,6 +242,86 @@ class TestSweep:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @staticmethod
+    def unshared_row(params, strategy, kmax):
+        """One sweep row's cells from separate calls, nothing shared between them."""
+        prof = metrics.absorption_profile(params, strategy, kmax=kmax)
+        try:
+            tp = metrics.time_profile(params, strategy, kmax=max(kmax, 3))
+            m_total, et = tp.m_total, [tp.killed_time(k) for k in range(4)]
+        except UnsupportedRegimeError:  # the driftless walk with 0 < s < 1
+            sol = oracle.solve_exact(params, strategy)
+            m_total = metrics.mean_time_any_or_inf(params, strategy)
+            et = [sol.killed_time(k) for k in range(4)]
+        roots = cp.tau_roots(1.0, params)
+        theta = phi1 = phi2 = None
+        if params.s < 1.0:
+            char = cp.theta(1.0, params)
+            phi = cp.phi_roots(char)
+            theta, phi1, phi2 = char.theta, phi.phi1, phi.phi2
+        row = {
+            "p": params.p, "s": params.s, "i0": params.i0, "strategy": strategy.value,
+            "omega": params.omega, "p0": prof.p0, "p1": prof.probability(1),
+            "p2": prof.probability(2), "p3": prof.probability(3),
+            "tail_bound": prof.tail_bound, "m_total": m_total,
+            "et0": et[0], "et1": et[1], "et2": et[2], "et3": et[3],
+            "bc_ratio": metrics.bc_ratio(params) if 0.0 < params.s < 1.0 else None,
+            "tau1": roots.tau1, "tau2": roots.tau2,
+            "theta": theta, "phi1": phi1, "phi2": phi2,
+        }
+        return [cli._float_cell(row[column]) for column in cli._SWEEP_COLUMNS]
+
+    @pytest.mark.parametrize("kmax", [2, 64])
+    def test_rows_match_unshared_calls(self, kmax, capsys):
+        # s = 0 and 1 take the special branches, p = 0.5 with s = 0.5 the
+        # exact solver; every cell must be the very float the separate calls give
+        code, out, _ = run_cli(
+            ["sweep", "--p", "0.4:0.6:0.1", "--s", "0:1:0.5", "--i0", "1:3:2",
+             "--strategy", "all", "--kmax", str(kmax)],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        want = [
+            self.unshared_row(WalkParams(p, s, i0), strategy, kmax)
+            for p in (0.4, 0.5, 0.6)
+            for s in (0.0, 0.5, 1.0)
+            for i0 in (1, 3)
+            for strategy in Strategy
+        ]
+        assert len(rows) == len(want) == 54
+        for got, expected in zip(rows, want):
+            assert got == expected
+
+    def test_theta_solves_per_instance(self, monkeypatch, capsys):
+        calls = [0]
+        theta = cp.theta
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return theta(*args, **kwargs)
+
+        # metrics and cli call charpoly.theta; mgf calls its own imported binding
+        monkeypatch.setattr(cp, "theta", counted)
+        monkeypatch.setattr(mgf, "theta", counted)
+        code, out, _ = run_cli(
+            ["sweep", "--p", "0.3:0.7:0.4", "--s", "0.2:0.6:0.4", "--i0", "1:3:2",
+             "--strategy", "all"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 8 * 3
+        # per strategy: 2 for the absorption profile, 2 for the time profile;
+        # 2 more per instance for the diagnostics and the B/C ratio
+        assert calls[0] <= 14 * 8
+
+    def test_kmax_error_precedes_the_first_row(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--p", "0.4", "--s", "0.5", "--i0", "1", "--kmax", "0"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "kmax must be >= 1, got 0"}
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"
         code, out, _ = run_cli(
@@ -266,24 +348,35 @@ class TestSubprocessEntryPoints:
         assert proc.returncode == 2
 
     def test_cli_start_and_exact_solve_import_no_scipy(self, tmp_path):
-        # ruinwalk needs numpy only; importing scipy.linalg used to be most
-        # of every CLI process's start-up time
+        # ruinwalk never imports scipy, and numpy only for Monte Carlo, mass
+        # propagation and verify: loading them used to be most of every CLI
+        # process's start-up time.  The sweep's p = 0.5 row takes the exact
+        # solver's path.
         script = (
             "import json, sys\n"
             "import ruinwalk.cli as cli\n"
-            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
             "cli.build_parser()\n"
-            "after_parser = scipy()\n"
-            "code = cli.main(['exact', '--p', '0.5', '--s', '0.5', '--i0', '1',\n"
-            "                 '--strategy', 'B', '--out', sys.argv[1]])\n"
-            "print(json.dumps([code, after_parser, scipy()]))\n"
+            "seen = [loaded()]\n"
+            "codes = [cli.main(['sweep', '--p', '0.4:0.5:0.1', '--s', '0.5', '--i0', '1',\n"
+            "                   '--kmax', '4', '--out', sys.argv[1] + '/sweep.csv'])]\n"
+            "seen.append(loaded())\n"
+            "codes.append(cli.main(['exact', '--p', '0.5', '--s', '0.5', '--i0', '1',\n"
+            "                       '--strategy', 'B', '--out', sys.argv[1] + '/exact.json']))\n"
+            "seen.append(loaded())\n"
+            "codes.append(cli.main(['simulate', '--p', '0.5', '--s', '0.5', '--i0', '1',\n"
+            "                       '--strategy', 'B', '--trials', '2000', '--seed', '3',\n"
+            "                       '--out', sys.argv[1] + '/simulate.json']))\n"
+            "print(json.dumps([codes, seen, 'numpy' in sys.modules]))\n"
         )
-        out = tmp_path / "exact.json"
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(out)], capture_output=True, text=True
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, [], []]
-        assert json.loads(out.read_text())["absorption"]["p0"] == pytest.approx(
-            4 - 2 * SQRT3, abs=1e-9
-        )
+        assert json.loads(proc.stdout) == [[0, 0, 0], [[], [], []], True]
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.4"] * 3 + ["0.5"] * 3
+        exact = json.loads((tmp_path / "exact.json").read_text())
+        assert exact["absorption"]["p0"] == pytest.approx(4 - 2 * SQRT3, abs=1e-9)
+        assert json.loads((tmp_path / "simulate.json").read_text())["trials"] == 2000

@@ -140,6 +140,25 @@ class TestSolveExact:
         with pytest.raises(oracle.ConvergenceError):
             oracle.solve_exact(params, Strategy.B)
 
+    @pytest.mark.parametrize("i0", [1, 2])
+    @pytest.mark.parametrize("start_k", [-1, 0, 1])
+    def test_start_below_two_barriers_is_a_parameter_error(self, start_k, i0, strategy):
+        # one barrier spacing would put the start state on the sink
+        with pytest.raises(ParameterError, match="start_k"):
+            oracle.solve_exact(WalkParams(0.4, 0.5, i0), strategy, start_k=start_k)
+
+    @pytest.mark.parametrize("i0", [1, 2])
+    def test_smallest_start_truncation_solves(self, i0, strategy):
+        params = WalkParams(0.4, 0.5, i0)
+        small = oracle.solve_exact(params, strategy, start_k=2)
+        default = oracle.solve_exact(params, strategy)
+        assert small.p0 == pytest.approx(default.p0, abs=1e-9)
+        assert small.m_total == pytest.approx(default.m_total, rel=1e-8)
+
+    def test_max_below_start_is_a_parameter_error(self, strategy):
+        with pytest.raises(ParameterError, match="max_k"):
+            oracle.solve_exact(WalkParams(0.4, 0.5, 2), strategy, start_k=16, max_k=8)
+
     def test_escape_mass_negligible_with_interior_stop(self, strategy):
         for params in small_grid():
             sol = oracle.solve_exact(params, strategy, tol=1e-10)
