@@ -4,7 +4,7 @@ Subcommands
 -----------
 analytic   absorption profile, mean times and root diagnostics for one instance
 simulate   seeded Monte Carlo estimates with standard errors
-exact      truncated first-step linear solve (the exact oracle)
+exact      first-step linear solve with an exact tail condition (the exact oracle)
 mgf        generating-function values at a given z
 verify     the three-layer agreement suite; exit 0 iff every check passes
 sweep      CSV over parameter ranges (``--p 0.3:0.7:0.05`` style)
@@ -242,15 +242,17 @@ def cmd_exact(args) -> int:
         "strategy": args.strategy,
         "truncation_k": sol.truncation_k,
         "method": sol.method,
+        "squarings": sol.squarings,
+        "fixed_point_residual": sol.fixed_point_residual,
         "error_estimate": sol.error_estimate,
         "escape_mass": sol.escape_mass,
         "absorption": {
             "p0": sol.p0,
-            "pk": [sol.pk.get(k, 0.0) for k in range(1, args.kmax + 1)],
+            "pk": [sol.probability(k) for k in range(1, args.kmax + 1)],
         },
         "times": {
             "m_total": sol.m_total,
-            "et": [sol.et.get(k, 0.0) for k in range(0, args.kmax + 1)],
+            "et": [sol.killed_time(k) for k in range(0, args.kmax + 1)],
         },
     }
     _emit(report, args)
@@ -436,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(si)
     si.set_defaults(func=cmd_simulate)
 
-    ex = subs.add_parser("exact", help="truncated first-step linear solve")
+    ex = subs.add_parser(
+        "exact", help="first-step linear solve with an exact periodic-tail boundary condition"
+    )
     _add_instance_flags(ex)
     ex.add_argument("--kmax", type=int, default=64)
     ex.add_argument("--tol", type=float, default=1e-10)

@@ -5,14 +5,11 @@ Nothing in this module uses the closed forms from :mod:`ruinwalk.charpoly`,
 dynamics.  Three layers:
 
 * :func:`solve_exact` conditions on the first transition out of every state
-  to get tridiagonal systems for per-barrier absorption probabilities and
-  killed expected times on a truncated lattice, then doubles the truncation
-  until the answers stabilize (with Aitken acceleration for the slowly
-  converging no-barrier cases).  Each truncation takes two single-column
-  solves of the transposed system, one for the masses and one for the
-  times, in Python floats with O(states) time and memory; the tridiagonal
-  solver is this module's own (:func:`solve_banded`), so nothing here
-  needs scipy.
+  to get tridiagonal systems for barrier masses and killed times.  Above
+  the first stopping barrier the lattice is periodic, so squaring one
+  period's ratio maps gives the tail an exact boundary condition: a short
+  head is solved (with this module's :func:`solve_banded`, no scipy) and
+  every barrier past it follows geometrically.
 * :func:`mgf_dp` propagates the surviving probability mass step by step and
   accumulates the visit generating function directly from its definition.
 * :func:`simulate` runs seeded Monte Carlo trials with a counter-based
@@ -27,6 +24,7 @@ else, starts without loading numpy.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .core import ParameterError, Strategy, WalkParams
@@ -35,7 +33,7 @@ _CHUNK = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
-    """The truncation-doubling loop failed to stabilize."""
+    """An oracle could not resolve its answer to working precision."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +42,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Absorption profile and killed time profile from the truncated solver."""
+    """Absorption profile and killed time profile from the exact solver.
+
+    ``pk``/``et`` run to ``truncation_k - 1``: the head's barriers, then the
+    tail's to the first with mass and time below ``tol * 1e-6`` (at most
+    2**16).  :meth:`probability`/:meth:`killed_time` answer every k: barrier
+    ``k_cut + m`` has ``mass * rho**m`` and ``time * rho**m + m * mass *
+    rho**(m-1) * drho`` from ``tail = (k_cut, mass, time, rho, drho)``.
+    """
 
     truncation_k: int
     p0: float
@@ -52,14 +57,26 @@ class ExactSolution:
     et: dict[int, float]
     m_total: float
     escape_mass: float
-    error_estimate: float
-    method: str = "doubling"  # or "aitken": extrapolated over three truncations
+    error_estimate: float  # bound on the error of the tail's fixed point
+    method: str = "transfer"
+    squarings: int = 0  # of the period matrix; each doubles the periods spanned
+    fixed_point_residual: float = 0.0
+    tail: tuple[int, float, float, float, float] = (0, 0.0, 0.0, 0.0, 0.0)
 
     def probability(self, k: int) -> float:
-        return self.p0 if k == 0 else self.pk.get(k, 0.0)
+        if k == 0:
+            return self.p0
+        return self.pk.get(k, 0.0) if k < self.truncation_k else _tail_value(self.tail, k)[0]
 
     def killed_time(self, k: int) -> float:
-        return self.et.get(k, 0.0)
+        return self.et.get(k, 0.0) if k < self.truncation_k else _tail_value(self.tail, k)[1]
+
+
+def _tail_value(tail: tuple, k: int) -> tuple[float, float]:
+    k_cut, mass, time, rho, drho = tail
+    m = k - k_cut
+    grow = rho ** (m - 1)
+    return mass * grow * rho, time * grow * rho + m * mass * grow * drho
 
 
 def _steady_barrier_mask(strategy: Strategy, n_states: int, i0: int) -> list[bool]:
@@ -109,226 +126,208 @@ def solve_banded(factors: tuple, rhs: list[float]) -> list[float]:
     return out
 
 
-def _solve_truncated(params: WalkParams, strategy: Strategy, trunc_k: int) -> dict:
-    """Solve the first-step systems with the lattice cut at trunc_k * i0.
+def _head_profile(
+    params: WalkParams, strategy: Strategy, n: int, kmax: int, r: float = 0.0, dr: float = 0.0
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Barrier masses and killed times for k = 0..kmax from states 1..n.
 
-    The top state acts as an artificial sink (its absorption mass is the
-    escape estimate).  Unknowns are values per *presence* at a state: at a
-    barrier the walker is absorbed with probability s and otherwise steps,
-    which makes the systems tridiagonal with row weights 1-s on barrier
-    rows.  Strategy A's stop decision at t=0 and strategy B's inactive
-    start barrier live only in the start-state functional ``c``, not in the
-    matrix ``A``.
-
-    Every answer is ``c`` applied to a solution column, and the right-hand
-    side of target y has one nonzero, ``R_y`` (s in row y, or alpha_1*q in
-    row 1 for ruin), so the adjoint systems give all targets at once:
-    ``A^T w = c`` yields the masses ``w[y] * R_y``, and ``A^T u = v`` with
-    ``v = (p S+ + q S-)^T D_alpha w`` yields the killed times ``u[y] * R_y``.
-    That is two single-column solves on one factorization, O(trunc_k * i0)
-    time and memory, where a solve per target would cost O(trunc_k^2 * i0).
+    Unknowns are values per *presence* at a state: tridiagonal systems with
+    row weights alpha = 1-s on barriers; A's stop at t=0 and B's inactive
+    start barrier live only in the start functional ``c``.  Each answer is
+    ``c`` applied to a column whose right-hand side has one nonzero ``R_y``
+    (s in row y, alpha_1*q in row 1 for ruin), so ``A^T w = c`` (w: presences)
+    gives every mass ``w[y] * R_y`` and ``A^T u = v``,
+    ``v = (p S+ + q S-)^T D_alpha w`` (u = dw/dz at z=1), every killed time
+    ``u[y] * R_y``.  State n+1 closes the system by ``w(n+1) = r w(n)``
+    (``dr = dr/dz``; r = 0 is a sink), so no start mass may lie past n.
     """
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     strategy = Strategy(strategy)
-    top = trunc_k * i0
-    barrier = _steady_barrier_mask(strategy, top, i0)  # top itself excluded
-    # row weights of states 1..top-1; list index j is state j+1 from here on
-    alpha = [1.0 - s if b else 1.0 for b in barrier[1:top]]
+    stop = [s if b else 0.0 for b in _steady_barrier_mask(strategy, n + 2, i0)]
+    alpha = [1.0 - x for x in stop]  # row weights over states 0..n+1
+    diag = [1.0] * n
+    diag[-1] -= q * alpha[n + 1] * r
     factors = _factor_tridiagonal(  # A^T: A has -alpha*p above and -alpha*q below
-        [-a * p for a in alpha[:-1]], [1.0] * (top - 1), [-a * q for a in alpha[1:]]
+        [-p * a for a in alpha[1:n]], diag, [-q * a for a in alpha[2 : n + 1]]
     )
-
-    c = [0.0] * (top + 1)  # the start-state functional over states 0..top
+    c = [0.0] * (n + 2)  # the start-state functional over states 0..n+1
     if strategy is Strategy.C:
         c[i0] = 1.0
     else:
         step = 1.0 - s if strategy is Strategy.A else 1.0
         c[i0 + 1] = step * p
         c[i0 - 1] = step * q
-    w = solve_banded(factors, c[1:top])
-    aw = [0.0] + [a * x for a, x in zip(alpha, w)] + [0.0]  # D_alpha w over 0..top
-    v = [p * below + q * above for below, above in zip(aw, aw[2:])]  # states 1..top-1
-    u = solve_banded(factors, v)
+    w = [0.0, *solve_banded(factors, c[1 : n + 1])]
+    w.append(r * w[n])
+    aw = [a * x for a, x in zip(alpha, w)]
+    v = [p * below + q * above for below, above in zip(aw, aw[2:])]  # states 1..n
+    v[-1] += q * alpha[n + 1] * dr * w[n]
+    u = [0.0, *solve_banded(factors, v)]
 
     # c^T h and c^T t per target; state 0's h = 1 adds c[0] and, via t's
     # right-hand side, q * alpha_1 * w_1
-    ruin_row = alpha[0] * q
-    mass = {0: w[0] * ruin_row + c[0]}
-    killed = {0: u[0] * ruin_row + q * aw[1]}
-    for k in range(1, trunc_k):
-        r = s if barrier[k * i0] else 0.0
-        mass[k] = w[k * i0 - 1] * r
-        killed[k] = u[k * i0 - 1] * r
+    ruin_row = q * alpha[1]
+    mass = {0: ruin_row * w[1] + c[0]}
+    killed = {0: ruin_row * (u[1] + w[1])}
+    for k in range(1, kmax + 1):
+        mass[k] = stop[k * i0] * w[k * i0]
+        killed[k] = stop[k * i0] * u[k * i0]
     if strategy is not Strategy.C:  # the first step is taken before anything else
         for k in killed:
             killed[k] += mass[k]
     if strategy is Strategy.A:
         mass[1] += s  # stopped at the start, at time 0
+    return mass, killed
 
-    pk = {k: mass[k] for k in range(1, trunc_k)}
+
+def _solve_truncated(params: WalkParams, strategy: Strategy, trunc_k: int) -> dict:
+    """The first-step systems on a lattice cut at trunc_k * i0 by a sink.
+
+    The reference for :func:`solve_exact`; the sink's mass is the escape.
+    """
+    mass, killed = _head_profile(params, strategy, trunc_k * params.i0 - 1, trunc_k - 1)
     return {
         "p0": mass[0],
         "m_total": sum(killed.values()),
-        "pk": pk,
+        "pk": {k: mass[k] for k in range(1, trunc_k)},
         "et": killed,
         "escape": max(0.0, 1.0 - sum(mass.values())),
     }
 
 
-def _flatten(sol: dict) -> dict[str, float]:
-    flat = {"p0": sol["p0"], "m_total": sol["m_total"]}
-    for k, v in sol["pk"].items():
-        flat[f"pk{k}"] = v
-    for k, v in sol["et"].items():
-        flat[f"et{k}"] = v
-    return flat
+def _rescaled(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """Scale a 2x2 matrix by a power of two (exactly) so its largest entry is below 1."""
+    e = -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    return math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e), math.ldexp(d, e)
 
 
-def _pair_diff(a: dict[str, float], b: dict[str, float]) -> float:
-    worst = 0.0
-    for key in a.keys() & b.keys():
-        va, vb = a[key], b[key]
-        if math.isinf(va) and math.isinf(vb):
-            continue
-        worst = max(worst, abs(va - vb))
-    return worst
+def _tail_fixed_point(
+    p: float, q: float, stop: list[float], cut: int, i0: int
+) -> tuple[float, int] | None:
+    """The tail's e* = 1 - r* and the squarings taken; None if it is double.
 
-
-_TIME_PREFIXES = ("et", "m_total")
-
-
-def _aitken(
-    v1: dict, v2: dict, v3: dict, tol: float, can_escape: bool
-) -> tuple[dict, bool]:
-    """Per-scalar Aitken extrapolation of three doubling solutions.
-
-    Returns the extrapolated dict and a flag saying whether every scalar was
-    tractable (geometric decay, already converged, or a time-like quantity
-    growing without bound, reported as inf).  A growing time is reported as
-    inf only when ``can_escape``: otherwise the walk is absorbed with
-    probability one, every mean time is finite, and growth only says the
-    truncation is still too short.
+    The ratio ``r(x) = w(x+1)/w(x)`` obeys ``r(x) = p a(x) / (1 - qa r(x+1))``
+    (``a = 1 - stop``, ``qa = q a(x+2)``); in ``e = 1 - r`` its matrix,
+    ``[[qa, p stop(x) + q stop(x+2)], [qa, p + q stop(x+2)]]``, is
+    non-negative, so products and squares lose no digits as r nears 1.
+    T, one period's product (rescaled per factor), maps e(cut+i0) to
+    e(cut); ``T^(2^n)`` brings a sink (e = 1) from 2^n periods up
+    (Latouche & Ramaswami's logarithmic reduction), nearing e* like
+    ``kappa^(2^n)``, kappa T's eigenvalue ratio.  A double fixed point
+    without stops (the driftless walk) gives None; other inseparable
+    ones raise ``ConvergenceError``.
     """
-    out: dict[str, float] = {}
-    ok = True
-    tiny = max(tol / 10.0, 1e-15)
-    for key in v1.keys() & v2.keys() & v3.keys():
-        a, b, c = v1[key], v2[key], v3[key]
-        d1, d2 = b - a, c - b
-        if abs(d2) <= tiny and abs(d1) <= tiny:
-            out[key] = c
-            continue
-        if abs(d1) <= tiny:
-            out[key] = c
-            ok = False
-            continue
-        r = d2 / d1
-        if r >= 1.02:
-            if not key.startswith(_TIME_PREFIXES):
-                raise ConvergenceError(
-                    f"absorption probability diverges under truncation doubling ({key})"
-                )
-            if can_escape:
-                out[key] = math.inf
-            else:
-                out[key] = c
-                ok = False
-        elif abs(r) < 0.97:
-            out[key] = c + d2 * r / (1.0 - r)
-        else:
-            out[key] = c
-            ok = False
-    return out, ok
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for x in range(cut, cut + i0):
+        qa = q * (1.0 - stop[x + 2])
+        lo, hi = p * stop[x] + q * stop[x + 2], p + q * stop[x + 2]
+        a, b, c, d = _rescaled((a + b) * qa, a * lo + b * hi, (c + d) * qa, c * lo + d * hi)
+    disc = (d - a) ** 2 + 4.0 * b * c
+    if disc == 0.0 and not any(stop):
+        return None
+    trace, root = a + d, math.sqrt(disc)
+    kappa = (trace - root) / (trace + root)
+    if not kappa < 1.0:
+        raise ConvergenceError(f"the period map's eigenvalues do not separate (ratio {kappa!r})")
+    squarings = 0
+    while kappa > 1e-32:  # below rounding squared; about 60 times at most for kappa < 1
+        bc = b * c
+        a, b, c, d = _rescaled(a * a + bc, trace * b, trace * c, d * d + bc)
+        trace, kappa, squarings = a + d, kappa * kappa, squarings + 1
+    return (a + b) / (c + d), squarings
+
+
+def _period_pass(
+    p: float, q: float, stop: list[float], cut: int, i0: int, e: float
+) -> tuple[float, float, float, float, float, float, float]:
+    """One period of ratio maps on dual numbers (value, d/dz at z = 1).
+
+    Walks down from e(cut+i0) = e* to cut, carrying each derivative as
+    ``da + db * dr*/dz``; r*'s own ``dr*/dz = da + db * dr*/dz`` solves for
+    it.  Returns r(cut), e(cut), dr*/dz, 1 - db, ``rho = w(cut+i0)/w(cut)``,
+    1 - rho and drho/dz; the "1 -" figures keep their digits near zero.
+    """
+    log_db, log_rho, rho = 0.0, 0.0, 1.0
+    da, db, rho_a, rho_b = 0.0, 1.0, 0.0, 0.0
+    for x in range(cut + i0 - 1, cut - 1, -1):
+        sx, s2 = stop[x], stop[x + 2]
+        qa = q * (1.0 - s2)
+        den = qa * e + p + q * s2  # 1 - qa * r(x+1)
+        r = p * (1.0 - sx) / den  # z p a / (1 - z qa r(x+1; z)) at z = 1
+        g = r * qa / den  # dr(x)/dr(x+1), so dr(x)/dz = r (1 + qa r(x+1) / den) + g dr(x+1)/dz
+        da, db = r * (1.0 + qa * (1.0 - e) / den) + g * da, g * db
+        # 1 - g = (den^2 - p a qa) / den^2, with p - q kept whole
+        slack = (den + p) * (qa * e + q * s2) + p * (p - q + q * (sx + s2 - sx * s2))
+        log_db += math.log1p(-slack / (den * den)) if slack < den * den else -math.inf
+        e = (qa * e + p * sx + q * s2) / den
+        log_rho += math.log1p(-e) if e < 1.0 else -math.inf
+        rho, rho_a, rho_b = rho * r, rho_a * r + rho * da, rho_b * r + rho * db
+    db_gap = -math.expm1(log_db)
+    d_fixed = da / db_gap
+    return r, e, d_fixed, db_gap, rho, -math.expm1(log_rho), rho_a + rho_b * d_fixed
 
 
 def solve_exact(
     params: WalkParams,
     strategy: Strategy,
     tol: float = 1e-10,
-    start_k: int = 8,
-    max_k: int = 1024,
+    start_k: int | None = None,
+    max_k: int | None = None,
 ) -> ExactSolution:
-    """First-step-analysis solution, truncation-doubled until stable.
+    """First-step-analysis solution on the untruncated lattice.
 
-    Doubles the barrier count from ``start_k`` and accepts once consecutive
-    solutions agree within ``tol`` on every shared entry.  When plain
-    doubling stalls (no stopping barriers and a flat or upward drift, where
-    truncation error decays like 1/K or the mean time is infinite), Aitken
-    extrapolation over the doubling sequence supplies the limit, with
-    genuinely divergent time entries reported as ``inf``.  A time can be
-    infinite only when the walk can escape or wander forever (s = 0 and
-    p >= q); in every other case a still-growing time keeps the doubling
-    going, and ``ConvergenceError`` is raised past ``max_k``.  The result's
-    ``method`` says which of the two, ``"doubling"`` or ``"aitken"``,
-    supplied it.
-
-    ``start_k`` must be at least 2: a lattice cut at one barrier spacing
-    puts the start state on the sink.  ``max_k`` below ``start_k`` would
-    solve nothing, so both raise ``ParameterError``.
+    From ``cut = (first barrier multiple + 1) * i0`` up, the presence counts
+    obey a homogeneous recurrence with period i0.  Its minimal solution (a
+    sink infinitely far up) closes the head, states 1..cut, by
+    ``w(cut+1) = r* w(cut)``, r* the attracting fixed point of one period's
+    ratio maps; barrier ``cut/i0 + m`` then has ``rho**m`` times the cut's
+    values.  Times come from dual numbers through the same steps.  With no
+    stops and no drift (s = 0, p = q) ruin is certain after an infinite
+    mean time, reported without iterating.  ``tol`` sets how far ``pk``/``et``
+    reach.  ``start_k``/``max_k`` bounded an earlier solver's truncation:
+    still checked (``2 <= start_k <= max_k``), else ignored, with a
+    ``DeprecationWarning``.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    if start_k < 2:
-        raise ParameterError(f"start_k must be >= 2, got {start_k}")
-    if max_k < start_k:
-        raise ParameterError(f"max_k must be >= start_k={start_k}, got {max_k}")
+    if start_k is not None or max_k is not None:
+        start = 8 if start_k is None else start_k
+        if start < 2:
+            raise ParameterError(f"start_k must be >= 2, got {start}")
+        if max_k is not None and max_k < start:
+            raise ParameterError(f"max_k must be >= start_k={start}, got {max_k}")
+        warnings.warn("start_k and max_k have no effect", DeprecationWarning, stacklevel=2)
     strategy = Strategy(strategy)
-    # without stopping barriers an upward or flat drift can carry the walk
-    # off forever (p > q) or make its mean time infinite (p == q)
-    can_escape = params.s == 0.0 and params.p >= params.q
-    history: list[dict] = []
-    flats: list[dict[str, float]] = []
-    prev_extrap: dict[str, float] | None = None
-    trunc_k = start_k
-    while trunc_k <= max_k:
-        sol = _solve_truncated(params, strategy, trunc_k)
-        history.append(sol)
-        flats.append(_flatten(sol))
-        if len(flats) >= 2:
-            diff = _pair_diff(flats[-1], flats[-2])
-            if diff < tol:
-                return _finish(sol, trunc_k, diff, "doubling")
-        if len(flats) >= 3:
-            extrap, ok = _aitken(flats[-3], flats[-2], flats[-1], tol, can_escape)
-            if ok and prev_extrap is not None:
-                ediff = _pair_diff(extrap, prev_extrap)
-                if ediff < tol:
-                    merged = _apply_extrapolation(sol, extrap)
-                    return _finish(merged, trunc_k, ediff, "aitken")
-            prev_extrap = extrap if ok else None
-        trunc_k *= 2
-    raise ConvergenceError(
-        f"no stable solution up to truncation {max_k} barriers "
-        f"(p={params.p}, s={params.s}, i0={params.i0}, strategy={strategy.value})"
-    )
-
-
-def _apply_extrapolation(sol: dict, extrap: dict[str, float]) -> dict:
-    out = {
-        "p0": extrap.get("p0", sol["p0"]),
-        "m_total": extrap.get("m_total", sol["m_total"]),
-        "pk": dict(sol["pk"]),
-        "et": dict(sol["et"]),
-    }
-    for k in out["pk"]:
-        out["pk"][k] = extrap.get(f"pk{k}", out["pk"][k])
-    for k in out["et"]:
-        out["et"][k] = extrap.get(f"et{k}", out["et"][k])
-    # keep the escape estimate consistent with the extrapolated masses
-    out["escape"] = max(0.0, 1.0 - out["p0"] - sum(out["pk"].values()))
-    return out
-
-
-def _finish(sol: dict, trunc_k: int, err: float, method: str) -> ExactSolution:
+    p, q, s, i0 = params.p, params.q, params.s, params.i0
+    k_cut = strategy.first_barrier_multiple + 1
+    cut = k_cut * i0
+    stop = [s if b else 0.0 for b in _steady_barrier_mask(strategy, cut + i0 + 2, i0)]
+    if (found := _tail_fixed_point(p, q, stop, cut, i0)) is None:  # certain ruin, in infinite time
+        return ExactSolution(1, 1.0, {}, {0: math.inf}, math.inf, 0.0, 0.0)
+    fixed, squarings = found
+    r_cut, e_cut, dr_cut, f_gap, rho, gap, drho = _period_pass(p, q, stop, cut, i0, fixed)
+    mass, killed = _head_profile(params, strategy, cut, k_cut, r_cut, dr_cut)
+    tail = (k_cut, mass[k_cut], killed[k_cut], rho, drho)
+    m_total, escape = sum(killed.values()), 1.0 - sum(mass.values())
+    if tail[1] or tail[2]:  # barriers past the cut, summed (rho is 1 only without stops)
+        m_total += tail[2] * rho / gap + tail[1] * drho / (gap * gap)
+        escape -= tail[1] * rho / gap
+    for k in range(k_cut + 1, k_cut + (1 << 16) + 1):
+        mass[k], killed[k] = _tail_value(tail, k)
+        if max(mass[k], killed[k]) < tol * 1e-6:
+            break
+    residual = abs(e_cut - fixed)
     return ExactSolution(
-        truncation_k=trunc_k,
-        p0=sol["p0"],
-        pk=dict(sorted(sol["pk"].items())),
-        et=dict(sorted(sol["et"].items())),
-        m_total=sol["m_total"],
-        escape_mass=sol["escape"],
-        error_estimate=err,
-        method=method,
+        truncation_k=k + 1,
+        p0=mass.pop(0),
+        pk=mass,
+        et=killed,
+        m_total=m_total,
+        escape_mass=max(0.0, escape),
+        error_estimate=residual / f_gap,
+        squarings=squarings,
+        fixed_point_residual=residual,
+        tail=tail,
     )
 
 

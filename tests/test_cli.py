@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ruinwalk import charpoly as cp
-from ruinwalk import cli, metrics, mgf, oracle
+from ruinwalk import cli, metrics, mgf, oracle, verify
 from ruinwalk.core import Strategy, UnsupportedRegimeError, WalkParams
 
 from conftest import SQRT3
@@ -135,7 +135,11 @@ class TestSimulate:
 
 
 class TestExact:
-    def test_unconverged_stopping_walk_exits_1_with_json_error(self, capsys):
+    def test_unconverged_stopping_walk_exits_1_with_json_error(self, capsys, monkeypatch):
+        def unresolved(*args, **kwargs):
+            raise oracle.ConvergenceError("the period map's eigenvalues are too close to separate")
+
+        monkeypatch.setattr(oracle, "solve_exact", unresolved)
         code, out, err = run_cli(
             ["exact", "--p", "0.55", "--s", "1e-4", "--i0", "2", "--strategy", "B"],
             capsys,
@@ -143,6 +147,18 @@ class TestExact:
         assert code == 1
         assert out == ""
         assert "did not converge" in json.loads(err)["error"]
+
+    def test_answers_a_rarely_stopping_walk(self, capsys):
+        # truncation doubling exited 1 here
+        code, out, _ = run_cli(
+            ["exact", "--p", "0.55", "--s", "1e-4", "--i0", "2", "--strategy", "B",
+             "--kmax", "3"],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["times"]["m_total"] == pytest.approx(6624.9197, rel=1e-8)
+        assert report["escape_mass"] < 1e-12
 
     def test_reports_solution(self, capsys):
         code, out, _ = run_cli(
@@ -153,14 +169,32 @@ class TestExact:
         report = json.loads(out)
         assert report["absorption"]["p0"] == pytest.approx(4 - 2 * SQRT3, abs=1e-9)
         assert report["times"]["m_total"] == pytest.approx(2 * (SQRT3 - 1), abs=1e-9)
-        assert report["method"] == "doubling"
+        assert report["method"] == "transfer"
+        assert 0 < report["squarings"] <= 64
+        assert 0.0 <= report["fixed_point_residual"] < 1e-15
 
-    def test_reports_aitken_extrapolation(self, capsys):
+    def test_kmax_reaches_past_the_reported_barriers(self, capsys):
+        params = WalkParams(0.45, 0.5, 1)
+        sol = oracle.solve_exact(params, Strategy.A)
+        kmax = sol.truncation_k + 5
+        code, out, _ = run_cli(
+            ["exact", "--p", "0.45", "--s", "0.5", "--i0", "1", "--strategy", "A",
+             "--kmax", str(kmax)],
+            capsys,
+        )
+        report = json.loads(out)
+        assert report["absorption"]["pk"] == [sol.probability(k) for k in range(1, kmax + 1)]
+        assert report["times"]["et"] == [sol.killed_time(k) for k in range(kmax + 1)]
+        assert report["absorption"]["pk"][-1] > 0.0
+
+    def test_reports_parabolic_walk_without_iterating(self, capsys):
         code, out, _ = run_cli(
             ["exact", "--p", "0.5", "--s", "0", "--i0", "2", "--strategy", "B"], capsys
         )
         report = json.loads(out)
-        assert report["method"] == "aitken"
+        assert report["method"] == "transfer"
+        assert report["squarings"] == 0
+        assert report["absorption"]["p0"] == 1.0
         assert report["times"]["m_total"] == math.inf
 
 
@@ -188,6 +222,28 @@ class TestVerify:
         assert "m_B relation" in out
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(failing) == 1 and "m_B relation" in failing[0]
+
+    def test_exact_agreement_names_its_worst_cases(self):
+        worst = {}
+        for check in verify.check_exact_agreement():
+            worst[check] = float(check.detail.split()[0].removeprefix("worst="))
+            where = dict(item.split("=") for item in check.detail.split(" at ")[1].split())
+            params = WalkParams(float(where["p"]), float(where["s"]), int(where["i0"]))
+            strategy = Strategy(where["strategy"])
+            sol = oracle.solve_exact(params, strategy, tol=1e-11)
+            k = int(where["k"])  # both worst cases of this grid are per-site ones
+            if "absorption" in check.name:
+                prof = metrics.absorption_profile(params, strategy, kmax=64)
+                gap = abs(prof.probability(k) - sol.probability(k))
+            else:
+                ref = sol.killed_time(k)
+                tp = metrics.time_profile(params, strategy, kmax=64)
+                gap = abs(tp.killed_time(k) - ref) / max(abs(ref), 1e-9)
+            assert f"{gap:.3e}" == f"{worst[check]:.3e}"
+        # read through the tail's continuation, not a dict that stops at
+        # tol * 1e-6, the worst errors are rounding-level
+        mass, time = worst.values()
+        assert mass <= 1e-12 and time <= 1e-10
 
 
 class TestSweep:
@@ -348,12 +404,12 @@ class TestSubprocessEntryPoints:
         assert proc.returncode == 2
 
     def test_cli_start_and_exact_solve_import_no_scipy(self, tmp_path):
-        # ruinwalk never imports scipy, and numpy only for Monte Carlo, mass
-        # propagation and verify: loading them used to be most of every CLI
+        # ruinwalk never imports scipy, and numpy only for Monte Carlo and
+        # mass propagation: loading them used to be most of every CLI
         # process's start-up time.  The sweep's p = 0.5 row takes the exact
-        # solver's path.
+        # solver's path, and so does `verify --quick`.
         script = (
-            "import json, sys\n"
+            "import contextlib, io, json, sys\n"
             "import ruinwalk.cli as cli\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
@@ -365,16 +421,22 @@ class TestSubprocessEntryPoints:
             "codes.append(cli.main(['exact', '--p', '0.5', '--s', '0.5', '--i0', '1',\n"
             "                       '--strategy', 'B', '--out', sys.argv[1] + '/exact.json']))\n"
             "seen.append(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+            "    codes.append(cli.main(['verify', '--quick']))\n"
+            "seen.append(loaded())\n"
+            "verified = report.getvalue().splitlines()[-1]\n"
             "codes.append(cli.main(['simulate', '--p', '0.5', '--s', '0.5', '--i0', '1',\n"
             "                       '--strategy', 'B', '--trials', '2000', '--seed', '3',\n"
             "                       '--out', sys.argv[1] + '/simulate.json']))\n"
-            "print(json.dumps([codes, seen, 'numpy' in sys.modules]))\n"
+            "print(json.dumps([codes, seen, 'numpy' in sys.modules, verified]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[0, 0, 0], [[], [], []], True]
+        assert json.loads(proc.stdout) == [
+            [0, 0, 0, 0], [[], [], [], []], True, "18/18 checks passed"
+        ]
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["0.4"] * 3 + ["0.5"] * 3
         exact = json.loads((tmp_path / "exact.json").read_text())

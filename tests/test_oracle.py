@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ruinwalk import oracle, rng
-from ruinwalk.core import ParameterError, Strategy, WalkParams
+from ruinwalk import metrics, oracle, rng
+from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
 
 from conftest import SQRT3, small_grid
 
@@ -97,17 +97,34 @@ class TestSolveExact:
         assert sol.m_total == pytest.approx(10.0, abs=1e-8)
         assert all(v == 0.0 for v in sol.pk.values())
 
-    def test_no_stop_symmetric_extrapolates(self):
-        sol = oracle.solve_exact(WalkParams(0.5, 0.0, 2), Strategy.B)
-        assert sol.method == "aitken"
-        assert sol.p0 == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("i0", [1, 2, 5, 200])
+    def test_no_stop_symmetric_walk_is_parabolic(self, i0, strategy, monkeypatch):
+        # a double fixed point: reported at once, with no squaring and no solve
+        monkeypatch.setattr(oracle, "solve_banded", _no_call)
+        sol = oracle.solve_exact(WalkParams(0.5, 0.0, i0), strategy)
+        assert sol.method == "transfer"
+        assert sol.squarings == 0
+        assert sol.p0 == 1.0
+        assert sol.escape_mass == 0.0
         assert math.isinf(sol.m_total)
         assert math.isinf(sol.et[0])
+        assert [sol.probability(k) for k in range(1, 5)] == [0.0] * 4
 
-    def test_stopping_walk_converges_by_plain_doubling(self, strategy):
+    def test_stopping_walk_solves_by_transfer(self, strategy, monkeypatch):
+        calls = []
+        solve = oracle.solve_banded
+        monkeypatch.setattr(
+            oracle, "solve_banded", lambda f, rhs: calls.append(len(rhs)) or solve(f, rhs)
+        )
         sol = oracle.solve_exact(WalkParams(0.5, 0.1, 2), strategy)
-        assert sol.method == "doubling"
-        assert sol.truncation_k == 128
+        assert sol.method == "transfer"
+        cut = (strategy.first_barrier_multiple + 1) * 2
+        assert calls == [cut, cut]  # the masses' and the times' solve, on the head only
+        assert 0 < sol.squarings <= 64
+        assert sol.fixed_point_residual < 1e-15
+        ref = oracle._solve_truncated(WalkParams(0.5, 0.1, 2), strategy, 512)
+        assert sol.p0 == pytest.approx(ref["p0"], abs=1e-13)
+        assert sol.m_total == pytest.approx(ref["m_total"], rel=1e-10)
 
     def test_no_stop_upward_drift_reports_escape(self):
         params = WalkParams(0.7, 0.0, 2)
@@ -125,20 +142,26 @@ class TestSolveExact:
 
     def test_doubling_is_stable(self, strategy):
         for params in small_grid():
-            a = oracle.solve_exact(params, strategy, tol=1e-9, start_k=8)
-            b = oracle.solve_exact(params, strategy, tol=1e-9, start_k=16)
+            with pytest.deprecated_call():
+                a = oracle.solve_exact(params, strategy, tol=1e-9, start_k=8)
+            with pytest.deprecated_call():
+                b = oracle.solve_exact(params, strategy, tol=1e-9, start_k=16)
             assert a.p0 == pytest.approx(b.p0, abs=max(a.error_estimate, 1e-9))
             assert a.m_total == pytest.approx(
                 b.m_total, abs=max(a.error_estimate * 10, 1e-8)
             )
 
     def test_stopping_walk_never_reports_an_infinite_time(self):
-        # Upward drift with rare stops: every trial is eventually absorbed and
-        # the true mean time is 6624.92, but the truncated times keep growing
-        # up to max_k.  That must be a typed error, not inf.
+        # Upward drift with rare stops: every trial is eventually absorbed
+        # after a mean time of 6624.92.  Truncation doubling needed more
+        # barriers than it allowed here; the tail's boundary condition needs none.
         params = WalkParams(0.55, 1e-4, 2)
-        with pytest.raises(oracle.ConvergenceError):
-            oracle.solve_exact(params, Strategy.B)
+        sol = oracle.solve_exact(params, Strategy.B)
+        assert sol.m_total == pytest.approx(6624.9197, rel=1e-8)
+        assert sol.m_total == pytest.approx(
+            metrics.mean_time_any(params, Strategy.B), rel=1e-10
+        )
+        assert sol.escape_mass < 1e-12
 
     @pytest.mark.parametrize("i0", [1, 2])
     @pytest.mark.parametrize("start_k", [-1, 0, 1])
@@ -150,7 +173,8 @@ class TestSolveExact:
     @pytest.mark.parametrize("i0", [1, 2])
     def test_smallest_start_truncation_solves(self, i0, strategy):
         params = WalkParams(0.4, 0.5, i0)
-        small = oracle.solve_exact(params, strategy, start_k=2)
+        with pytest.deprecated_call():
+            small = oracle.solve_exact(params, strategy, start_k=2)
         default = oracle.solve_exact(params, strategy)
         assert small.p0 == pytest.approx(default.p0, abs=1e-9)
         assert small.m_total == pytest.approx(default.m_total, rel=1e-8)
@@ -159,10 +183,105 @@ class TestSolveExact:
         with pytest.raises(ParameterError, match="max_k"):
             oracle.solve_exact(WalkParams(0.4, 0.5, 2), strategy, start_k=16, max_k=8)
 
+    def test_truncation_bounds_are_ignored(self, strategy):
+        params = WalkParams(0.45, 0.2, 3)
+        with pytest.deprecated_call():
+            bounded = oracle.solve_exact(params, strategy, start_k=2, max_k=2)
+        assert bounded == oracle.solve_exact(params, strategy)
+
     def test_escape_mass_negligible_with_interior_stop(self, strategy):
         for params in small_grid():
             sol = oracle.solve_exact(params, strategy, tol=1e-10)
             assert sol.escape_mass < 1e-9
+
+
+def _no_call(*args):
+    raise AssertionError("no linear solve expected")
+
+
+class TestTransferSolve:
+    """The untruncated solve against the truncated one and the closed forms."""
+
+    @pytest.mark.parametrize("i0", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "p, s",
+        # no truncation converges for a (nearly) driftless walk that never
+        # stops: those are left to the parabolic and the escape tests
+        [(p, s) for p in (0.3, 0.5, 0.5 + 1e-7, 0.7) for s in (0.0, 0.01, 0.3, 1.0)
+         if s > 0.0 or abs(p - 0.5) > 1e-6],
+    )
+    def test_matches_truncated_solve(self, p, s, i0, strategy):
+        params = WalkParams(p, s, i0)
+        sol = oracle.solve_exact(params, strategy)
+        # twice the barriers the solution reports, plus 64 for the walks
+        # without stops, whose truncation error decays like (3/7)**(k * i0):
+        # the sink's pull on the compared barriers is below rounding
+        trunc_k = 2 * sol.truncation_k + 64
+        ref = oracle._solve_truncated(params, strategy, trunc_k)
+        masses = [ref["p0"]] + [ref["pk"][k] for k in range(1, trunc_k // 2)]
+        assert [sol.probability(k) for k in range(trunc_k // 2)] == pytest.approx(
+            masses, rel=0.0, abs=1e-13
+        )
+        times = [ref["et"][k] for k in range(sol.truncation_k)]
+        assert [sol.killed_time(k) for k in range(sol.truncation_k)] == pytest.approx(
+            times, rel=1e-10, abs=0.0
+        )
+        assert sol.m_total == pytest.approx(ref["m_total"], rel=1e-10)
+        assert sol.escape_mass == pytest.approx(ref["escape"], abs=1e-13)
+
+    def test_dicts_agree_with_the_accessors(self, strategy):
+        sol = oracle.solve_exact(WalkParams(0.45, 0.3, 2), strategy)
+        assert sorted(sol.pk) == list(range(1, sol.truncation_k))
+        assert sorted(sol.et) == list(range(sol.truncation_k))
+        assert all(sol.probability(k) == v for k, v in sol.pk.items())
+        assert all(sol.killed_time(k) == v for k, v in sol.et.items())
+        # the dicts end at the first barrier past the head whose mass and
+        # time are both below tol * 1e-6; the accessors go on from there
+        last = sol.truncation_k - 1
+        assert max(sol.pk[last], sol.et[last]) < 1e-16 <= max(sol.pk[last - 1], sol.et[last - 1])
+        beyond = [sol.probability(k) for k in range(last + 1, last + 4)]
+        assert 0.0 < beyond[2] < beyond[1] < beyond[0] < sol.pk[last]
+        assert sol.probability(-1) == sol.killed_time(-1) == 0.0
+
+    @pytest.mark.parametrize(
+        "p, s, i0, strategy",
+        [(0.7, 1e-4, i0, Strategy.A) for i0 in (1, 2, 3, 5)]
+        + [(0.55, 1e-4, 2, Strategy.B)]
+        + [(0.7, 0.01, i0, st) for i0 in range(1, 6) for st in Strategy],
+    )
+    def test_formerly_unconverged_walks_match_the_closed_forms(self, p, s, i0, strategy):
+        # truncation doubling raised ConvergenceError on every one of these
+        params = WalkParams(p, s, i0)
+        sol = oracle.solve_exact(params, strategy)
+        prof = metrics.absorption_profile(params, strategy, kmax=256)
+        assert [sol.probability(k) for k in range(257)] == pytest.approx(
+            [prof.probability(k) for k in range(257)], rel=0.0, abs=1e-9
+        )
+        assert sol.m_total == pytest.approx(metrics.mean_time_any(params, strategy), rel=1e-7)
+
+    @pytest.mark.parametrize("i0", [1, 2, 5])
+    @pytest.mark.parametrize("p", [0.5 + 1e-7, 0.55, 0.7])
+    def test_no_stop_upward_drift_escapes_exactly(self, p, i0, strategy):
+        params = WalkParams(p, 0.0, i0)
+        sol = oracle.solve_exact(params, strategy)
+        assert sol.escape_mass == pytest.approx(1.0 - params.omega_pow ** -1, abs=1e-13)
+        assert sol.p0 == pytest.approx(params.omega_pow ** -1, abs=1e-13)
+        # conditioned on ruin the walk drifts down at p - q
+        want = i0 / ((params.p - params.q) * params.omega_pow)
+        assert sol.et[0] == pytest.approx(want, rel=1e-10)
+        assert sol.m_total == sol.et[0]
+
+    def test_long_period_has_an_answer_where_the_closed_form_overflows(self):
+        params = WalkParams(0.9, 0.5, 200)
+        with pytest.raises(UnsupportedRegimeError):
+            metrics.absorption_profile(params, Strategy.B)
+        sol = oracle.solve_exact(params, Strategy.B)
+        masses = [sol.p0, *sol.pk.values()]
+        assert all(math.isfinite(m) and m >= 0.0 for m in masses)
+        assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < sol.p0 < 1e-190
+        assert all(math.isfinite(t) and t >= 0.0 for t in sol.et.values())
+        assert math.isfinite(sol.m_total)
 
 
 class TestSolveBanded:
