@@ -6,10 +6,8 @@ from .core import (
     ParameterError,
     Strategy,
     UnsupportedRegimeError,
-    ValidatedInstance,
     WalkParams,
     stop_probability,
-    validate,
 )
 from .charpoly import (
     CharData,
@@ -49,7 +47,6 @@ __all__ = [
     "Strategy",
     "TimeProfile",
     "UnsupportedRegimeError",
-    "ValidatedInstance",
     "WalkParams",
     "absorption_profile",
     "bc_ratio",
@@ -70,5 +67,4 @@ __all__ = [
     "tau_roots",
     "theta",
     "time_profile",
-    "validate",
 ]

@@ -10,11 +10,20 @@ expected times) is built from two quadratics:
   consecutive barrier values of the generating functions.
 
 Differences of tau powers always enter through the divided difference
-``(tau2**n - tau1**n) / (tau2 - tau1)``, computed here as the symmetric sum
-``sum(tau1**a * tau2**b, a+b=n-1)``.  That form is exact in the repeated
-root case (z=1 with p=q) and immune to the cancellation the raw quotient
-suffers when the roots nearly coincide, so a single code path serves every
-regime.
+``D_n = (tau2**n - tau1**n) / (tau2 - tau1)``, computed here as the
+symmetric sum ``sum(tau1**a * tau2**b, a+b=n-1)``.  That form is exact in
+the repeated root case (z=1 with p=q) and immune to the cancellation the
+raw quotient suffers when the roots nearly coincide, so a single code path
+serves every regime.
+
+``D_n`` is the Lucas sequence ``U_n(e1, e2)`` of the root sum
+``e1 = tau1 + tau2 = 1/(q*z)`` and product ``e2 = omega``, and
+``V_n = tau1**n + tau2**n`` is its companion; both are polynomials in
+(e1, e2), and so are their e1-derivatives.  With e2 independent of z, the
+z-derivatives follow by the chain rule through ``de1/dz = -1/(q*z**2)``
+(:func:`lucas_terms`), without ever forming ``dtau/dz``, which is infinite
+at z=1 when p=q.  Every expected time with s > 0 is built on them, so one
+formula serves drifting and driftless walks alike.
 """
 
 from __future__ import annotations
@@ -54,15 +63,29 @@ class PhiPair:
 
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """z-derivatives of tau, theta and phi at z=1 (asymmetric walks only)."""
+class LucasTerms:
+    """``U_n``, ``U_{n-1}`` and ``V_n`` of the step roots with their z-derivatives.
 
-    dtau1: float
-    dtau2: float
+    ``U_n = (tau1**n - tau2**n) / (tau1 - tau2)`` and
+    ``V_n = tau1**n + tau2**n``; the ``d`` fields are d/dz.
+    """
+
+    u: float
+    u_prev: float
+    v: float
+    du: float
+    du_prev: float
+    dv: float
+
+
+@dataclass(frozen=True)
+class DerivativeBundle:
+    """z-derivatives of theta and phi at z=1, with the Lucas terms behind them."""
+
     dtheta: float
     dphi1: float
     dphi2: float
-    h1: float
+    lucas: LucasTerms
 
 
 def tau_roots(z: float, params: WalkParams) -> RootPair:
@@ -151,54 +174,62 @@ def phi_roots(char: CharData) -> PhiPair:
     return PhiPair(phi1=phi1, phi2=phi2)
 
 
-def _power_gap(roots: RootPair, n: int) -> float:
-    """g_n = tau2**n - tau1**n (negative for n >= 1 when the roots differ)."""
-    return roots.tau2 ** n - roots.tau1 ** n
+def _divided_difference_slope(roots: RootPair, n: int) -> float:
+    """dU_n/de1 at fixed e2, ``sum((m+1)*(n-1-m) * tau1**m * tau2**(n-2-m))``.
+
+    The sum runs over m < n-1; it is the convolution ``sum(U_k * U_{n-k})``
+    of the sequence with itself, so every term is positive.
+    """
+    t1, t2 = roots.tau1, roots.tau2
+    acc = 0.0
+    for m in range(n - 1):
+        acc += (m + 1) * (n - 1 - m) * t1 ** m * t2 ** (n - 2 - m)
+    return acc
 
 
-def _power_sum(roots: RootPair, n: int) -> float:
-    """S_n = tau1**n + tau2**n."""
-    return roots.tau1 ** n + roots.tau2 ** n
+def lucas_terms(z: float, params: WalkParams, n: int) -> LucasTerms:
+    """``U_n``, ``U_{n-1}``, ``V_n`` and their z-derivatives at ``z``, for n >= 1.
+
+    At fixed ``e2 = omega``, ``dU_n/de1`` is the positive power sum of
+    :func:`_divided_difference_slope` and ``dV_n/de1 = n*U_n``; both are
+    multiplied by ``de1/dz = -1/(q*z**2)``.  Nothing here divides by the
+    root gap, so p = 1/2 needs no special case.  The differentiated
+    recurrence ``x_n = e1*x_{n-1} - e2*x_{n-2}`` gives the same values with
+    rounding that grows with n, and the killed times subtract these
+    derivatives from the barrier roots' ones (losing a factor of about 4000
+    at p=0.55, s=0.99, i0=50), so the positive sums are used instead.
+    """
+    if n < 1:
+        raise ParameterError(f"Lucas index must be >= 1, got {n}")
+    roots = tau_roots(z, params)
+    de1 = -1.0 / (params.q * z * z)
+    u = power_divided_difference(roots, n)
+    return LucasTerms(
+        u=u,
+        u_prev=power_divided_difference(roots, n - 1),
+        v=roots.tau1 ** n + roots.tau2 ** n,
+        du=de1 * _divided_difference_slope(roots, n),
+        du_prev=de1 * _divided_difference_slope(roots, n - 1),
+        dv=de1 * n * u,
+    )
 
 
 def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
-    """z-derivatives of tau_i, theta and phi_i at z=1 for an asymmetric walk.
+    """z-derivatives of theta and phi_i at z=1, for s < 1.
 
-    Implicit differentiation of the step quadratic gives
-    ``dtau_i/dz = (-1)**i * h(z) * tau_i / z`` with
-    ``h(z) = (1 - 4*p*q*z**2)**(-1/2)``, so ``h(1) = 1/|p - q|``.  From
-    that, d/dz of ``g_n = tau2**n - tau1**n`` is ``n*h*S_n/z`` and of
-    ``S_n = tau1**n + tau2**n`` is ``n*h*g_n/z``; theta's derivative
-    follows by the quotient rule and phi's by implicit differentiation of
-    the barrier quadratic.  The whole bundle is validated against
+    With ``theta = (U_i0/(1-s) - 2*p*z*U_{i0-1}) / (q*z)`` the quotient rule
+    at z=1 gives ``dtheta = (dU_i0/(1-s) - 2*p*(U_{i0-1} + dU_{i0-1}))/q
+    - theta``, with the Lucas terms of :func:`lucas_terms`; phi's
+    derivatives follow by implicit differentiation of the barrier
+    quadratic.  The whole bundle is validated against
     Richardson-extrapolated finite differences in the test suite.
     """
-    if params.symmetric:
-        raise UnsupportedRegimeError(
-            "derivatives at z=1 need distinct step roots (p != 1/2)"
-        )
     if params.s >= 1.0:
         raise UnsupportedRegimeError("derivatives at z=1 are defined for s < 1")
     p, q, s, i0 = params.p, params.q, params.s, params.i0
-    roots = tau_roots(1.0, params)
-    h1 = 1.0 / abs(p - q)
-    dtau1 = -h1 * roots.tau1
-    dtau2 = h1 * roots.tau2
-
-    g1 = _power_gap(roots, 1)
-    g_prev = _power_gap(roots, i0 - 1)
-    g_i0 = _power_gap(roots, i0)
-    dg1 = h1 * _power_sum(roots, 1)
-    dg_prev = (i0 - 1) * h1 * _power_sum(roots, i0 - 1)
-    dg_i0 = i0 * h1 * _power_sum(roots, i0)
-
-    # theta = num / den with num = g_i0/(1-s) - 2*p*z*g_{i0-1}, den = q*z*g1
-    num = g_i0 / (1.0 - s) - 2.0 * p * g_prev
-    dnum = dg_i0 / (1.0 - s) - 2.0 * p * g_prev - 2.0 * p * dg_prev
-    den = q * g1
-    dden = q * (g1 + dg1)
-    theta1 = num / den
-    dtheta = dnum / den - theta1 * dden / den
+    lt = lucas_terms(1.0, params, i0)
+    theta1 = (lt.u / (1.0 - s) - 2.0 * p * lt.u_prev) / q
+    dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - theta1
 
     phi = phi_roots(CharData(theta=theta1, omega_pow=params.omega_pow,
                              z=1.0, s=s, i0=i0))
@@ -209,6 +240,4 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
         )
     dphi1 = phi.phi1 * dtheta / gap
     dphi2 = -phi.phi2 * dtheta / gap
-    return DerivativeBundle(
-        dtau1=dtau1, dtau2=dtau2, dtheta=dtheta, dphi1=dphi1, dphi2=dphi2, h1=h1
-    )
+    return DerivativeBundle(dtheta=dtheta, dphi1=dphi1, dphi2=dphi2, lucas=lt)

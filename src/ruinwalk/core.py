@@ -59,8 +59,8 @@ class WalkParams:
     """Problem instance: step-up probability p, stop probability s, stake i0.
 
     Derived quantities: ``q = 1 - p`` and the drift ratio ``omega = p/q``.
-    The symmetric regime is detected exactly by ``p == 0.5``; nearby values
-    take the generic code paths.
+    The driftless walk is detected exactly by ``p == 0.5``; the closed forms
+    branch on it only at s=0, where its mean absorption time is infinite.
     """
 
     p: float
@@ -114,35 +114,6 @@ class LatticeState:
     @property
     def on_barrier_lattice(self) -> bool:
         return self.n == 0
-
-
-@dataclass(frozen=True)
-class ValidatedInstance:
-    """Normalized (params, strategy) pair with regime flags resolved."""
-
-    params: WalkParams
-    strategy: Strategy
-    symmetric: bool
-    s_zero: bool
-    s_one: bool
-    s_interior: bool
-
-
-def validate(params: WalkParams, strategy: Strategy) -> ValidatedInstance:
-    """Classify the regime of a (params, strategy) pair.
-
-    WalkParams already rejects out-of-range values on construction; this
-    adds the regime flags the closed-form layers branch on.
-    """
-    strategy = Strategy(strategy)
-    return ValidatedInstance(
-        params=params,
-        strategy=strategy,
-        symmetric=params.symmetric,
-        s_zero=params.s == 0.0,
-        s_one=params.s == 1.0,
-        s_interior=0.0 < params.s < 1.0,
-    )
 
 
 def is_active_barrier(strategy: Strategy, position: int, i0: int, time: int) -> bool:

@@ -8,10 +8,12 @@ probability s, so
     P(absorb at k*i0) = s * M(k*i0, z=1)
 
 Mean times are *killed* expectations E[T * 1{absorbed at Y}]; the overall
-mean is their sum.  Per-barrier times for asymmetric walks follow from
-differentiating the generating functions at z=1 (stake-symmetric walks have
-a repeated step root there and are served by the oracle instead).  The s=0
-and s=1 limit cases use their own closed forms.
+mean is their sum.  Per-barrier times are z-derivatives at z=1 of the
+generating functions, taken through the Lucas sequences of the step roots
+(:func:`ruinwalk.charpoly.lucas_terms`), which stay analytic at p = 1/2:
+drifting and driftless walks share every formula.  The s=1 tables use the
+same sequences; only s=0 with p = 1/2 is special, because its mean time is
+infinite.
 
 Two closed forms in this module deliberately differ from easy-to-derive
 variants that fail oracle verification; see FORMULA_ERRATA.md.
@@ -165,10 +167,8 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
             return 0.0
         if strategy is Strategy.B:
             return float(i0)
-        if params.symmetric:
-            return float(i0 * i0)
-        wi = params.omega_pow
-        return i0 * (1.0 - wi) / ((params.q - params.p) * (1.0 + wi))
+        lt = cp.lucas_terms(1.0, params, i0)
+        return -lt.dv / lt.v
     return _mean_time_interior(params, strategy, _phi(params))
 
 
@@ -181,11 +181,11 @@ def _mean_time_interior(params: WalkParams, strategy: Strategy, phi: cp.PhiPair)
         return m_a
     if strategy is Strategy.B:
         return m_a / (1.0 - s)
-    if params.symmetric:
-        return i0 * (2.0 * i0 + (1.0 - s) / s * (1.0 - phi.phi2)) / (2.0 - phi.phi2)
-    wi_inv = 1.0 / params.omega_pow
-    num = (1.0 - s) / s * (1.0 - inv_phi1) + (1.0 - wi_inv) / (params.p - params.q)
-    return i0 * num / (1.0 + wi_inv - inv_phi1)
+    wi = params.omega_pow
+    # (1 - omega**-i0) / (p - q) = U_i0 / (q * omega**i0), finite at p = q
+    u_i0 = cp.power_divided_difference(cp.tau_roots(1.0, params), i0)
+    num = (1.0 - s) / s * (1.0 - inv_phi1) + u_i0 / (params.q * wi)
+    return i0 * num / (1.0 + 1.0 / wi - inv_phi1)
 
 
 def _ruin_killed_time_s0(params: WalkParams) -> float:
@@ -198,42 +198,32 @@ def _ruin_killed_time_s0(params: WalkParams) -> float:
 
 
 def _b_s1_killed_times(params: WalkParams) -> dict[int, float]:
-    i0 = params.i0
-    if params.symmetric:
-        edge = (i0 * i0 + 2.0) / (6.0 * i0)
-        return {0: edge, 1: 2.0 * (i0 * i0 - 1.0) / (3.0 * i0), 2: edge}
-    p, q = params.p, params.q
-    w, wi = params.omega, params.omega_pow
-    profile = _absorption_s1(params, Strategy.B)
-    core = 1.0 / ((q - p) * (wi - 1.0)) + i0 * (wi + 1.0) / (wi - 1.0) ** 2
-    et0 = core + profile.p0
-    et2 = wi * core + profile.pk[2]
-    et1 = (
-        -(
-            2.0 * p * (w ** (i0 - 1) + 1.0) / ((q - p) * (wi - 1.0))
-            + 4.0 * i0 * wi / (wi - 1.0) ** 2
-        )
-        + profile.pk[1]
-    )
-    return {0: et0, 1: et1, 2: et2}
+    """d/dz of z times each of :func:`mgf.mgf_b_s1`'s segment values, at z=1.
+
+    After its first step (the factor z) the walk exits a segment through
+    an end whose value is a ratio over ``U_i0``: ``1/U_i0`` to ruin,
+    ``omega*U_{i0-1}/U_i0`` and ``U_{i0-1}/U_i0`` to the middle barrier
+    from below and above, ``omega**(i0-1)/U_i0`` to the top.
+    """
+    lt = cp.lucas_terms(1.0, params, params.i0)
+    u, du = lt.u, lt.du
+    # d/dz [z / U_i0] and d/dz [z * U_{i0-1} / U_i0] at z=1
+    to_end = (1.0 - du / u) / u
+    to_middle = (lt.u_prev + lt.du_prev - lt.u_prev * du / u) / u
+    et0 = params.q * to_end
+    return {0: et0, 1: 2.0 * params.p * to_middle, 2: params.omega_pow * et0}
 
 
 def _c_s1_killed_times(params: WalkParams) -> dict[int, float]:
-    i0 = params.i0
-    if params.symmetric:
-        half = i0 * i0 / 2.0
-        return {0: half, 1: 0.0, 2: half}
-    wi = params.omega_pow
-    base = i0 * (1.0 - wi) / ((params.q - params.p) * (1.0 + wi) ** 2)
-    return {0: base, 1: 0.0, 2: wi * base}
+    lt = cp.lucas_terms(1.0, params, params.i0)
+    et0 = -lt.dv / (lt.v * lt.v)
+    return {0: et0, 1: 0.0, 2: params.omega_pow * et0}
 
 
 def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
     """Killed expected time for absorption exactly at barrier k*i0 (k=0: ruin).
 
-    Assembled from the z-derivative of the generating function at z=1,
-    which exists only for asymmetric walks when 0 < s < 1; the symmetric
-    case is served by the oracle's exact solver.
+    Assembled from the z-derivative of the generating function at z=1.
     """
     if k < 0:
         raise ParameterError(f"barrier index must be >= 0, got {k}")
@@ -250,11 +240,6 @@ def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
             else _c_s1_killed_times(params)
         )
         return table.get(k, 0.0)
-    if params.symmetric:
-        raise UnsupportedRegimeError(
-            "per-barrier times have no closed form for the driftless walk; "
-            "use oracle.solve_exact"
-        )
     return _killed_times(params, strategy, k, k, _phi(params))[k]
 
 
@@ -265,18 +250,12 @@ def _killed_times(
 
     ``phi`` is the pair of barrier roots at z=1, ``_phi(params)``.
     """
-    p, q, s, i0 = params.p, params.q, params.s, params.i0
-    roots = cp.tau_roots(1.0, params)
+    s = params.s
     der = cp.derivatives_at_1(params)
-    t1, t2 = roots.tau1, roots.tau2
-    g1, gi = t2 - t1, t2 ** i0 - t1 ** i0
-    s1, si = t1 + t2, t1 ** i0 + t2 ** i0
-    dg1 = der.h1 * s1
-    dgi = i0 * der.h1 * si
-    dsi = i0 * der.h1 * gi
+    lt = der.lucas
     wpow = params.omega_pow
-    # logarithmic derivative shared by every barrier form: g_i0, 1/z, 1/g_1
-    log_common = dgi / gi - 1.0 - dg1 / g1
+    # logarithmic derivative shared by every barrier form: U_i0 and 1/z
+    log_common = lt.du / lt.u - 1.0
     phi_rate = der.dphi2 / phi.phi2
 
     ks = range(kmin, kmax + 1)
@@ -290,10 +269,11 @@ def _killed_times(
             out[k] = val / (1.0 - s) if strategy is Strategy.B else val
         return out
 
-    pole_rate = (dsi - der.dphi2) / (si - phi.phi2)
+    # C's barrier values share the pole 1/(V_i0 - phi2)
+    pole_rate = (lt.dv - der.dphi2) / (lt.v - phi.phi2)
     for k, wk in zip(ks, mgf.mgf_c(params, 1.0, ks)):
         if k == 0:
-            out[k] = wk * wk * (der.dphi2 - dsi)
+            out[k] = wk * wk * (der.dphi2 - lt.dv)
         elif k == 1:
             out[k] = 0.0
         else:
@@ -329,11 +309,6 @@ def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> Time
         )
         return TimeProfile(
             m_total=mean_time_any_or_inf(params, strategy), et=table, tail_bound=0.0
-        )
-    if params.symmetric:
-        raise UnsupportedRegimeError(
-            "per-barrier times have no closed form for the driftless walk; "
-            "use oracle.solve_exact"
         )
     phi = _phi(params)  # one solve serves the total, every barrier and the tail
     m_total = _mean_time_interior(params, strategy, phi)

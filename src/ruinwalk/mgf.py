@@ -197,8 +197,9 @@ def mgf_b_s1(params: WalkParams, z: float, segment: int, n: int) -> float:
 
     Returns the generating function of state ``n`` (segment 1) or
     ``i0 + n`` (segment 2) for the segment walk.  For i0=1 the segments
-    have no interior: the walk starts on an absorbing end, so the entry
-    state carries value 1 and the opposite end 0.
+    have no interior: the walk starts on an absorbing end, and the forms
+    below give the entry state value 1 and the opposite end 0 through
+    ``D_0 = 0`` and ``D_1 = 1``.
     """
     if params.s != 1.0:
         raise UnsupportedRegimeError(f"this branch is the s=1 case, got s={params.s}")
@@ -208,10 +209,6 @@ def mgf_b_s1(params: WalkParams, z: float, segment: int, n: int) -> float:
     if not 0 <= n <= i0:
         raise ParameterError(f"offset must lie in [0, {i0}], got {n}")
     roots = tau_roots(z, params)
-    if i0 == 1:
-        if segment == 1:
-            return 1.0 if n == 0 else 0.0
-        return 1.0 if n == 1 else 0.0
     d_i0 = power_divided_difference(roots, i0)
     if segment == 1:
         if n == 0:

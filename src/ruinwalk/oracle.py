@@ -24,7 +24,6 @@ else, starts without loading numpy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .core import ParameterError, Strategy, WalkParams
@@ -271,8 +270,6 @@ def solve_exact(
     params: WalkParams,
     strategy: Strategy,
     tol: float = 1e-10,
-    start_k: int | None = None,
-    max_k: int | None = None,
 ) -> ExactSolution:
     """First-step-analysis solution on the untruncated lattice.
 
@@ -284,19 +281,10 @@ def solve_exact(
     values.  Times come from dual numbers through the same steps.  With no
     stops and no drift (s = 0, p = q) ruin is certain after an infinite
     mean time, reported without iterating.  ``tol`` sets how far ``pk``/``et``
-    reach.  ``start_k``/``max_k`` bounded an earlier solver's truncation:
-    still checked (``2 <= start_k <= max_k``), else ignored, with a
-    ``DeprecationWarning``.
+    reach.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    if start_k is not None or max_k is not None:
-        start = 8 if start_k is None else start_k
-        if start < 2:
-            raise ParameterError(f"start_k must be >= 2, got {start}")
-        if max_k is not None and max_k < start:
-            raise ParameterError(f"max_k must be >= start_k={start}, got {max_k}")
-        warnings.warn("start_k and max_k have no effect", DeprecationWarning, stacklevel=2)
     strategy = Strategy(strategy)
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     k_cut = strategy.first_barrier_multiple + 1

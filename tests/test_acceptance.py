@@ -64,12 +64,11 @@ def test_criterion_1_three_layer_agreement_grid():
             worst_time = max(
                 worst_time, abs(m - sol.m_total) / max(abs(sol.m_total), 1e-300)
             )
-            if not params.symmetric:
-                tp = metrics.time_profile(params, strategy, kmax=64)
-                for k in range(0, 65):
-                    ref = sol.et.get(k, 0.0)
-                    gap = abs(tp.killed_time(k) - ref)
-                    worst_time = max(worst_time, gap / max(abs(ref), 1e-9))
+            tp = metrics.time_profile(params, strategy, kmax=64)
+            for k in range(0, 65):
+                ref = sol.et.get(k, 0.0)
+                gap = abs(tp.killed_time(k) - ref)
+                worst_time = max(worst_time, gap / max(abs(ref), 1e-9))
     elapsed = time.time() - t0
     ok = worst_prob <= 1e-9 and worst_time <= 1e-7 and elapsed < 60.0
     _report(
@@ -198,8 +197,6 @@ def test_criterion_6_derivative_validation():
 
     worst = 0.0
     for params in _grid():
-        if params.symmetric:
-            continue
         der = cp.derivatives_at_1(params)
         for got, fun in (
             (der.dtheta, lambda z: cp.theta(z, params).theta),

@@ -146,17 +146,61 @@ def _richardson_from_below(f, h=1e-4):
     return (4 * e2 - e1) / 3
 
 
-class TestDerivatives:
-    def test_h_at_one(self):
-        assert cp.derivatives_at_1(WalkParams(0.4, 0.5, 1)).h1 == pytest.approx(
-            5.0, rel=1e-12
-        )
+class TestLucasTerms:
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.5 + 1e-6, 0.7])
+    @pytest.mark.parametrize("z", [0.6, 1.0])
+    def test_values_match_the_step_roots(self, p, z):
+        params = WalkParams(p, 0.5, 1)
+        roots = cp.tau_roots(z, params)
+        for n in range(1, 9):
+            lt = cp.lucas_terms(z, params, n)
+            assert lt.u == pytest.approx(cp.power_divided_difference(roots, n), rel=1e-13)
+            assert lt.u_prev == pytest.approx(
+                cp.power_divided_difference(roots, n - 1), rel=1e-13, abs=0.0
+            )
+            assert lt.v == pytest.approx(roots.tau1 ** n + roots.tau2 ** n, rel=1e-13)
 
-    def test_rejects_symmetric_and_total_stop(self):
-        with pytest.raises(UnsupportedRegimeError):
-            cp.derivatives_at_1(WalkParams(0.5, 0.5, 1))
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.5 - 1e-8, 0.7])
+    def test_derivatives_match_finite_differences(self, p):
+        params = WalkParams(p, 0.5, 1)
+        for n in (1, 2, 3, 6):
+            lt = cp.lucas_terms(1.0, params, n)
+            for got, field in ((lt.du, "u"), (lt.du_prev, "u_prev"), (lt.dv, "v")):
+                want = _richardson_from_below(
+                    lambda z, f=field: getattr(cp.lucas_terms(z, params, n), f)
+                )
+                assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+    def test_driftless_closed_forms(self):
+        # p = q at z=1: U_n = n, V_n = 2, dU_n = -n(n^2-1)/3, dV_n = -2n^2
+        params = WalkParams(0.5, 0.3, 1)
+        for n in range(1, 12):
+            lt = cp.lucas_terms(1.0, params, n)
+            assert (lt.u, lt.u_prev, lt.v) == (n, n - 1, 2.0)
+            assert lt.du == -n * (n * n - 1) / 3
+            assert lt.dv == -2.0 * n * n
+
+    def test_rejects_index_below_one(self):
+        with pytest.raises(ParameterError):
+            cp.lucas_terms(1.0, WalkParams(0.4, 0.5, 1), 0)
+
+
+class TestDerivatives:
+    def test_continuous_through_the_driftless_point(self):
+        for s in (0.1, 0.5, 0.9):
+            for i0 in (1, 2, 5):
+                at = cp.derivatives_at_1(WalkParams(0.5, s, i0))
+                for p in (0.5 - 1e-8, 0.5 + 1e-8):
+                    near = cp.derivatives_at_1(WalkParams(p, s, i0))
+                    assert near.dtheta == pytest.approx(at.dtheta, rel=1e-6)
+                    assert near.dphi2 == pytest.approx(at.dphi2, rel=1e-6)
+
+    def test_rejects_total_stop_and_no_stop_double_root(self):
         with pytest.raises(UnsupportedRegimeError):
             cp.derivatives_at_1(WalkParams(0.4, 1.0, 1))
+        # s = 0 and p = q: the barrier roots coincide at z=1
+        with pytest.raises(UnsupportedRegimeError):
+            cp.derivatives_at_1(WalkParams(0.5, 0.0, 2))
 
     def test_no_stop_ruin_root_slope(self):
         # downward drift: slope of the smaller barrier root is i0*omega**i0/(q-p)
@@ -167,20 +211,14 @@ class TestDerivatives:
 
     def test_matches_finite_differences_on_grid(self):
         for params in grid_params():
-            if params.symmetric:
-                continue
             der = cp.derivatives_at_1(params)
             fd_theta = _richardson_from_below(lambda z: cp.theta(z, params).theta)
             assert der.dtheta == pytest.approx(fd_theta, rel=1e-6)
+            fd_phi1 = _richardson_from_below(
+                lambda z: cp.phi_roots(cp.theta(z, params)).phi1
+            )
+            assert der.dphi1 == pytest.approx(fd_phi1, rel=1e-6)
             fd_phi2 = _richardson_from_below(
                 lambda z: cp.phi_roots(cp.theta(z, params)).phi2
             )
             assert der.dphi2 == pytest.approx(fd_phi2, rel=1e-6)
-            fd_tau1 = _richardson_from_below(
-                lambda z: cp.tau_roots(z, params).tau1
-            )
-            assert der.dtau1 == pytest.approx(fd_tau1, rel=1e-6)
-            fd_tau2 = _richardson_from_below(
-                lambda z: cp.tau_roots(z, params).tau2
-            )
-            assert der.dtau2 == pytest.approx(fd_tau2, rel=1e-6)

@@ -7,7 +7,7 @@ import pytest
 
 from ruinwalk import charpoly as cp
 from ruinwalk import cli, metrics, mgf, oracle, verify
-from ruinwalk.core import Strategy, UnsupportedRegimeError, WalkParams
+from ruinwalk.core import Strategy, WalkParams
 
 from conftest import SQRT3
 
@@ -31,6 +31,27 @@ class TestAnalytic:
         assert report["params"]["q"] == 0.5
         assert set(report["diagnostics"]) == {"tau1", "tau2", "theta", "phi1", "phi2"}
         assert len(report["absorption"]["pk"]) == 64
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("i0", [1, 2, 5])
+    def test_driftless_exact_route_matches_closed_forms(self, s, i0, strategy, capsys):
+        # the driftless walk with 0 < s < 1 still reports the exact solver's
+        # times; the closed forms must agree before that route can go
+        code, out, _ = run_cli(
+            ["analytic", "--p", "0.5", "--s", str(s), "--i0", str(i0),
+             "--strategy", strategy.value, "--kmax", "16"],
+            capsys,
+        )
+        assert code == 0
+        times = json.loads(out)["times"]
+        assert times["source"] == "exact"
+        tp = metrics.time_profile(WalkParams(0.5, s, i0), strategy, kmax=16)
+        pairs = [(times["m_total"], tp.m_total)] + [
+            (got, tp.killed_time(k)) for k, got in enumerate(times["et"])
+        ]
+        assert len(pairs) == 18
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-7 * max(abs(want), 1e-9)
 
     def test_json_round_trips(self, capsys):
         args = ["analytic", "--p", "0.45", "--s", "0.3", "--i0", "2", "--strategy", "C"]
@@ -302,13 +323,13 @@ class TestSweep:
     def unshared_row(params, strategy, kmax):
         """One sweep row's cells from separate calls, nothing shared between them."""
         prof = metrics.absorption_profile(params, strategy, kmax=kmax)
-        try:
-            tp = metrics.time_profile(params, strategy, kmax=max(kmax, 3))
-            m_total, et = tp.m_total, [tp.killed_time(k) for k in range(4)]
-        except UnsupportedRegimeError:  # the driftless walk with 0 < s < 1
+        if params.p == 0.5 and 0.0 < params.s < 1.0:  # the CLI's exact-solver route
             sol = oracle.solve_exact(params, strategy)
             m_total = metrics.mean_time_any_or_inf(params, strategy)
             et = [sol.killed_time(k) for k in range(4)]
+        else:
+            tp = metrics.time_profile(params, strategy, kmax=max(kmax, 3))
+            m_total, et = tp.m_total, [tp.killed_time(k) for k in range(4)]
         roots = cp.tau_roots(1.0, params)
         theta = phi1 = phi2 = None
         if params.s < 1.0:

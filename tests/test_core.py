@@ -7,7 +7,6 @@ from ruinwalk.core import (
     Strategy,
     WalkParams,
     stop_probability,
-    validate,
 )
 
 
@@ -36,23 +35,6 @@ class TestWalkParams:
     def test_rejects_bad_i0(self, i0):
         with pytest.raises(ParameterError):
             WalkParams(0.5, 0.5, i0)
-
-
-class TestValidate:
-    def test_regime_flags(self):
-        inst = validate(WalkParams(0.5, 0.5, 1), Strategy.B)
-        assert inst.symmetric and inst.s_interior
-        assert not inst.s_zero and not inst.s_one
-
-        inst = validate(WalkParams(0.4, 0.0, 2), Strategy.C)
-        assert inst.s_zero and not inst.symmetric and not inst.s_interior
-
-        inst = validate(WalkParams(0.4, 1.0, 2), Strategy.A)
-        assert inst.s_one and not inst.s_interior
-
-    def test_accepts_strategy_by_name(self):
-        inst = validate(WalkParams(0.4, 0.5, 2), "B")
-        assert inst.strategy is Strategy.B
 
 
 class TestLatticeState:

@@ -216,14 +216,19 @@ class TestKilledTimesPerBarrier:
                         sol.et.get(k, 0.0), abs=1e-9
                     )
 
-    def test_symmetric_interior_stop_goes_to_oracle(self):
-        with pytest.raises(UnsupportedRegimeError):
-            metrics.mean_time_at(WalkParams(0.5, 0.5, 1), Strategy.B, 0)
+    def test_driftless_interior_stop_has_closed_forms(self, strategy):
+        params = WalkParams(0.5, 0.5, 1)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        tp = metrics.time_profile(params, strategy, kmax=8)
+        for k in range(0, 4):
+            ref = sol.killed_time(k)
+            assert metrics.mean_time_at(params, strategy, k) == pytest.approx(
+                ref, rel=1e-12, abs=1e-15
+            )
+            assert tp.killed_time(k) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_matches_exact_solver(self, strategy):
         for params in small_grid():
-            if params.symmetric:
-                continue
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
             tp = metrics.time_profile(params, strategy, kmax=32)
             for k in range(0, 6):
@@ -232,8 +237,48 @@ class TestKilledTimesPerBarrier:
 
     def test_decomposition_sums_to_total(self, strategy):
         for params in grid_params():
-            if params.symmetric:
-                continue
             tp = metrics.time_profile(params, strategy, kmax=256)
             gap = abs(sum(tp.et.values()) - tp.m_total)
             assert gap <= tp.tail_bound + 1e-8
+
+
+class TestNearDriftless:
+    """Times at and around p = 1/2 against the exact solver.
+
+    Any division by the root gap tau1 - tau2 would lose accuracy here like
+    eps/|p - 1/2|**2.
+    """
+
+    @pytest.mark.parametrize(
+        "p",
+        [0.5, 0.5 + 1e-4, 0.5 - 1e-4, 0.5 + 1e-6, 0.5 - 1e-6, 0.5 + 1e-8, 0.5 - 1e-8],
+    )
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 1.0])
+    def test_times_match_exact_solver(self, p, s, strategy):
+        for i0 in (1, 2, 3, 5):
+            params = WalkParams(p, s, i0)
+            sol = oracle.solve_exact(params, strategy, tol=1e-11)
+            tp = metrics.time_profile(params, strategy, kmax=16)
+            pairs = [(tp.m_total, sol.m_total)] + [
+                (tp.killed_time(k), sol.killed_time(k)) for k in range(0, 9)
+            ]
+            for got, ref in pairs:
+                assert abs(got - ref) <= 1e-7 * max(abs(ref), 1e-9), (i0, got, ref)
+
+
+class TestLargeStakePrecision:
+    """At s near 1 the killed times subtract log-derivatives about 4000
+    times their difference (p=0.55, i0=50), so the Lucas derivatives must
+    be accurate to rounding, not to n*eps."""
+
+    @pytest.mark.parametrize("p", [0.2, 0.55, 0.8])
+    @pytest.mark.parametrize("i0", [50, 150])
+    def test_times_match_exact_solver_closely(self, p, i0, strategy):
+        params = WalkParams(p, 0.99, i0)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        tp = metrics.time_profile(params, strategy, kmax=16)
+        pairs = [(tp.m_total, sol.m_total)] + [
+            (tp.killed_time(k), sol.killed_time(k)) for k in range(0, 9)
+        ]
+        for got, ref in pairs:
+            assert abs(got - ref) <= 5e-11 * max(abs(ref), 1e-9), (got, ref)

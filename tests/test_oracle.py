@@ -140,17 +140,6 @@ class TestSolveExact:
         assert sol.p0 == pytest.approx(0.25, abs=1e-12)
         assert sol.m_total == pytest.approx(2.0, abs=1e-12)
 
-    def test_doubling_is_stable(self, strategy):
-        for params in small_grid():
-            with pytest.deprecated_call():
-                a = oracle.solve_exact(params, strategy, tol=1e-9, start_k=8)
-            with pytest.deprecated_call():
-                b = oracle.solve_exact(params, strategy, tol=1e-9, start_k=16)
-            assert a.p0 == pytest.approx(b.p0, abs=max(a.error_estimate, 1e-9))
-            assert a.m_total == pytest.approx(
-                b.m_total, abs=max(a.error_estimate * 10, 1e-8)
-            )
-
     def test_stopping_walk_never_reports_an_infinite_time(self):
         # Upward drift with rare stops: every trial is eventually absorbed
         # after a mean time of 6624.92.  Truncation doubling needed more
@@ -162,32 +151,6 @@ class TestSolveExact:
             metrics.mean_time_any(params, Strategy.B), rel=1e-10
         )
         assert sol.escape_mass < 1e-12
-
-    @pytest.mark.parametrize("i0", [1, 2])
-    @pytest.mark.parametrize("start_k", [-1, 0, 1])
-    def test_start_below_two_barriers_is_a_parameter_error(self, start_k, i0, strategy):
-        # one barrier spacing would put the start state on the sink
-        with pytest.raises(ParameterError, match="start_k"):
-            oracle.solve_exact(WalkParams(0.4, 0.5, i0), strategy, start_k=start_k)
-
-    @pytest.mark.parametrize("i0", [1, 2])
-    def test_smallest_start_truncation_solves(self, i0, strategy):
-        params = WalkParams(0.4, 0.5, i0)
-        with pytest.deprecated_call():
-            small = oracle.solve_exact(params, strategy, start_k=2)
-        default = oracle.solve_exact(params, strategy)
-        assert small.p0 == pytest.approx(default.p0, abs=1e-9)
-        assert small.m_total == pytest.approx(default.m_total, rel=1e-8)
-
-    def test_max_below_start_is_a_parameter_error(self, strategy):
-        with pytest.raises(ParameterError, match="max_k"):
-            oracle.solve_exact(WalkParams(0.4, 0.5, 2), strategy, start_k=16, max_k=8)
-
-    def test_truncation_bounds_are_ignored(self, strategy):
-        params = WalkParams(0.45, 0.2, 3)
-        with pytest.deprecated_call():
-            bounded = oracle.solve_exact(params, strategy, start_k=2, max_k=2)
-        assert bounded == oracle.solve_exact(params, strategy)
 
     def test_escape_mass_negligible_with_interior_stop(self, strategy):
         for params in small_grid():
