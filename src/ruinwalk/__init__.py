@@ -19,7 +19,8 @@ from .charpoly import (
     tau_roots,
     theta,
 )
-from .mgf import mgf_a, mgf_b, mgf_b_s1, mgf_c, mgf_interior, mgf_value
+from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_b_s1, mgf_c
+from .mgf import mgf_interior, mgf_value
 from .metrics import (
     AbsorptionProfile,
     TimeProfile,
@@ -37,6 +38,7 @@ __all__ = [
     "AbsorptionNotCertainError",
     "AbsorptionProfile",
     "CharData",
+    "Characteristic",
     "DerivativeBundle",
     "ExactSolution",
     "LatticeState",
@@ -50,6 +52,7 @@ __all__ = [
     "WalkParams",
     "absorption_profile",
     "bc_ratio",
+    "characteristic",
     "derivatives_at_1",
     "mean_time_any",
     "mean_time_at",

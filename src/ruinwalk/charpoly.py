@@ -124,7 +124,7 @@ def power_divided_difference(roots: RootPair, n: int) -> float:
     return acc
 
 
-def theta(z: float, params: WalkParams) -> CharData:
+def theta(z: float, params: WalkParams, lucas: tuple[float, float] | None = None) -> CharData:
     """Coupling constant of the three-term recurrence linking barrier values.
 
     Computed as ``(D_i0/(1-s) - 2*p*z*D_{i0-1}) / (q*z)`` with ``D_n`` the
@@ -132,15 +132,19 @@ def theta(z: float, params: WalkParams) -> CharData:
     term is essential: without it the symmetric-walk value at z=1 would not
     reduce to ``2*(i0/(1-s) + 1 - i0)`` and the barrier recurrence would
     not reproduce the independently solved chain (see FORMULA_ERRATA.md).
+    ``lucas`` is ``(D_i0, D_{i0-1})`` at ``z`` when the caller has already
+    solved the step roots; otherwise they are solved here.
     """
     s = params.s
     if s >= 1.0:
         raise UnsupportedRegimeError(
             "theta is undefined at s=1; the s=1 branches bypass it"
         )
-    roots = tau_roots(z, params)
-    d_i0 = power_divided_difference(roots, params.i0)
-    d_prev = power_divided_difference(roots, params.i0 - 1)
+    if lucas is None:
+        roots = tau_roots(z, params)
+        lucas = (power_divided_difference(roots, params.i0),
+                 power_divided_difference(roots, params.i0 - 1))
+    d_i0, d_prev = lucas
     value = (d_i0 / (1.0 - s) - 2.0 * params.p * z * d_prev) / (params.q * z)
     return CharData(theta=value, omega_pow=params.omega_pow, z=z, s=s, i0=params.i0)
 
@@ -202,11 +206,16 @@ def lucas_terms(z: float, params: WalkParams, n: int) -> LucasTerms:
     if n < 1:
         raise ParameterError(f"Lucas index must be >= 1, got {n}")
     roots = tau_roots(z, params)
-    de1 = -1.0 / (params.q * z * z)
-    u = power_divided_difference(roots, n)
+    u, u_prev = power_divided_difference(roots, n), power_divided_difference(roots, n - 1)
+    return _lucas_from(roots, params, n, u, u_prev)
+
+
+def _lucas_from(roots: RootPair, params: WalkParams, n: int, u: float, u_prev: float) -> LucasTerms:
+    """:func:`lucas_terms` from step roots already solved, with ``U_n``, ``U_{n-1}``."""
+    de1 = -1.0 / (params.q * roots.z * roots.z)
     return LucasTerms(
         u=u,
-        u_prev=power_divided_difference(roots, n - 1),
+        u_prev=u_prev,
         v=roots.tau1 ** n + roots.tau2 ** n,
         du=de1 * _divided_difference_slope(roots, n),
         du_prev=de1 * _divided_difference_slope(roots, n - 1),
@@ -214,25 +223,26 @@ def lucas_terms(z: float, params: WalkParams, n: int) -> LucasTerms:
     )
 
 
-def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
+def derivatives_at_1(params: WalkParams, char=None) -> DerivativeBundle:
     """z-derivatives of theta and phi_i at z=1, for s < 1.
 
     With ``theta = (U_i0/(1-s) - 2*p*z*U_{i0-1}) / (q*z)`` the quotient rule
     at z=1 gives ``dtheta = (dU_i0/(1-s) - 2*p*(U_{i0-1} + dU_{i0-1}))/q
     - theta``, with the Lucas terms of :func:`lucas_terms`; phi's
     derivatives follow by implicit differentiation of the barrier
-    quadratic.  The whole bundle is validated against
+    quadratic.  ``char`` is the :class:`~ruinwalk.mgf.Characteristic` at z=1,
+    built when not given.  The whole bundle is validated against
     Richardson-extrapolated finite differences in the test suite.
     """
     if params.s >= 1.0:
         raise UnsupportedRegimeError("derivatives at z=1 are defined for s < 1")
-    p, q, s, i0 = params.p, params.q, params.s, params.i0
-    lt = lucas_terms(1.0, params, i0)
-    theta1 = (lt.u / (1.0 - s) - 2.0 * p * lt.u_prev) / q
-    dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - theta1
+    from .mgf import Characteristic  # mgf builds on this module
 
-    phi = phi_roots(CharData(theta=theta1, omega_pow=params.omega_pow,
-                             z=1.0, s=s, i0=i0))
+    char = Characteristic.reuse(params, 1.0, char)
+    p, q, s, i0 = params.p, params.q, params.s, params.i0
+    lt = _lucas_from(char.roots, params, i0, char.u_i0, char.u_prev)
+    dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - char.coupling.theta
+    phi = char.phi
     gap = phi.phi1 - phi.phi2
     if gap == 0.0:
         raise UnsupportedRegimeError(

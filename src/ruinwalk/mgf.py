@@ -16,7 +16,10 @@ cross-checked against the step-by-step propagation oracle in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .charpoly import (
+    CharData,
     PhiPair,
     RootPair,
     phi_roots,
@@ -35,32 +38,56 @@ def _require_interior_s(params: WalkParams) -> None:
         )
 
 
-# step roots, barrier roots and D_i0: everything a barrier value needs
-_Context = tuple[RootPair, PhiPair, float]
+@dataclass(frozen=True)
+class Characteristic:
+    """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta and phi at one z.
+
+    Built by :func:`characteristic`; every function taking a ``char`` reuses it.
+    """
+
+    params: WalkParams
+    z: float
+    roots: RootPair
+    u_i0: float
+    u_prev: float
+    coupling: CharData
+    phi: PhiPair
+
+    @staticmethod
+    def reuse(params: WalkParams, z: float, char: Characteristic | None) -> Characteristic:
+        """``char`` if it was built for ``(params, z)``, a new build if it is None;
+        one built for other params or another z raises :class:`ParameterError`."""
+        if char is None:
+            return characteristic(params, z)
+        if char.z != z or char.params != params:
+            raise ParameterError(f"char is for {char.params} at z={char.z}, not {params} at z={z}")
+        return char
 
 
-def _char_context(params: WalkParams, z: float) -> _Context:
+def characteristic(params: WalkParams, z: float) -> Characteristic:
+    """The characteristic of ``params`` at ``z``, for s < 1: one solve of the roots."""
     roots = tau_roots(z, params)
-    phi = phi_roots(theta(z, params))
-    return roots, phi, power_divided_difference(roots, params.i0)
+    u_i0 = power_divided_difference(roots, params.i0)
+    u_prev = power_divided_difference(roots, params.i0 - 1)
+    coupling = theta(z, params, (u_i0, u_prev))
+    return Characteristic(params, z, roots, u_i0, u_prev, coupling, phi_roots(coupling))
 
 
-def _a_values(params: WalkParams, z: float, context: _Context, ks: range) -> list[float]:
-    _, phi, d_i0 = context
-    phi2 = phi.phi2
-    base = d_i0 / (params.q * (1.0 - params.s) * z * params.omega_pow)
+def _a_values(params: WalkParams, z: float, char: Characteristic, ks: range) -> list[float]:
+    phi2 = char.phi.phi2
+    base = char.u_i0 / (params.q * (1.0 - params.s) * z * params.omega_pow)
     return [phi2 / params.omega_pow if k == 0 else base * phi2 ** k for k in ks]
 
 
-def _b_values(params: WalkParams, z: float, context: _Context, ks: range) -> list[float]:
+def _b_values(params: WalkParams, z: float, char: Characteristic, ks: range) -> list[float]:
     one_ms = 1.0 - params.s
-    a_values = _a_values(params, z, context, ks)
+    a_values = _a_values(params, z, char, ks)
     return [(ua - (1.0 if k == 1 else 0.0)) / one_ms for k, ua in zip(ks, a_values)]
 
 
-def _c_values(params: WalkParams, z: float, context: _Context, ks: range) -> list[float]:
-    roots, phi, d_i0 = context
-    i0, phi2 = params.i0, phi.phi2
+def _c_values(params: WalkParams, z: float, char: Characteristic, ks: range) -> list[float]:
+    roots, d_i0 = char.roots, char.u_i0
+    i0, phi2 = params.i0, char.phi.phi2
     denom = roots.tau1 ** i0 + roots.tau2 ** i0 - phi2
     denom_far = params.q * (1.0 - params.s) * z * denom
     out = []
@@ -74,7 +101,7 @@ def _c_values(params: WalkParams, z: float, context: _Context, ks: range) -> lis
     return out
 
 
-def _barrier_values(values, params: WalkParams, z: float, k: int | range):
+def _barrier_values(values, params: WalkParams, z: float, k: int | range, char):
     """``values`` at every barrier index in ``k`` from one solve of the roots.
 
     An int ``k`` gives a float, a range gives a list.
@@ -86,36 +113,40 @@ def _barrier_values(values, params: WalkParams, z: float, k: int | range):
     lowest = min(ks[0], ks[-1])
     if lowest < 0:
         raise ParameterError(f"barrier index must be >= 0, got {lowest}")
-    out = values(params, z, _char_context(params, z), ks)
+    out = values(params, z, Characteristic.reuse(params, z, char), ks)
     return out if isinstance(k, range) else out[0]
 
 
-def mgf_a(params: WalkParams, z: float, k: int | range) -> float | list[float]:
+def mgf_a(params: WalkParams, z: float, k: int | range,
+          char: Characteristic | None = None) -> float | list[float]:
     """Strategy-A generating function on the barrier state k*i0 (k >= 0).
 
     ``k`` may be a ``range`` of barrier indices, which returns the list of
     values from one solve of the roots: for k >= 1 they are geometric,
-    ``base * phi2**k``.
+    ``base * phi2**k``.  ``char``, the :class:`Characteristic` at ``z``, is
+    built here when not given; so it is in every function below.
     """
-    return _barrier_values(_a_values, params, z, k)
+    return _barrier_values(_a_values, params, z, k, char)
 
 
-def mgf_b(params: WalkParams, z: float, k: int | range) -> float | list[float]:
+def mgf_b(params: WalkParams, z: float, k: int | range,
+          char: Characteristic | None = None) -> float | list[float]:
     """Strategy-B generating function on k*i0: A's value rescaled by 1/(1-s).
 
     The start state additionally sheds its m=0 self-term, so
     ``value_B = (value_A - delta(k,1)) / (1-s)``.  ``k`` may be a ``range``,
     as for :func:`mgf_a`.
     """
-    return _barrier_values(_b_values, params, z, k)
+    return _barrier_values(_b_values, params, z, k, char)
 
 
-def mgf_c(params: WalkParams, z: float, k: int | range) -> float | list[float]:
+def mgf_c(params: WalkParams, z: float, k: int | range,
+          char: Characteristic | None = None) -> float | list[float]:
     """Strategy-C generating function on the barrier state k*i0 (k >= 0).
 
     ``k`` may be a ``range``, as for :func:`mgf_a`.
     """
-    return _barrier_values(_c_values, params, z, k)
+    return _barrier_values(_c_values, params, z, k, char)
 
 
 def _barrier_fn(strategy: Strategy):
@@ -124,7 +155,8 @@ def _barrier_fn(strategy: Strategy):
     ]
 
 
-def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
+def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int,
+                 char: Characteristic | None = None) -> float:
     """Generating function on a state strictly between barriers.
 
     With ``position = k*i0 + n`` (0 < n < i0), the value is a convex-like
@@ -147,15 +179,15 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
             f"position {position} is a barrier-lattice state; use the barrier forms"
         )
     strategy = Strategy(strategy)
-    context = _char_context(params, z)
-    roots, _, d_i0 = context
+    char = Characteristic.reuse(params, z, char)
+    roots, d_i0 = char.roots, char.u_i0
     d_n = power_divided_difference(roots, n)
     d_co = power_divided_difference(roots, i0 - n)
     one_ms = 1.0 - params.s
     omega_n = params.omega ** n
 
     if strategy in (Strategy.A, Strategy.B):
-        u_here, u_next = _a_values(params, z, context, range(k, k + 2))
+        u_here, u_next = _a_values(params, z, char, range(k, k + 2))
         if k == 0:
             value = one_ms * u_next * d_n / d_i0
         else:
@@ -164,7 +196,7 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
             value /= one_ms
         return value
 
-    w_here, w_next = _c_values(params, z, context, range(k, k + 2))
+    w_here, w_next = _c_values(params, z, char, range(k, k + 2))
     if k == 0:
         # the segment [0, i0] has normal states on both sides for C
         return w_next * d_n / d_i0
@@ -174,14 +206,15 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
     return one_ms * (w_here * omega_n * d_co + w_next * d_n) / d_i0
 
 
-def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
+def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int,
+              char: Characteristic | None = None) -> float:
     """Generating function at an arbitrary state, dispatching barrier/interior."""
     if position < 0:
         raise ParameterError(f"position must be >= 0, got {position}")
     k, n = divmod(position, params.i0)
     if n == 0:
-        return _barrier_fn(strategy)(params, z, k)
-    return mgf_interior(params, strategy, z, position)
+        return _barrier_fn(strategy)(params, z, k, char)
+    return mgf_interior(params, strategy, z, position, char)
 
 
 def mgf_b_s1(params: WalkParams, z: float, segment: int, n: int) -> float:

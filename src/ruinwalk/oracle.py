@@ -283,8 +283,8 @@ def solve_exact(
     mean time, reported without iterating.  ``tol`` sets how far ``pk``/``et``
     reach.
     """
-    if tol <= 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     strategy = Strategy(strategy)
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     k_cut = strategy.first_barrier_multiple + 1

@@ -112,9 +112,10 @@ def check_b_from_a_relation() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.3, 0.7, 1.0):
+            char = mgf.characteristic(params, z)
             for k in range(0, 5):
-                ua = mgf.mgf_a(params, z, k)
-                vb = mgf.mgf_b(params, z, k)
+                ua = mgf.mgf_a(params, z, k, char)
+                vb = mgf.mgf_b(params, z, k, char)
                 delta = 1.0 if k == 1 else 0.0
                 lhs = ua
                 rhs = delta + (1.0 - params.s) * vb
@@ -126,13 +127,13 @@ def check_barrier_recurrence() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.4, 0.9, 1.0):
-            char = cp.theta(z, params)
-            vals = {k: mgf.mgf_a(params, z, k) for k in range(1, 8)}
+            char = mgf.characteristic(params, z)
+            vals = dict(zip(range(1, 8), mgf.mgf_a(params, z, range(1, 8), char)))
             scale = max(vals[1], 1e-300)
             for k in range(2, 7):
                 res = (
                     vals[k + 1]
-                    - char.theta * vals[k]
+                    - char.coupling.theta * vals[k]
                     + params.omega_pow * vals[k - 1]
                 )
                 worst = max(worst, abs(res) / scale)
@@ -143,13 +144,11 @@ def check_c_seed_relations() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.4, 0.9, 1.0):
-            roots = cp.tau_roots(z, params)
-            phi = cp.phi_roots(cp.theta(z, params))
-            w1 = mgf.mgf_c(params, z, 1)
-            w2 = mgf.mgf_c(params, z, 2)
+            char = mgf.characteristic(params, z)
+            roots, phi, d_i0 = char.roots, char.phi, char.u_i0
+            w1, w2 = mgf.mgf_c(params, z, range(1, 3), char)
             i0 = params.i0
             s_i0 = roots.tau1 ** i0 + roots.tau2 ** i0
-            d_i0 = cp.power_divided_difference(roots, i0)
             seed = params.q * z * (s_i0 * w1 - (1.0 - params.s) * w2) - d_i0
             worst = max(worst, abs(seed) / max(d_i0, 1e-300))
             link = params.omega_pow * w1 - (1.0 - params.s) * phi.phi1 * w2
@@ -164,11 +163,12 @@ def check_mgf_monotonicity() -> CheckResult:
         positions = [0, params.i0, 2 * params.i0]
         if params.i0 >= 2:
             positions.append(params.i0 + 1)
+        chars = [mgf.characteristic(params, z) for z in zs]
         for strategy in Strategy:
             for pos in positions:
                 prev = -math.inf
-                for z in zs:
-                    val = mgf.mgf_value(params, strategy, z, pos)
+                for z, char in zip(zs, chars):
+                    val = mgf.mgf_value(params, strategy, z, pos, char)
                     worst = max(worst, prev - val)
                     prev = val
     return _result("generating functions nondecreasing in z", worst, 1e-12)
@@ -178,12 +178,13 @@ def check_barrier_geometry() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.5, 1.0):
-            phi2 = cp.phi_roots(cp.theta(z, params)).phi2
+            char = mgf.characteristic(params, z)
+            phi2 = char.phi.phi2
             for k in (1, 2, 3):
-                ua, ua1 = mgf.mgf_a(params, z, k), mgf.mgf_a(params, z, k + 1)
+                ua, ua1 = mgf.mgf_a(params, z, k, char), mgf.mgf_a(params, z, k + 1, char)
                 worst = max(worst, abs(ua1 / ua - phi2) / phi2)
             for k in (2, 3):
-                wc, wc1 = mgf.mgf_c(params, z, k), mgf.mgf_c(params, z, k + 1)
+                wc, wc1 = mgf.mgf_c(params, z, k, char), mgf.mgf_c(params, z, k + 1, char)
                 worst = max(worst, abs(wc1 / wc - phi2) / phi2)
     return _result("geometric decay of barrier values", worst, 1e-12)
 
@@ -232,10 +233,10 @@ def check_bc_ratio() -> CheckResult:
 def check_time_decomposition() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
-        phi2 = cp.phi_roots(cp.theta(1.0, params)).phi2
-        kmax = max(64, int(math.log(1e-12) / math.log(phi2)) + 8)
+        char = mgf.characteristic(params, 1.0)
+        kmax = max(64, int(math.log(1e-12) / math.log(char.phi.phi2)) + 8)
         for strategy in Strategy:
-            tp = metrics.time_profile(params, strategy, kmax=kmax)
+            tp = metrics.time_profile(params, strategy, kmax=kmax, char=char)
             gap = abs(sum(tp.et.values()) - tp.m_total)
             worst = max(worst, max(gap - tp.tail_bound, 0.0))
     return _result("killed times sum to the total mean", worst, 1e-8)
@@ -301,11 +302,9 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
 
     # 1. theta coupling: the 1/(1-s) scaling on the tau-power gap is required.
     params = WalkParams(0.4, 0.5, 2)
-    roots = cp.tau_roots(1.0, params)
-    d_i0 = cp.power_divided_difference(roots, params.i0)
-    d_prev = cp.power_divided_difference(roots, params.i0 - 1)
-    rejected = (d_i0 - 2.0 * params.p * d_prev) / params.q
-    implemented = cp.theta(1.0, params).theta
+    char = mgf.characteristic(params, 1.0)
+    rejected = (char.u_i0 - 2.0 * params.p * char.u_prev) / params.q
+    implemented = char.coupling.theta
     sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
     prof = metrics.absorption_profile(params, Strategy.B, kmax=64)
     ok = (

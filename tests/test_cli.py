@@ -85,6 +85,14 @@ class TestAnalytic:
         assert err.count("\n") == 1
         assert "overflow" in json.loads(err)["error"]
 
+    def test_non_finite_mean_time_exits_2_with_json_error(self, capsys):
+        code, out, err = run_cli(
+            ["analytic", "--p", "0.4", "--s", "1e-320", "--i0", "2", "--strategy", "A"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "not finite" in json.loads(err)["error"]
+
     def test_conditional_times_flag(self, capsys):
         code, out, _ = run_cli(
             ["analytic", "--p", "0.4", "--s", "0.5", "--i0", "1", "--strategy", "B",
@@ -168,6 +176,15 @@ class TestExact:
         assert code == 1
         assert out == ""
         assert "did not converge" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tolerance_exits_2_with_json_error(self, tol, capsys):
+        code, out, err = run_cli(
+            ["exact", "--p", "0.4", "--s", "0.5", "--i0", "2", "--strategy", "A", "--tol", tol],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "tol must be finite and > 0" in json.loads(err)["error"]
 
     def test_answers_a_rarely_stopping_walk(self, capsys):
         # truncation doubling exited 1 here
@@ -388,9 +405,8 @@ class TestSweep:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 8 * 3
-        # per strategy: 2 for the absorption profile, 2 for the time profile;
-        # 2 more per instance for the diagnostics and the B/C ratio
-        assert calls[0] <= 14 * 8
+        # one characteristic per instance serves its columns and all three strategies
+        assert calls[0] <= 1 * 8
 
     def test_kmax_error_precedes_the_first_row(self, capsys):
         code, out, err = run_cli(

@@ -100,7 +100,11 @@ class TestOneSolvePerProfile:
             return calls[0]
 
         for profile in (metrics.absorption_profile, metrics.time_profile):
-            assert count(profile, 256) == count(profile, 8) > 0, profile.__name__
+            assert count(profile, 256) == count(profile, 8) == 1, profile.__name__
+            char = mgf.characteristic(params, 1.0)
+            calls[0] = 0
+            profile(params, strategy, kmax=256, char=char)
+            assert calls[0] == 0, profile.__name__
 
 
 class TestBCRatio:
@@ -174,6 +178,17 @@ class TestMeanTimeAny:
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
             m = metrics.mean_time_any(params, strategy)
             assert m == pytest.approx(sol.m_total, rel=1e-7)
+
+
+class TestNonFiniteMeans:
+    @pytest.mark.parametrize("s", [1e-320, 5e-324])
+    def test_vanishing_stop_raises_instead_of_nan(self, s, strategy):
+        # (1-s)/s overflows to inf while 1 - 1/phi1 rounds to 0
+        params = WalkParams(0.4, s, 2)
+        with pytest.raises(UnsupportedRegimeError, match="not finite"):
+            metrics.mean_time_any(params, strategy)
+        with pytest.raises(UnsupportedRegimeError, match="not finite"):
+            metrics.time_profile(params, strategy)
 
 
 class TestKilledTimesPerBarrier:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
-from ruinwalk import mgf, oracle
+from ruinwalk import cli, metrics, mgf, oracle
 from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
 
 from conftest import SQRT3, grid_params, small_grid
@@ -243,3 +243,92 @@ class TestAgainstPropagationOracle:
                         val = mgf.mgf_value(params, strat, 0.1 * j, pos)
                         assert val >= prev - 1e-12
                         prev = val
+
+
+def _z_functions(params, z):
+    """Every closed form taking a characteristic at ``z``, as ``char -> value``."""
+    out = {}
+    for name, fn in (("a", mgf.mgf_a), ("b", mgf.mgf_b), ("c", mgf.mgf_c)):
+        out[f"mgf_{name} k=2"] = lambda char, fn=fn: fn(params, z, 2, char)
+        out[f"mgf_{name} range"] = lambda char, fn=fn: fn(params, z, range(0, 5), char)
+    for strat in Strategy:
+        for pos in range(0, 2 * params.i0 + 2):
+            out[f"mgf_value {strat.value} {pos}"] = (
+                lambda char, strat=strat, pos=pos: mgf.mgf_value(params, strat, z, pos, char)
+            )
+        if params.i0 >= 2:
+            out[f"mgf_interior {strat.value}"] = (
+                lambda char, strat=strat: mgf.mgf_interior(params, strat, z, params.i0 + 1, char)
+            )
+    return out
+
+
+def _unit_z_functions(params):
+    """Every closed form taking a characteristic at z = 1, as ``char -> value``."""
+    out = {
+        "bc_ratio": lambda char: metrics.bc_ratio(params, char),
+        "derivatives_at_1": lambda char: cp.derivatives_at_1(params, char),
+        "cli diagnostics": lambda char: cli._diagnostics(params, char),
+    }
+    for strat in Strategy:
+        out[f"absorption_profile {strat.value}"] = (
+            lambda char, strat=strat: metrics.absorption_profile(params, strat, 8, char)
+        )
+        out[f"time_profile {strat.value}"] = (
+            lambda char, strat=strat: metrics.time_profile(params, strat, 8, char)
+        )
+    return out
+
+
+class TestSharedCharacteristic:
+    """A handed-in characteristic changes no result, and a wrong one is refused."""
+
+    @given(
+        p=st.floats(min_value=0.05, max_value=0.95),
+        s=st.floats(min_value=1e-3, max_value=0.999),
+        i0=st.integers(min_value=1, max_value=6),
+        z=st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_results_equal_with_and_without_a_handed_in_char(self, p, s, i0, z):
+        params = WalkParams(p, s, i0)
+        for functions, at in ((_z_functions(params, z), z), (_unit_z_functions(params), 1.0)):
+            char = mgf.characteristic(params, at)
+            for name, fn in functions.items():
+                assert fn(char) == fn(None), name
+
+    def test_fields_are_the_separately_solved_roots(self):
+        params = WalkParams(0.4, 0.3, 3)
+        char = mgf.characteristic(params, 0.7)
+        roots = cp.tau_roots(0.7, params)
+        assert (char.params, char.z, char.roots) == (params, 0.7, roots)
+        assert char.u_i0 == cp.power_divided_difference(roots, 3)
+        assert char.u_prev == cp.power_divided_difference(roots, 2)
+        assert char.coupling == cp.theta(0.7, params)
+        assert char.phi == cp.phi_roots(cp.theta(0.7, params))
+
+    @pytest.mark.parametrize(
+        "other", [WalkParams(0.45, 0.3, 3), WalkParams(0.4, 0.31, 3), WalkParams(0.4, 0.3, 2)]
+    )
+    def test_a_char_for_other_params_is_refused(self, other):
+        params = WalkParams(0.4, 0.3, 3)
+        for at, functions in ((0.7, _z_functions(params, 0.7)), (1.0, _unit_z_functions(params))):
+            wrong = mgf.characteristic(other, at)
+            for name, fn in functions.items():
+                with pytest.raises(ParameterError):
+                    fn(wrong)
+                    pytest.fail(name)
+
+    def test_a_char_for_another_z_is_refused(self):
+        params = WalkParams(0.4, 0.3, 3)
+        for at, functions in ((0.7, _z_functions(params, 0.7)), (1.0, _unit_z_functions(params))):
+            wrong = mgf.characteristic(params, 0.5)
+            for name, fn in functions.items():
+                with pytest.raises(ParameterError):
+                    fn(wrong)
+                    pytest.fail(name)
+
+    def test_is_frozen(self):
+        char = mgf.characteristic(WalkParams(0.4, 0.3, 3), 1.0)
+        with pytest.raises(AttributeError):
+            char.z = 0.5

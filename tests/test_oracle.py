@@ -140,6 +140,11 @@ class TestSolveExact:
         assert sol.p0 == pytest.approx(0.25, abs=1e-12)
         assert sol.m_total == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ParameterError, match="tol must be finite and > 0"):
+            oracle.solve_exact(WalkParams(0.4, 0.5, 2), Strategy.A, tol=tol)
+
     def test_stopping_walk_never_reports_an_infinite_time(self):
         # Upward drift with rare stops: every trial is eventually absorbed
         # after a mean time of 6624.92.  Truncation doubling needed more
