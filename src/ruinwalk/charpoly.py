@@ -223,22 +223,22 @@ def _lucas_from(roots: RootPair, params: WalkParams, n: int, u: float, u_prev: f
     )
 
 
-def derivatives_at_1(params: WalkParams, char=None) -> DerivativeBundle:
+def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     """z-derivatives of theta and phi_i at z=1, for s < 1.
 
     With ``theta = (U_i0/(1-s) - 2*p*z*U_{i0-1}) / (q*z)`` the quotient rule
     at z=1 gives ``dtheta = (dU_i0/(1-s) - 2*p*(U_{i0-1} + dU_{i0-1}))/q
     - theta``, with the Lucas terms of :func:`lucas_terms`; phi's
     derivatives follow by implicit differentiation of the barrier
-    quadratic.  ``char`` is the :class:`~ruinwalk.mgf.Characteristic` at z=1,
-    built when not given.  The whole bundle is validated against
-    Richardson-extrapolated finite differences in the test suite.
+    quadratic; the roots come from :func:`ruinwalk.mgf.characteristic` at
+    z=1.  The whole bundle is validated against Richardson-extrapolated
+    finite differences in the test suite.
     """
     if params.s >= 1.0:
         raise UnsupportedRegimeError("derivatives at z=1 are defined for s < 1")
-    from .mgf import Characteristic  # mgf builds on this module
+    from .mgf import characteristic  # mgf builds on this module
 
-    char = Characteristic.reuse(params, 1.0, char)
+    char = characteristic(params, 1.0)
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     lt = _lucas_from(char.roots, params, i0, char.u_i0, char.u_prev)
     dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - char.coupling.theta

@@ -59,12 +59,12 @@ def _params_from(args) -> WalkParams:
     return WalkParams(p=args.p, s=args.s, i0=args.i0)
 
 
-def _diagnostics(params: WalkParams, char: mgf.Characteristic | None = None) -> dict:
-    """Roots at z=1; ``char`` is the instance's characteristic there, if built."""
+def _diagnostics(params: WalkParams) -> dict:
+    """Roots at z=1."""
     if params.s >= 1.0:  # theta and phi are undefined
         roots = cp.tau_roots(1.0, params)
         return {"tau1": roots.tau1, "tau2": roots.tau2, "theta": None, "phi1": None, "phi2": None}
-    char = mgf.Characteristic.reuse(params, 1.0, char)
+    char = mgf.characteristic(params, 1.0)
     return {
         "tau1": char.roots.tau1,
         "tau2": char.roots.tau2,
@@ -74,16 +74,12 @@ def _diagnostics(params: WalkParams, char: mgf.Characteristic | None = None) -> 
     }
 
 
-def _barrier_values(params: WalkParams, strategy: Strategy, z: float, kmax: int):
-    """The characteristic at ``z`` (None outside 0 < s < 1, where mgf_value raises
-    before any solve) and the generating function on barriers 0..kmax."""
-    ks = range(kmax + 1)
-    char = mgf.characteristic(params, z) if ks and 0.0 < params.s < 1.0 else None
-    return char, [mgf.mgf_value(params, strategy, z, k * params.i0, char) for k in ks]
+def _barrier_values(params: WalkParams, strategy: Strategy, z: float, kmax: int) -> list:
+    """The generating function on barriers 0..kmax."""
+    return [mgf.mgf_value(params, strategy, z, k * params.i0) for k in range(kmax + 1)]
 
 
-def _times_block(params: WalkParams, strategy: Strategy, kmax: int, tol: float,
-                 char: mgf.Characteristic | None = None) -> dict:
+def _times_block(params: WalkParams, strategy: Strategy, kmax: int, tol: float) -> dict:
     """Killed-time profile, from the closed forms or, for the exactly
     driftless walk with 0 < s < 1, from the exact solver."""
     # The closed forms answer p = 1/2 too (the tests hold the two routes to
@@ -94,9 +90,9 @@ def _times_block(params: WalkParams, strategy: Strategy, kmax: int, tol: float,
     if params.symmetric and 0.0 < params.s < 1.0:
         sol = oracle.solve_exact(params, strategy, tol=tol)
         et = [sol.killed_time(k) for k in range(0, kmax + 1)]
-        m = metrics.mean_time_any_or_inf(params, strategy)
+        m = metrics.mean_time_any(params, strategy)
         return {"m_total": m, "et": et, "source": "exact"}
-    tp = metrics.time_profile(params, strategy, kmax=max(kmax, 2), char=char)
+    tp = metrics.time_profile(params, strategy, kmax=max(kmax, 2))
     et = [tp.killed_time(k) for k in range(0, kmax + 1)]
     return {"m_total": tp.m_total, "et": et, "source": "analytic"}
 
@@ -121,7 +117,7 @@ def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
         "diagnostics": _diagnostics(params),
     }
     if args.z is not None:
-        _, values = _barrier_values(params, strategy, args.z, args.kmax)
+        values = _barrier_values(params, strategy, args.z, args.kmax)
         report["mgf"] = {"z": args.z, "barrier_values": values}
     if args.conditional:
         et = report["times"]["et"]
@@ -269,16 +265,15 @@ def cmd_exact(args) -> int:
 def cmd_mgf(args) -> int:
     params = _params_from(args)
     strategy = Strategy(args.strategy)
-    char, values = _barrier_values(params, strategy, args.z, args.kmax)
     report = {
         "params": {"p": params.p, "s": params.s, "i0": params.i0},
         "strategy": args.strategy,
         "z": args.z,
-        "barrier_values": values,
+        "barrier_values": _barrier_values(params, strategy, args.z, args.kmax),
     }
     if args.state is not None:
         report["state"] = args.state
-        report["state_value"] = mgf.mgf_value(params, strategy, args.z, args.state, char)
+        report["state_value"] = mgf.mgf_value(params, strategy, args.z, args.state)
     if args.check_dp:
         if not 0.0 < args.z < 1.0:
             raise ParameterError("--check-dp needs 0 < z < 1")
@@ -286,9 +281,7 @@ def cmd_mgf(args) -> int:
         dp = oracle.mgf_dp(params, strategy, args.z, sample, tol=args.tol)
         report["dp_state"] = sample
         report["dp_value"] = dp
-        report["dp_gap"] = abs(
-            dp - mgf.mgf_value(params, strategy, args.z, sample, char)
-        )
+        report["dp_gap"] = abs(dp - mgf.mgf_value(params, strategy, args.z, sample))
     _emit(report, args)
     return 0
 
@@ -333,12 +326,11 @@ def _parse_range(text: str, integer: bool = False) -> list:
         raise ParameterError(f"malformed range {text!r}; use start:stop:step")
 
 
-def _sweep_row(params: WalkParams, strategy: Strategy, args, instance: dict,
-               char: mgf.Characteristic | None) -> dict:
+def _sweep_row(params: WalkParams, strategy: Strategy, args, instance: dict) -> dict:
     """One sweep row; ``instance`` holds the columns that do not depend on the strategy."""
-    prof = metrics.absorption_profile(params, strategy, kmax=args.kmax, char=char)
+    prof = metrics.absorption_profile(params, strategy, kmax=args.kmax)
     # the row prints et0..et3, and each et_k is the same whatever the profile's length
-    times = _times_block(params, strategy, 3, args.tol, char)
+    times = _times_block(params, strategy, 3, args.tol)
     return {
         "p": params.p,
         "s": params.s,
@@ -375,12 +367,12 @@ def cmd_sweep(args) -> int:
                 params = WalkParams(p=p, s=s, i0=i0)
                 if args.kmax < 1:  # absorption_profile's check, still ahead of every other error
                     raise ParameterError(f"kmax must be >= 1, got {args.kmax}")
-                # one solve of the roots at z=1 serves every column of the instance
-                char = mgf.characteristic(params, 1.0) if s < 1.0 else None
-                ratio = metrics.bc_ratio(params, char) if 0.0 < s < 1.0 else None
-                instance = {"bc_ratio": ratio, **_diagnostics(params, char)}
+                # params keeps its z=1 characteristic, so every column of the
+                # instance shares one solve of the roots
+                ratio = metrics.bc_ratio(params) if 0.0 < s < 1.0 else None
+                instance = {"bc_ratio": ratio, **_diagnostics(params)}
                 for strategy in strategies:
-                    row = _sweep_row(params, strategy, args, instance, char)
+                    row = _sweep_row(params, strategy, args, instance)
                     lines.append(
                         ",".join(_float_cell(row[c]) for c in _SWEEP_COLUMNS)
                     )

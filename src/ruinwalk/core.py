@@ -22,7 +22,7 @@ as barriers, and from when:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -48,11 +48,6 @@ class Strategy(str, Enum):
         """Smallest k such that k*i0 is a barrier."""
         return 2 if self is Strategy.C else 1
 
-    @property
-    def start_is_delayed(self) -> bool:
-        """True if the barrier at i0 is inactive at t=0."""
-        return self is Strategy.B
-
 
 @dataclass(frozen=True)
 class WalkParams:
@@ -61,11 +56,15 @@ class WalkParams:
     Derived quantities: ``q = 1 - p`` and the drift ratio ``omega = p/q``.
     The driftless walk is detected exactly by ``p == 0.5``; the closed forms
     branch on it only at s=0, where its mean absorption time is infinite.
+    ``_memo`` holds the characteristic at the last z asked of
+    :func:`ruinwalk.mgf.characteristic`; it takes no part in equality,
+    hashing or repr.
     """
 
     p: float
     s: float
     i0: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.i0, int) or isinstance(self.i0, bool):

@@ -67,16 +67,13 @@ class TimeProfile:
 # absorption probabilities
 
 
-def absorption_profile(
-    params: WalkParams, strategy: Strategy, kmax: int = 64, char: mgf.Characteristic | None = None
-) -> AbsorptionProfile:
+def absorption_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> AbsorptionProfile:
     """Distribution of the absorption site over {0} and the barriers k*i0.
 
     For 0 < s < 1 the barrier masses decay geometrically with ratio phi2;
     ``tail_bound`` bounds the mass sitting beyond ``kmax``.  For s=0 only
     ruin can absorb (mass escapes upward when the drift ratio exceeds 1);
-    for s=1 all mass sits on {0, i0, 2*i0}.  ``char``, here and below, is the
-    :class:`~ruinwalk.mgf.Characteristic` at z=1, built when not given.
+    for s=1 all mass sits on {0, i0, 2*i0}.
     """
     if kmax < 1:
         raise ParameterError(f"kmax must be >= 1, got {kmax}")
@@ -88,15 +85,14 @@ def absorption_profile(
     if s == 1.0:
         return _absorption_s1(params, strategy)
 
-    char = mgf.Characteristic.reuse(params, 1.0, char)
     fn = {Strategy.A: mgf.mgf_a, Strategy.B: mgf.mgf_b, Strategy.C: mgf.mgf_c}[strategy]
-    values = fn(params, 1.0, range(kmax + 1), char)
+    values = fn(params, 1.0, range(kmax + 1))
     p0 = values[0]
     pk: dict[int, float] = {}
     for k in range(1, kmax + 1):
         stop = 0.0 if (strategy is Strategy.C and k == 1) else s
         pk[k] = stop * values[k]
-    phi2 = char.phi.phi2
+    phi2 = mgf.characteristic(params, 1.0).phi.phi2
     tail = pk[kmax] * phi2 / (1.0 - phi2)
     return AbsorptionProfile(p0=p0, pk=pk, tail_bound=tail)
 
@@ -121,7 +117,7 @@ def _absorption_s1(params: WalkParams, strategy: Strategy) -> AbsorptionProfile:
     )
 
 
-def bc_ratio(params: WalkParams, char: mgf.Characteristic | None = None) -> float:
+def bc_ratio(params: WalkParams) -> float:
     """The constant ratio P_B(Y) / P_C(Y) shared by ruin and all barriers k >= 2.
 
     Equals ``phi2 * (1 + omega**i0 - phi2) / ((1-s) * omega**i0)`` and is
@@ -132,7 +128,7 @@ def bc_ratio(params: WalkParams, char: mgf.Characteristic | None = None) -> floa
         raise UnsupportedRegimeError(
             f"the B/C ratio needs 0 < s < 1, got s={params.s}"
         )
-    phi2 = mgf.Characteristic.reuse(params, 1.0, char).phi.phi2
+    phi2 = mgf.characteristic(params, 1.0).phi.phi2
     wi = params.omega_pow
     return phi2 * (1.0 + wi - phi2) / ((1.0 - params.s) * wi)
 
@@ -167,13 +163,14 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
             return float(i0)
         lt = cp.lucas_terms(1.0, params, i0)
         return -lt.dv / lt.v
-    return _mean_time_interior(params, strategy, mgf.characteristic(params, 1.0))
+    return _mean_time_interior(params, strategy)
 
 
-def _mean_time_interior(params: WalkParams, strategy: Strategy, char: mgf.Characteristic) -> float:
+def _mean_time_interior(params: WalkParams, strategy: Strategy) -> float:
     """:func:`mean_time_any` for 0 < s < 1; raises where that is not finite in floating
     point (as s -> 0, ``(1-s)/s`` overflows while ``1 - 1/phi1`` rounds to 0)."""
     s, i0 = params.s, params.i0
+    char = mgf.characteristic(params, 1.0)
     inv_phi1 = 1.0 / char.phi.phi1
     m = i0 * (1.0 - s) / s * (1.0 - inv_phi1)
     if strategy is Strategy.B:
@@ -240,16 +237,14 @@ def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
             else _c_s1_killed_times(params)
         )
         return table.get(k, 0.0)
-    return _killed_times(params, strategy, k, k, mgf.characteristic(params, 1.0))[k]
+    return _killed_times(params, strategy, k, k)[k]
 
 
-def _killed_times(
-    params: WalkParams, strategy: Strategy, kmin: int, kmax: int, char: mgf.Characteristic
-) -> dict[int, float]:
+def _killed_times(params: WalkParams, strategy: Strategy, kmin: int, kmax: int) -> dict[int, float]:
     """Derivative assembly of killed times for barriers kmin..kmax, 0 < s < 1."""
     s = params.s
-    der = cp.derivatives_at_1(params, char)
-    lt, phi = der.lucas, char.phi
+    der = cp.derivatives_at_1(params)
+    lt, phi = der.lucas, mgf.characteristic(params, 1.0).phi
     wpow = params.omega_pow
     # logarithmic derivative shared by every barrier form: U_i0 and 1/z
     log_common = lt.du / lt.u - 1.0
@@ -258,7 +253,7 @@ def _killed_times(
     ks = range(kmin, kmax + 1)
     out: dict[int, float] = {}
     if strategy in (Strategy.A, Strategy.B):
-        for k, u in zip(ks, mgf.mgf_a(params, 1.0, ks, char)):
+        for k, u in zip(ks, mgf.mgf_a(params, 1.0, ks)):
             if k == 0:
                 val = der.dphi2 / wpow
             else:
@@ -268,7 +263,7 @@ def _killed_times(
 
     # C's barrier values share the pole 1/(V_i0 - phi2)
     pole_rate = (lt.dv - der.dphi2) / (lt.v - phi.phi2)
-    for k, wk in zip(ks, mgf.mgf_c(params, 1.0, ks, char)):
+    for k, wk in zip(ks, mgf.mgf_c(params, 1.0, ks)):
         if k == 0:
             out[k] = wk * wk * (der.dphi2 - lt.dv)
         elif k == 1:
@@ -278,8 +273,7 @@ def _killed_times(
     return out
 
 
-def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64,
-                 char: mgf.Characteristic | None = None) -> TimeProfile:
+def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> TimeProfile:
     """Killed times for barriers 0..kmax plus the total mean.
 
     ``tail_bound`` bounds the killed time sitting beyond ``kmax``: barrier
@@ -292,11 +286,9 @@ def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64,
     strategy = Strategy(strategy)
     s = params.s
     if s == 0.0:
-        return TimeProfile(
-            m_total=mean_time_any_or_inf(params, strategy),
-            et={0: _ruin_killed_time_s0(params)},
-            tail_bound=0.0,
-        )
+        # the mean total time is the ruin time, killed by escape when omega > 1
+        et0 = _ruin_killed_time_s0(params)
+        return TimeProfile(m_total=et0, et={0: et0}, tail_bound=0.0)
     if s == 1.0:
         if strategy is Strategy.A:
             return TimeProfile(m_total=0.0, et={1: 0.0}, tail_bound=0.0)
@@ -305,24 +297,13 @@ def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64,
             if strategy is Strategy.B
             else _c_s1_killed_times(params)
         )
-        return TimeProfile(
-            m_total=mean_time_any_or_inf(params, strategy), et=table, tail_bound=0.0
-        )
-    char = mgf.Characteristic.reuse(params, 1.0, char)
-    m_total = _mean_time_interior(params, strategy, char)
-    et = _killed_times(params, strategy, 0, kmax, char)
-    phi2 = char.phi.phi2
+        return TimeProfile(m_total=mean_time_any(params, strategy), et=table, tail_bound=0.0)
+    m_total = _mean_time_interior(params, strategy)
+    et = _killed_times(params, strategy, 0, kmax)
+    phi2 = mgf.characteristic(params, 1.0).phi.phi2
     last, prev = et[kmax], et[kmax - 1]
     ratio = phi2
     if prev > 0.0 and last > 0.0:
         ratio = max(phi2, last / prev)
     tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     return TimeProfile(m_total=m_total, et=et, tail_bound=tail)
-
-
-def mean_time_any_or_inf(params: WalkParams, strategy: Strategy) -> float:
-    """Like :func:`mean_time_any` but maps the escaping s=0 case to its killed value."""
-    try:
-        return mean_time_any(params, strategy)
-    except AbsorptionNotCertainError:
-        return _ruin_killed_time_s0(params)

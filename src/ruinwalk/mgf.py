@@ -42,10 +42,9 @@ def _require_interior_s(params: WalkParams) -> None:
 class Characteristic:
     """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta and phi at one z.
 
-    Built by :func:`characteristic`; every function taking a ``char`` reuses it.
+    Built by :func:`characteristic`; every closed form for 0 < s < 1 reads it from there.
     """
 
-    params: WalkParams
     z: float
     roots: RootPair
     u_i0: float
@@ -53,39 +52,41 @@ class Characteristic:
     coupling: CharData
     phi: PhiPair
 
-    @staticmethod
-    def reuse(params: WalkParams, z: float, char: Characteristic | None) -> Characteristic:
-        """``char`` if it was built for ``(params, z)``, a new build if it is None;
-        one built for other params or another z raises :class:`ParameterError`."""
-        if char is None:
-            return characteristic(params, z)
-        if char.z != z or char.params != params:
-            raise ParameterError(f"char is for {char.params} at z={char.z}, not {params} at z={z}")
-        return char
-
 
 def characteristic(params: WalkParams, z: float) -> Characteristic:
-    """The characteristic of ``params`` at ``z``, for s < 1: one solve of the roots."""
-    roots = tau_roots(z, params)
-    u_i0 = power_divided_difference(roots, params.i0)
-    u_prev = power_divided_difference(roots, params.i0 - 1)
-    coupling = theta(z, params, (u_i0, u_prev))
-    return Characteristic(params, z, roots, u_i0, u_prev, coupling, phi_roots(coupling))
+    """The characteristic of ``params`` at ``z``, for s < 1: one solve of the roots.
+
+    ``params`` keeps the one for the last z asked, so repeated calls at the
+    same z return that object without solving again.
+    """
+    memo = params._memo
+    char = memo.get(z)
+    if char is None:
+        roots = tau_roots(z, params)
+        u_i0 = power_divided_difference(roots, params.i0)
+        u_prev = power_divided_difference(roots, params.i0 - 1)
+        coupling = theta(z, params, (u_i0, u_prev))
+        char = Characteristic(z, roots, u_i0, u_prev, coupling, phi_roots(coupling))
+        memo.clear()
+        memo[z] = char
+    return char
 
 
-def _a_values(params: WalkParams, z: float, char: Characteristic, ks: range) -> list[float]:
+def _a_values(params: WalkParams, z: float, ks: range) -> list[float]:
+    char = characteristic(params, z)
     phi2 = char.phi.phi2
     base = char.u_i0 / (params.q * (1.0 - params.s) * z * params.omega_pow)
     return [phi2 / params.omega_pow if k == 0 else base * phi2 ** k for k in ks]
 
 
-def _b_values(params: WalkParams, z: float, char: Characteristic, ks: range) -> list[float]:
+def _b_values(params: WalkParams, z: float, ks: range) -> list[float]:
     one_ms = 1.0 - params.s
-    a_values = _a_values(params, z, char, ks)
+    a_values = _a_values(params, z, ks)
     return [(ua - (1.0 if k == 1 else 0.0)) / one_ms for k, ua in zip(ks, a_values)]
 
 
-def _c_values(params: WalkParams, z: float, char: Characteristic, ks: range) -> list[float]:
+def _c_values(params: WalkParams, z: float, ks: range) -> list[float]:
+    char = characteristic(params, z)
     roots, d_i0 = char.roots, char.u_i0
     i0, phi2 = params.i0, char.phi.phi2
     denom = roots.tau1 ** i0 + roots.tau2 ** i0 - phi2
@@ -101,7 +102,7 @@ def _c_values(params: WalkParams, z: float, char: Characteristic, ks: range) -> 
     return out
 
 
-def _barrier_values(values, params: WalkParams, z: float, k: int | range, char):
+def _barrier_values(values, params: WalkParams, z: float, k: int | range):
     """``values`` at every barrier index in ``k`` from one solve of the roots.
 
     An int ``k`` gives a float, a range gives a list.
@@ -113,40 +114,36 @@ def _barrier_values(values, params: WalkParams, z: float, k: int | range, char):
     lowest = min(ks[0], ks[-1])
     if lowest < 0:
         raise ParameterError(f"barrier index must be >= 0, got {lowest}")
-    out = values(params, z, Characteristic.reuse(params, z, char), ks)
+    out = values(params, z, ks)
     return out if isinstance(k, range) else out[0]
 
 
-def mgf_a(params: WalkParams, z: float, k: int | range,
-          char: Characteristic | None = None) -> float | list[float]:
+def mgf_a(params: WalkParams, z: float, k: int | range) -> float | list[float]:
     """Strategy-A generating function on the barrier state k*i0 (k >= 0).
 
     ``k`` may be a ``range`` of barrier indices, which returns the list of
     values from one solve of the roots: for k >= 1 they are geometric,
-    ``base * phi2**k``.  ``char``, the :class:`Characteristic` at ``z``, is
-    built here when not given; so it is in every function below.
+    ``base * phi2**k``.
     """
-    return _barrier_values(_a_values, params, z, k, char)
+    return _barrier_values(_a_values, params, z, k)
 
 
-def mgf_b(params: WalkParams, z: float, k: int | range,
-          char: Characteristic | None = None) -> float | list[float]:
+def mgf_b(params: WalkParams, z: float, k: int | range) -> float | list[float]:
     """Strategy-B generating function on k*i0: A's value rescaled by 1/(1-s).
 
     The start state additionally sheds its m=0 self-term, so
     ``value_B = (value_A - delta(k,1)) / (1-s)``.  ``k`` may be a ``range``,
     as for :func:`mgf_a`.
     """
-    return _barrier_values(_b_values, params, z, k, char)
+    return _barrier_values(_b_values, params, z, k)
 
 
-def mgf_c(params: WalkParams, z: float, k: int | range,
-          char: Characteristic | None = None) -> float | list[float]:
+def mgf_c(params: WalkParams, z: float, k: int | range) -> float | list[float]:
     """Strategy-C generating function on the barrier state k*i0 (k >= 0).
 
     ``k`` may be a ``range``, as for :func:`mgf_a`.
     """
-    return _barrier_values(_c_values, params, z, k, char)
+    return _barrier_values(_c_values, params, z, k)
 
 
 def _barrier_fn(strategy: Strategy):
@@ -155,8 +152,7 @@ def _barrier_fn(strategy: Strategy):
     ]
 
 
-def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int,
-                 char: Characteristic | None = None) -> float:
+def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
     """Generating function on a state strictly between barriers.
 
     With ``position = k*i0 + n`` (0 < n < i0), the value is a convex-like
@@ -179,7 +175,7 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
             f"position {position} is a barrier-lattice state; use the barrier forms"
         )
     strategy = Strategy(strategy)
-    char = Characteristic.reuse(params, z, char)
+    char = characteristic(params, z)
     roots, d_i0 = char.roots, char.u_i0
     d_n = power_divided_difference(roots, n)
     d_co = power_divided_difference(roots, i0 - n)
@@ -187,7 +183,7 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
     omega_n = params.omega ** n
 
     if strategy in (Strategy.A, Strategy.B):
-        u_here, u_next = _a_values(params, z, char, range(k, k + 2))
+        u_here, u_next = _a_values(params, z, range(k, k + 2))
         if k == 0:
             value = one_ms * u_next * d_n / d_i0
         else:
@@ -196,7 +192,7 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
             value /= one_ms
         return value
 
-    w_here, w_next = _c_values(params, z, char, range(k, k + 2))
+    w_here, w_next = _c_values(params, z, range(k, k + 2))
     if k == 0:
         # the segment [0, i0] has normal states on both sides for C
         return w_next * d_n / d_i0
@@ -206,15 +202,14 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
     return one_ms * (w_here * omega_n * d_co + w_next * d_n) / d_i0
 
 
-def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int,
-              char: Characteristic | None = None) -> float:
+def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
     """Generating function at an arbitrary state, dispatching barrier/interior."""
     if position < 0:
         raise ParameterError(f"position must be >= 0, got {position}")
     k, n = divmod(position, params.i0)
     if n == 0:
-        return _barrier_fn(strategy)(params, z, k, char)
-    return mgf_interior(params, strategy, z, position, char)
+        return _barrier_fn(strategy)(params, z, k)
+    return mgf_interior(params, strategy, z, position)
 
 
 def mgf_b_s1(params: WalkParams, z: float, segment: int, n: int) -> float:

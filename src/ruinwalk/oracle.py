@@ -342,6 +342,8 @@ def mgf_dp(
         raise ParameterError(f"mass propagation needs 0 < z < 1, got z={z}")
     if state < 0:
         raise ParameterError(f"state must be >= 0, got {state}")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     strategy = Strategy(strategy)
     i0 = params.i0
     trunc_k = max(8, 2 * (state // i0 + 2))

@@ -112,10 +112,9 @@ def check_b_from_a_relation() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.3, 0.7, 1.0):
-            char = mgf.characteristic(params, z)
             for k in range(0, 5):
-                ua = mgf.mgf_a(params, z, k, char)
-                vb = mgf.mgf_b(params, z, k, char)
+                ua = mgf.mgf_a(params, z, k)
+                vb = mgf.mgf_b(params, z, k)
                 delta = 1.0 if k == 1 else 0.0
                 lhs = ua
                 rhs = delta + (1.0 - params.s) * vb
@@ -127,13 +126,13 @@ def check_barrier_recurrence() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.4, 0.9, 1.0):
-            char = mgf.characteristic(params, z)
-            vals = dict(zip(range(1, 8), mgf.mgf_a(params, z, range(1, 8), char)))
+            theta = mgf.characteristic(params, z).coupling.theta
+            vals = dict(zip(range(1, 8), mgf.mgf_a(params, z, range(1, 8))))
             scale = max(vals[1], 1e-300)
             for k in range(2, 7):
                 res = (
                     vals[k + 1]
-                    - char.coupling.theta * vals[k]
+                    - theta * vals[k]
                     + params.omega_pow * vals[k - 1]
                 )
                 worst = max(worst, abs(res) / scale)
@@ -146,7 +145,7 @@ def check_c_seed_relations() -> CheckResult:
         for z in (0.4, 0.9, 1.0):
             char = mgf.characteristic(params, z)
             roots, phi, d_i0 = char.roots, char.phi, char.u_i0
-            w1, w2 = mgf.mgf_c(params, z, range(1, 3), char)
+            w1, w2 = mgf.mgf_c(params, z, range(1, 3))
             i0 = params.i0
             s_i0 = roots.tau1 ** i0 + roots.tau2 ** i0
             seed = params.q * z * (s_i0 * w1 - (1.0 - params.s) * w2) - d_i0
@@ -163,14 +162,13 @@ def check_mgf_monotonicity() -> CheckResult:
         positions = [0, params.i0, 2 * params.i0]
         if params.i0 >= 2:
             positions.append(params.i0 + 1)
-        chars = [mgf.characteristic(params, z) for z in zs]
-        for strategy in Strategy:
-            for pos in positions:
-                prev = -math.inf
-                for z, char in zip(zs, chars):
-                    val = mgf.mgf_value(params, strategy, z, pos, char)
-                    worst = max(worst, prev - val)
-                    prev = val
+        # z outermost, so each z's characteristic serves every (strategy, position)
+        prev = {(strategy, pos): -math.inf for strategy in Strategy for pos in positions}
+        for z in zs:
+            for key in prev:
+                val = mgf.mgf_value(params, key[0], z, key[1])
+                worst = max(worst, prev[key] - val)
+                prev[key] = val
     return _result("generating functions nondecreasing in z", worst, 1e-12)
 
 
@@ -178,13 +176,12 @@ def check_barrier_geometry() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.5, 1.0):
-            char = mgf.characteristic(params, z)
-            phi2 = char.phi.phi2
+            phi2 = mgf.characteristic(params, z).phi.phi2
             for k in (1, 2, 3):
-                ua, ua1 = mgf.mgf_a(params, z, k, char), mgf.mgf_a(params, z, k + 1, char)
+                ua, ua1 = mgf.mgf_a(params, z, k), mgf.mgf_a(params, z, k + 1)
                 worst = max(worst, abs(ua1 / ua - phi2) / phi2)
             for k in (2, 3):
-                wc, wc1 = mgf.mgf_c(params, z, k, char), mgf.mgf_c(params, z, k + 1, char)
+                wc, wc1 = mgf.mgf_c(params, z, k), mgf.mgf_c(params, z, k + 1)
                 worst = max(worst, abs(wc1 / wc - phi2) / phi2)
     return _result("geometric decay of barrier values", worst, 1e-12)
 
@@ -233,10 +230,10 @@ def check_bc_ratio() -> CheckResult:
 def check_time_decomposition() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
-        char = mgf.characteristic(params, 1.0)
-        kmax = max(64, int(math.log(1e-12) / math.log(char.phi.phi2)) + 8)
+        phi2 = mgf.characteristic(params, 1.0).phi.phi2
+        kmax = max(64, int(math.log(1e-12) / math.log(phi2)) + 8)
         for strategy in Strategy:
-            tp = metrics.time_profile(params, strategy, kmax=kmax, char=char)
+            tp = metrics.time_profile(params, strategy, kmax=kmax)
             gap = abs(sum(tp.et.values()) - tp.m_total)
             worst = max(worst, max(gap - tp.tail_bound, 0.0))
     return _result("killed times sum to the total mean", worst, 1e-8)

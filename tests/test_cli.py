@@ -246,6 +246,17 @@ class TestMgfCommand:
         report = json.loads(out)
         assert report["dp_gap"] < 1e-8
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_dp_tolerance_that_is_not_finite_and_positive_exits_2(self, tol, capsys):
+        code, out, err = run_cli(
+            ["mgf", "--p", "0.4", "--s", "0.5", "--i0", "1", "--strategy", "A",
+             "--z", "0.5", "--check-dp", "--tol", tol],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": f"tol must be finite and > 0, got {float(tol)}"}
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
@@ -337,29 +348,34 @@ class TestSweep:
         assert "error" in json.loads(err)
 
     @staticmethod
-    def unshared_row(params, strategy, kmax):
-        """One sweep row's cells from separate calls, nothing shared between them."""
-        prof = metrics.absorption_profile(params, strategy, kmax=kmax)
-        if params.p == 0.5 and 0.0 < params.s < 1.0:  # the CLI's exact-solver route
-            sol = oracle.solve_exact(params, strategy)
-            m_total = metrics.mean_time_any_or_inf(params, strategy)
+    def unshared_row(p, s, i0, strategy, kmax):
+        """One sweep row's cells from separate calls, each on its own fresh
+        ``WalkParams``, so no call reuses a characteristic another one solved."""
+
+        def fresh():
+            return WalkParams(p, s, i0)
+
+        prof = metrics.absorption_profile(fresh(), strategy, kmax=kmax)
+        if p == 0.5 and 0.0 < s < 1.0:  # the CLI's exact-solver route
+            sol = oracle.solve_exact(fresh(), strategy)
+            m_total = metrics.mean_time_any(fresh(), strategy)
             et = [sol.killed_time(k) for k in range(4)]
         else:
-            tp = metrics.time_profile(params, strategy, kmax=max(kmax, 3))
+            tp = metrics.time_profile(fresh(), strategy, kmax=max(kmax, 3))
             m_total, et = tp.m_total, [tp.killed_time(k) for k in range(4)]
-        roots = cp.tau_roots(1.0, params)
+        roots = cp.tau_roots(1.0, fresh())
         theta = phi1 = phi2 = None
-        if params.s < 1.0:
-            char = cp.theta(1.0, params)
-            phi = cp.phi_roots(char)
-            theta, phi1, phi2 = char.theta, phi.phi1, phi.phi2
+        if s < 1.0:
+            coupling = cp.theta(1.0, fresh())
+            phi = cp.phi_roots(coupling)
+            theta, phi1, phi2 = coupling.theta, phi.phi1, phi.phi2
         row = {
-            "p": params.p, "s": params.s, "i0": params.i0, "strategy": strategy.value,
-            "omega": params.omega, "p0": prof.p0, "p1": prof.probability(1),
+            "p": p, "s": s, "i0": i0, "strategy": strategy.value,
+            "omega": fresh().omega, "p0": prof.p0, "p1": prof.probability(1),
             "p2": prof.probability(2), "p3": prof.probability(3),
             "tail_bound": prof.tail_bound, "m_total": m_total,
             "et0": et[0], "et1": et[1], "et2": et[2], "et3": et[3],
-            "bc_ratio": metrics.bc_ratio(params) if 0.0 < params.s < 1.0 else None,
+            "bc_ratio": metrics.bc_ratio(fresh()) if 0.0 < s < 1.0 else None,
             "tau1": roots.tau1, "tau2": roots.tau2,
             "theta": theta, "phi1": phi1, "phi2": phi2,
         }
@@ -377,7 +393,7 @@ class TestSweep:
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         want = [
-            self.unshared_row(WalkParams(p, s, i0), strategy, kmax)
+            self.unshared_row(p, s, i0, strategy, kmax)
             for p in (0.4, 0.5, 0.6)
             for s in (0.0, 0.5, 1.0)
             for i0 in (1, 3)
@@ -395,18 +411,19 @@ class TestSweep:
             calls[0] += 1
             return theta(*args, **kwargs)
 
-        # metrics and cli call charpoly.theta; mgf calls its own imported binding
+        # count theta through both bindings: mgf calls the name it imported
         monkeypatch.setattr(cp, "theta", counted)
         monkeypatch.setattr(mgf, "theta", counted)
+        # p = 0.5 rows take the exact solver's route for their times
         code, out, _ = run_cli(
-            ["sweep", "--p", "0.3:0.7:0.4", "--s", "0.2:0.6:0.4", "--i0", "1:3:2",
+            ["sweep", "--p", "0.3:0.7:0.2", "--s", "0.2:0.6:0.4", "--i0", "1:3:2",
              "--strategy", "all"],
             capsys,
         )
         assert code == 0
-        assert len(out.strip().splitlines()) == 1 + 8 * 3
+        assert len(out.strip().splitlines()) == 1 + 12 * 3
         # one characteristic per instance serves its columns and all three strategies
-        assert calls[0] <= 1 * 8
+        assert calls[0] == 12
 
     def test_kmax_error_precedes_the_first_row(self, capsys):
         code, out, err = run_cli(

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ruinwalk import charpoly as cp
-from ruinwalk import metrics, mgf, oracle
+from ruinwalk import cli, metrics, mgf, oracle
 from ruinwalk.core import (
     AbsorptionNotCertainError,
     Strategy,
@@ -81,7 +81,8 @@ class TestAbsorptionProfile:
 
 
 class TestOneSolvePerProfile:
-    def test_theta_calls_do_not_grow_with_kmax(self, strategy, monkeypatch):
+    @pytest.mark.parametrize("kmax", [8, 256])
+    def test_one_theta_solve_per_params(self, strategy, kmax, monkeypatch):
         calls = [0]
         theta = cp.theta
 
@@ -89,22 +90,25 @@ class TestOneSolvePerProfile:
             calls[0] += 1
             return theta(*args, **kwargs)
 
-        # metrics calls charpoly.theta; mgf calls its own imported binding
+        # count theta through both bindings: mgf calls the name it imported
         monkeypatch.setattr(cp, "theta", counted)
         monkeypatch.setattr(mgf, "theta", counted)
-        params = WalkParams(0.45, 0.3, 2)
-
-        def count(profile, kmax):
+        for first in (metrics.absorption_profile, metrics.time_profile):
             calls[0] = 0
-            profile(params, strategy, kmax=kmax)
-            return calls[0]
-
-        for profile in (metrics.absorption_profile, metrics.time_profile):
-            assert count(profile, 256) == count(profile, 8) == 1, profile.__name__
-            char = mgf.characteristic(params, 1.0)
-            calls[0] = 0
-            profile(params, strategy, kmax=256, char=char)
-            assert calls[0] == 0, profile.__name__
+            params = WalkParams(0.45, 0.3, 2)
+            first(params, strategy, kmax=kmax)
+            assert calls[0] == 1, first.__name__
+            # every later closed form on the same object reads the kept solve
+            for other in Strategy:
+                for size in (8, 256):
+                    metrics.absorption_profile(params, other, kmax=size)
+                    metrics.time_profile(params, other, kmax=size)
+                metrics.mean_time_any(params, other)
+                metrics.mean_time_at(params, other, 3)
+            metrics.bc_ratio(params)
+            cp.derivatives_at_1(params)
+            cli._diagnostics(params)
+            assert calls[0] == 1, first.__name__
 
 
 class TestBCRatio:

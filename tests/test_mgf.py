@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,43 +247,47 @@ class TestAgainstPropagationOracle:
                         prev = val
 
 
-def _z_functions(params, z):
-    """Every closed form taking a characteristic at ``z``, as ``char -> value``."""
+def _z_functions(i0, z):
+    """Every closed form that reads the characteristic at ``z``, as ``params -> value``."""
     out = {}
     for name, fn in (("a", mgf.mgf_a), ("b", mgf.mgf_b), ("c", mgf.mgf_c)):
-        out[f"mgf_{name} k=2"] = lambda char, fn=fn: fn(params, z, 2, char)
-        out[f"mgf_{name} range"] = lambda char, fn=fn: fn(params, z, range(0, 5), char)
+        out[f"mgf_{name} k=2"] = lambda params, fn=fn: fn(params, z, 2)
+        out[f"mgf_{name} range"] = lambda params, fn=fn: fn(params, z, range(0, 5))
     for strat in Strategy:
-        for pos in range(0, 2 * params.i0 + 2):
+        for pos in range(0, 2 * i0 + 2):
             out[f"mgf_value {strat.value} {pos}"] = (
-                lambda char, strat=strat, pos=pos: mgf.mgf_value(params, strat, z, pos, char)
+                lambda params, strat=strat, pos=pos: mgf.mgf_value(params, strat, z, pos)
             )
-        if params.i0 >= 2:
+        if i0 >= 2:
             out[f"mgf_interior {strat.value}"] = (
-                lambda char, strat=strat: mgf.mgf_interior(params, strat, z, params.i0 + 1, char)
+                lambda params, strat=strat: mgf.mgf_interior(params, strat, z, i0 + 1)
             )
     return out
 
 
-def _unit_z_functions(params):
-    """Every closed form taking a characteristic at z = 1, as ``char -> value``."""
+def _unit_z_functions():
+    """Every closed form that reads the characteristic at z = 1, as ``params -> value``."""
     out = {
-        "bc_ratio": lambda char: metrics.bc_ratio(params, char),
-        "derivatives_at_1": lambda char: cp.derivatives_at_1(params, char),
-        "cli diagnostics": lambda char: cli._diagnostics(params, char),
+        "bc_ratio": metrics.bc_ratio,
+        "derivatives_at_1": cp.derivatives_at_1,
+        "cli diagnostics": cli._diagnostics,
     }
     for strat in Strategy:
         out[f"absorption_profile {strat.value}"] = (
-            lambda char, strat=strat: metrics.absorption_profile(params, strat, 8, char)
+            lambda params, strat=strat: metrics.absorption_profile(params, strat, 8)
         )
         out[f"time_profile {strat.value}"] = (
-            lambda char, strat=strat: metrics.time_profile(params, strat, 8, char)
+            lambda params, strat=strat: metrics.time_profile(params, strat, 8)
+        )
+        out[f"mean_time_any {strat.value}"] = (
+            lambda params, strat=strat: metrics.mean_time_any(params, strat)
         )
     return out
 
 
-class TestSharedCharacteristic:
-    """A handed-in characteristic changes no result, and a wrong one is refused."""
+class TestCharacteristicMemo:
+    """Each ``WalkParams`` keeps its characteristic at the last z asked, and
+    keeping it changes no result."""
 
     @given(
         p=st.floats(min_value=0.05, max_value=0.95),
@@ -290,43 +296,56 @@ class TestSharedCharacteristic:
         z=st.floats(min_value=1e-3, max_value=1.0),
     )
     @settings(max_examples=150, deadline=None)
-    def test_results_equal_with_and_without_a_handed_in_char(self, p, s, i0, z):
-        params = WalkParams(p, s, i0)
-        for functions, at in ((_z_functions(params, z), z), (_unit_z_functions(params), 1.0)):
-            char = mgf.characteristic(params, at)
+    def test_results_equal_on_fresh_and_filled_params(self, p, s, i0, z):
+        filled = WalkParams(p, s, i0)
+        for functions, at in ((_z_functions(i0, z), z), (_unit_z_functions(), 1.0)):
+            mgf.characteristic(filled, at)
             for name, fn in functions.items():
-                assert fn(char) == fn(None), name
+                assert fn(filled) == fn(WalkParams(p, s, i0)), name
 
     def test_fields_are_the_separately_solved_roots(self):
         params = WalkParams(0.4, 0.3, 3)
         char = mgf.characteristic(params, 0.7)
         roots = cp.tau_roots(0.7, params)
-        assert (char.params, char.z, char.roots) == (params, 0.7, roots)
+        assert (char.z, char.roots) == (0.7, roots)
         assert char.u_i0 == cp.power_divided_difference(roots, 3)
         assert char.u_prev == cp.power_divided_difference(roots, 2)
         assert char.coupling == cp.theta(0.7, params)
         assert char.phi == cp.phi_roots(cp.theta(0.7, params))
 
-    @pytest.mark.parametrize(
-        "other", [WalkParams(0.45, 0.3, 3), WalkParams(0.4, 0.31, 3), WalkParams(0.4, 0.3, 2)]
-    )
-    def test_a_char_for_other_params_is_refused(self, other):
+    def test_same_z_returns_the_identical_object_and_a_new_z_replaces_it(self):
         params = WalkParams(0.4, 0.3, 3)
-        for at, functions in ((0.7, _z_functions(params, 0.7)), (1.0, _unit_z_functions(params))):
-            wrong = mgf.characteristic(other, at)
-            for name, fn in functions.items():
-                with pytest.raises(ParameterError):
-                    fn(wrong)
-                    pytest.fail(name)
+        first = mgf.characteristic(params, 0.7)
+        assert mgf.characteristic(params, 0.7) is first
+        other = mgf.characteristic(params, 0.5)
+        assert other.z == 0.5
+        assert params._memo == {0.5: other}
+        again = mgf.characteristic(params, 0.7)
+        assert again is not first and again == first
+        assert params._memo == {0.7: again}
 
-    def test_a_char_for_another_z_is_refused(self):
+    def test_memo_takes_no_part_in_equality_hash_or_repr(self):
+        empty, filled, elsewhere = (WalkParams(0.4, 0.3, 3) for _ in range(3))
+        mgf.characteristic(filled, 1.0)
+        mgf.characteristic(elsewhere, 0.5)
+        assert empty._memo == {} and filled._memo != elsewhere._memo
+        for params in (filled, elsewhere):
+            assert params == empty
+            assert hash(params) == hash(empty)
+            assert repr(params) == repr(empty) == "WalkParams(p=0.4, s=0.3, i0=3)"
+        assert len({empty, filled, elsewhere}) == 1
+
+    def test_is_freed_with_its_params_by_refcount(self):
+        # the characteristic holds no reference back to its params, so no
+        # cycle keeps either alive once the params go
         params = WalkParams(0.4, 0.3, 3)
-        for at, functions in ((0.7, _z_functions(params, 0.7)), (1.0, _unit_z_functions(params))):
-            wrong = mgf.characteristic(params, 0.5)
-            for name, fn in functions.items():
-                with pytest.raises(ParameterError):
-                    fn(wrong)
-                    pytest.fail(name)
+        ref = weakref.ref(mgf.characteristic(params, 1.0))
+        gc.disable()
+        try:
+            del params
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_is_frozen(self):
         char = mgf.characteristic(WalkParams(0.4, 0.3, 3), 1.0)

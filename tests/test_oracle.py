@@ -1,4 +1,7 @@
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,8 +145,11 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        params = WalkParams(0.4, 0.5, 2)
         with pytest.raises(ParameterError, match="tol must be finite and > 0"):
-            oracle.solve_exact(WalkParams(0.4, 0.5, 2), Strategy.A, tol=tol)
+            oracle.solve_exact(params, Strategy.A, tol=tol)
+        with pytest.raises(ParameterError, match="tol must be finite and > 0"):
+            oracle.mgf_dp(params, Strategy.A, 0.5, 2, tol=tol)
 
     def test_stopping_walk_never_reports_an_infinite_time(self):
         # Upward drift with rare stops: every trial is eventually absorbed
@@ -161,6 +167,27 @@ class TestSolveExact:
         for params in small_grid():
             sol = oracle.solve_exact(params, strategy, tol=1e-10)
             assert sol.escape_mass < 1e-9
+
+
+class TestIndependence:
+    def test_imports_only_core_rng_numpy_and_the_standard_library(self):
+        # the oracles check the closed forms, so they must share no code with
+        # charpoly, mgf or metrics; ast.walk also reaches imports in functions
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update(
+                    f".{node.module}" if node.module else f".{alias.name}"
+                    for alias in node.names
+                )
+            elif isinstance(node, ast.ImportFrom):
+                found.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+        assert {".core", ".rng", "numpy"} <= found
+        allowed = {".core", ".rng", "numpy"} | set(sys.stdlib_module_names)
+        assert found - allowed == set()
 
 
 def _no_call(*args):
