@@ -2,7 +2,6 @@
 
 from .core import (
     AbsorptionNotCertainError,
-    LatticeState,
     ParameterError,
     Strategy,
     UnsupportedRegimeError,
@@ -19,7 +18,7 @@ from .charpoly import (
     tau_roots,
     theta,
 )
-from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_b_s1, mgf_c
+from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_c
 from .mgf import mgf_interior, mgf_value
 from .metrics import (
     AbsorptionProfile,
@@ -41,7 +40,6 @@ __all__ = [
     "Characteristic",
     "DerivativeBundle",
     "ExactSolution",
-    "LatticeState",
     "ParameterError",
     "PhiPair",
     "RootPair",
@@ -58,7 +56,6 @@ __all__ = [
     "mean_time_at",
     "mgf_a",
     "mgf_b",
-    "mgf_b_s1",
     "mgf_c",
     "mgf_dp",
     "mgf_interior",

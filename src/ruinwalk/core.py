@@ -95,26 +95,6 @@ class WalkParams:
         return self.p == 0.5
 
 
-@dataclass(frozen=True)
-class LatticeState:
-    """A capital level decomposed as position = k*i0 + n with 0 <= n < i0."""
-
-    position: int
-    k: int
-    n: int
-
-    @classmethod
-    def from_position(cls, position: int, i0: int) -> "LatticeState":
-        if position < 0:
-            raise ParameterError(f"position must be >= 0, got {position}")
-        k, n = divmod(position, i0)
-        return cls(position=position, k=k, n=n)
-
-    @property
-    def on_barrier_lattice(self) -> bool:
-        return self.n == 0
-
-
 def is_active_barrier(strategy: Strategy, position: int, i0: int, time: int) -> bool:
     """Whether ``position`` acts as a stopping barrier at ``time``.
 

@@ -11,9 +11,11 @@ Mean times are *killed* expectations E[T * 1{absorbed at Y}]; the overall
 mean is their sum.  Per-barrier times are z-derivatives at z=1 of the
 generating functions, taken through the Lucas sequences of the step roots
 (:func:`ruinwalk.charpoly.lucas_terms`), which stay analytic at p = 1/2:
-drifting and driftless walks share every formula.  The s=1 tables use the
-same sequences; only s=0 with p = 1/2 is special, because its mean time is
-infinite.
+drifting and driftless walks share every formula.
+
+At the limits s=0 and s=1 the walk is classical gambler's ruin, and one
+builder, :func:`_limit_profiles`, answers every public function there; only
+s=0 with p = 1/2 is special, because its mean time is infinite.
 
 Two closed forms in this module deliberately differ from easy-to-derive
 variants that fail oracle verification; see FORMULA_ERRATA.md.
@@ -22,6 +24,7 @@ variants that fail oracle verification; see FORMULA_ERRATA.md.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import charpoly as cp
@@ -63,6 +66,67 @@ class TimeProfile:
         return self.et.get(k, 0.0)
 
 
+# The barrier roots tend to 1 (and omega**i0) as s -> 0.  A gap 1 - phi below
+# this keeps fewer than half of its digits: what is left is mostly rounding.
+_MIN_ROOT_GAP = math.sqrt(sys.float_info.epsilon)
+
+
+def _require_resolved(name: str, root: float, gap: float, s: float) -> None:
+    if gap < _MIN_ROOT_GAP:
+        raise UnsupportedRegimeError(
+            f"{name}={root!r} is within rounding of 1 at s={s}; no accurate closed form"
+        )
+
+
+def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[AbsorptionProfile, TimeProfile]:
+    """Absorption and time profiles at s=0 and s=1, where the walk is classical ruin.
+
+    At s=0 no barrier stops: only ruin absorbs, mass escapes upward when
+    omega > 1, and the ruin time is killed by that escape (FORMULA_ERRATA.md #3).
+    At s=1 every active barrier absorbs on arrival.  A stops at t=0.  B
+    steps once and then runs two-sided ruin on [0, i0] from i0-1 or on
+    [i0, 2*i0] from i0+1; C runs it on [0, 2*i0] from i0.  The exit values
+    and their z-derivatives are ratios of the Lucas terms ``U_i0``,
+    ``U_{i0-1}`` and ``V_i0`` at z=1.
+    """
+    i0, wi = params.i0, params.omega_pow
+    if params.s == 0.0:
+        if params.symmetric:
+            et0 = math.inf
+        elif params.omega < 1.0:
+            et0 = i0 / (params.q - params.p)
+        else:
+            # killed by the escape event: conditioned on ruin the drift flips
+            et0 = i0 / ((params.p - params.q) * wi)
+        p0 = 1.0 if params.omega <= 1.0 else 1.0 / wi
+        return AbsorptionProfile(p0, {}, 0.0), TimeProfile(et0, {0: et0}, 0.0)
+    if strategy is Strategy.A:
+        return AbsorptionProfile(0.0, {1: 1.0}, 0.0), TimeProfile(0.0, {1: 0.0}, 0.0)
+    lt = cp.lucas_terms(1.0, params, i0)
+    if strategy is Strategy.C:
+        # exit values 1/V_i0 at ruin and omega**i0/V_i0 at the top
+        et0 = -lt.dv / (lt.v * lt.v)
+        return (
+            AbsorptionProfile(1.0 / lt.v, {1: 0.0, 2: wi / lt.v}, 0.0),
+            TimeProfile(-lt.dv / lt.v, {0: et0, 1: 0.0, 2: wi * et0}, 0.0),
+        )
+    # B's exit values: 1/U_i0 to ruin, omega*U_{i0-1}/U_i0 and U_{i0-1}/U_i0
+    # to the middle barrier from below and above, omega**(i0-1)/U_i0 to the
+    # top; the killed times are d/dz of z times each, at z=1
+    p, q, u, du = params.p, params.q, lt.u, lt.du
+    masses = {
+        1: q * (params.omega * lt.u_prev / u) + p * (lt.u_prev / u),
+        2: p * (params.omega ** (i0 - 1) / u),
+    }
+    to_end = (1.0 - du / u) / u
+    to_middle = (lt.u_prev + lt.du_prev - lt.u_prev * du / u) / u
+    et0 = q * to_end
+    return (
+        AbsorptionProfile(q * (1.0 / u), masses, 0.0),
+        TimeProfile(float(i0), {0: et0, 1: 2.0 * p * to_middle, 2: wi * et0}, 0.0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # absorption probabilities
 
@@ -79,12 +143,10 @@ def absorption_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -
         raise ParameterError(f"kmax must be >= 1, got {kmax}")
     strategy = Strategy(strategy)
     s = params.s
-    if s == 0.0:
-        p0 = 1.0 if params.omega <= 1.0 else 1.0 / params.omega_pow
-        return AbsorptionProfile(p0=p0, pk={}, tail_bound=0.0)
-    if s == 1.0:
-        return _absorption_s1(params, strategy)
-
+    if s in (0.0, 1.0):
+        return _limit_profiles(params, strategy)[0]
+    phi2 = mgf.characteristic(params, 1.0).phi.phi2
+    _require_resolved("phi2", phi2, 1.0 - phi2, s)  # the tail divides by it
     fn = {Strategy.A: mgf.mgf_a, Strategy.B: mgf.mgf_b, Strategy.C: mgf.mgf_c}[strategy]
     values = fn(params, 1.0, range(kmax + 1))
     p0 = values[0]
@@ -92,29 +154,8 @@ def absorption_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -
     for k in range(1, kmax + 1):
         stop = 0.0 if (strategy is Strategy.C and k == 1) else s
         pk[k] = stop * values[k]
-    phi2 = mgf.characteristic(params, 1.0).phi.phi2
     tail = pk[kmax] * phi2 / (1.0 - phi2)
     return AbsorptionProfile(p0=p0, pk=pk, tail_bound=tail)
-
-
-def _absorption_s1(params: WalkParams, strategy: Strategy) -> AbsorptionProfile:
-    if strategy is Strategy.A:
-        return AbsorptionProfile(p0=0.0, pk={1: 1.0}, tail_bound=0.0)
-    if strategy is Strategy.B:
-        q = params.q
-        v0 = mgf.mgf_b_s1(params, 1.0, 1, 0)
-        v_mid_lo = mgf.mgf_b_s1(params, 1.0, 1, params.i0)
-        v_mid_hi = mgf.mgf_b_s1(params, 1.0, 2, 0)
-        v_top = mgf.mgf_b_s1(params, 1.0, 2, params.i0)
-        return AbsorptionProfile(
-            p0=q * v0,
-            pk={1: q * v_mid_lo + params.p * v_mid_hi, 2: params.p * v_top},
-            tail_bound=0.0,
-        )
-    wi = params.omega_pow
-    return AbsorptionProfile(
-        p0=1.0 / (1.0 + wi), pk={1: 0.0, 2: wi / (1.0 + wi)}, tail_bound=0.0
-    )
 
 
 def bc_ratio(params: WalkParams) -> float:
@@ -146,29 +187,22 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     see FORMULA_ERRATA.md.
     """
     strategy = Strategy(strategy)
-    s, i0 = params.s, params.i0
-    if s == 0.0:
-        if params.omega > 1.0:
+    if params.s in (0.0, 1.0):
+        if params.s == 0.0 and params.omega > 1.0:
             raise AbsorptionNotCertainError(
                 "s=0 with upward drift: absorption is not almost sure; "
                 "ask for the killed time at ruin (barrier 0) instead"
             )
-        if params.symmetric:
-            return math.inf
-        return i0 / (params.q - params.p)
-    if s == 1.0:
-        if strategy is Strategy.A:
-            return 0.0
-        if strategy is Strategy.B:
-            return float(i0)
-        lt = cp.lucas_terms(1.0, params, i0)
-        return -lt.dv / lt.v
+        return _limit_profiles(params, strategy)[1].m_total
     return _mean_time_interior(params, strategy)
 
 
 def _mean_time_interior(params: WalkParams, strategy: Strategy) -> float:
-    """:func:`mean_time_any` for 0 < s < 1; raises where that is not finite in floating
-    point (as s -> 0, ``(1-s)/s`` overflows while ``1 - 1/phi1`` rounds to 0)."""
+    """:func:`mean_time_any` for 0 < s < 1; raises where floating point cannot give it.
+
+    As s -> 0, ``(1-s)/s`` overflows, and for p <= 1/2 phi1 tends to 1, so
+    ``1 - 1/phi1`` keeps only the digits of phi1 beyond 1.
+    """
     s, i0 = params.s, params.i0
     char = mgf.characteristic(params, 1.0)
     inv_phi1 = 1.0 / char.phi.phi1
@@ -182,39 +216,8 @@ def _mean_time_interior(params: WalkParams, strategy: Strategy) -> float:
         m = i0 * num / (1.0 + 1.0 / wi - inv_phi1)
     if not math.isfinite(m):
         raise UnsupportedRegimeError(f"the mean time is not finite in floating point at s={s}")
+    _require_resolved("phi1", char.phi.phi1, 1.0 - inv_phi1, s)
     return m
-
-
-def _ruin_killed_time_s0(params: WalkParams) -> float:
-    if params.symmetric:
-        return math.inf
-    if params.omega < 1.0:
-        return params.i0 / (params.q - params.p)
-    # killed by the escape event: conditioned on ruin the drift flips
-    return params.i0 / ((params.p - params.q) * params.omega_pow)
-
-
-def _b_s1_killed_times(params: WalkParams) -> dict[int, float]:
-    """d/dz of z times each of :func:`mgf.mgf_b_s1`'s segment values, at z=1.
-
-    After its first step (the factor z) the walk exits a segment through
-    an end whose value is a ratio over ``U_i0``: ``1/U_i0`` to ruin,
-    ``omega*U_{i0-1}/U_i0`` and ``U_{i0-1}/U_i0`` to the middle barrier
-    from below and above, ``omega**(i0-1)/U_i0`` to the top.
-    """
-    lt = cp.lucas_terms(1.0, params, params.i0)
-    u, du = lt.u, lt.du
-    # d/dz [z / U_i0] and d/dz [z * U_{i0-1} / U_i0] at z=1
-    to_end = (1.0 - du / u) / u
-    to_middle = (lt.u_prev + lt.du_prev - lt.u_prev * du / u) / u
-    et0 = params.q * to_end
-    return {0: et0, 1: 2.0 * params.p * to_middle, 2: params.omega_pow * et0}
-
-
-def _c_s1_killed_times(params: WalkParams) -> dict[int, float]:
-    lt = cp.lucas_terms(1.0, params, params.i0)
-    et0 = -lt.dv / (lt.v * lt.v)
-    return {0: et0, 1: 0.0, 2: params.omega_pow * et0}
 
 
 def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
@@ -225,18 +228,8 @@ def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
     if k < 0:
         raise ParameterError(f"barrier index must be >= 0, got {k}")
     strategy = Strategy(strategy)
-    s = params.s
-    if s == 0.0:
-        return _ruin_killed_time_s0(params) if k == 0 else 0.0
-    if s == 1.0:
-        if strategy is Strategy.A:
-            return 0.0
-        table = (
-            _b_s1_killed_times(params)
-            if strategy is Strategy.B
-            else _c_s1_killed_times(params)
-        )
-        return table.get(k, 0.0)
+    if params.s in (0.0, 1.0):
+        return _limit_profiles(params, strategy)[1].killed_time(k)
     return _killed_times(params, strategy, k, k)[k]
 
 
@@ -284,23 +277,12 @@ def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> Time
     if kmax < 2:
         raise ParameterError(f"kmax must be >= 2, got {kmax}")
     strategy = Strategy(strategy)
-    s = params.s
-    if s == 0.0:
-        # the mean total time is the ruin time, killed by escape when omega > 1
-        et0 = _ruin_killed_time_s0(params)
-        return TimeProfile(m_total=et0, et={0: et0}, tail_bound=0.0)
-    if s == 1.0:
-        if strategy is Strategy.A:
-            return TimeProfile(m_total=0.0, et={1: 0.0}, tail_bound=0.0)
-        table = (
-            _b_s1_killed_times(params)
-            if strategy is Strategy.B
-            else _c_s1_killed_times(params)
-        )
-        return TimeProfile(m_total=mean_time_any(params, strategy), et=table, tail_bound=0.0)
+    if params.s in (0.0, 1.0):
+        return _limit_profiles(params, strategy)[1]
     m_total = _mean_time_interior(params, strategy)
     et = _killed_times(params, strategy, 0, kmax)
     phi2 = mgf.characteristic(params, 1.0).phi.phi2
+    _require_resolved("phi2", phi2, 1.0 - phi2, params.s)
     last, prev = et[kmax], et[kmax - 1]
     ratio = phi2
     if prev > 0.0 and last > 0.0:

@@ -210,46 +210,3 @@ def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int) -
     if n == 0:
         return _barrier_fn(strategy)(params, z, k)
     return mgf_interior(params, strategy, z, position)
-
-
-def mgf_b_s1(params: WalkParams, z: float, segment: int, n: int) -> float:
-    """Strategy-B generating functions in the all-stop case s=1.
-
-    With s=1 every barrier absorbs on arrival, so after the first step the
-    walk is confined to one of two segments with absorbing ends:
-
-    * ``segment=1``: states ``0..i0``, entered at ``i0 - 1``; ``n`` is the
-      absolute state.
-    * ``segment=2``: states ``i0..2*i0``, entered at ``i0 + 1``; ``n`` is
-      the offset above ``i0``.
-
-    Returns the generating function of state ``n`` (segment 1) or
-    ``i0 + n`` (segment 2) for the segment walk.  For i0=1 the segments
-    have no interior: the walk starts on an absorbing end, and the forms
-    below give the entry state value 1 and the opposite end 0 through
-    ``D_0 = 0`` and ``D_1 = 1``.
-    """
-    if params.s != 1.0:
-        raise UnsupportedRegimeError(f"this branch is the s=1 case, got s={params.s}")
-    if segment not in (1, 2):
-        raise ParameterError(f"segment must be 1 or 2, got {segment}")
-    i0 = params.i0
-    if not 0 <= n <= i0:
-        raise ParameterError(f"offset must lie in [0, {i0}], got {n}")
-    roots = tau_roots(z, params)
-    d_i0 = power_divided_difference(roots, i0)
-    if segment == 1:
-        if n == 0:
-            return 1.0 / d_i0
-        if n == i0:
-            return params.omega * power_divided_difference(roots, i0 - 1) / d_i0
-        return power_divided_difference(roots, n) / (params.q * z * d_i0)
-    if n == 0:
-        return power_divided_difference(roots, i0 - 1) / d_i0
-    if n == i0:
-        return params.omega ** (i0 - 1) / d_i0
-    return (
-        params.omega ** n
-        * power_divided_difference(roots, i0 - n)
-        / (params.p * z * d_i0)
-    )

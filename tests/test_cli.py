@@ -93,6 +93,22 @@ class TestAnalytic:
         assert (code, out) == (2, "")
         assert "not finite" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("s", ["1e-17", "1e-200"])
+    @pytest.mark.parametrize("p", ["0.4", "0.5", "0.6", "0.7"])
+    def test_barrier_roots_near_one_exit_0_or_2(self, p, s, capsys):
+        # a barrier root rounds to 1 here: no ZeroDivisionError may escape as a traceback
+        for i0 in ("1", "2", "5"):
+            for strategy in "ABC":
+                code, out, err = run_cli(
+                    ["analytic", "--p", p, "--s", s, "--i0", i0, "--strategy", strategy],
+                    capsys,
+                )
+                assert code in (0, 2)
+                if code == 2:
+                    assert out == ""
+                    assert err.count("\n") == 1
+                    assert "error" in json.loads(err)
+
     def test_conditional_times_flag(self, capsys):
         code, out, _ = run_cli(
             ["analytic", "--p", "0.4", "--s", "0.5", "--i0", "1", "--strategy", "B",

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ruinwalk.core import (
-    LatticeState,
     ParameterError,
     Strategy,
     WalkParams,
@@ -35,19 +34,6 @@ class TestWalkParams:
     def test_rejects_bad_i0(self, i0):
         with pytest.raises(ParameterError):
             WalkParams(0.5, 0.5, i0)
-
-
-class TestLatticeState:
-    def test_decomposition_is_unique(self):
-        state = LatticeState.from_position(7, 3)
-        assert (state.k, state.n) == (2, 1)
-        assert state.k * 3 + state.n == state.position
-        assert not state.on_barrier_lattice
-        assert LatticeState.from_position(6, 3).on_barrier_lattice
-
-    def test_rejects_negative_position(self):
-        with pytest.raises(ParameterError):
-            LatticeState.from_position(-1, 2)
 
 
 class TestStopProbability:

@@ -195,6 +195,80 @@ class TestNonFiniteMeans:
             metrics.time_profile(params, strategy)
 
 
+class TestLimitRegimes:
+    """s=0 (plain ruin) and s=1 (stop on arrival) against the exact solver."""
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    @pytest.mark.parametrize("i0", [1, 2, 3, 5])
+    @pytest.mark.parametrize("p", [0.3, 0.4, 0.5, 0.6, 0.7])
+    def test_profiles_match_exact_solver(self, p, i0, s, strategy):
+        params = WalkParams(p, s, i0)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        prof = metrics.absorption_profile(params, strategy)
+        tp = metrics.time_profile(params, strategy)
+        for k in range(4):
+            assert prof.probability(k) == pytest.approx(sol.probability(k), abs=1e-9), k
+            got, ref = tp.killed_time(k), sol.killed_time(k)
+            if math.isinf(ref):
+                assert got == ref
+            else:
+                assert abs(got - ref) <= 1e-7 * max(abs(ref), 1e-9), (k, got, ref)
+        # the four public functions read one builder here
+        for k in range(4):
+            assert metrics.mean_time_at(params, strategy, k) == tp.killed_time(k)
+        if s == 0.0 and params.omega > 1.0:
+            with pytest.raises(AbsorptionNotCertainError):
+                metrics.mean_time_any(params, strategy)
+        else:
+            assert metrics.mean_time_any(params, strategy) == tp.m_total
+
+
+def _answer_or_none(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedRegimeError:
+        return None
+
+
+class TestBarrierRootsNearOne:
+    """As s -> 0 a barrier root rounds to 1, or to within a few ulps of it:
+    phi2 for p >= 1/2 and phi1 for p <= 1/2.  The closed forms must then
+    answer accurately or raise the typed error, never divide by zero."""
+
+    @pytest.mark.parametrize("s", [1e-17, 1e-200])
+    @pytest.mark.parametrize("i0", [1, 2, 5])
+    @pytest.mark.parametrize("p", [0.4, 0.5, 0.6, 0.7])
+    def test_answers_or_raises(self, p, s, i0, strategy):
+        params = WalkParams(p, s, i0)
+        prof = _answer_or_none(metrics.absorption_profile, params, strategy)
+        tp = _answer_or_none(metrics.time_profile, params, strategy)
+        m = _answer_or_none(metrics.mean_time_any, params, strategy)
+        values = [] if m is None else [m]
+        if prof is not None:
+            values += [prof.p0, prof.tail_bound, *prof.pk.values()]
+        if tp is not None:
+            values += [tp.m_total, tp.tail_bound, *tp.et.values()]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values), values
+        if p > 0.5 or (prof, tp, m) == (None, None, None):
+            return
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        if prof is not None:
+            for k in range(4):
+                assert prof.probability(k) == pytest.approx(sol.probability(k), abs=1e-9)
+        for mean in (m, None if tp is None else tp.m_total):
+            if mean is not None:
+                assert mean == pytest.approx(sol.m_total, rel=1e-7)
+
+    def test_mean_time_resolved_above_the_cut(self):
+        # 1 - 1/phi1 is about s/(q-p): 5e-8 here, above the sqrt(eps) cut
+        params = WalkParams(0.4, 1e-8, 2)
+        sol = oracle.solve_exact(params, Strategy.A, tol=1e-11)
+        assert metrics.mean_time_any(params, Strategy.A) == pytest.approx(sol.m_total, rel=1e-7)
+        # and 5e-10 here, below it, where the rounding of phi1 is ~1e-6 of the gap
+        with pytest.raises(UnsupportedRegimeError, match="within rounding of 1"):
+            metrics.mean_time_any(WalkParams(0.4, 1e-10, 2), Strategy.A)
+
+
 class TestKilledTimesPerBarrier:
     def test_no_stop_killed_time_at_ruin(self):
         assert metrics.mean_time_at(

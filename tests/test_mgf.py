@@ -178,35 +178,6 @@ class TestInterior:
             assert val >= 0.0
 
 
-class TestAllStopSegments:
-    def test_entry_values_for_unit_stake(self):
-        params = WalkParams(0.4, 1.0, 1)
-        assert mgf.mgf_b_s1(params, 1.0, 1, 0) == 1.0
-        assert mgf.mgf_b_s1(params, 1.0, 1, 1) == 0.0
-        assert mgf.mgf_b_s1(params, 1.0, 2, 1) == 1.0
-        assert mgf.mgf_b_s1(params, 1.0, 2, 0) == 0.0
-
-    def test_ruin_value_at_unit_z(self):
-        params = WalkParams(0.4, 1.0, 2)
-        assert mgf.mgf_b_s1(params, 1.0, 1, 0) == pytest.approx(0.6, rel=1e-12)
-
-    def test_endpoint_step_relations(self):
-        params = WalkParams(0.45, 1.0, 3)
-        z = 0.8
-        # lower segment: entering the barrier needs one up-step
-        top = mgf.mgf_b_s1(params, z, 1, params.i0)
-        below = mgf.mgf_b_s1(params, z, 1, params.i0 - 1)
-        assert top == pytest.approx(params.p * z * below, rel=1e-12)
-        # and the ruin end one down-step
-        zero = mgf.mgf_b_s1(params, z, 1, 0)
-        above = mgf.mgf_b_s1(params, z, 1, 1)
-        assert zero == pytest.approx(params.q * z * above, rel=1e-12)
-
-    def test_rejects_partial_stop(self):
-        with pytest.raises(UnsupportedRegimeError):
-            mgf.mgf_b_s1(WalkParams(0.4, 0.5, 2), 1.0, 1, 0)
-
-
 class TestAgainstPropagationOracle:
     """The defining cross-check: closed forms equal the step-by-step sums."""
 
