@@ -3,10 +3,10 @@
 from .core import (
     AbsorptionNotCertainError,
     ParameterError,
+    Profile,
     Strategy,
     UnsupportedRegimeError,
     WalkParams,
-    stop_probability,
 )
 from .charpoly import (
     CharData,
@@ -21,8 +21,6 @@ from .charpoly import (
 from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_c
 from .mgf import mgf_interior, mgf_value
 from .metrics import (
-    AbsorptionProfile,
-    TimeProfile,
     absorption_profile,
     bc_ratio,
     mean_time_any,
@@ -35,17 +33,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsorptionNotCertainError",
-    "AbsorptionProfile",
     "CharData",
     "Characteristic",
     "DerivativeBundle",
     "ExactSolution",
     "ParameterError",
     "PhiPair",
+    "Profile",
     "RootPair",
     "SimResult",
     "Strategy",
-    "TimeProfile",
     "UnsupportedRegimeError",
     "WalkParams",
     "absorption_profile",
@@ -63,7 +60,6 @@ __all__ = [
     "phi_roots",
     "simulate",
     "solve_exact",
-    "stop_probability",
     "tau_roots",
     "theta",
     "time_profile",

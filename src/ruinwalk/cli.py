@@ -9,7 +9,8 @@ mgf        generating-function values at a given z
 verify     the three-layer agreement suite; exit 0 iff every check passes
 sweep      CSV over parameter ranges (``--p 0.3:0.7:0.05`` style)
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, an unresolved oracle or a closed
+stdout, 2 usage or parameter error.
 Errors are emitted as one-line JSON on stderr.  JSON output carries full
 float precision; ``--format table`` rounds to six significant digits.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import charpoly as cp
@@ -92,13 +94,20 @@ def _times_block(params: WalkParams, strategy: Strategy, kmax: int, tol: float) 
         et = [sol.killed_time(k) for k in range(0, kmax + 1)]
         m = metrics.mean_time_any(params, strategy)
         return {"m_total": m, "et": et, "source": "exact"}
-    tp = metrics.time_profile(params, strategy, kmax=max(kmax, 2))
-    et = [tp.killed_time(k) for k in range(0, kmax + 1)]
-    return {"m_total": tp.m_total, "et": et, "source": "analytic"}
+    tp = metrics.time_profile(params, strategy)
+    # at s=0 the total is the ruin time killed by escape, which mean_time_any refuses
+    m = tp.total if params.s == 0.0 else metrics.mean_time_any(params, strategy)
+    return {"m_total": m, "et": [tp.at(k) for k in range(kmax + 1)], "source": "analytic"}
+
+
+def _require_kmax(kmax: int) -> None:
+    if kmax < 1:
+        raise ParameterError(f"kmax must be >= 1, got {kmax}")
 
 
 def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
-    prof = metrics.absorption_profile(params, strategy, kmax=args.kmax)
+    _require_kmax(args.kmax)
+    prof = metrics.absorption_profile(params, strategy)
     report = {
         "params": {
             "p": params.p,
@@ -109,9 +118,9 @@ def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
         },
         "strategy": strategy.value,
         "absorption": {
-            "p0": prof.p0,
-            "pk": [prof.probability(k) for k in range(1, args.kmax + 1)],
-            "tail_bound": prof.tail_bound,
+            "p0": prof.at(0),
+            "pk": [prof.at(k) for k in range(1, args.kmax + 1)],
+            "tail_bound": prof.beyond(args.kmax),
         },
         "times": _times_block(params, strategy, args.kmax, args.tol),
         "diagnostics": _diagnostics(params),
@@ -121,7 +130,7 @@ def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
         report["mgf"] = {"z": args.z, "barrier_values": values}
     if args.conditional:
         et = report["times"]["et"]
-        pks = [prof.p0] + report["absorption"]["pk"]
+        pks = [prof.at(0)] + report["absorption"]["pk"]
         report["conditional_times"] = [
             (t / pk if pk > 0 else None) for t, pk in zip(et, pks)
         ]
@@ -328,8 +337,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
 
 def _sweep_row(params: WalkParams, strategy: Strategy, args, instance: dict) -> dict:
     """One sweep row; ``instance`` holds the columns that do not depend on the strategy."""
-    prof = metrics.absorption_profile(params, strategy, kmax=args.kmax)
-    # the row prints et0..et3, and each et_k is the same whatever the profile's length
+    prof = metrics.absorption_profile(params, strategy)
     times = _times_block(params, strategy, 3, args.tol)
     return {
         "p": params.p,
@@ -337,11 +345,11 @@ def _sweep_row(params: WalkParams, strategy: Strategy, args, instance: dict) -> 
         "i0": params.i0,
         "strategy": strategy.value,
         "omega": params.omega,
-        "p0": prof.p0,
-        "p1": prof.probability(1),
-        "p2": prof.probability(2),
-        "p3": prof.probability(3),
-        "tail_bound": prof.tail_bound,
+        "p0": prof.at(0),
+        "p1": prof.at(1),
+        "p2": prof.at(2),
+        "p3": prof.at(3),
+        "tail_bound": prof.beyond(args.kmax),
         "m_total": times["m_total"],
         "et0": times["et"][0],
         "et1": times["et"][1],
@@ -365,8 +373,7 @@ def cmd_sweep(args) -> int:
         for s in ss:
             for i0 in i0s:
                 params = WalkParams(p=p, s=s, i0=i0)
-                if args.kmax < 1:  # absorption_profile's check, still ahead of every other error
-                    raise ParameterError(f"kmax must be >= 1, got {args.kmax}")
+                _require_kmax(args.kmax)  # after the instance's own checks, ahead of its rows
                 # params keeps its z=1 characteristic, so every column of the
                 # instance shares one solve of the roots
                 ratio = metrics.bc_ratio(params) if 0.0 < s < 1.0 else None
@@ -481,7 +488,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's documented SIGPIPE recipe: send what is left to devnull, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParameterError, UnsupportedRegimeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Domain types and stopping-rule semantics for barrier-stopping ruin walks.
+"""Domain types for barrier-stopping ruin walks, and the profile type they share.
 
 The walk lives on the non-negative integers, starts at ``i0`` and moves one
 unit per time step: up with probability ``p``, down with ``q = 1 - p``.
@@ -95,33 +95,48 @@ class WalkParams:
         return self.p == 0.5
 
 
-def is_active_barrier(strategy: Strategy, position: int, i0: int, time: int) -> bool:
-    """Whether ``position`` acts as a stopping barrier at ``time``.
+@dataclass(frozen=True)
+class Profile:
+    """Values at ruin (k = 0) and at every barrier k*i0: masses or killed times.
 
-    State 0 is not a barrier in this sense; it absorbs unconditionally and
-    is handled by :func:`stop_probability` directly.
+    ``head`` holds barriers 0..a explicitly.  Past it the values are
+    geometric: barrier ``a + m`` has
+    ``head[a] * rho**m + m * mass * rho**(m-1) * drho``, where ``mass`` is
+    the absorption mass at barrier a and ``drho`` the z-derivative of rho
+    at z=1; a mass profile has ``drho = 0``.  ``gap`` is ``1 - rho``, kept
+    apart so that it keeps its digits when rho nears 1.  ``rho = 0`` means
+    nothing lies past the head.
     """
-    if position <= 0 or position % i0 != 0:
-        return False
-    k = position // i0
-    if k < Strategy(strategy).first_barrier_multiple:
-        return False
-    if strategy is Strategy.B and position == i0 and time == 0:
-        return False
-    return True
 
+    head: tuple[float, ...]
+    rho: float = 0.0
+    gap: float = 1.0
+    drho: float = 0.0
+    mass: float = 0.0
 
-def stop_probability(
-    params: WalkParams, strategy: Strategy, position: int, time: int
-) -> float:
-    """Probability that a walker sitting at ``position`` at ``time`` is absorbed now.
+    def at(self, k: int) -> float:
+        """The value at barrier k; 0 at negative k."""
+        m = k - len(self.head) + 1
+        if m <= 0:
+            return self.head[k] if k >= 0 else 0.0
+        if not self.rho:
+            return 0.0
+        grow = self.rho ** (m - 1)
+        return self.head[-1] * grow * self.rho + m * self.mass * grow * self.drho
 
-    Returns 1 at state 0, ``s`` at an active barrier and 0 elsewhere.
-    """
-    if time < 0:
-        raise ParameterError(f"time must be >= 0, got {time}")
-    if position == 0:
-        return 1.0
-    if is_active_barrier(strategy, position, params.i0, time):
-        return params.s
-    return 0.0
+    def beyond(self, k: int) -> float:
+        """The exact sum of the values at the barriers past k."""
+        last = len(self.head) - 1
+        if k < last:
+            return sum(self.head[max(k + 1, 0):]) + self.beyond(last)
+        if not self.rho:
+            return 0.0
+        tail = self.at(k) * self.rho / self.gap
+        if self.drho:  # times add mass * rho**(k-a) * drho / gap**2
+            tail += self.mass * self.rho ** (k - last) * self.drho / (self.gap * self.gap)
+        return tail
+
+    @property
+    def total(self) -> float:
+        """The sum over ruin and every barrier."""
+        return sum(self.head) + self.beyond(len(self.head) - 1)

@@ -25,45 +25,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import charpoly as cp
 from . import mgf
 from .core import (
     AbsorptionNotCertainError,
     ParameterError,
+    Profile,
     Strategy,
     UnsupportedRegimeError,
     WalkParams,
 )
-
-
-@dataclass(frozen=True)
-class AbsorptionProfile:
-    """Where the walk is absorbed: ruin mass p0, barrier masses pk, tail bound."""
-
-    p0: float
-    pk: dict[int, float]
-    tail_bound: float
-
-    def probability(self, k: int) -> float:
-        return self.p0 if k == 0 else self.pk.get(k, 0.0)
-
-    @property
-    def total(self) -> float:
-        return self.p0 + sum(self.pk.values())
-
-
-@dataclass(frozen=True)
-class TimeProfile:
-    """Killed expected times per absorption site and their total."""
-
-    m_total: float
-    et: dict[int, float]
-    tail_bound: float
-
-    def killed_time(self, k: int) -> float:
-        return self.et.get(k, 0.0)
 
 
 # The barrier roots tend to 1 (and omega**i0) as s -> 0.  A gap 1 - phi below
@@ -78,8 +50,8 @@ def _require_resolved(name: str, root: float, gap: float, s: float) -> None:
         )
 
 
-def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[AbsorptionProfile, TimeProfile]:
-    """Absorption and time profiles at s=0 and s=1, where the walk is classical ruin.
+def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Profile, float]:
+    """Head-only profiles and the mean time at s=0 and s=1, where the walk is classical ruin.
 
     At s=0 no barrier stops: only ruin absorbs, mass escapes upward when
     omega > 1, and the ruin time is killed by that escape (FORMULA_ERRATA.md #3).
@@ -99,31 +71,31 @@ def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[AbsorptionP
             # killed by the escape event: conditioned on ruin the drift flips
             et0 = i0 / ((params.p - params.q) * wi)
         p0 = 1.0 if params.omega <= 1.0 else 1.0 / wi
-        return AbsorptionProfile(p0, {}, 0.0), TimeProfile(et0, {0: et0}, 0.0)
+        return Profile((p0,)), Profile((et0,)), et0
     if strategy is Strategy.A:
-        return AbsorptionProfile(0.0, {1: 1.0}, 0.0), TimeProfile(0.0, {1: 0.0}, 0.0)
+        return Profile((0.0, 1.0)), Profile((0.0, 0.0)), 0.0
     lt = cp.lucas_terms(1.0, params, i0)
     if strategy is Strategy.C:
         # exit values 1/V_i0 at ruin and omega**i0/V_i0 at the top
         et0 = -lt.dv / (lt.v * lt.v)
         return (
-            AbsorptionProfile(1.0 / lt.v, {1: 0.0, 2: wi / lt.v}, 0.0),
-            TimeProfile(-lt.dv / lt.v, {0: et0, 1: 0.0, 2: wi * et0}, 0.0),
+            Profile((1.0 / lt.v, 0.0, wi / lt.v)),
+            Profile((et0, 0.0, wi * et0)),
+            -lt.dv / lt.v,
         )
     # B's exit values: 1/U_i0 to ruin, omega*U_{i0-1}/U_i0 and U_{i0-1}/U_i0
     # to the middle barrier from below and above, omega**(i0-1)/U_i0 to the
     # top; the killed times are d/dz of z times each, at z=1
     p, q, u, du = params.p, params.q, lt.u, lt.du
-    masses = {
-        1: q * (params.omega * lt.u_prev / u) + p * (lt.u_prev / u),
-        2: p * (params.omega ** (i0 - 1) / u),
-    }
+    p1 = q * (params.omega * lt.u_prev / u) + p * (lt.u_prev / u)
+    p2 = p * (params.omega ** (i0 - 1) / u)
     to_end = (1.0 - du / u) / u
     to_middle = (lt.u_prev + lt.du_prev - lt.u_prev * du / u) / u
     et0 = q * to_end
     return (
-        AbsorptionProfile(q * (1.0 / u), masses, 0.0),
-        TimeProfile(float(i0), {0: et0, 1: 2.0 * p * to_middle, 2: wi * et0}, 0.0),
+        Profile((q * (1.0 / u), p1, p2)),
+        Profile((et0, 2.0 * p * to_middle, wi * et0)),
+        float(i0),
     )
 
 
@@ -131,31 +103,26 @@ def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[AbsorptionP
 # absorption probabilities
 
 
-def absorption_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> AbsorptionProfile:
+def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
     """Distribution of the absorption site over {0} and the barriers k*i0.
 
-    For 0 < s < 1 the barrier masses decay geometrically with ratio phi2;
-    ``tail_bound`` bounds the mass sitting beyond ``kmax``.  For s=0 only
-    ruin can absorb (mass escapes upward when the drift ratio exceeds 1);
-    for s=1 all mass sits on {0, i0, 2*i0}.
+    For 0 < s < 1 the barrier masses are ``s * value`` of the generating
+    functions at z=1, geometric with ratio phi2 past the profile's head.
+    For s=0 only ruin can absorb (mass escapes upward when the drift ratio
+    exceeds 1); for s=1 all mass sits on {0, i0, 2*i0}.
     """
-    if kmax < 1:
-        raise ParameterError(f"kmax must be >= 1, got {kmax}")
     strategy = Strategy(strategy)
     s = params.s
     if s in (0.0, 1.0):
         return _limit_profiles(params, strategy)[0]
     phi2 = mgf.characteristic(params, 1.0).phi.phi2
-    _require_resolved("phi2", phi2, 1.0 - phi2, s)  # the tail divides by it
+    _require_resolved("phi2", phi2, 1.0 - phi2, s)  # the tail sums divide by it
     fn = {Strategy.A: mgf.mgf_a, Strategy.B: mgf.mgf_b, Strategy.C: mgf.mgf_c}[strategy]
-    values = fn(params, 1.0, range(kmax + 1))
-    p0 = values[0]
-    pk: dict[int, float] = {}
-    for k in range(1, kmax + 1):
-        stop = 0.0 if (strategy is Strategy.C and k == 1) else s
-        pk[k] = stop * values[k]
-    tail = pk[kmax] * phi2 / (1.0 - phi2)
-    return AbsorptionProfile(p0=p0, pk=pk, tail_bound=tail)
+    values = fn(params, 1.0, range(strategy.first_barrier_multiple + 2))
+    head = [values[0]] + [s * v for v in values[1:]]
+    if strategy is Strategy.C:
+        head[1] = 0.0  # i0 never stops C
+    return Profile(tuple(head), phi2, 1.0 - phi2)
 
 
 def bc_ratio(params: WalkParams) -> float:
@@ -193,7 +160,7 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
                 "s=0 with upward drift: absorption is not almost sure; "
                 "ask for the killed time at ruin (barrier 0) instead"
             )
-        return _limit_profiles(params, strategy)[1].m_total
+        return _limit_profiles(params, strategy)[2]
     return _mean_time_interior(params, strategy)
 
 
@@ -229,63 +196,50 @@ def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
         raise ParameterError(f"barrier index must be >= 0, got {k}")
     strategy = Strategy(strategy)
     if params.s in (0.0, 1.0):
-        return _limit_profiles(params, strategy)[1].killed_time(k)
-    return _killed_times(params, strategy, k, k)[k]
+        return _limit_profiles(params, strategy)[1].at(k)
+    return _killed_times(params, strategy).at(k)
 
 
-def _killed_times(params: WalkParams, strategy: Strategy, kmin: int, kmax: int) -> dict[int, float]:
-    """Derivative assembly of killed times for barriers kmin..kmax, 0 < s < 1."""
+def _killed_times(params: WalkParams, strategy: Strategy) -> Profile:
+    """Derivative assembly of the killed times at ruin and barriers 1..a, 0 < s < 1.
+
+    Past barrier a they are the z-derivatives of the geometric masses
+    ``mass * phi2**m``, so the profile's tail carries ``drho = dphi2``.
+    """
     s = params.s
     der = cp.derivatives_at_1(params)
     lt, phi = der.lucas, mgf.characteristic(params, 1.0).phi
-    wpow = params.omega_pow
     # logarithmic derivative shared by every barrier form: U_i0 and 1/z
     log_common = lt.du / lt.u - 1.0
     phi_rate = der.dphi2 / phi.phi2
-
-    ks = range(kmin, kmax + 1)
-    out: dict[int, float] = {}
-    if strategy in (Strategy.A, Strategy.B):
-        for k, u in zip(ks, mgf.mgf_a(params, 1.0, ks)):
-            if k == 0:
-                val = der.dphi2 / wpow
-            else:
-                val = s * u * (log_common + k * phi_rate)
-            out[k] = val / (1.0 - s) if strategy is Strategy.B else val
-        return out
-
-    # C's barrier values share the pole 1/(V_i0 - phi2)
-    pole_rate = (lt.dv - der.dphi2) / (lt.v - phi.phi2)
-    for k, wk in zip(ks, mgf.mgf_c(params, 1.0, ks)):
-        if k == 0:
-            out[k] = wk * wk * (der.dphi2 - lt.dv)
-        elif k == 1:
-            out[k] = 0.0
-        else:
-            out[k] = s * wk * (log_common + (k - 1) * phi_rate - pole_rate)
-    return out
+    ks = range(strategy.first_barrier_multiple + 2)
+    if strategy is Strategy.C:
+        # C's barrier values share the pole 1/(V_i0 - phi2)
+        pole_rate = (lt.dv - der.dphi2) / (lt.v - phi.phi2)
+        w = mgf.mgf_c(params, 1.0, ks)
+        head = [w[0] * w[0] * (der.dphi2 - lt.dv), 0.0]
+        head += [s * w[k] * (log_common + (k - 1) * phi_rate - pole_rate) for k in ks[2:]]
+        mass = s * w[-1]
+    else:
+        u = mgf.mgf_a(params, 1.0, ks)
+        head = [der.dphi2 / params.omega_pow]
+        head += [s * u[k] * (log_common + k * phi_rate) for k in ks[1:]]
+        mass = s * u[-1]
+        if strategy is Strategy.B:
+            head = [t / (1.0 - s) for t in head]
+            mass /= 1.0 - s
+    return Profile(tuple(head), phi.phi2, 1.0 - phi.phi2, der.dphi2, mass)
 
 
-def time_profile(params: WalkParams, strategy: Strategy, kmax: int = 64) -> TimeProfile:
-    """Killed times for barriers 0..kmax plus the total mean.
+def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
+    """Killed expected times at ruin and at every barrier k*i0.
 
-    ``tail_bound`` bounds the killed time sitting beyond ``kmax``: barrier
-    terms decay like ``k * phi2**k``, so successive ratios are at most
-    ``max(phi2, ratio at kmax)`` once the linear factor's growth is
-    accounted for.
+    Their total is the mean time of :func:`mean_time_any` up to rounding;
+    at s=0 with upward drift it is the ruin time killed by the escape.
     """
-    if kmax < 2:
-        raise ParameterError(f"kmax must be >= 2, got {kmax}")
     strategy = Strategy(strategy)
     if params.s in (0.0, 1.0):
         return _limit_profiles(params, strategy)[1]
-    m_total = _mean_time_interior(params, strategy)
-    et = _killed_times(params, strategy, 0, kmax)
     phi2 = mgf.characteristic(params, 1.0).phi.phi2
-    _require_resolved("phi2", phi2, 1.0 - phi2, params.s)
-    last, prev = et[kmax], et[kmax - 1]
-    ratio = phi2
-    if prev > 0.0 and last > 0.0:
-        ratio = max(phi2, last / prev)
-    tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return TimeProfile(m_total=m_total, et=et, tail_bound=tail)
+    _require_resolved("phi2", phi2, 1.0 - phi2, params.s)  # the tail sums divide by it
+    return _killed_times(params, strategy)

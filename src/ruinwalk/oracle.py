@@ -26,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError, Strategy, WalkParams
+from .core import ParameterError, Profile, Strategy, WalkParams
 
 _CHUNK = 1 << 16
+# one period's ratio maps move a converged fixed point by rounding only
+_MAX_RELATIVE_RESIDUAL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -43,11 +45,10 @@ class ConvergenceError(RuntimeError):
 class ExactSolution:
     """Absorption profile and killed time profile from the exact solver.
 
-    ``pk``/``et`` run to ``truncation_k - 1``: the head's barriers, then the
-    tail's to the first with mass and time below ``tol * 1e-6`` (at most
-    2**16).  :meth:`probability`/:meth:`killed_time` answer every k: barrier
-    ``k_cut + m`` has ``mass * rho**m`` and ``time * rho**m + m * mass *
-    rho**(m-1) * drho`` from ``tail = (k_cut, mass, time, rho, drho)``.
+    ``masses`` and ``times`` answer every k: their head runs to the cut's
+    barrier, and their tail is geometric in one period's ratio ``rho``.
+    ``pk``/``et`` list them to ``truncation_k - 1``, the first barrier past
+    the head with mass and time below ``tol * 1e-6`` (at most 2**16).
     """
 
     truncation_k: int
@@ -57,25 +58,17 @@ class ExactSolution:
     m_total: float
     escape_mass: float
     error_estimate: float  # bound on the error of the tail's fixed point
+    masses: Profile
+    times: Profile
     method: str = "transfer"
     squarings: int = 0  # of the period matrix; each doubles the periods spanned
     fixed_point_residual: float = 0.0
-    tail: tuple[int, float, float, float, float] = (0, 0.0, 0.0, 0.0, 0.0)
 
     def probability(self, k: int) -> float:
-        if k == 0:
-            return self.p0
-        return self.pk.get(k, 0.0) if k < self.truncation_k else _tail_value(self.tail, k)[0]
+        return self.masses.at(k)
 
     def killed_time(self, k: int) -> float:
-        return self.et.get(k, 0.0) if k < self.truncation_k else _tail_value(self.tail, k)[1]
-
-
-def _tail_value(tail: tuple, k: int) -> tuple[float, float]:
-    k_cut, mass, time, rho, drho = tail
-    m = k - k_cut
-    grow = rho ** (m - 1)
-    return mass * grow * rho, time * grow * rho + m * mass * grow * drho
+        return self.times.at(k)
 
 
 def _steady_barrier_mask(strategy: Strategy, n_states: int, i0: int) -> list[bool]:
@@ -194,10 +187,10 @@ def _solve_truncated(params: WalkParams, strategy: Strategy, trunc_k: int) -> di
     }
 
 
-def _rescaled(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
-    """Scale a 2x2 matrix by a power of two (exactly) so its largest entry is below 1."""
+def _rescaled(a: float, b: float, c: float, d: float, det: float) -> tuple[float, ...]:
+    """Scale a 2x2 matrix and its ``det`` by a power of two so its largest entry is below 1."""
     e = -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
-    return math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e), math.ldexp(d, e)
+    return tuple(math.ldexp(x, e) for x in (a, b, c, d)) + (math.ldexp(det, 2 * e),)
 
 
 def _tail_fixed_point(
@@ -216,24 +209,30 @@ def _tail_fixed_point(
     without stops (the driftless walk) gives None; other inseparable
     ones raise ``ConvergenceError``.
     """
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    a, b, c, d, det = 1.0, 0.0, 0.0, 1.0, 1.0
     for x in range(cut, cut + i0):
         qa = q * (1.0 - stop[x + 2])
         lo, hi = p * stop[x] + q * stop[x + 2], p + q * stop[x + 2]
-        a, b, c, d = _rescaled((a + b) * qa, a * lo + b * hi, (c + d) * qa, c * lo + d * hi)
+        # the factor's determinant qa * (hi - lo), without the subtraction
+        det *= qa * p * (1.0 - stop[x])
+        a, b, c, d, det = _rescaled((a + b) * qa, a * lo + b * hi, (c + d) * qa, c * lo + d * hi, det)
     disc = (d - a) ** 2 + 4.0 * b * c
     if disc == 0.0 and not any(stop):
         return None
     trace, root = a + d, math.sqrt(disc)
-    kappa = (trace - root) / (trace + root)
+    kappa = 4.0 * det / (trace + root) ** 2  # = lambda2 / lambda1, with no cancellation
     if not kappa < 1.0:
         raise ConvergenceError(f"the period map's eigenvalues do not separate (ratio {kappa!r})")
-    squarings = 0
-    while kappa > 1e-32:  # below rounding squared; about 60 times at most for kappa < 1
+    # e* = 1 - r* scales with s, so the iterate's error, about kappa, must
+    # also fall below rounding relative to it; without stops e* is 0 for p > q
+    relative = any(stop)
+    squarings, e = 0, (a + b) / (c + d)
+    while kappa > 1e-32 or (relative and kappa > 1e-16 * e):  # about 70 times at most
         bc = b * c
-        a, b, c, d = _rescaled(a * a + bc, trace * b, trace * c, d * d + bc)
+        a, b, c, d, det = _rescaled(a * a + bc, trace * b, trace * c, d * d + bc, det * det)
         trace, kappa, squarings = a + d, kappa * kappa, squarings + 1
-    return (a + b) / (c + d), squarings
+        e = (a + b) / (c + d)
+    return e, squarings
 
 
 def _period_pass(
@@ -291,31 +290,37 @@ def solve_exact(
     cut = k_cut * i0
     stop = [s if b else 0.0 for b in _steady_barrier_mask(strategy, cut + i0 + 2, i0)]
     if (found := _tail_fixed_point(p, q, stop, cut, i0)) is None:  # certain ruin, in infinite time
-        return ExactSolution(1, 1.0, {}, {0: math.inf}, math.inf, 0.0, 0.0)
+        return ExactSolution(
+            1, 1.0, {}, {0: math.inf}, math.inf, 0.0, 0.0, Profile((1.0,)), Profile((math.inf,))
+        )
     fixed, squarings = found
     r_cut, e_cut, dr_cut, f_gap, rho, gap, drho = _period_pass(p, q, stop, cut, i0, fixed)
+    residual = abs(e_cut - fixed)
+    if s and not residual <= _MAX_RELATIVE_RESIDUAL * fixed:  # e* > 0 once anything stops
+        raise ConvergenceError(f"the tail's fixed point {fixed!r} moves {residual!r} in a period")
+    if s and not gap * gap:  # the tail's time sum divides by it
+        raise ConvergenceError(f"1 - rho = {gap!r} underflows when squared")
     mass, killed = _head_profile(params, strategy, cut, k_cut, r_cut, dr_cut)
-    tail = (k_cut, mass[k_cut], killed[k_cut], rho, drho)
-    m_total, escape = sum(killed.values()), 1.0 - sum(mass.values())
-    if tail[1] or tail[2]:  # barriers past the cut, summed (rho is 1 only without stops)
-        m_total += tail[2] * rho / gap + tail[1] * drho / (gap * gap)
-        escape -= tail[1] * rho / gap
+    if not (mass[k_cut] or killed[k_cut]):  # nothing stops past the cut, where rho may be 1
+        rho = 0.0
+    masses = Profile(tuple(mass.values()), rho, gap)
+    times = Profile(tuple(killed.values()), rho, gap, drho, mass[k_cut])
     for k in range(k_cut + 1, k_cut + (1 << 16) + 1):
-        mass[k], killed[k] = _tail_value(tail, k)
+        mass[k], killed[k] = masses.at(k), times.at(k)
         if max(mass[k], killed[k]) < tol * 1e-6:
             break
-    residual = abs(e_cut - fixed)
     return ExactSolution(
         truncation_k=k + 1,
         p0=mass.pop(0),
         pk=mass,
         et=killed,
-        m_total=m_total,
-        escape_mass=max(0.0, escape),
+        m_total=times.total,
+        escape_mass=max(0.0, 1.0 - sum(masses.head) - masses.beyond(k_cut)),
         error_estimate=residual / f_gap,
+        masses=masses,
+        times=times,
         squarings=squarings,
         fixed_point_residual=residual,
-        tail=tail,
     )
 
 

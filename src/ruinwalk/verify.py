@@ -190,12 +190,9 @@ def check_mass_conservation() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for strategy in Strategy:
-            prof = metrics.absorption_profile(params, strategy, kmax=256)
-            # the counted mass may sit below 1 by at most the tail bound
-            over = prof.total - 1.0
-            under = (1.0 - prof.total) - prof.tail_bound
-            worst = max(worst, over, under)
-    return _result("absorption mass sums to one", max(worst, 0.0), 1e-9)
+            total = metrics.absorption_profile(params, strategy).total
+            worst = max(worst, abs(total - 1.0))
+    return _result("absorption mass sums to one", worst, 1e-9)
 
 
 def check_a_b_time_scaling() -> CheckResult:
@@ -214,13 +211,10 @@ def check_bc_ratio() -> CheckResult:
         ratio = metrics.bc_ratio(params)
         if not ratio < 1.0:
             below_one = False
-        pb = metrics.absorption_profile(params, Strategy.B, kmax=8)
-        pc = metrics.absorption_profile(params, Strategy.C, kmax=8)
-        worst = max(worst, abs(ratio - pb.p0 / pc.p0))
-        for k in (2, 3, 5):
-            worst = max(
-                worst, abs(ratio - pb.probability(k) / pc.probability(k))
-            )
+        pb = metrics.absorption_profile(params, Strategy.B)
+        pc = metrics.absorption_profile(params, Strategy.C)
+        for k in (0, 2, 3, 5):
+            worst = max(worst, abs(ratio - pb.at(k) / pc.at(k)))
     res = _result("B/C absorption ratio constant and below one", worst, 1e-10)
     if not below_one:
         return CheckResult(res.name, False, res.detail + " (ratio >= 1)")
@@ -230,12 +224,9 @@ def check_bc_ratio() -> CheckResult:
 def check_time_decomposition() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
-        phi2 = mgf.characteristic(params, 1.0).phi.phi2
-        kmax = max(64, int(math.log(1e-12) / math.log(phi2)) + 8)
         for strategy in Strategy:
-            tp = metrics.time_profile(params, strategy, kmax=kmax)
-            gap = abs(sum(tp.et.values()) - tp.m_total)
-            worst = max(worst, max(gap - tp.tail_bound, 0.0))
+            total = metrics.time_profile(params, strategy).total
+            worst = max(worst, abs(total - metrics.mean_time_any(params, strategy)))
     return _result("killed times sum to the total mean", worst, 1e-8)
 
 
@@ -268,20 +259,20 @@ def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> lis
     for params in _interior_grid():
         for strategy in Strategy:
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
-            prof = metrics.absorption_profile(params, strategy, kmax=64)
+            prof = metrics.absorption_profile(params, strategy)
             at = f"p={params.p} s={params.s} i0={params.i0} strategy={strategy.value}"
             for k in range(0, 65):
-                gap = abs(prof.probability(k) - sol.probability(k))
+                gap = abs(prof.at(k) - sol.probability(k))
                 if gap > worst_p:
                     worst_p, where_p = gap, f"{at} k={k}"
             m = metrics.mean_time_any(params, strategy)
             gap = abs(m - sol.m_total) / max(abs(sol.m_total), 1e-300)
             if gap > worst_t:
                 worst_t, where_t = gap, f"{at} total"
-            tp = metrics.time_profile(params, strategy, kmax=64)
+            tp = metrics.time_profile(params, strategy)
             for k in range(0, 65):
                 ref = sol.killed_time(k)
-                gap = abs(tp.killed_time(k) - ref) / max(abs(ref), 1e-9)
+                gap = abs(tp.at(k) - ref) / max(abs(ref), 1e-9)
                 if gap > worst_t:
                     worst_t, where_t = gap, f"{at} k={k}"
     return [
@@ -303,9 +294,9 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
     rejected = (char.u_i0 - 2.0 * params.p * char.u_prev) / params.q
     implemented = char.coupling.theta
     sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
-    prof = metrics.absorption_profile(params, Strategy.B, kmax=64)
+    prof = metrics.absorption_profile(params, Strategy.B)
     ok = (
-        abs(prof.p0 - sol.p0) < 1e-9
+        abs(prof.at(0) - sol.p0) < 1e-9
         and abs(implemented - rejected) > 1e-3
         and _phi_is_consistent(implemented, params)
         and not _phi_is_consistent_or_matches(rejected, params, sol.p0)

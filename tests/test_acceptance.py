@@ -54,20 +54,20 @@ def test_criterion_1_three_layer_agreement_grid():
         for strategy in Strategy:
             combos += 1
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
-            prof = metrics.absorption_profile(params, strategy, kmax=64)
-            worst_prob = max(worst_prob, abs(prof.p0 - sol.p0))
+            prof = metrics.absorption_profile(params, strategy)
+            worst_prob = max(worst_prob, abs(prof.at(0) - sol.p0))
             for k in range(1, 65):
                 worst_prob = max(
-                    worst_prob, abs(prof.probability(k) - sol.pk.get(k, 0.0))
+                    worst_prob, abs(prof.at(k) - sol.pk.get(k, 0.0))
                 )
             m = metrics.mean_time_any(params, strategy)
             worst_time = max(
                 worst_time, abs(m - sol.m_total) / max(abs(sol.m_total), 1e-300)
             )
-            tp = metrics.time_profile(params, strategy, kmax=64)
+            tp = metrics.time_profile(params, strategy)
             for k in range(0, 65):
                 ref = sol.et.get(k, 0.0)
-                gap = abs(tp.killed_time(k) - ref)
+                gap = abs(tp.at(k) - ref)
                 worst_time = max(worst_time, gap / max(abs(ref), 1e-9))
     elapsed = time.time() - t0
     ok = worst_prob <= 1e-9 and worst_time <= 1e-7 and elapsed < 60.0
@@ -103,13 +103,13 @@ def test_criterion_3_closed_form_spot_checks():
     checks.append(abs(sol_b.p0 - want_p0) < 1e-9)
     checks.append(abs(sol_b.m_total - want_mb) < 1e-9)
     prof_b = metrics.absorption_profile(params, Strategy.B)
-    checks.append(abs(prof_b.p0 - want_p0) < 1e-12)
+    checks.append(abs(prof_b.at(0) - want_p0) < 1e-12)
     checks.append(abs(metrics.mean_time_any(params, Strategy.B) - want_mb) < 1e-12)
 
     sol_c = oracle.solve_exact(params, Strategy.C, tol=1e-11)
     checks.append(abs(sol_c.p0 - 1.0 / SQRT3) < 1e-9)
     checks.append(
-        abs(metrics.absorption_profile(params, Strategy.C).p0 - 1.0 / SQRT3) < 1e-12
+        abs(metrics.absorption_profile(params, Strategy.C).at(0) - 1.0 / SQRT3) < 1e-12
     )
 
     # no-stop limits: certain ruin at or below the driftless point
@@ -118,7 +118,7 @@ def test_criterion_3_closed_form_spot_checks():
         sol = oracle.solve_exact(params, Strategy.B, tol=1e-10)
         checks.append(abs(sol.p0 - want) < 1e-9)
         checks.append(
-            abs(metrics.absorption_profile(params, Strategy.B).p0 - want) < 1e-12
+            abs(metrics.absorption_profile(params, Strategy.B).at(0) - want) < 1e-12
         )
     params = WalkParams(0.4, 0.0, 2)
     sol = oracle.solve_exact(params, Strategy.B, tol=1e-10)
@@ -132,8 +132,8 @@ def test_criterion_3_closed_form_spot_checks():
     checks.append(abs(sol.pk[1] - 0.5) < 1e-12)
     checks.append(abs(sol.pk[2] - 0.25) < 1e-12)
     prof = metrics.absorption_profile(params, Strategy.B)
-    checks.append(abs(prof.p0 - 0.25) < 1e-12)
-    checks.append(abs(prof.probability(1) - 0.5) < 1e-12)
+    checks.append(abs(prof.at(0) - 0.25) < 1e-12)
+    checks.append(abs(prof.at(1) - 0.5) < 1e-12)
     for p, i0 in [(0.4, 2), (0.5, 3), (0.6, 1)]:
         params = WalkParams(p, 1.0, i0)
         triple = sum(metrics.mean_time_at(params, Strategy.B, k) for k in (0, 1, 2))

@@ -45,9 +45,10 @@ class TestAnalytic:
         assert code == 0
         times = json.loads(out)["times"]
         assert times["source"] == "exact"
-        tp = metrics.time_profile(WalkParams(0.5, s, i0), strategy, kmax=16)
-        pairs = [(times["m_total"], tp.m_total)] + [
-            (got, tp.killed_time(k)) for k, got in enumerate(times["et"])
+        params = WalkParams(0.5, s, i0)
+        tp = metrics.time_profile(params, strategy)
+        pairs = [(times["m_total"], metrics.mean_time_any(params, strategy))] + [
+            (got, tp.at(k)) for k, got in enumerate(times["et"])
         ]
         assert len(pairs) == 18
         for got, want in pairs:
@@ -241,6 +242,14 @@ class TestExact:
         assert report["times"]["et"] == [sol.killed_time(k) for k in range(kmax + 1)]
         assert report["absorption"]["pk"][-1] > 0.0
 
+    def test_tail_out_of_range_exits_1_with_json_error(self, capsys):
+        # this printed the s = 0 answer, m_total 3.33, with exit 0
+        code, out, err = run_cli(
+            ["exact", "--p", "0.6", "--s", "1e-200", "--i0", "1", "--strategy", "A"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert "underflows" in json.loads(err)["error"]
+
     def test_reports_parabolic_walk_without_iterating(self, capsys):
         code, out, _ = run_cli(
             ["exact", "--p", "0.5", "--s", "0", "--i0", "2", "--strategy", "B"], capsys
@@ -298,12 +307,12 @@ class TestVerify:
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
             k = int(where["k"])  # both worst cases of this grid are per-site ones
             if "absorption" in check.name:
-                prof = metrics.absorption_profile(params, strategy, kmax=64)
-                gap = abs(prof.probability(k) - sol.probability(k))
+                prof = metrics.absorption_profile(params, strategy)
+                gap = abs(prof.at(k) - sol.probability(k))
             else:
                 ref = sol.killed_time(k)
-                tp = metrics.time_profile(params, strategy, kmax=64)
-                gap = abs(tp.killed_time(k) - ref) / max(abs(ref), 1e-9)
+                tp = metrics.time_profile(params, strategy)
+                gap = abs(tp.at(k) - ref) / max(abs(ref), 1e-9)
             assert f"{gap:.3e}" == f"{worst[check]:.3e}"
         # read through the tail's continuation, not a dict that stops at
         # tol * 1e-6, the worst errors are rounding-level
@@ -371,14 +380,15 @@ class TestSweep:
         def fresh():
             return WalkParams(p, s, i0)
 
-        prof = metrics.absorption_profile(fresh(), strategy, kmax=kmax)
+        prof = metrics.absorption_profile(fresh(), strategy)
         if p == 0.5 and 0.0 < s < 1.0:  # the CLI's exact-solver route
             sol = oracle.solve_exact(fresh(), strategy)
             m_total = metrics.mean_time_any(fresh(), strategy)
             et = [sol.killed_time(k) for k in range(4)]
         else:
-            tp = metrics.time_profile(fresh(), strategy, kmax=max(kmax, 3))
-            m_total, et = tp.m_total, [tp.killed_time(k) for k in range(4)]
+            tp = metrics.time_profile(fresh(), strategy)
+            et = [tp.at(k) for k in range(4)]
+            m_total = tp.total if s == 0.0 else metrics.mean_time_any(fresh(), strategy)
         roots = cp.tau_roots(1.0, fresh())
         theta = phi1 = phi2 = None
         if s < 1.0:
@@ -387,9 +397,9 @@ class TestSweep:
             theta, phi1, phi2 = coupling.theta, phi.phi1, phi.phi2
         row = {
             "p": p, "s": s, "i0": i0, "strategy": strategy.value,
-            "omega": fresh().omega, "p0": prof.p0, "p1": prof.probability(1),
-            "p2": prof.probability(2), "p3": prof.probability(3),
-            "tail_bound": prof.tail_bound, "m_total": m_total,
+            "omega": fresh().omega, "p0": prof.at(0), "p1": prof.at(1),
+            "p2": prof.at(2), "p3": prof.at(3),
+            "tail_bound": prof.beyond(kmax), "m_total": m_total,
             "et0": et[0], "et1": et[1], "et2": et[2], "et3": et[3],
             "bc_ratio": metrics.bc_ratio(fresh()) if 0.0 < s < 1.0 else None,
             "tau1": roots.tau1, "tau2": roots.tau2,
@@ -467,6 +477,19 @@ class TestSubprocessEntryPoints:
         a = subprocess.run(cmd, capture_output=True, check=True)
         b = subprocess.run(cmd, capture_output=True, check=True)
         assert a.stdout == b.stdout
+
+    def test_closed_pipe_exits_1_without_a_traceback(self):
+        # about 190 kB of CSV, more than a pipe holds: the write meets the
+        # closed end whenever the reader leaves
+        cmd = [sys.executable, "-m", "ruinwalk", "sweep", "--p", "0.3:0.7:0.01",
+               "--s", "0.5", "--i0", "1:5:1"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"p,s,i0,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err, err.decode()
 
     def test_usage_error_exits_2(self):
         cmd = [sys.executable, "-m", "ruinwalk", "analytic", "--p", "0.5"]

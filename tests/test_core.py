@@ -1,11 +1,11 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
 
 from ruinwalk.core import (
     ParameterError,
-    Strategy,
+    Profile,
     WalkParams,
-    stop_probability,
 )
 
 
@@ -36,46 +36,27 @@ class TestWalkParams:
             WalkParams(0.5, 0.5, i0)
 
 
-class TestStopProbability:
-    def test_state_zero_always_absorbs(self, strategy):
-        params = WalkParams(0.4, 0.3, 2)
-        for t in (0, 1, 10):
-            assert stop_probability(params, strategy, 0, t) == 1.0
+class TestProfile:
+    # head (1, 2, 3), then 3 * rho**m + m * mass * rho**(m-1) * drho
+    PROFILE = Profile((1.0, 2.0, 3.0), rho=0.5, gap=0.5, drho=0.25, mass=0.75)
 
-    def test_delayed_start_barrier(self):
-        params = WalkParams(0.4, 0.3, 2)
-        assert stop_probability(params, Strategy.B, 2, 0) == 0.0
-        assert stop_probability(params, Strategy.B, 2, 1) == 0.3
-        assert stop_probability(params, Strategy.A, 2, 0) == 0.3
+    def test_tail_continues_the_head(self):
+        prof = self.PROFILE
+        assert [prof.at(k) for k in range(-1, 3)] == [0.0, 1.0, 2.0, 3.0]
+        for m in range(1, 6):
+            want = 3.0 * 0.5 ** m + m * 0.75 * 0.5 ** (m - 1) * 0.25
+            assert prof.at(2 + m) == pytest.approx(want, rel=1e-15)
 
-    def test_risk_seeking_start_state_never_stops(self):
-        params = WalkParams(0.4, 0.3, 2)
-        for t in (0, 1, 7):
-            assert stop_probability(params, Strategy.C, 2, t) == 0.0
-        assert stop_probability(params, Strategy.C, 4, 7) == 0.3
+    def test_beyond_is_the_exact_sum(self):
+        prof = self.PROFILE
+        for k in range(5):
+            want = math.fsum(prof.at(j) for j in range(k + 1, 200))
+            assert prof.beyond(k) == pytest.approx(want, rel=1e-15)
+        assert prof.total == pytest.approx(math.fsum(prof.at(j) for j in range(200)), rel=1e-15)
 
-    @given(
-        pos=st.integers(min_value=1, max_value=60),
-        t=st.integers(min_value=0, max_value=20),
-        i0=st.integers(min_value=1, max_value=6),
-        s=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_values_only_zero_s_or_one(self, pos, t, i0, s):
-        params = WalkParams(0.4, s, i0)
-        for strat in Strategy:
-            value = stop_probability(params, strat, pos, t)
-            assert value in (0.0, s)
-
-    @given(
-        pos=st.integers(min_value=0, max_value=60),
-        t=st.integers(min_value=0, max_value=20),
-        i0=st.integers(min_value=1, max_value=6),
-    )
-    def test_a_and_b_agree_except_at_start_time_zero(self, pos, t, i0):
-        params = WalkParams(0.45, 0.7, i0)
-        a = stop_probability(params, Strategy.A, pos, t)
-        b = stop_probability(params, Strategy.B, pos, t)
-        if pos == i0 and t == 0:
-            assert (a, b) == (0.7, 0.0)
-        else:
-            assert a == b
+    def test_head_only(self):
+        # an infinite head value stays in the head: nothing lies past it
+        prof = Profile((math.inf, 0.5))
+        assert [prof.at(k) for k in (2, 3, 10)] == [0.0] * 3
+        assert prof.beyond(1) == 0.0 and prof.beyond(0) == 0.5
+        assert prof.total == math.inf

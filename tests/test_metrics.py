@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
 from ruinwalk import cli, metrics, mgf, oracle
@@ -18,66 +19,92 @@ class TestAbsorptionProfile:
     def test_symmetric_unit_stake_delayed_strategy(self):
         prof = metrics.absorption_profile(WalkParams(0.5, 0.5, 1), Strategy.B)
         phi2 = 2.0 - SQRT3
-        assert prof.p0 == pytest.approx(4.0 - 2.0 * SQRT3, rel=1e-12)
-        assert prof.probability(1) == pytest.approx(7.0 - 4.0 * SQRT3, rel=1e-12)
+        assert prof.at(0) == pytest.approx(4.0 - 2.0 * SQRT3, rel=1e-12)
+        assert prof.at(1) == pytest.approx(7.0 - 4.0 * SQRT3, rel=1e-12)
         for k in (2, 3, 4):
-            assert prof.probability(k) == pytest.approx(4.0 * phi2 ** k, rel=1e-12)
-        assert prof.total + prof.tail_bound == pytest.approx(1.0, abs=1e-9)
+            assert prof.at(k) == pytest.approx(4.0 * phi2 ** k, rel=1e-12)
+        assert prof.total == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_unit_stake_risk_seeking(self):
         prof = metrics.absorption_profile(WalkParams(0.5, 0.5, 1), Strategy.C)
-        assert prof.p0 == pytest.approx(1.0 / SQRT3, rel=1e-12)
-        assert prof.probability(1) == 0.0
+        assert prof.at(0) == pytest.approx(1.0 / SQRT3, rel=1e-12)
+        assert prof.at(1) == 0.0
 
     def test_no_stop_masses(self):
-        assert metrics.absorption_profile(WalkParams(0.4, 0.0, 2), Strategy.B).p0 == 1.0
-        assert metrics.absorption_profile(WalkParams(0.5, 0.0, 2), Strategy.A).p0 == 1.0
+        assert metrics.absorption_profile(WalkParams(0.4, 0.0, 2), Strategy.B).at(0) == 1.0
+        assert metrics.absorption_profile(WalkParams(0.5, 0.0, 2), Strategy.A).at(0) == 1.0
         prof = metrics.absorption_profile(WalkParams(0.7, 0.0, 2), Strategy.C)
-        assert prof.p0 == pytest.approx((0.3 / 0.7) ** 2, rel=1e-12)
-        assert prof.pk == {}
+        assert prof.at(0) == pytest.approx((0.3 / 0.7) ** 2, rel=1e-12)
+        assert prof.beyond(0) == 0.0
 
     def test_all_stop_symmetric_masses(self):
         prof = metrics.absorption_profile(WalkParams(0.5, 1.0, 2), Strategy.B)
-        assert prof.p0 == pytest.approx(0.25, rel=1e-12)
-        assert prof.probability(1) == pytest.approx(0.5, rel=1e-12)
-        assert prof.probability(2) == pytest.approx(0.25, rel=1e-12)
+        assert prof.at(0) == pytest.approx(0.25, rel=1e-12)
+        assert prof.at(1) == pytest.approx(0.5, rel=1e-12)
+        assert prof.at(2) == pytest.approx(0.25, rel=1e-12)
 
     def test_all_stop_unit_stake_one_step_decides(self):
         prof = metrics.absorption_profile(WalkParams(0.4, 1.0, 1), Strategy.B)
-        assert prof.p0 == pytest.approx(0.6, rel=1e-12)
-        assert prof.probability(1) == pytest.approx(0.0, abs=1e-15)
-        assert prof.probability(2) == pytest.approx(0.4, rel=1e-12)
+        assert prof.at(0) == pytest.approx(0.6, rel=1e-12)
+        assert prof.at(1) == pytest.approx(0.0, abs=1e-15)
+        assert prof.at(2) == pytest.approx(0.4, rel=1e-12)
 
     def test_all_stop_immediate_for_eager_strategy(self):
         prof = metrics.absorption_profile(WalkParams(0.3, 1.0, 4), Strategy.A)
-        assert prof.p0 == 0.0
-        assert prof.probability(1) == 1.0
+        assert prof.at(0) == 0.0
+        assert prof.at(1) == 1.0
 
     def test_mass_conservation_on_grid(self, strategy):
         for params in grid_params():
-            prof = metrics.absorption_profile(params, strategy, kmax=128)
-            assert prof.total + prof.tail_bound == pytest.approx(1.0, abs=1e-9)
+            prof = metrics.absorption_profile(params, strategy)
+            assert prof.total == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_exact_solver(self, strategy):
         for params in small_grid():
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
-            prof = metrics.absorption_profile(params, strategy, kmax=32)
-            assert prof.p0 == pytest.approx(sol.p0, abs=1e-9)
+            prof = metrics.absorption_profile(params, strategy)
+            assert prof.at(0) == pytest.approx(sol.p0, abs=1e-9)
             for k in range(1, 33):
-                assert prof.probability(k) == pytest.approx(
+                assert prof.at(k) == pytest.approx(
                     sol.pk.get(k, 0.0), abs=1e-9
                 )
 
     def test_small_stop_approaches_no_stop(self):
         for p, i0 in [(0.4, 2), (0.6, 1)]:
-            near = metrics.absorption_profile(WalkParams(p, 1e-6, i0), Strategy.B, 64)
-            limit = metrics.absorption_profile(WalkParams(p, 0.0, i0), Strategy.B, 64)
-            assert near.p0 == pytest.approx(limit.p0, abs=1e-4)
+            near = metrics.absorption_profile(WalkParams(p, 1e-6, i0), Strategy.B)
+            limit = metrics.absorption_profile(WalkParams(p, 0.0, i0), Strategy.B)
+            assert near.at(0) == pytest.approx(limit.at(0), abs=1e-4)
 
     def test_theta_overflow_raises_instead_of_negative_mass(self, strategy):
         # theta**2 overflows here; the profile used to total -1.0
         with pytest.raises(UnsupportedRegimeError):
             metrics.absorption_profile(WalkParams(0.9, 0.5, 200), strategy)
+
+
+class TestProfileProperties:
+    """A profile's head and geometric tail answer every barrier."""
+
+    @given(
+        p=st.floats(min_value=0.05, max_value=0.95),
+        s=st.floats(min_value=1e-3, max_value=0.999),
+        i0=st.integers(min_value=1, max_value=6),
+        strategy=st.sampled_from(Strategy),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tail_sums_total_mass_and_barrier_values(self, p, s, i0, strategy):
+        params = WalkParams(p, s, i0)
+        masses = metrics.absorption_profile(params, strategy)
+        for prof in (masses, metrics.time_profile(params, strategy)):
+            for k in range(8):
+                want = prof.at(k + 1) + prof.beyond(k + 1)
+                assert prof.beyond(k) == pytest.approx(want, rel=1e-14), k
+        assert masses.total == pytest.approx(1.0, abs=1e-9)
+        fn = {Strategy.A: mgf.mgf_a, Strategy.B: mgf.mgf_b, Strategy.C: mgf.mgf_c}[strategy]
+        for k in range(65):
+            stop = 1.0 if k == 0 else 0.0 if (strategy is Strategy.C and k == 1) else s
+            want = stop * fn(params, 1.0, k)
+            # far below 1e-290 phi2**k, on either side, may be subnormal
+            assert math.isclose(masses.at(k), want, rel_tol=2e-15, abs_tol=1e-290), k
 
 
 class TestOneSolvePerProfile:
@@ -96,13 +123,14 @@ class TestOneSolvePerProfile:
         for first in (metrics.absorption_profile, metrics.time_profile):
             calls[0] = 0
             params = WalkParams(0.45, 0.3, 2)
-            first(params, strategy, kmax=kmax)
+            prof = first(params, strategy)
+            # a profile answers barriers 0..kmax from what it holds
+            assert all(math.isfinite(prof.at(k)) for k in range(kmax + 1))
             assert calls[0] == 1, first.__name__
             # every later closed form on the same object reads the kept solve
             for other in Strategy:
-                for size in (8, 256):
-                    metrics.absorption_profile(params, other, kmax=size)
-                    metrics.time_profile(params, other, kmax=size)
+                metrics.absorption_profile(params, other)
+                metrics.time_profile(params, other)
                 metrics.mean_time_any(params, other)
                 metrics.mean_time_at(params, other, 3)
             metrics.bc_ratio(params)
@@ -123,12 +151,10 @@ class TestBCRatio:
                     params = WalkParams(p, s, i0)
                     ratio = metrics.bc_ratio(params)
                     assert ratio < 1.0
-                    pb = metrics.absorption_profile(params, Strategy.B, 8)
-                    pc = metrics.absorption_profile(params, Strategy.C, 8)
-                    assert ratio == pytest.approx(pb.p0 / pc.p0, abs=1e-10)
-                    assert ratio == pytest.approx(
-                        pb.probability(3) / pc.probability(3), abs=1e-10
-                    )
+                    pb = metrics.absorption_profile(params, Strategy.B)
+                    pc = metrics.absorption_profile(params, Strategy.C)
+                    assert ratio == pytest.approx(pb.at(0) / pc.at(0), abs=1e-10)
+                    assert ratio == pytest.approx(pb.at(3) / pc.at(3), abs=1e-10)
 
     def test_rejects_limit_stop(self):
         for s in (0.0, 1.0):
@@ -191,8 +217,9 @@ class TestNonFiniteMeans:
         params = WalkParams(0.4, s, 2)
         with pytest.raises(UnsupportedRegimeError, match="not finite"):
             metrics.mean_time_any(params, strategy)
-        with pytest.raises(UnsupportedRegimeError, match="not finite"):
-            metrics.time_profile(params, strategy)
+        # the killed times never form (1-s)/s, and their exact sum stays finite
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        assert metrics.time_profile(params, strategy).total == pytest.approx(sol.m_total, rel=1e-7)
 
 
 class TestLimitRegimes:
@@ -207,20 +234,20 @@ class TestLimitRegimes:
         prof = metrics.absorption_profile(params, strategy)
         tp = metrics.time_profile(params, strategy)
         for k in range(4):
-            assert prof.probability(k) == pytest.approx(sol.probability(k), abs=1e-9), k
-            got, ref = tp.killed_time(k), sol.killed_time(k)
+            assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9), k
+            got, ref = tp.at(k), sol.killed_time(k)
             if math.isinf(ref):
                 assert got == ref
             else:
                 assert abs(got - ref) <= 1e-7 * max(abs(ref), 1e-9), (k, got, ref)
         # the four public functions read one builder here
         for k in range(4):
-            assert metrics.mean_time_at(params, strategy, k) == tp.killed_time(k)
+            assert metrics.mean_time_at(params, strategy, k) == tp.at(k)
         if s == 0.0 and params.omega > 1.0:
             with pytest.raises(AbsorptionNotCertainError):
                 metrics.mean_time_any(params, strategy)
         else:
-            assert metrics.mean_time_any(params, strategy) == tp.m_total
+            assert metrics.mean_time_any(params, strategy) == pytest.approx(tp.total, rel=1e-12)
 
 
 def _answer_or_none(fn, *args):
@@ -244,18 +271,17 @@ class TestBarrierRootsNearOne:
         tp = _answer_or_none(metrics.time_profile, params, strategy)
         m = _answer_or_none(metrics.mean_time_any, params, strategy)
         values = [] if m is None else [m]
-        if prof is not None:
-            values += [prof.p0, prof.tail_bound, *prof.pk.values()]
-        if tp is not None:
-            values += [tp.m_total, tp.tail_bound, *tp.et.values()]
+        for profile in (prof, tp):
+            if profile is not None:
+                values += [profile.total, profile.beyond(64), *map(profile.at, range(65))]
         assert all(math.isfinite(v) and v >= 0.0 for v in values), values
         if p > 0.5 or (prof, tp, m) == (None, None, None):
             return
         sol = oracle.solve_exact(params, strategy, tol=1e-11)
         if prof is not None:
             for k in range(4):
-                assert prof.probability(k) == pytest.approx(sol.probability(k), abs=1e-9)
-        for mean in (m, None if tp is None else tp.m_total):
+                assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9)
+        for mean in (m, None if tp is None else tp.total):
             if mean is not None:
                 assert mean == pytest.approx(sol.m_total, rel=1e-7)
 
@@ -312,27 +338,27 @@ class TestKilledTimesPerBarrier:
     def test_driftless_interior_stop_has_closed_forms(self, strategy):
         params = WalkParams(0.5, 0.5, 1)
         sol = oracle.solve_exact(params, strategy, tol=1e-11)
-        tp = metrics.time_profile(params, strategy, kmax=8)
+        tp = metrics.time_profile(params, strategy)
         for k in range(0, 4):
             ref = sol.killed_time(k)
             assert metrics.mean_time_at(params, strategy, k) == pytest.approx(
                 ref, rel=1e-12, abs=1e-15
             )
-            assert tp.killed_time(k) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert tp.at(k) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_matches_exact_solver(self, strategy):
         for params in small_grid():
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
-            tp = metrics.time_profile(params, strategy, kmax=32)
+            tp = metrics.time_profile(params, strategy)
             for k in range(0, 6):
                 ref = sol.et.get(k, 0.0)
-                assert tp.killed_time(k) == pytest.approx(ref, rel=1e-7, abs=1e-10)
+                assert tp.at(k) == pytest.approx(ref, rel=1e-7, abs=1e-10)
 
     def test_decomposition_sums_to_total(self, strategy):
         for params in grid_params():
-            tp = metrics.time_profile(params, strategy, kmax=256)
-            gap = abs(sum(tp.et.values()) - tp.m_total)
-            assert gap <= tp.tail_bound + 1e-8
+            tp = metrics.time_profile(params, strategy)
+            gap = abs(tp.total - metrics.mean_time_any(params, strategy))
+            assert gap <= 1e-8
 
 
 class TestNearDriftless:
@@ -351,9 +377,9 @@ class TestNearDriftless:
         for i0 in (1, 2, 3, 5):
             params = WalkParams(p, s, i0)
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
-            tp = metrics.time_profile(params, strategy, kmax=16)
-            pairs = [(tp.m_total, sol.m_total)] + [
-                (tp.killed_time(k), sol.killed_time(k)) for k in range(0, 9)
+            tp = metrics.time_profile(params, strategy)
+            pairs = [(metrics.mean_time_any(params, strategy), sol.m_total)] + [
+                (tp.at(k), sol.killed_time(k)) for k in range(0, 9)
             ]
             for got, ref in pairs:
                 assert abs(got - ref) <= 1e-7 * max(abs(ref), 1e-9), (i0, got, ref)
@@ -369,9 +395,9 @@ class TestLargeStakePrecision:
     def test_times_match_exact_solver_closely(self, p, i0, strategy):
         params = WalkParams(p, 0.99, i0)
         sol = oracle.solve_exact(params, strategy, tol=1e-11)
-        tp = metrics.time_profile(params, strategy, kmax=16)
-        pairs = [(tp.m_total, sol.m_total)] + [
-            (tp.killed_time(k), sol.killed_time(k)) for k in range(0, 9)
+        tp = metrics.time_profile(params, strategy)
+        pairs = [(metrics.mean_time_any(params, strategy), sol.m_total)] + [
+            (tp.at(k), sol.killed_time(k)) for k in range(0, 9)
         ]
         for got, ref in pairs:
             assert abs(got - ref) <= 5e-11 * max(abs(ref), 1e-9), (got, ref)

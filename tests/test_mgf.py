@@ -245,10 +245,10 @@ def _unit_z_functions():
     }
     for strat in Strategy:
         out[f"absorption_profile {strat.value}"] = (
-            lambda params, strat=strat: metrics.absorption_profile(params, strat, 8)
+            lambda params, strat=strat: metrics.absorption_profile(params, strat)
         )
         out[f"time_profile {strat.value}"] = (
-            lambda params, strat=strat: metrics.time_profile(params, strat, 8)
+            lambda params, strat=strat: metrics.time_profile(params, strat)
         )
         out[f"mean_time_any {strat.value}"] = (
             lambda params, strat=strat: metrics.mean_time_any(params, strat)

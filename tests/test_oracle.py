@@ -248,9 +248,9 @@ class TestTransferSolve:
         # truncation doubling raised ConvergenceError on every one of these
         params = WalkParams(p, s, i0)
         sol = oracle.solve_exact(params, strategy)
-        prof = metrics.absorption_profile(params, strategy, kmax=256)
+        prof = metrics.absorption_profile(params, strategy)
         assert [sol.probability(k) for k in range(257)] == pytest.approx(
-            [prof.probability(k) for k in range(257)], rel=0.0, abs=1e-9
+            [prof.at(k) for k in range(257)], rel=0.0, abs=1e-9
         )
         assert sol.m_total == pytest.approx(metrics.mean_time_any(params, strategy), rel=1e-7)
 
@@ -265,6 +265,37 @@ class TestTransferSolve:
         want = i0 / ((params.p - params.q) * params.omega_pow)
         assert sol.et[0] == pytest.approx(want, rel=1e-10)
         assert sol.m_total == sol.et[0]
+
+    @pytest.mark.parametrize("i0", [1, 2, 5])
+    @pytest.mark.parametrize("p", [0.55, 0.6, 0.7, 0.9])
+    @pytest.mark.parametrize("s", [1e-30, 1e-60, 1e-100])
+    def test_tiny_stop_matches_the_small_s_mean(self, s, p, i0, strategy):
+        # e* = 1 - r* is of order s here; a stopping test absolute in e*
+        # reported 2.43e32 at (0.6, 1e-60, 1) and the s = 0 answer at 1e-100
+        params = WalkParams(p, s, i0)
+        sol = oracle.solve_exact(params, strategy)
+        want = i0 * (1.0 - params.omega_pow ** -1) / s
+        assert sol.m_total == pytest.approx(want, rel=1e-12)
+        assert sol.escape_mass < 1e-12
+
+    def test_tiny_stop_mean_at_s_1e_30(self):
+        sol = oracle.solve_exact(WalkParams(0.6, 1e-30, 1), Strategy.A)
+        assert sol.m_total == pytest.approx(1e30 / 3.0, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [0.55, 0.6, 0.9])
+    def test_tail_out_of_range_raises(self, p, strategy):
+        # 1 - rho is about 1e-200, and the tail's time sum divides by its square
+        with pytest.raises(oracle.ConvergenceError, match="underflows"):
+            oracle.solve_exact(WalkParams(p, 1e-200, 1), strategy)
+
+    def test_eigenvalue_ratio_below_rounding_keeps_squaring(self):
+        # kappa is about 1e-19 here, where (trace - root) / (trace + root)
+        # cancelled to 0: no squaring was taken and the mean was 1.5e-8 off
+        params = WalkParams(0.9, 1e-12, 20)
+        sol = oracle.solve_exact(params, Strategy.A)
+        assert sol.squarings >= 1
+        want = 20 * (1.0 - params.omega_pow ** -1) / 1e-12
+        assert sol.m_total == pytest.approx(want, rel=1e-10)
 
     def test_long_period_has_an_answer_where_the_closed_form_overflows(self):
         params = WalkParams(0.9, 0.5, 200)
