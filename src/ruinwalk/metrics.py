@@ -50,6 +50,23 @@ def _require_resolved(name: str, root: float, gap: float, s: float) -> None:
         )
 
 
+# the README holds closed-form mean times to this relative error
+_TIME_RTOL = 1e-7
+
+
+def _require_double_root_digits(char: mgf.Characteristic, gap: float, s: float) -> None:
+    """Raise where phi1's rounding near the double root leaves ``gap`` fewer than 7 digits.
+
+    ``gap`` is phi1 - 1 for the mean and half the root gap for the killed
+    times, which divide by it through phi's derivatives.
+    """
+    if not char.phi1_error <= _TIME_RTOL * gap:
+        raise UnsupportedRegimeError(
+            f"theta={char.coupling.theta!r} is within rounding of the double root "
+            f"2*omega**(i0/2) at s={s}: the barrier roots keep fewer than 7 digits"
+        )
+
+
 def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Profile, float]:
     """Head-only profiles and the mean time at s=0 and s=1, where the walk is classical ruin.
 
@@ -184,6 +201,7 @@ def _mean_time_interior(params: WalkParams, strategy: Strategy) -> float:
     if not math.isfinite(m):
         raise UnsupportedRegimeError(f"the mean time is not finite in floating point at s={s}")
     _require_resolved("phi1", char.phi.phi1, 1.0 - inv_phi1, s)
+    _require_double_root_digits(char, char.phi.phi1 - 1.0, s)
     return m
 
 
@@ -208,7 +226,9 @@ def _killed_times(params: WalkParams, strategy: Strategy) -> Profile:
     """
     s = params.s
     der = cp.derivatives_at_1(params)
-    lt, phi = der.lucas, mgf.characteristic(params, 1.0).phi
+    char = mgf.characteristic(params, 1.0)
+    lt, phi = der.lucas, char.phi
+    _require_double_root_digits(char, 0.5 * (phi.phi1 - phi.phi2), s)
     # logarithmic derivative shared by every barrier form: U_i0 and 1/z
     log_common = lt.du / lt.u - 1.0
     phi_rate = der.dphi2 / phi.phi2

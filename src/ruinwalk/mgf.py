@@ -16,6 +16,8 @@ cross-checked against the step-by-step propagation oracle in
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .charpoly import (
@@ -28,6 +30,13 @@ from .charpoly import (
     theta,
 )
 from .core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
+
+_EPS = sys.float_info.epsilon
+
+# below this 1 - s, B's value at i0 is taken without subtracting A's
+# self-term, which would cost two or more digits; above it the subtraction
+# stays, so that every printed value there keeps its bits
+_NEAR_S1 = 0.01
 
 
 def _require_interior_s(params: WalkParams) -> None:
@@ -42,7 +51,9 @@ def _require_interior_s(params: WalkParams) -> None:
 class Characteristic:
     """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta and phi at one z.
 
-    Built by :func:`characteristic`; every closed form for 0 < s < 1 reads it from there.
+    Built by :func:`characteristic`; every closed form for 0 < s < 1 reads it
+    from there.  ``phi1_error`` bounds phi1's rounding error (see
+    :func:`_phi1_error`).
     """
 
     z: float
@@ -51,6 +62,22 @@ class Characteristic:
     u_prev: float
     coupling: CharData
     phi: PhiPair
+    phi1_error: float
+
+
+def _phi1_error(p: float, u_i0: float, u_prev: float, coupling: CharData, phi: PhiPair) -> float:
+    """A bound on phi1's rounding error, which grows where the barrier roots meet.
+
+    Near the double root theta**2 = 4 omega**i0 (a near-driftless walk as
+    s -> 0) the discriminant cancels: its rounding, and theta's own (eps
+    times the size of theta's terms), reach phi1 through the square root as
+    ``d_disc / (4 sqrt(disc))``.  Against the exact solver the bound is
+    10-50x pessimistic.
+    """
+    z, th = coupling.z, coupling.theta
+    d_theta = _EPS * (u_i0 / (1.0 - coupling.s) + 2.0 * p * z * u_prev) / ((1.0 - p) * z)
+    d_disc = 2.0 * th * d_theta + _EPS * (th * th + 4.0 * coupling.omega_pow)
+    return 0.5 * d_disc / (2.0 * (phi.phi1 - phi.phi2) + math.sqrt(d_disc))
 
 
 def characteristic(params: WalkParams, z: float) -> Characteristic:
@@ -66,7 +93,9 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
         u_i0 = power_divided_difference(roots, params.i0)
         u_prev = power_divided_difference(roots, params.i0 - 1)
         coupling = theta(z, params, (u_i0, u_prev))
-        char = Characteristic(z, roots, u_i0, u_prev, coupling, phi_roots(coupling))
+        phi = phi_roots(coupling)
+        error = _phi1_error(params.p, u_i0, u_prev, coupling, phi)
+        char = Characteristic(z, roots, u_i0, u_prev, coupling, phi, error)
         memo.clear()
         memo[z] = char
     return char
@@ -80,9 +109,21 @@ def _a_values(params: WalkParams, z: float, ks: range) -> list[float]:
 
 
 def _b_values(params: WalkParams, z: float, ks: range) -> list[float]:
+    """A's values over 1 - s, less A's m=0 self-term at i0 (k = 1).
+
+    A's value at i0 is 1 + O(1 - s), so near s = 1 subtracting that 1
+    leaves an absolute error of about eps / (1 - s).  There theta's
+    definition gives the difference without it: ``U_i0 - q(1-s) z phi1
+    = (1-s) z (2p U_{i0-1} + q phi2)``, a sum of positive terms.
+    """
     one_ms = 1.0 - params.s
     a_values = _a_values(params, z, ks)
-    return [(ua - (1.0 if k == 1 else 0.0)) / one_ms for k, ua in zip(ks, a_values)]
+    out = [(ua - (1.0 if k == 1 else 0.0)) / one_ms for k, ua in zip(ks, a_values)]
+    if 1 in ks and one_ms < _NEAR_S1:
+        char, q = characteristic(params, z), params.q
+        near = 2.0 * params.p * char.u_prev + q * char.phi.phi2
+        out[ks.index(1)] = near / (q * one_ms * char.phi.phi1)
+    return out
 
 
 def _c_values(params: WalkParams, z: float, ks: range) -> list[float]:

@@ -13,8 +13,9 @@ dynamics.  Three layers:
 * :func:`mgf_dp` propagates the surviving probability mass step by step and
   accumulates the visit generating function directly from its definition.
 * :func:`simulate` runs seeded Monte Carlo trials with a counter-based
-  per-trial random stream, so results are bit-identical for any chunking or
-  worker count.
+  per-trial random stream.  Each fixed range of trials runs as one refilled
+  batch and tallies exact integers, so results are bit-identical, by
+  construction, for any range size, batch size or worker count.
 
 Only the last two layers use numpy; they import it (and :mod:`ruinwalk.rng`)
 when they run, so the exact solver, and every command that needs nothing
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 
 from .core import ParameterError, Profile, Strategy, WalkParams
 
-_CHUNK = 1 << 16
+_RANGE = 1 << 19  # trials per stream: the unit of parallelism, whatever `workers` is
+_BATCH = 1 << 15  # live trials a stream holds at most
+_TABLE = 1 << 12  # states whose barrier test is a table lookup; the rest take the modulo
 # one period's ratio maps move a converged fixed point by rounding only
 _MAX_RELATIVE_RESIDUAL = 1e-12
 
@@ -453,62 +456,136 @@ class SimResult:
         return math.sqrt(max(mean_sq - mean * mean, 0.0) / n)
 
 
-def _chunk_trials(
+def _add_events(
+    tallies: dict[int, list[int]], states, times, exact_in_float: bool
+) -> None:
+    """Add events, each a state and an integer time, to ``tallies``.
+
+    ``tallies`` maps a state to [count, sum of times, sum of squared times],
+    exact integers.  ``exact_in_float`` says the states are small and every
+    float sum of these times and their squares is exact, so per-state sums
+    can come from ``bincount``; otherwise the events are added one by one.
+    """
+    import numpy as np
+
+    if exact_in_float:
+        ftimes = times.astype(float)
+        n = np.bincount(states)
+        sums = np.bincount(states, ftimes)
+        squares = np.bincount(states, ftimes * ftimes)
+        for state in np.flatnonzero(n).tolist():
+            acc = tallies.setdefault(state, [0, 0, 0])
+            acc[0] += int(n[state])
+            acc[1] += int(sums[state])
+            acc[2] += int(squares[state])
+    else:
+        for state, t in zip(states.tolist(), times.tolist()):
+            acc = tallies.setdefault(state, [0, 0, 0])
+            acc[0] += 1
+            acc[1] += t
+            acc[2] += t * t
+
+
+def _range_trials(
     params: WalkParams,
     strategy: Strategy,
     seed: int,
     lo: int,
     hi: int,
     max_steps: int,
-) -> tuple[dict[int, int], dict[int, float], dict[int, float], int, int]:
-    """Walk trials ``lo..hi-1``; returns the sums, the escapes and the steps walked."""
+) -> tuple[dict[int, list[int]], int]:
+    """Walk trials ``lo..hi-1`` as one stream; returns the tallies and the escapes.
+
+    The stream holds at most ``_BATCH`` live trials.  Every fourth tick of
+    its clock it drops the rows that ended and tops the batch up with the
+    range's next trials, so a trial that joins at tick g takes its step t
+    at tick g + t and every row's lane, ``t % 4``, is the tick's: one
+    Philox call per four ticks serves the batch, each row at its own block
+    index.  A trial's uniforms depend only on (seed, trial, step), never on
+    the batch it ran in.  The tallies are those of :func:`_add_events`.
+    """
     import numpy as np
 
     from . import rng
 
-    p, s, i0 = params.p, params.s, params.i0
+    p, s, i0, lanes_n = params.p, params.s, params.i0, rng.LANES
     low_barrier = strategy.first_barrier_multiple * i0
     up_on_barrier = s + (1.0 - s) * p
-    ids = np.arange(lo, hi, dtype=np.uint64)
-    x = np.full(hi - lo, i0, dtype=np.int64)
-    counts: dict[int, int] = {}
-    tsum: dict[int, float] = {}
-    tsq: dict[int, float] = {}
-    steps = 0  # summed over finished trials
+    # states below _TABLE look up whether they are barriers and the rest
+    # take the modulo, so the table's memory is fixed however far trials walk
+    table = np.arange(_TABLE)
+    barrier_table = (table % i0 == 0) & (table >= low_barrier)
+    # a tick's float sums of times t <= tick + 1 are exact while _BATCH * t**2 < 2**53
+    float_ticks = math.isqrt((1 << 53) // _BATCH) - 1
+    x = np.empty(0, dtype=np.int64)
+    ids = np.empty(0, dtype=np.uint64)
+    joined = np.empty(0, dtype=np.int64)  # the block index at which each row joined
+    alive = np.empty(0, dtype=bool)  # a row that ends stays, dead, until its block does
+    tallies: dict[int, list[int]] = {}
+    escaped, n_alive, nxt, tick, top = 0, 0, lo, 0, 0  # top bounds every row's state
 
-    def record(state: int, count: int, when: int) -> None:
-        nonlocal steps
-        steps += count * when
-        counts[state] = counts.get(state, 0) + count
-        tsum[state] = tsum.get(state, 0.0) + count * float(when)
-        tsq[state] = tsq.get(state, 0.0) + count * float(when) ** 2
-
-    t = 0
-    while x.size and t < max_steps:
-        if t % rng.LANES == 0:  # one Philox evaluation serves steps t .. t+3
-            lanes = rng.block_uniforms(seed, ids, t // rng.LANES).T  # row j: step t + j
-        u = rng.step_uniforms(seed, ids, t, lanes.T)
-        on_barrier = (x % i0 == 0) & (x >= low_barrier)
-        if strategy is Strategy.B and t == 0:
-            on_barrier &= x != i0
-        stopped = on_barrier & (u < s)
-        moved = x + np.where(u < np.where(on_barrier, up_on_barrier, p), 1, -1)
+    while True:
+        lane = tick % lanes_n
+        if n_alive and tick >= max_steps and (tick - max_steps) % lanes_n == 0:
+            # rows joined in order, so those that have walked max_steps lead
+            out = int(np.searchsorted(joined, (tick - max_steps) // lanes_n, side="right"))
+            gone = int(np.count_nonzero(alive[:out]))
+            escaped, n_alive = escaped + gone, n_alive - gone
+            x, ids, joined, alive = x[out:], ids[out:], joined[out:], alive[out:]
+            lanes = lanes[:, out:]
+        if lane == 0:
+            if n_alive < x.size:
+                keep = np.flatnonzero(alive)
+                x, ids, joined = x.take(keep), ids.take(keep), joined.take(keep)
+            fresh = n_alive
+            n_in = min(_BATCH - n_alive, hi - nxt)
+            if n_in:
+                x = np.concatenate((x, np.full(n_in, i0, dtype=np.int64)))
+                ids = np.concatenate((ids, np.arange(nxt, nxt + n_in, dtype=np.uint64)))
+                joined = np.concatenate((joined, np.full(n_in, tick // lanes_n, dtype=np.int64)))
+                n_alive, nxt, top = n_alive + n_in, nxt + n_in, max(top, i0)
+            if not n_alive:
+                break
+            alive = np.ones(n_alive, dtype=bool)
+            # one Philox evaluation serves ticks tick .. tick+3
+            lanes = rng.block_uniforms(seed, ids, tick // lanes_n - joined).T
+        elif not n_alive:
+            tick += lanes_n - lane
+            continue
+        u = rng.step_uniforms(seed, ids, tick, lanes.T)  # every row's step is tick mod 4
+        if top >= _TABLE:
+            top = int(x.max())
+        if top < _TABLE:
+            on_barrier = barrier_table.take(x)  # dead rows may reach -3: it wraps, harmlessly
+        else:
+            on_barrier = (x % i0 == 0) & (x >= low_barrier)
+        if strategy is Strategy.B and lane == 0:  # i0 is no barrier on a trial's first step
+            on_barrier[fresh:] = False
+        stopped = u < s
+        stopped &= on_barrier
+        up = u < up_on_barrier
+        up &= on_barrier
+        up |= u < p
+        step = up.view(np.int8) * np.int8(2)  # +1 up, -1 down, in one byte
+        step -= np.int8(1)
+        x += step
         # a stopped trial drew u < s, below its up threshold, so it moved up
         # and is never also counted as ruined
-        ruined = moved == 0
-        done = stopped | ruined
+        done = x == 0
+        done |= stopped
+        done &= alive
         if done.any():
-            per_state = np.bincount(x[stopped])
-            for state in np.flatnonzero(per_state).tolist():
-                record(state, int(per_state[state]), t)
-            n_ruined = int(np.count_nonzero(ruined))
-            if n_ruined:
-                record(0, n_ruined, t + 1)
-            keep = np.flatnonzero(~done)  # `take` beats boolean masks on 2-D arrays
-            moved, ids, lanes = moved.take(keep), ids.take(keep), lanes.take(keep, axis=1)
-        x = moved
-        t += 1
-    return counts, tsum, tsq, int(x.size), steps + int(x.size) * t
+            ended = np.flatnonzero(done)
+            was_stop = stopped.take(ended)
+            # a stop at x after t steps (x one below where it moved), or ruin at 0 after t + 1
+            states = (x.take(ended) - 1) * was_stop
+            times = tick + 1 - lanes_n * joined.take(ended) - was_stop
+            _add_events(tallies, states, times, tick < float_ticks and top < _TABLE)
+            alive ^= done
+            n_alive -= ended.size
+        tick += 1
+        top += 1
+    return tallies, escaped
 
 
 def simulate(
@@ -523,8 +600,11 @@ def simulate(
 
     Trial ``t`` draws its uniforms from the counter-based stream
     ``(seed, t, step)``, one Philox block per four steps (see
-    :mod:`ruinwalk.rng`), so the result is bit-identical for any chunking or
-    ``workers`` value.  Trials still alive after ``max_steps`` are counted
+    :mod:`ruinwalk.rng`).  The trials split into ranges of ``_RANGE``, each
+    walked as one stream by :func:`_range_trials` on one of ``workers``
+    threads; the tallies are exact integers until the sums become floats
+    here, so the result is bit-identical for any ``workers`` value, range
+    size or batch size.  Trials still alive after ``max_steps`` are counted
     as escaped, never dropped silently.
     """
     if trials < 1:
@@ -538,29 +618,26 @@ def simulate(
     from . import rng
 
     strategy = Strategy(strategy)
-    bounds = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+    bounds = [(lo, min(lo + _RANGE, trials)) for lo in range(0, trials, _RANGE)]
 
     def run(b: tuple[int, int]):
-        return _chunk_trials(params, strategy, seed, b[0], b[1], max_steps)
+        return _range_trials(params, strategy, seed, b[0], b[1], max_steps)
 
     if workers == 1 or len(bounds) == 1:
         partials = [run(b) for b in bounds]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, bounds))  # order matches `bounds`
+            partials = list(pool.map(run, bounds))
 
-    counts: dict[int, int] = {}
-    tsum: dict[int, float] = {}
-    tsq: dict[int, float] = {}
+    totals: dict[int, list[int]] = {}
     escaped = 0
-    trial_steps = 0
-    for c, ts, t2, esc, walked in partials:
+    for tallies, esc in partials:
         escaped += esc
-        trial_steps += walked
-        for k in sorted(c):
-            counts[k] = counts.get(k, 0) + c[k]
-            tsum[k] = tsum.get(k, 0.0) + ts[k]
-            tsq[k] = tsq.get(k, 0.0) + t2[k]
+        for state, acc in tallies.items():
+            total = totals.setdefault(state, [0, 0, 0])
+            for i, v in enumerate(acc):
+                total[i] += v
+    totals = dict(sorted(totals.items()))
     key = rng.split_key(seed)
     return SimResult(
         trials=trials,
@@ -572,8 +649,8 @@ def simulate(
             ("output_lane", "step % 4"),
         ),
         escaped=escaped,
-        trial_steps=trial_steps,
-        absorption_counts=dict(sorted(counts.items())),
-        time_sum_by_state=dict(sorted(tsum.items())),
-        time_sq_sum_by_state=dict(sorted(tsq.items())),
+        trial_steps=sum(t[1] for t in totals.values()) + escaped * max_steps,
+        absorption_counts={k: t[0] for k, t in totals.items()},
+        time_sum_by_state={k: float(t[1]) for k, t in totals.items()},
+        time_sq_sum_by_state={k: float(t[2]) for k, t in totals.items()},
     )

@@ -1,16 +1,18 @@
 """Counter-based random numbers for reproducible, order-independent trials.
 
 The simulator needs one uniform per (trial, step) that is a pure function of
-``(seed, trial, step)``: results must not depend on execution order, chunking
-or worker count.  Stateful generators cannot give that cheaply, so this
-module implements the Philox-4x32 block cipher (10 rounds) over numpy
-arrays.  Each evaluation maps a 128-bit counter and a 64-bit key to four
-32-bit words, and the simulator uses all four: the counter layout is
+``(seed, trial, step)``, so that a trial's draws do not depend on the batch
+it runs in, the order of execution or the worker count.  Stateful
+generators cannot give that cheaply, so this module implements the
+Philox-4x32 block cipher (10 rounds) over numpy arrays.  Each evaluation
+maps a 128-bit counter and a 64-bit key to four 32-bit words, and the
+simulator uses all four: the counter layout is
 
     (step // 4, trial_low32, trial_high32, 0)    key = (seed_low32, seed_high32)
 
 and the uniform for ``step`` is output word ``step % 4``.  One evaluation
-(:func:`block_uniforms`) therefore serves four consecutive steps of a trial;
+(:func:`block_uniforms`) therefore serves four consecutive steps of a trial,
+and one call can draw each trial at its own block index;
 :func:`step_uniforms` is the per-step view of the same stream, and reads a
 step from a block already drawn when it is handed one.  The
 implementation is checked against the published known-answer vectors in the
@@ -83,17 +85,19 @@ def split_key(seed: int) -> tuple[int, int]:
     return seed & 0xFFFFFFFF, seed >> 32
 
 
-def block_uniforms(seed: int, trials: np.ndarray, block: int) -> np.ndarray:
+def block_uniforms(seed: int, trials: np.ndarray, block: int | np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) for steps ``4*block .. 4*block + 3`` of each trial.
 
     Returns an (n, 4) float64 array whose column ``j`` is the uniform of
     step ``4*block + j``; it is laid out column by column, so ``.T`` is a
     C-contiguous (4, n) array.  ``trials`` is an integer array of trial
-    indices; the result for a given (seed, trial, step) is the same however
-    the call is batched.
+    indices and ``block`` one block index for them all or an array of one
+    per trial; the result for a given (seed, trial, step) is the same
+    however the call is batched.
     """
-    if not 0 <= block <= 0xFFFFFFFF:
-        raise ValueError(f"block must be in [0, 2**32), got {block}")
+    blocks = np.asarray(block)
+    if blocks.size and not (blocks.min() >= 0 and blocks.max() <= 0xFFFFFFFF):
+        raise ValueError(f"every block must be in [0, 2**32), got {block}")
     trials = np.asarray(trials, dtype=np.uint64)
     counter = np.zeros((trials.shape[0], 4), dtype=np.uint32)
     counter[:, 0] = block
@@ -108,11 +112,12 @@ def step_uniforms(
     """One uniform in [0, 1) per trial for a given step index.
 
     The per-step view of :func:`block_uniforms`: word ``step % 4`` of the
-    block ``step // 4``.  ``block``, if given, is that block's
-    :func:`block_uniforms` result for these same trials (rows may have been
-    dropped from both alike); the step's uniforms are read from it instead
-    of evaluating Philox again, so a caller walking steps in order pays one
-    evaluation per four steps.
+    block ``step // 4``.  ``block``, if given, is a :func:`block_uniforms`
+    result for these same trials (rows may have been dropped from both
+    alike) holding each trial's step; trials may be at different steps,
+    drawn at different block indices, if all are at ``step`` modulo 4.  The
+    uniforms are read from it instead of evaluating Philox again, so a
+    caller walking steps in order pays one evaluation per four steps.
     """
     if block is None:
         block = block_uniforms(seed, trials, step // LANES)

@@ -94,6 +94,16 @@ class TestAnalytic:
         assert (code, out) == (2, "")
         assert "not finite" in json.loads(err)["error"]
 
+    def test_mean_at_the_driftless_double_root_exits_2_with_json_error(self, capsys):
+        # m_total was 4000173.797 here against the exact solver's 3999995.99999
+        code, out, err = run_cli(
+            ["analytic", "--p", "0.5", "--s", "1e-12", "--i0", "2", "--strategy", "A"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "double root" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("s", ["1e-17", "1e-200"])
     @pytest.mark.parametrize("p", ["0.4", "0.5", "0.6", "0.7"])
     def test_barrier_roots_near_one_exit_0_or_2(self, p, s, capsys):

@@ -295,6 +295,78 @@ class TestBarrierRootsNearOne:
             metrics.mean_time_any(WalkParams(0.4, 1e-10, 2), Strategy.A)
 
 
+class TestStrategyBNearS1:
+    """B's value at i0 is A's less its m=0 self-term, over 1 - s.  A's value
+    there is 1 + O(1 - s), so subtracting the 1 left about eps / (1 - s)."""
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12, 1e-14])
+    @pytest.mark.parametrize("p, i0", [(0.7, 5), (0.4, 2), (0.5, 3), (0.3, 1)])
+    def test_mass_at_i0_matches_the_exact_solver(self, p, i0, gap):
+        params = WalkParams(p, 1.0 - gap, i0)
+        prof = metrics.absorption_profile(params, Strategy.B)
+        sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
+        assert abs(prof.at(1) - sol.probability(1)) <= 1e-12
+        assert abs(prof.total - 1.0) <= 1e-9
+
+    def test_reaches_the_s_1_limit(self):
+        near = metrics.absorption_profile(WalkParams(0.7, 1.0 - 1e-14, 5), Strategy.B)
+        limit = metrics.absorption_profile(WalkParams(0.7, 1.0, 5), Strategy.B)
+        assert near.at(1) == pytest.approx(limit.at(1), abs=1e-12)
+        assert near.at(1) == pytest.approx(0.58826370441922, abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+    def test_generating_function_matches_propagation(self, gap):
+        params = WalkParams(0.4, 1.0 - gap, 2)
+        want = oracle.mgf_dp(params, Strategy.B, 0.5, 2, tol=1e-12)
+        assert mgf.mgf_b(params, 0.5, 1) == pytest.approx(want, abs=1e-10)
+
+    def test_both_forms_agree_where_they_meet(self):
+        # just above and below the switch; both are accurate there
+        for s in (1.0 - 1.01 * mgf._NEAR_S1, 1.0 - 0.99 * mgf._NEAR_S1):
+            params = WalkParams(0.45, s, 3)
+            sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
+            got = metrics.absorption_profile(params, Strategy.B).at(1)
+            assert got == pytest.approx(sol.probability(1), abs=1e-13)
+
+
+class TestDoubleRootDigits:
+    """Near theta**2 = 4 omega**i0 (near-driftless walks, s -> 0) the
+    discriminant cancels, and the square root hands phi1 its error divided
+    by sqrt(disc): means and killed times that divide by phi1 - 1 or the
+    root gap must match the exact solver to 1e-7 or raise."""
+
+    @pytest.mark.parametrize(
+        "p, s, i0",
+        [(0.5, 1e-12, 2), (0.5000001, 1e-30, 3), (0.5, 1e-10, 1), (0.4999999, 1e-14, 3)],
+    )
+    def test_refuses_what_rounding_decides(self, p, s, i0, strategy):
+        params = WalkParams(p, s, i0)
+        with pytest.raises(UnsupportedRegimeError, match="double root"):
+            metrics.mean_time_any(params, strategy)
+        with pytest.raises(UnsupportedRegimeError, match="within rounding"):
+            metrics.time_profile(params, strategy)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
+    @pytest.mark.parametrize("p", [0.5, 0.5 + 1e-7, 0.5 - 1e-7])
+    def test_answers_match_the_exact_solver(self, p, s, strategy):
+        for i0 in (1, 2, 3):
+            params = WalkParams(p, s, i0)
+            # tol only sets how far the pk/et dicts run (up to 2**16 barriers
+            # at this slow decay); the profiles and m_total do not depend on it
+            sol = oracle.solve_exact(params, strategy, tol=1e300)
+            m = _answer_or_none(metrics.mean_time_any, params, strategy)
+            tp = _answer_or_none(metrics.time_profile, params, strategy)
+            if m is not None:
+                assert m == pytest.approx(sol.m_total, rel=1e-7)
+            if tp is not None:
+                assert tp.total == pytest.approx(sol.m_total, rel=1e-7)
+                for k in range(4):
+                    want = sol.killed_time(k)
+                    assert tp.at(k) == pytest.approx(want, rel=1e-7, abs=1e-7 * sol.m_total)
+        if s >= 1e-8:  # well away from the double root both answer
+            assert m is not None and tp is not None
+
+
 class TestKilledTimesPerBarrier:
     def test_no_stop_killed_time_at_ruin(self):
         assert metrics.mean_time_at(

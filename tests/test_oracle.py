@@ -87,6 +87,20 @@ class TestPhilox:
             with pytest.raises(ValueError):
                 rng.block_uniforms(1, self.TRIALS, block)
 
+    def test_one_block_per_row_matches_the_scalar_block_rows(self):
+        blocks = np.array([0, 9, 1, 2**32 - 1, 9, 0, 5, 3], dtype=np.int64)
+        got = rng.block_uniforms(self.SEED, self.TRIALS, blocks)
+        for row, block in enumerate(blocks.tolist()):
+            want = rng.block_uniforms(self.SEED, self.TRIALS, block)[row]
+            assert np.array_equal(got[row], want)
+
+    def test_a_row_block_outside_the_counter_word_is_rejected(self):
+        for bad in (-1, 2**32):
+            blocks = np.zeros(len(self.TRIALS), dtype=np.int64)
+            blocks[3] = bad
+            with pytest.raises(ValueError):
+                rng.block_uniforms(1, self.TRIALS, blocks)
+
 
 class TestSolveExact:
     def test_symmetric_unit_stake_spot_values(self):
@@ -466,6 +480,82 @@ class TestSimulate:
         assert (sim.escaped, sim.trial_steps) == (escaped, steps)
         if max_steps == 37:
             assert escaped > 0
+
+    @pytest.mark.parametrize(
+        "p, s, i0, strategy, max_steps",
+        [
+            (0.5, 0.3, 2, Strategy.B, 1001),
+            (0.45, 0.1, 3, Strategy.A, 1001),
+            (0.4, 0.5, 1, Strategy.B, 1001),
+            (0.4, 0.5, 1, Strategy.A, 1001),
+            # trials that join at tick 4m escape at tick 4m + 37, mid-block;
+            # B's late joiners take their first step with i0 not yet a barrier
+            (0.5, 0.1, 2, Strategy.C, 37),
+            (0.5, 0.3, 2, Strategy.B, 37),
+            (0.45, 0.1, 3, Strategy.A, 37),
+        ],
+    )
+    @pytest.mark.parametrize("table", [None, 4], ids=["table", "modulo"])
+    def test_refilled_batches_match_the_reference_loop(
+        self, p, s, i0, strategy, max_steps, table, monkeypatch
+    ):
+        # ranges of 1,000 trials in batches of 64: three streams on two
+        # threads, each refilled hundreds of times
+        monkeypatch.setattr(oracle, "_RANGE", 1000)
+        monkeypatch.setattr(oracle, "_BATCH", 64)
+        if table is not None:  # states past 3 take the modulo and tally one by one
+            monkeypatch.setattr(oracle, "_TABLE", table)
+        params = WalkParams(p, s, i0)
+        sim = oracle.simulate(params, strategy, 3000, seed=77, max_steps=max_steps, workers=2)
+        counts, tsum, tsq, escaped, steps = _reference_walk(params, strategy, 3000, 77, max_steps)
+        assert sim.absorption_counts == counts
+        assert sim.time_sum_by_state == tsum
+        assert sim.time_sq_sum_by_state == tsq
+        assert (sim.escaped, sim.trial_steps) == (escaped, steps)
+        if max_steps == 37:
+            assert escaped > 0
+
+    def test_identical_across_workers_and_stream_sizes(self, monkeypatch):
+        params = WalkParams(0.5, 0.1, 2)
+        runs = []
+        for range_size, batch in ((1000, 64), (700, 48), (oracle._RANGE, oracle._BATCH)):
+            monkeypatch.setattr(oracle, "_RANGE", range_size)
+            monkeypatch.setattr(oracle, "_BATCH", batch)
+            for workers in (1, 2, 4):
+                runs.append(oracle.simulate(params, Strategy.B, 5000, 11, 40, workers))
+        assert runs[0].escaped > 0
+        assert all(run == runs[0] for run in runs)
+
+    def test_drifting_escapes_keep_memory_bounded(self, monkeypatch):
+        # every trial not ruined at once walks up to max_steps; a table, a
+        # bincount or any buffer sized by the states reached or by the clock
+        # would grow tenfold between the two runs
+        import tracemalloc
+
+        monkeypatch.setattr(oracle, "_TABLE", 64)  # past state 63 the modulo serves
+        params = WalkParams(0.9, 0.0, 1)
+        oracle.simulate(params, Strategy.A, 8, seed=2, max_steps=10)  # imports, off the books
+        peaks = []
+        for max_steps in (300, 3000):
+            tracemalloc.start()
+            try:
+                sim = oracle.simulate(params, Strategy.A, 8, seed=2, max_steps=max_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sim.escaped > 0
+            assert sim.trial_steps == sum(sim.time_sum_by_state.values()) + max_steps * sim.escaped
+        assert peaks[1] < peaks[0] + 4096
+        assert peaks[1] < 1 << 16
+
+    def test_tallies_are_exact_integers_past_float_precision(self, monkeypatch):
+        # a batch of 2**52 leaves no tick whose float sums are sure to be
+        # exact, so every event is tallied one by one in Python integers
+        monkeypatch.setattr(oracle, "_BATCH", 1 << 52)
+        params = WalkParams(0.5, 0.1, 2)
+        fast = oracle.simulate(params, Strategy.B, 2000, seed=4, max_steps=500)
+        monkeypatch.setattr(oracle, "_BATCH", 1 << 10)
+        assert oracle.simulate(params, Strategy.B, 2000, seed=4, max_steps=500) == fast
 
     def test_generator_reports_the_four_lane_stream(self):
         sim = oracle.simulate(WalkParams(0.5, 0.5, 1), Strategy.B, 10, seed=3)
