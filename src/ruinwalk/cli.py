@@ -81,7 +81,7 @@ def _barrier_values(params: WalkParams, strategy: Strategy, z: float, kmax: int)
     return [mgf.mgf_value(params, strategy, z, k * params.i0) for k in range(kmax + 1)]
 
 
-def _times_block(params: WalkParams, strategy: Strategy, kmax: int, tol: float) -> dict:
+def _times_block(params: WalkParams, strategy: Strategy, kmax: int) -> dict:
     """Killed-time profile, from the closed forms or, for the exactly
     driftless walk with 0 < s < 1, from the exact solver."""
     # The closed forms answer p = 1/2 too (the tests hold the two routes to
@@ -90,7 +90,7 @@ def _times_block(params: WalkParams, strategy: Strategy, kmax: int, tol: float) 
     # oracle.solve_exact; it and times.source go when the benchmark's
     # workloads are next updated.
     if params.symmetric and 0.0 < params.s < 1.0:
-        sol = oracle.solve_exact(params, strategy, tol=tol)
+        sol = oracle.solve_exact(params, strategy)
         et = [sol.killed_time(k) for k in range(0, kmax + 1)]
         m = metrics.mean_time_any(params, strategy)
         return {"m_total": m, "et": et, "source": "exact"}
@@ -122,7 +122,7 @@ def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
             "pk": [prof.at(k) for k in range(1, args.kmax + 1)],
             "tail_bound": prof.beyond(args.kmax),
         },
-        "times": _times_block(params, strategy, args.kmax, args.tol),
+        "times": _times_block(params, strategy, args.kmax),
         "diagnostics": _diagnostics(params),
     }
     if args.z is not None:
@@ -338,7 +338,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
 def _sweep_row(params: WalkParams, strategy: Strategy, args, instance: dict) -> dict:
     """One sweep row; ``instance`` holds the columns that do not depend on the strategy."""
     prof = metrics.absorption_profile(params, strategy)
-    times = _times_block(params, strategy, 3, args.tol)
+    times = _times_block(params, strategy, 3)
     return {
         "p": params.p,
         "s": params.s,
@@ -422,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(an)
     an.add_argument("--kmax", type=int, default=64)
     an.add_argument("--z", type=float, default=None, help="also report generating-function values at this z")
-    an.add_argument("--tol", type=float, default=1e-10)
     an.add_argument("--conditional", action="store_true",
                     help="add conditional mean times et_k / p_k (killed values are the default)")
     _add_output_flags(an)
@@ -477,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--i0", required=True, help="value or range (integers)")
     sw.add_argument("--strategy", choices=["A", "B", "C", "all"], default="all")
     sw.add_argument("--kmax", type=int, default=64)
-    sw.add_argument("--tol", type=float, default=1e-10)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 

@@ -9,7 +9,8 @@ down with ``q*(1-s)``).  A stop decision consumes no extra time step, so
 absorption time equals arrival time.
 
 The three stopping strategies differ only in which multiples of ``i0`` act
-as barriers, and from when:
+as barriers, and from when; :class:`Strategy` states that rule once, and
+every layer reads it from there:
 
 * ``A``: every multiple of ``i0`` is a barrier, from t=0 onward (so the
   walk may already stop at the start).
@@ -39,6 +40,8 @@ class AbsorptionNotCertainError(ValueError):
 
 
 class Strategy(str, Enum):
+    """The stop rule: :meth:`is_barrier` for t > 0 and :attr:`stops_at_start` for t = 0."""
+
     A = "A"
     B = "B"
     C = "C"
@@ -47,6 +50,15 @@ class Strategy(str, Enum):
     def first_barrier_multiple(self) -> int:
         """Smallest k such that k*i0 is a barrier."""
         return 2 if self is Strategy.C else 1
+
+    @property
+    def stops_at_start(self) -> bool:
+        """Whether the start state i0 stops with probability s at t = 0 (A only)."""
+        return self is Strategy.A
+
+    def is_barrier(self, state, i0: int):
+        """Whether ``state`` stops with probability s at t > 0; elementwise on an int array."""
+        return (state % i0 == 0) & (state >= self.first_barrier_multiple * i0)
 
 
 @dataclass(frozen=True)

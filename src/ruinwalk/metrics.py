@@ -41,6 +41,7 @@ from .core import (
 # The barrier roots tend to 1 (and omega**i0) as s -> 0.  A gap 1 - phi below
 # this keeps fewer than half of its digits: what is left is mostly rounding.
 _MIN_ROOT_GAP = math.sqrt(sys.float_info.epsilon)
+_SMALL_GAP = 0.01  # below it, 1 - phi2 comes from phi1 - 1 where that keeps more digits
 
 
 def _require_resolved(name: str, root: float, gap: float, s: float) -> None:
@@ -67,6 +68,18 @@ def _require_double_root_digits(char: mgf.Characteristic, gap: float, s: float) 
         )
 
 
+def _phi2_gap(params: WalkParams, char: mgf.Characteristic) -> float:
+    """1 - phi2 at z=1, which every profile's tail divides by.
+
+    It cancels as phi2 -> 1 (p > 1/2, s -> 0); phi1 - 1 does not, and
+    ``(phi1 - 1)(1 - phi2) = U_i0 s / (q (1-s))`` gives it from there.
+    """
+    gap, above = 1.0 - char.phi.phi2, char.phi.phi1 - 1.0
+    if gap < _SMALL_GAP and above > gap:
+        gap = char.u_i0 * params.s / (params.q * (1.0 - params.s) * above)
+    return gap
+
+
 def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Profile, float]:
     """Head-only profiles and the mean time at s=0 and s=1, where the walk is classical ruin.
 
@@ -89,7 +102,7 @@ def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Pr
             et0 = i0 / ((params.p - params.q) * wi)
         p0 = 1.0 if params.omega <= 1.0 else 1.0 / wi
         return Profile((p0,)), Profile((et0,)), et0
-    if strategy is Strategy.A:
+    if strategy.stops_at_start:
         return Profile((0.0, 1.0)), Profile((0.0, 0.0)), 0.0
     lt = cp.lucas_terms(1.0, params, i0)
     if strategy is Strategy.C:
@@ -129,17 +142,17 @@ def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
     exceeds 1); for s=1 all mass sits on {0, i0, 2*i0}.
     """
     strategy = Strategy(strategy)
-    s = params.s
+    s, i0 = params.s, params.i0
     if s in (0.0, 1.0):
         return _limit_profiles(params, strategy)[0]
-    phi2 = mgf.characteristic(params, 1.0).phi.phi2
-    _require_resolved("phi2", phi2, 1.0 - phi2, s)  # the tail sums divide by it
-    fn = {Strategy.A: mgf.mgf_a, Strategy.B: mgf.mgf_b, Strategy.C: mgf.mgf_c}[strategy]
-    values = fn(params, 1.0, range(strategy.first_barrier_multiple + 2))
-    head = [values[0]] + [s * v for v in values[1:]]
-    if strategy is Strategy.C:
-        head[1] = 0.0  # i0 never stops C
-    return Profile(tuple(head), phi2, 1.0 - phi2)
+    char = mgf.characteristic(params, 1.0)
+    phi2, gap = char.phi.phi2, _phi2_gap(params, char)
+    _require_resolved("phi2", phi2, gap, s)  # the tail sums divide by it
+    ks = range(strategy.first_barrier_multiple + 2)
+    values = mgf._barrier_fn(strategy)(params, 1.0, ks)
+    # ruin absorbs every arrival, a barrier each with probability s
+    head = [values[0]] + [s * values[k] if strategy.is_barrier(k * i0, i0) else 0.0 for k in ks[1:]]
+    return Profile(tuple(head), phi2, gap)
 
 
 def bc_ratio(params: WalkParams) -> float:
@@ -248,7 +261,7 @@ def _killed_times(params: WalkParams, strategy: Strategy) -> Profile:
         if strategy is Strategy.B:
             head = [t / (1.0 - s) for t in head]
             mass /= 1.0 - s
-    return Profile(tuple(head), phi.phi2, 1.0 - phi.phi2, der.dphi2, mass)
+    return Profile(tuple(head), phi.phi2, _phi2_gap(params, char), der.dphi2, mass)
 
 
 def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
@@ -260,6 +273,7 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     strategy = Strategy(strategy)
     if params.s in (0.0, 1.0):
         return _limit_profiles(params, strategy)[1]
-    phi2 = mgf.characteristic(params, 1.0).phi.phi2
-    _require_resolved("phi2", phi2, 1.0 - phi2, params.s)  # the tail sums divide by it
+    char = mgf.characteristic(params, 1.0)
+    # the tail sums divide by the gap
+    _require_resolved("phi2", char.phi.phi2, _phi2_gap(params, char), params.s)
     return _killed_times(params, strategy)

@@ -9,7 +9,8 @@ start state: B's function at ``i0`` sums from m=1.
 
 Barrier states carry the closed forms; states strictly between barriers are
 reconstructed from the two neighbouring barrier values via the divided
-differences of tau powers, one segment at a time.  All formulas here are
+differences of tau powers, one segment at a time, each end weighted by the
+stop rule of :class:`ruinwalk.core.Strategy`.  All formulas here are
 cross-checked against the step-by-step propagation oracle in
 :mod:`ruinwalk.oracle`.
 """
@@ -196,15 +197,16 @@ def _barrier_fn(strategy: Strategy):
 def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
     """Generating function on a state strictly between barriers.
 
-    With ``position = k*i0 + n`` (0 < n < i0), the value is a convex-like
-    bridge between the two neighbouring barrier values:
+    With ``position = k*i0 + n`` (0 < n < i0), the value bridges the two
+    values at the ends of its segment, ``left`` at k*i0 and ``right`` at
+    (k+1)*i0:
 
-    ``value = (scale) * [left * omega**n * D_{i0-n} + right * D_n] / D_i0``
+    ``value = [wl * left * omega**n * D_{i0-n} + wr * right * D_n] / D_i0``
 
-    where ``D_m`` is the divided difference of tau powers, ``left``/``right``
-    are the barrier values that bound the segment and ``scale`` carries the
-    per-segment stop factor.  On the lowest segment the left boundary is the
-    absorbing state 0, which contributes nothing.
+    where ``D_m`` is the divided difference of tau powers and each end's
+    weight, ``wl`` or ``wr``, is the chance of stepping on from it: 0 at
+    ruin, 1 - s on a barrier (``Strategy.is_barrier``) and 1 elsewhere.
+    B bridges A's values and divides by 1 - s, as its barrier forms do.
     """
     _require_interior_s(params)
     i0 = params.i0
@@ -221,26 +223,12 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
     d_n = power_divided_difference(roots, n)
     d_co = power_divided_difference(roots, i0 - n)
     one_ms = 1.0 - params.s
-    omega_n = params.omega ** n
-
-    if strategy in (Strategy.A, Strategy.B):
-        u_here, u_next = _a_values(params, z, range(k, k + 2))
-        if k == 0:
-            value = one_ms * u_next * d_n / d_i0
-        else:
-            value = one_ms * (u_here * omega_n * d_co + u_next * d_n) / d_i0
-        if strategy is Strategy.B:
-            value /= one_ms
-        return value
-
-    w_here, w_next = _c_values(params, z, range(k, k + 2))
-    if k == 0:
-        # the segment [0, i0] has normal states on both sides for C
-        return w_next * d_n / d_i0
-    if k == 1:
-        # only the upper end (2*i0) of this segment is a barrier
-        return (w_here * omega_n * d_co + one_ms * w_next * d_n) / d_i0
-    return one_ms * (w_here * omega_n * d_co + w_next * d_n) / d_i0
+    values = _c_values if strategy is Strategy.C else _a_values
+    left, right = values(params, z, range(k, k + 2))
+    ends = (k * i0, (k + 1) * i0)
+    wl, wr = (0.0 if j == 0 else one_ms if strategy.is_barrier(j, i0) else 1.0 for j in ends)
+    value = (wl * left * params.omega ** n * d_co + wr * right * d_n) / d_i0
+    return value / one_ms if strategy is Strategy.B else value
 
 
 def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:

@@ -2,7 +2,8 @@
 
 Nothing in this module uses the closed forms from :mod:`ruinwalk.charpoly`,
 :mod:`ruinwalk.mgf` or :mod:`ruinwalk.metrics`; it knows only the walk
-dynamics.  Three layers:
+dynamics, and reads which states stop, and whether the start does, from
+:class:`ruinwalk.core.Strategy`.  Three layers:
 
 * :func:`solve_exact` conditions on the first transition out of every state
   to get tridiagonal systems for barrier masses and killed times.  Above
@@ -74,12 +75,6 @@ class ExactSolution:
         return self.times.at(k)
 
 
-def _steady_barrier_mask(strategy: Strategy, n_states: int, i0: int) -> list[bool]:
-    """Active-barrier mask over states 0..n_states-1 for times t > 0."""
-    low = Strategy(strategy).first_barrier_multiple * i0
-    return [j % i0 == 0 and j >= low for j in range(n_states)]
-
-
 def _factor_tridiagonal(sub: list[float], diag: list[float], sup: list[float]) -> tuple:
     """Eliminate a tridiagonal matrix without pivoting, for :func:`solve_banded`.
 
@@ -127,18 +122,20 @@ def _head_profile(
     """Barrier masses and killed times for k = 0..kmax from states 1..n.
 
     Unknowns are values per *presence* at a state: tridiagonal systems with
-    row weights alpha = 1-s on barriers; A's stop at t=0 and B's inactive
-    start barrier live only in the start functional ``c``.  Each answer is
+    row weights alpha = 1-s on barriers (``Strategy.is_barrier``).  The
+    start functional ``c`` is the first step out of i0, survived with
+    1 - s where the strategy stops at the start.  Each answer is
     ``c`` applied to a column whose right-hand side has one nonzero ``R_y``
     (s in row y, alpha_1*q in row 1 for ruin), so ``A^T w = c`` (w: presences)
     gives every mass ``w[y] * R_y`` and ``A^T u = v``,
     ``v = (p S+ + q S-)^T D_alpha w`` (u = dw/dz at z=1), every killed time
     ``u[y] * R_y``.  State n+1 closes the system by ``w(n+1) = r w(n)``
-    (``dr = dr/dz``; r = 0 is a sink), so no start mass may lie past n.
+    (``dr = dr/dz``; r = 0 is a sink), so first-step mass past n is lost.
     """
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     strategy = Strategy(strategy)
-    stop = [s if b else 0.0 for b in _steady_barrier_mask(strategy, n + 2, i0)]
+    stop = [s if strategy.is_barrier(j, i0) else 0.0 for j in range(n + 2)]
+    start_stop = s if strategy.stops_at_start else 0.0
     alpha = [1.0 - x for x in stop]  # row weights over states 0..n+1
     diag = [1.0] * n
     diag[-1] -= q * alpha[n + 1] * r
@@ -146,12 +143,8 @@ def _head_profile(
         [-p * a for a in alpha[1:n]], diag, [-q * a for a in alpha[2 : n + 1]]
     )
     c = [0.0] * (n + 2)  # the start-state functional over states 0..n+1
-    if strategy is Strategy.C:
-        c[i0] = 1.0
-    else:
-        step = 1.0 - s if strategy is Strategy.A else 1.0
-        c[i0 + 1] = step * p
-        c[i0 - 1] = step * q
+    c[i0 + 1] = (1.0 - start_stop) * p
+    c[i0 - 1] = (1.0 - start_stop) * q
     w = [0.0, *solve_banded(factors, c[1 : n + 1])]
     w.append(r * w[n])
     aw = [a * x for a, x in zip(alpha, w)]
@@ -167,11 +160,9 @@ def _head_profile(
     for k in range(1, kmax + 1):
         mass[k] = stop[k * i0] * w[k * i0]
         killed[k] = stop[k * i0] * u[k * i0]
-    if strategy is not Strategy.C:  # the first step is taken before anything else
-        for k in killed:
-            killed[k] += mass[k]
-    if strategy is Strategy.A:
-        mass[1] += s  # stopped at the start, at time 0
+    for k in killed:  # the first step is taken before anything else
+        killed[k] += mass[k]
+    mass[1] += start_stop  # stopped at the start, at time 0
     return mass, killed
 
 
@@ -291,7 +282,7 @@ def solve_exact(
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     k_cut = strategy.first_barrier_multiple + 1
     cut = k_cut * i0
-    stop = [s if b else 0.0 for b in _steady_barrier_mask(strategy, cut + i0 + 2, i0)]
+    stop = [s if strategy.is_barrier(j, i0) else 0.0 for j in range(cut + i0 + 2)]
     if (found := _tail_fixed_point(p, q, stop, cut, i0)) is None:  # certain ruin, in infinite time
         return ExactSolution(
             1, 1.0, {}, {0: math.inf}, math.inf, 0.0, 0.0, Profile((1.0,)), Profile((math.inf,))
@@ -379,12 +370,8 @@ def _dp_once(
 
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     top = trunc_k * i0
-    stop_steady = np.zeros(top, dtype=float)
-    stop_steady[np.array(_steady_barrier_mask(strategy, top, i0))] = s
-    stop_steady[0] = 1.0
-    stop_t0 = stop_steady.copy()
-    if strategy is not Strategy.A:
-        stop_t0[i0] = 0.0
+    stop = np.where(strategy.is_barrier(np.arange(top), i0), s, 0.0)
+    stop[0] = 1.0
 
     w = np.zeros(top)  # index 0..top-1; mass reaching `top` escapes
     w[i0] = 1.0
@@ -401,7 +388,9 @@ def _dp_once(
             )
         if state < top:
             value += zpow * w[state]
-        surv = w * (1.0 - (stop_t0 if m == 0 else stop_steady))
+        surv = w * (1.0 - stop)
+        if m == 0:  # all mass is at i0, which stops at t = 0 only where the strategy says
+            surv[i0] = 1.0 - (s if strategy.stops_at_start else 0.0)
         nxt = np.zeros_like(w)
         nxt[1:] += p * surv[:-1]
         nxt[:-1] += q * surv[1:]
@@ -509,12 +498,10 @@ def _range_trials(
     from . import rng
 
     p, s, i0, lanes_n = params.p, params.s, params.i0, rng.LANES
-    low_barrier = strategy.first_barrier_multiple * i0
     up_on_barrier = s + (1.0 - s) * p
     # states below _TABLE look up whether they are barriers and the rest
     # take the modulo, so the table's memory is fixed however far trials walk
-    table = np.arange(_TABLE)
-    barrier_table = (table % i0 == 0) & (table >= low_barrier)
+    barrier_table = strategy.is_barrier(np.arange(_TABLE), i0)
     # a tick's float sums of times t <= tick + 1 are exact while _BATCH * t**2 < 2**53
     float_ticks = math.isqrt((1 << 53) // _BATCH) - 1
     x = np.empty(0, dtype=np.int64)
@@ -558,8 +545,8 @@ def _range_trials(
         if top < _TABLE:
             on_barrier = barrier_table.take(x)  # dead rows may reach -3: it wraps, harmlessly
         else:
-            on_barrier = (x % i0 == 0) & (x >= low_barrier)
-        if strategy is Strategy.B and lane == 0:  # i0 is no barrier on a trial's first step
+            on_barrier = strategy.is_barrier(x, i0)
+        if lane == 0 and not strategy.stops_at_start:  # i0 stops no trial on its first step
             on_barrier[fresh:] = False
         stopped = u < s
         stopped &= on_barrier

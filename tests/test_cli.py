@@ -54,6 +54,15 @@ class TestAnalytic:
         for got, want in pairs:
             assert abs(got - want) <= 1e-7 * max(abs(want), 1e-9)
 
+    @pytest.mark.parametrize("command", ["analytic", "sweep"])
+    def test_has_no_tol_option(self, command, capsys):
+        # its times never depended on it; exact and mgf keep theirs
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--p", "0.5", "--s", "0.5", "--i0", "1", "--strategy", "A",
+                      "--tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_json_round_trips(self, capsys):
         args = ["analytic", "--p", "0.45", "--s", "0.3", "--i0", "2", "--strategy", "C"]
         code, out, _ = run_cli(args, capsys)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from ruinwalk.core import (
     ParameterError,
     Profile,
+    Strategy,
     WalkParams,
 )
 
@@ -60,3 +62,26 @@ class TestProfile:
         assert [prof.at(k) for k in (2, 3, 10)] == [0.0] * 3
         assert prof.beyond(1) == 0.0 and prof.beyond(0) == 0.5
         assert prof.total == math.inf
+
+
+class TestStopRule:
+    # the multiples of i0 that stop with probability s at t > 0, up to 4*i0
+    MULTIPLES = {Strategy.A: (1, 2, 3, 4), Strategy.B: (1, 2, 3, 4), Strategy.C: (2, 3, 4)}
+
+    @pytest.mark.parametrize("i0", [1, 2, 3])
+    def test_barriers_tabulated(self, i0, strategy):
+        states = range(4 * i0 + 1)
+        want = [x in {k * i0 for k in self.MULTIPLES[strategy]} for x in states]
+        got = [strategy.is_barrier(x, i0) for x in states]
+        assert got == want
+        assert all(type(b) is bool for b in got)
+        on_array = strategy.is_barrier(np.arange(4 * i0 + 1), i0)
+        assert on_array.dtype == bool and on_array.tolist() == want
+
+    def test_only_a_stops_at_the_start(self):
+        assert [st.stops_at_start for st in Strategy] == [True, False, False]
+
+    def test_first_barrier_is_the_lowest_stopping_multiple(self, strategy):
+        first = strategy.first_barrier_multiple
+        assert strategy.is_barrier(first * 3, 3)
+        assert not any(strategy.is_barrier(k * 3, 3) for k in range(first))

@@ -295,6 +295,37 @@ class TestBarrierRootsNearOne:
             metrics.mean_time_any(WalkParams(0.4, 1e-10, 2), Strategy.A)
 
 
+class TestPhi2GapNearOne:
+    """Every tail divides by 1 - phi2, which cancels as phi2 -> 1 (p > 1/2,
+    s -> 0) and near the driftless double root; there the gap comes from
+    ``(phi1 - 1)(1 - phi2) = U_i0 s / (q (1-s))``.  The tolerances are the
+    README's: 1e-7 relative for times, 1e-9 absolute for masses."""
+
+    @pytest.mark.parametrize("p, s, i0", [(0.5001, 1e-9, 1), (0.5001, 1e-10, 1), (0.5001, 1e-11, 2)])
+    def test_time_profile_total_matches_the_exact_solver(self, p, s, i0, strategy):
+        params = WalkParams(p, s, i0)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        assert metrics.time_profile(params, strategy).total == pytest.approx(sol.m_total, rel=1e-7)
+
+    @pytest.mark.parametrize("p, s, i0", [(0.5000001, 1e-14, 3), (0.5, 1e-14, 3)])
+    def test_absorption_profile_matches_the_exact_solver(self, p, s, i0, strategy):
+        params = WalkParams(p, s, i0)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        prof = metrics.absorption_profile(params, strategy)
+        assert prof.total == pytest.approx(sol.masses.total, abs=1e-9)
+        for k in range(0, 64, 3):
+            assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9)
+            assert prof.beyond(k) == pytest.approx(sol.masses.beyond(k), abs=1e-9)
+
+    def test_gap_times_phi1_excess_is_the_stop_term(self):
+        # the identity the gap is taken from, where neither factor cancels
+        for p, s, i0 in [(0.3, 0.2, 1), (0.55, 0.05, 3), (0.7, 0.5, 2)]:
+            params = WalkParams(p, s, i0)
+            char = mgf.characteristic(params, 1.0)
+            product = (char.phi.phi1 - 1.0) * (1.0 - char.phi.phi2)
+            assert product == pytest.approx(char.u_i0 * s / (params.q * (1.0 - s)), rel=1e-13)
+
+
 class TestStrategyBNearS1:
     """B's value at i0 is A's less its m=0 self-term, over 1 - s.  A's value
     there is 1 + O(1 - s), so subtracting the 1 left about eps / (1 - s)."""

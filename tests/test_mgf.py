@@ -207,6 +207,19 @@ class TestAgainstPropagationOracle:
                         got = mgf.mgf_interior(params, strat, z, pos)
                         assert got == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("p, s, i0", [(0.45, 0.3, 3), (0.6, 0.7, 4)])
+    @pytest.mark.parametrize("z", [0.6, 0.95])
+    def test_every_interior_state_of_the_first_three_segments(self, p, s, i0, z, strategy):
+        # each segment end weighs 0 at ruin, 1 - s on a barrier, 1 elsewhere:
+        # C's [0, i0] has no barrier end, [i0, 2*i0] one; B's [0, i0] ends on
+        # the start, which stops only from t = 1
+        params = WalkParams(p, s, i0)
+        for pos in range(1, 3 * i0):
+            if pos % i0:
+                want = oracle.mgf_dp(params, strategy, z, pos, tol=1e-12)
+                got = mgf.mgf_interior(params, strategy, z, pos)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-11), pos
+
     def test_monotone_in_z(self):
         for params in small_grid():
             for strat in Strategy:

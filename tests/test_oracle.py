@@ -343,7 +343,11 @@ class TestSolveBanded:
 
 
 def _dense_truncated(params, strategy, trunc_k):
-    """The forward first-step systems, one dense column per target."""
+    """The forward first-step systems, one dense column per target.
+
+    Restates the stop rule itself, not through ``Strategy.is_barrier``, so
+    that a fault in the rule shows against the oracle that reads it.
+    """
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     top = trunc_k * i0
     kmin = strategy.first_barrier_multiple
@@ -574,7 +578,10 @@ class TestSimulate:
 
 
 def _reference_walk(params, strategy, trials, seed, max_steps):
-    """Plain per-step Monte Carlo: one ``step_uniforms`` call per step."""
+    """Plain per-step Monte Carlo: one ``step_uniforms`` call per step.
+
+    Restates the stop rule itself, as :func:`_dense_truncated` does.
+    """
     p, s, i0 = params.p, params.s, params.i0
     kmin = strategy.first_barrier_multiple
     ids = np.arange(trials, dtype=np.uint64)
