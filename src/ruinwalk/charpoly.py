@@ -119,9 +119,19 @@ def power_divided_difference(roots: RootPair, n: int) -> float:
         raise ParameterError(f"power must be >= 0, got {n}")
     t1, t2 = roots.tau1, roots.tau2
     acc = 0.0
-    for a in range(n):
-        acc += t1 ** a * t2 ** (n - 1 - a)
+    try:
+        for a in range(n):
+            acc += t1 ** a * t2 ** (n - 1 - a)
+    except OverflowError:
+        raise _power_overflow(roots, n) from None
     return acc
+
+
+def _power_overflow(roots: RootPair, n: int) -> UnsupportedRegimeError:
+    return UnsupportedRegimeError(
+        f"step-root powers overflow (tau1={roots.tau1!r}, power {n}); "
+        "no closed-form answer is available for this instance"
+    )
 
 
 def theta(z: float, params: WalkParams, lucas: tuple[float, float] | None = None) -> CharData:
@@ -213,12 +223,18 @@ def lucas_terms(z: float, params: WalkParams, n: int) -> LucasTerms:
 def _lucas_from(roots: RootPair, params: WalkParams, n: int, u: float, u_prev: float) -> LucasTerms:
     """:func:`lucas_terms` from step roots already solved, with ``U_n``, ``U_{n-1}``."""
     de1 = -1.0 / (params.q * roots.z * roots.z)
+    try:
+        v = roots.tau1 ** n + roots.tau2 ** n
+        slope = _divided_difference_slope(roots, n)
+        slope_prev = _divided_difference_slope(roots, n - 1)
+    except OverflowError:
+        raise _power_overflow(roots, n) from None
     return LucasTerms(
         u=u,
         u_prev=u_prev,
-        v=roots.tau1 ** n + roots.tau2 ** n,
-        du=de1 * _divided_difference_slope(roots, n),
-        du_prev=de1 * _divided_difference_slope(roots, n - 1),
+        v=v,
+        du=de1 * slope,
+        du_prev=de1 * slope_prev,
         dv=de1 * n * u,
     )
 

@@ -78,7 +78,8 @@ def _diagnostics(params: WalkParams) -> dict:
 
 def _barrier_values(params: WalkParams, strategy: Strategy, z: float, kmax: int) -> list:
     """The generating function on barriers 0..kmax."""
-    return [mgf.mgf_value(params, strategy, z, k * params.i0) for k in range(kmax + 1)]
+    values = mgf._barrier_fn(strategy)(params, z)
+    return [values.at(k) for k in range(kmax + 1)]
 
 
 def _times_block(params: WalkParams, strategy: Strategy, kmax: int) -> dict:

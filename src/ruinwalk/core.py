@@ -98,8 +98,14 @@ class WalkParams:
 
     @property
     def omega_pow(self) -> float:
-        """omega raised to the stake, omega**i0."""
-        return self.omega ** self.i0
+        """omega raised to the stake, omega**i0; an unsupported regime where it overflows."""
+        try:
+            return self.omega ** self.i0
+        except OverflowError:
+            raise UnsupportedRegimeError(
+                f"omega**i0 overflows at p={self.p}, i0={self.i0}; "
+                "no closed-form answer is available for this instance"
+            ) from None
 
     @property
     def symmetric(self) -> bool:

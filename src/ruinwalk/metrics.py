@@ -148,10 +148,9 @@ def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
     char = mgf.characteristic(params, 1.0)
     phi2, gap = char.phi.phi2, _phi2_gap(params, char)
     _require_resolved("phi2", phi2, gap, s)  # the tail sums divide by it
-    ks = range(strategy.first_barrier_multiple + 2)
-    values = mgf._barrier_fn(strategy)(params, 1.0, ks)
+    ruin, *barriers = mgf._barrier_fn(strategy)(params, 1.0).head
     # ruin absorbs every arrival, a barrier each with probability s
-    head = [values[0]] + [s * values[k] if strategy.is_barrier(k * i0, i0) else 0.0 for k in ks[1:]]
+    head = [ruin] + [s * v if strategy.is_barrier(k * i0, i0) else 0.0 for k, v in enumerate(barriers, 1)]
     return Profile(tuple(head), phi2, gap)
 
 
@@ -245,18 +244,17 @@ def _killed_times(params: WalkParams, strategy: Strategy) -> Profile:
     # logarithmic derivative shared by every barrier form: U_i0 and 1/z
     log_common = lt.du / lt.u - 1.0
     phi_rate = der.dphi2 / phi.phi2
-    ks = range(strategy.first_barrier_multiple + 2)
     if strategy is Strategy.C:
         # C's barrier values share the pole 1/(V_i0 - phi2)
         pole_rate = (lt.dv - der.dphi2) / (lt.v - phi.phi2)
-        w = mgf.mgf_c(params, 1.0, ks)
+        w = mgf.mgf_c(params, 1.0).head
         head = [w[0] * w[0] * (der.dphi2 - lt.dv), 0.0]
-        head += [s * w[k] * (log_common + (k - 1) * phi_rate - pole_rate) for k in ks[2:]]
+        head += [s * wk * (log_common + (k - 1) * phi_rate - pole_rate) for k, wk in enumerate(w[2:], 2)]
         mass = s * w[-1]
     else:
-        u = mgf.mgf_a(params, 1.0, ks)
+        u = mgf.mgf_a(params, 1.0).head
         head = [der.dphi2 / params.omega_pow]
-        head += [s * u[k] * (log_common + k * phi_rate) for k in ks[1:]]
+        head += [s * uk * (log_common + k * phi_rate) for k, uk in enumerate(u[1:], 1)]
         mass = s * u[-1]
         if strategy is Strategy.B:
             head = [t / (1.0 - s) for t in head]

@@ -7,7 +7,8 @@ Strategy B's functions follow strategy A's through a single factor ``1-s``
 (surviving the t=0 stop decision), which removes the m=0 self-term at the
 start state: B's function at ``i0`` sums from m=1.
 
-Barrier states carry the closed forms; states strictly between barriers are
+Barrier states carry the closed forms, each a :class:`ruinwalk.core.Profile`
+whose tail is geometric in phi2; states strictly between barriers are
 reconstructed from the two neighbouring barrier values via the divided
 differences of tau powers, one segment at a time, each end weighted by the
 stop rule of :class:`ruinwalk.core.Strategy`.  All formulas here are
@@ -30,7 +31,7 @@ from .charpoly import (
     tau_roots,
     theta,
 )
-from .core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
+from .core import ParameterError, Profile, Strategy, UnsupportedRegimeError, WalkParams
 
 _EPS = sys.float_info.epsilon
 
@@ -85,7 +86,9 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
     """The characteristic of ``params`` at ``z``, for s < 1: one solve of the roots.
 
     ``params`` keeps the one for the last z asked, so repeated calls at the
-    same z return that object without solving again.
+    same z return that object without solving again.  For s > 0 a phi2
+    that underflows to 0 is an unsupported regime: every closed form there
+    divides by it or by omega**i0 (at s = 0 only root diagnostics read it).
     """
     memo = params._memo
     char = memo.get(z)
@@ -95,6 +98,11 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
         u_prev = power_divided_difference(roots, params.i0 - 1)
         coupling = theta(z, params, (u_i0, u_prev))
         phi = phi_roots(coupling)
+        if params.s and not phi.phi2:
+            raise UnsupportedRegimeError(
+                f"phi2 underflows to 0 (omega**i0={params.omega_pow!r}) at z={z}; "
+                "no closed-form answer is available for this instance"
+            )
         error = _phi1_error(params.p, u_i0, u_prev, coupling, phi)
         char = Characteristic(z, roots, u_i0, u_prev, coupling, phi, error)
         memo.clear()
@@ -102,90 +110,59 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
     return char
 
 
-def _a_values(params: WalkParams, z: float, ks: range) -> list[float]:
-    char = characteristic(params, z)
-    phi2 = char.phi.phi2
-    base = char.u_i0 / (params.q * (1.0 - params.s) * z * params.omega_pow)
-    return [phi2 / params.omega_pow if k == 0 else base * phi2 ** k for k in ks]
+def mgf_a(params: WalkParams, z: float) -> Profile:
+    """Strategy-A generating function on ruin and every barrier k*i0.
 
-
-def _b_values(params: WalkParams, z: float, ks: range) -> list[float]:
-    """A's values over 1 - s, less A's m=0 self-term at i0 (k = 1).
-
-    A's value at i0 is 1 + O(1 - s), so near s = 1 subtracting that 1
-    leaves an absolute error of about eps / (1 - s).  There theta's
-    definition gives the difference without it: ``U_i0 - q(1-s) z phi1
-    = (1-s) z (2p U_{i0-1} + q phi2)``, a sum of positive terms.
+    The head holds barriers 0..2; from barrier 1 on the values are
+    ``base * phi2**k``, so the tail continues it with ``rho = phi2``.
     """
+    _require_interior_s(params)
+    char = characteristic(params, z)
+    phi2, wi = char.phi.phi2, params.omega_pow
+    base = char.u_i0 / (params.q * (1.0 - params.s) * z * wi)
+    return Profile((phi2 / wi, base * phi2, base * phi2 ** 2), phi2, 1.0 - phi2)
+
+
+def mgf_b(params: WalkParams, z: float) -> Profile:
+    """Strategy-B generating function: A's values over 1 - s, less A's m=0 self-term at i0.
+
+    So ``value_B = (value_A - delta(k,1)) / (1-s)``.  A's value at i0 is
+    1 + O(1 - s), so near s = 1 subtracting that 1 leaves an absolute error
+    of about eps / (1 - s).  There theta's definition gives the difference
+    without it: ``U_i0 - q(1-s) z phi1 = (1-s) z (2p U_{i0-1} + q phi2)``,
+    a sum of positive terms.
+    """
+    a = mgf_a(params, z)
     one_ms = 1.0 - params.s
-    a_values = _a_values(params, z, ks)
-    out = [(ua - (1.0 if k == 1 else 0.0)) / one_ms for k, ua in zip(ks, a_values)]
-    if 1 in ks and one_ms < _NEAR_S1:
+    ruin, start, second = a.head
+    if one_ms < _NEAR_S1:
         char, q = characteristic(params, z), params.q
         near = 2.0 * params.p * char.u_prev + q * char.phi.phi2
-        out[ks.index(1)] = near / (q * one_ms * char.phi.phi1)
-    return out
+        start = near / (q * one_ms * char.phi.phi1)
+    else:
+        start = (start - 1.0) / one_ms
+    return Profile((ruin / one_ms, start, second / one_ms), a.rho, a.gap)
 
 
-def _c_values(params: WalkParams, z: float, ks: range) -> list[float]:
+def mgf_c(params: WalkParams, z: float) -> Profile:
+    """Strategy-C generating function on ruin and every barrier k*i0.
+
+    The head holds barriers 0..3; from barrier 2 on the values are
+    ``d_i0 * phi2**(k-1) / denom_far``, so the tail continues it with ``rho = phi2``.
+    """
+    _require_interior_s(params)
     char = characteristic(params, z)
     roots, d_i0 = char.roots, char.u_i0
     i0, phi2 = params.i0, char.phi.phi2
     denom = roots.tau1 ** i0 + roots.tau2 ** i0 - phi2
     denom_far = params.q * (1.0 - params.s) * z * denom
-    out = []
-    for k in ks:
-        if k == 0:
-            out.append(1.0 / denom)
-        elif k == 1:
-            out.append(d_i0 / (params.q * z * denom))
-        else:
-            out.append(d_i0 * phi2 ** (k - 1) / denom_far)
-    return out
-
-
-def _barrier_values(values, params: WalkParams, z: float, k: int | range):
-    """``values`` at every barrier index in ``k`` from one solve of the roots.
-
-    An int ``k`` gives a float, a range gives a list.
-    """
-    _require_interior_s(params)
-    ks = k if isinstance(k, range) else range(k, k + 1)
-    if not ks:
-        return []
-    lowest = min(ks[0], ks[-1])
-    if lowest < 0:
-        raise ParameterError(f"barrier index must be >= 0, got {lowest}")
-    out = values(params, z, ks)
-    return out if isinstance(k, range) else out[0]
-
-
-def mgf_a(params: WalkParams, z: float, k: int | range) -> float | list[float]:
-    """Strategy-A generating function on the barrier state k*i0 (k >= 0).
-
-    ``k`` may be a ``range`` of barrier indices, which returns the list of
-    values from one solve of the roots: for k >= 1 they are geometric,
-    ``base * phi2**k``.
-    """
-    return _barrier_values(_a_values, params, z, k)
-
-
-def mgf_b(params: WalkParams, z: float, k: int | range) -> float | list[float]:
-    """Strategy-B generating function on k*i0: A's value rescaled by 1/(1-s).
-
-    The start state additionally sheds its m=0 self-term, so
-    ``value_B = (value_A - delta(k,1)) / (1-s)``.  ``k`` may be a ``range``,
-    as for :func:`mgf_a`.
-    """
-    return _barrier_values(_b_values, params, z, k)
-
-
-def mgf_c(params: WalkParams, z: float, k: int | range) -> float | list[float]:
-    """Strategy-C generating function on the barrier state k*i0 (k >= 0).
-
-    ``k`` may be a ``range``, as for :func:`mgf_a`.
-    """
-    return _barrier_values(_c_values, params, z, k)
+    head = (
+        1.0 / denom,
+        d_i0 / (params.q * z * denom),
+        d_i0 * phi2 / denom_far,
+        d_i0 * phi2 ** 2 / denom_far,
+    )
+    return Profile(head, phi2, 1.0 - phi2)
 
 
 def _barrier_fn(strategy: Strategy):
@@ -208,7 +185,8 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
     ruin, 1 - s on a barrier (``Strategy.is_barrier``) and 1 elsewhere.
     B bridges A's values and divides by 1 - s, as its barrier forms do.
     """
-    _require_interior_s(params)
+    strategy = Strategy(strategy)
+    values = (mgf_c if strategy is Strategy.C else mgf_a)(params, z)
     i0 = params.i0
     if i0 < 2:
         raise ParameterError("interior states require i0 >= 2")
@@ -217,14 +195,12 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
         raise ParameterError(
             f"position {position} is a barrier-lattice state; use the barrier forms"
         )
-    strategy = Strategy(strategy)
     char = characteristic(params, z)
     roots, d_i0 = char.roots, char.u_i0
     d_n = power_divided_difference(roots, n)
     d_co = power_divided_difference(roots, i0 - n)
     one_ms = 1.0 - params.s
-    values = _c_values if strategy is Strategy.C else _a_values
-    left, right = values(params, z, range(k, k + 2))
+    left, right = values.at(k), values.at(k + 1)
     ends = (k * i0, (k + 1) * i0)
     wl, wr = (0.0 if j == 0 else one_ms if strategy.is_barrier(j, i0) else 1.0 for j in ends)
     value = (wl * left * params.omega ** n * d_co + wr * right * d_n) / d_i0
@@ -237,5 +213,5 @@ def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int) -
         raise ParameterError(f"position must be >= 0, got {position}")
     k, n = divmod(position, params.i0)
     if n == 0:
-        return _barrier_fn(strategy)(params, z, k)
+        return _barrier_fn(strategy)(params, z).at(k)
     return mgf_interior(params, strategy, z, position)

@@ -112,9 +112,9 @@ def check_b_from_a_relation() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.3, 0.7, 1.0):
+            a, b = mgf.mgf_a(params, z), mgf.mgf_b(params, z)
             for k in range(0, 5):
-                ua = mgf.mgf_a(params, z, k)
-                vb = mgf.mgf_b(params, z, k)
+                ua, vb = a.at(k), b.at(k)
                 delta = 1.0 if k == 1 else 0.0
                 lhs = ua
                 rhs = delta + (1.0 - params.s) * vb
@@ -127,13 +127,13 @@ def check_barrier_recurrence() -> CheckResult:
     for params in _interior_grid():
         for z in (0.4, 0.9, 1.0):
             theta = mgf.characteristic(params, z).coupling.theta
-            vals = dict(zip(range(1, 8), mgf.mgf_a(params, z, range(1, 8))))
-            scale = max(vals[1], 1e-300)
+            vals = mgf.mgf_a(params, z)
+            scale = max(vals.at(1), 1e-300)
             for k in range(2, 7):
                 res = (
-                    vals[k + 1]
-                    - theta * vals[k]
-                    + params.omega_pow * vals[k - 1]
+                    vals.at(k + 1)
+                    - theta * vals.at(k)
+                    + params.omega_pow * vals.at(k - 1)
                 )
                 worst = max(worst, abs(res) / scale)
     return _result("three-term barrier recurrence", worst, 1e-10)
@@ -145,7 +145,8 @@ def check_c_seed_relations() -> CheckResult:
         for z in (0.4, 0.9, 1.0):
             char = mgf.characteristic(params, z)
             roots, phi, d_i0 = char.roots, char.phi, char.u_i0
-            w1, w2 = mgf.mgf_c(params, z, range(1, 3))
+            w = mgf.mgf_c(params, z)
+            w1, w2 = w.at(1), w.at(2)
             i0 = params.i0
             s_i0 = roots.tau1 ** i0 + roots.tau2 ** i0
             seed = params.q * z * (s_i0 * w1 - (1.0 - params.s) * w2) - d_i0
@@ -177,12 +178,11 @@ def check_barrier_geometry() -> CheckResult:
     for params in _interior_grid():
         for z in (0.5, 1.0):
             phi2 = mgf.characteristic(params, z).phi.phi2
+            a, c = mgf.mgf_a(params, z), mgf.mgf_c(params, z)
             for k in (1, 2, 3):
-                ua, ua1 = mgf.mgf_a(params, z, k), mgf.mgf_a(params, z, k + 1)
-                worst = max(worst, abs(ua1 / ua - phi2) / phi2)
+                worst = max(worst, abs(a.at(k + 1) / a.at(k) - phi2) / phi2)
             for k in (2, 3):
-                wc, wc1 = mgf.mgf_c(params, z, k), mgf.mgf_c(params, z, k + 1)
-                worst = max(worst, abs(wc1 / wc - phi2) / phi2)
+                worst = max(worst, abs(c.at(k + 1) / c.at(k) - phi2) / phi2)
     return _result("geometric decay of barrier values", worst, 1e-12)
 
 

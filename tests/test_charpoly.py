@@ -70,6 +70,11 @@ class TestPowerDividedDifference:
         roots = cp.tau_roots(0.9, WalkParams(0.3, 0.5, 1))
         assert cp.power_divided_difference(roots, 0) == 0.0
 
+    def test_overflow_is_an_unsupported_regime(self):
+        roots = cp.tau_roots(0.01, WalkParams(0.5, 0.5, 1))  # tau1 near 200
+        with pytest.raises(UnsupportedRegimeError, match="overflow"):
+            cp.power_divided_difference(roots, 200)
+
 
 class TestTheta:
     def test_symmetric_value_at_z_one(self):
@@ -183,6 +188,13 @@ class TestLucasTerms:
     def test_rejects_index_below_one(self):
         with pytest.raises(ParameterError):
             cp.lucas_terms(1.0, WalkParams(0.4, 0.5, 1), 0)
+
+    def test_overflow_is_an_unsupported_regime(self):
+        # U_155 of the roots 99 and 1 is finite, V_155 is not
+        params = WalkParams(0.99, 0.5, 1)
+        assert math.isfinite(cp.power_divided_difference(cp.tau_roots(1.0, params), 155))
+        with pytest.raises(UnsupportedRegimeError, match="overflow"):
+            cp.lucas_terms(1.0, params, 155)
 
 
 class TestDerivatives:

@@ -95,6 +95,42 @@ class TestAnalytic:
         assert err.count("\n") == 1
         assert "overflow" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--p", p, "--s", s, "--i0", "200", "--strategy", strategy]
+            for p, s in (("0.99", "0"), ("0.99", "0.5"), ("0.99", "1"), ("0.01", "0.5"))
+            for strategy in "ABC"
+        ]
+        + [["mgf", "--p", "0.5", "--s", "0.5", "--i0", "200", "--strategy", "A", "--z", "0.01"]],
+        ids=lambda argv: " ".join(argv[:1] + argv[2::2]),
+    )
+    def test_powers_out_of_float_range_exit_2_with_json_error(self, argv, capsys):
+        # omega**i0 or the step-root powers overflow, or phi2 underflows to 0:
+        # each escaped as a traceback with exit 1
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "flow" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--p", "0.01", "--s", s, "--i0", "200", "--strategy", strategy]
+            for s in ("0", "1")
+            for strategy in "ABC"
+        ]
+        + [["exact", "--p", "0.99", "--s", "0.5", "--i0", "200", "--strategy", strategy]
+           for strategy in "ABC"],
+        ids=lambda argv: " ".join(argv[:1] + argv[2::2]),
+    )
+    def test_answers_beside_the_float_range_limits_remain(self, argv, capsys):
+        # omega**i0 underflows to 0 here, which the limit regimes read as a value;
+        # the exact solver never forms the powers
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["absorption"]["p0"])
+
     def test_non_finite_mean_time_exits_2_with_json_error(self, capsys):
         code, out, err = run_cli(
             ["analytic", "--p", "0.4", "--s", "1e-320", "--i0", "2", "--strategy", "A"],

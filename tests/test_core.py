@@ -7,6 +7,7 @@ from ruinwalk.core import (
     ParameterError,
     Profile,
     Strategy,
+    UnsupportedRegimeError,
     WalkParams,
 )
 
@@ -17,6 +18,12 @@ class TestWalkParams:
         assert params.q == pytest.approx(0.6, abs=0)
         assert params.omega == pytest.approx(0.4 / 0.6, rel=1e-15)
         assert params.omega_pow == pytest.approx((0.4 / 0.6) ** 2, rel=1e-15)
+
+    def test_omega_pow_out_of_float_range(self):
+        # overflow is an unsupported regime; underflow to 0 is a value
+        with pytest.raises(UnsupportedRegimeError, match="overflow"):
+            WalkParams(0.99, 0.5, 200).omega_pow
+        assert WalkParams(0.01, 0.5, 200).omega_pow == 0.0
 
     def test_symmetric_flag_is_exact(self):
         assert WalkParams(0.5, 0.1, 1).symmetric

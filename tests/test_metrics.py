@@ -80,6 +80,15 @@ class TestAbsorptionProfile:
         with pytest.raises(UnsupportedRegimeError):
             metrics.absorption_profile(WalkParams(0.9, 0.5, 200), strategy)
 
+    @pytest.mark.parametrize("p, s", [(0.99, 0.0), (0.99, 0.5), (0.99, 1.0), (0.01, 0.5)])
+    def test_powers_out_of_float_range_raise_the_typed_error(self, p, s, strategy):
+        # omega**i0 or the step-root powers overflow, or phi2 underflows to 0;
+        # these escaped as OverflowError or ZeroDivisionError
+        params = WalkParams(p, s, 200)
+        for fn in (metrics.absorption_profile, metrics.time_profile):
+            with pytest.raises(UnsupportedRegimeError, match="overflow|underflow"):
+                fn(params, strategy)
+
 
 class TestProfileProperties:
     """A profile's head and geometric tail answer every barrier."""
@@ -100,9 +109,10 @@ class TestProfileProperties:
                 assert prof.beyond(k) == pytest.approx(want, rel=1e-14), k
         assert masses.total == pytest.approx(1.0, abs=1e-9)
         fn = {Strategy.A: mgf.mgf_a, Strategy.B: mgf.mgf_b, Strategy.C: mgf.mgf_c}[strategy]
+        values = fn(params, 1.0)
         for k in range(65):
             stop = 1.0 if k == 0 else 0.0 if (strategy is Strategy.C and k == 1) else s
-            want = stop * fn(params, 1.0, k)
+            want = stop * values.at(k)
             # far below 1e-290 phi2**k, on either side, may be subnormal
             assert math.isclose(masses.at(k), want, rel_tol=2e-15, abs_tol=1e-290), k
 
@@ -349,7 +359,7 @@ class TestStrategyBNearS1:
     def test_generating_function_matches_propagation(self, gap):
         params = WalkParams(0.4, 1.0 - gap, 2)
         want = oracle.mgf_dp(params, Strategy.B, 0.5, 2, tol=1e-12)
-        assert mgf.mgf_b(params, 0.5, 1) == pytest.approx(want, abs=1e-10)
+        assert mgf.mgf_b(params, 0.5).at(1) == pytest.approx(want, abs=1e-10)
 
     def test_both_forms_agree_where_they_meet(self):
         # just above and below the switch; both are accurate there

@@ -18,34 +18,52 @@ class TestBarrierValues:
     def test_symmetric_unit_stake_spot_values(self):
         params = WalkParams(0.5, 0.5, 1)
         phi2 = 2.0 - SQRT3
-        assert mgf.mgf_a(params, 1.0, 0) == pytest.approx(phi2, rel=1e-12)
-        assert mgf.mgf_a(params, 1.0, 1) == pytest.approx(4.0 * phi2, rel=1e-12)
-        assert mgf.mgf_b(params, 1.0, 1) == pytest.approx(
-            (4.0 * phi2 - 1.0) / 0.5, rel=1e-12
-        )
-        assert mgf.mgf_b(params, 1.0, 0) == pytest.approx(phi2 / 0.5, rel=1e-12)
-        assert mgf.mgf_c(params, 1.0, 0) == pytest.approx(1.0 / SQRT3, rel=1e-12)
-        assert mgf.mgf_c(params, 1.0, 1) == pytest.approx(2.0 / SQRT3, rel=1e-12)
+        a, b, c = (fn(params, 1.0) for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c))
+        assert a.at(0) == pytest.approx(phi2, rel=1e-12)
+        assert a.at(1) == pytest.approx(4.0 * phi2, rel=1e-12)
+        assert b.at(1) == pytest.approx((4.0 * phi2 - 1.0) / 0.5, rel=1e-12)
+        assert b.at(0) == pytest.approx(phi2 / 0.5, rel=1e-12)
+        assert c.at(0) == pytest.approx(1.0 / SQRT3, rel=1e-12)
+        assert c.at(1) == pytest.approx(2.0 / SQRT3, rel=1e-12)
 
     def test_tiny_z_limits(self):
         params = WalkParams(0.5, 0.5, 1)
-        assert mgf.mgf_a(params, 1e-9, 1) == pytest.approx(1.0, abs=1e-12)
-        assert mgf.mgf_b(params, 1e-9, 1) == pytest.approx(0.0, abs=1e-12)
-        assert mgf.mgf_c(WalkParams(0.5, 0.5, 2), 1e-9, 1) == pytest.approx(
+        assert mgf.mgf_a(params, 1e-9).at(1) == pytest.approx(1.0, abs=1e-12)
+        assert mgf.mgf_b(params, 1e-9).at(1) == pytest.approx(0.0, abs=1e-12)
+        assert mgf.mgf_c(WalkParams(0.5, 0.5, 2), 1e-9).at(1) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_rejects_limit_stop_values(self):
-        for s in (0.0, 1.0):
-            with pytest.raises(UnsupportedRegimeError):
-                mgf.mgf_a(WalkParams(0.4, s, 1), 1.0, 1)
+        for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c):
+            for s in (0.0, 1.0):
+                with pytest.raises(UnsupportedRegimeError):
+                    fn(WalkParams(0.4, s, 1), 1.0)
+
+    def test_step_root_overflow_raises_the_typed_error(self):
+        # tau1 is near 200 at z = 0.01: its 200th power overflows
+        for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c):
+            with pytest.raises(UnsupportedRegimeError, match="overflow"):
+                fn(WalkParams(0.5, 0.5, 200), 0.01)
+
+    def test_profile_head_spans_the_first_barriers_and_tail_is_phi2(self):
+        # the head runs to the first barrier multiple + 1, the head metrics uses
+        params = WalkParams(0.45, 0.3, 3)
+        phi2 = mgf.characteristic(params, 0.8).phi.phi2
+        for fn, last in ((mgf.mgf_a, 2), (mgf.mgf_b, 2), (mgf.mgf_c, 3)):
+            prof = fn(params, 0.8)
+            assert len(prof.head) == last + 1
+            assert (prof.rho, prof.gap, prof.drho, prof.mass) == (phi2, 1.0 - phi2, 0.0, 0.0)
+            for m in range(1, 6):
+                want = prof.head[-1] * phi2 ** m
+                assert prof.at(last + m) == pytest.approx(want, rel=1e-15)
 
     def test_a_to_b_relation_everywhere(self):
         for params in grid_params():
             for z in (0.3, 0.7, 1.0):
+                a, b = mgf.mgf_a(params, z), mgf.mgf_b(params, z)
                 for k in range(5):
-                    ua = mgf.mgf_a(params, z, k)
-                    vb = mgf.mgf_b(params, z, k)
+                    ua, vb = a.at(k), b.at(k)
                     delta = 1.0 if k == 1 else 0.0
                     assert ua == pytest.approx(
                         delta + (1.0 - params.s) * vb, rel=1e-12, abs=1e-300
@@ -55,7 +73,7 @@ class TestBarrierValues:
         for params in grid_params():
             for z in (0.4, 1.0):
                 char = cp.theta(z, params)
-                vals = [mgf.mgf_a(params, z, k) for k in range(8)]
+                vals = [mgf.mgf_a(params, z).at(k) for k in range(8)]
                 for k in range(2, 7):
                     residual = (
                         vals[k + 1]
@@ -69,8 +87,8 @@ class TestBarrierValues:
         for params in small_grid():
             for z in (0.3, 0.8, 1.0):
                 phi = cp.phi_roots(cp.theta(z, params))
-                w1 = mgf.mgf_c(params, z, 1)
-                w2 = mgf.mgf_c(params, z, 2)
+                w = mgf.mgf_c(params, z)
+                w1, w2 = w.at(1), w.at(2)
                 lhs = params.omega_pow * w1
                 rhs = (1.0 - params.s) * phi.phi1 * w2
                 assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -79,12 +97,11 @@ class TestBarrierValues:
         for params in small_grid():
             for z in (0.5, 1.0):
                 phi2 = cp.phi_roots(cp.theta(z, params)).phi2
+                a, c = mgf.mgf_a(params, z), mgf.mgf_c(params, z)
                 for k in (1, 2, 3):
-                    ratio = mgf.mgf_a(params, z, k + 1) / mgf.mgf_a(params, z, k)
-                    assert ratio == pytest.approx(phi2, rel=1e-12)
+                    assert a.at(k + 1) / a.at(k) == pytest.approx(phi2, rel=1e-12)
                 for k in (2, 3):
-                    ratio = mgf.mgf_c(params, z, k + 1) / mgf.mgf_c(params, z, k)
-                    assert ratio == pytest.approx(phi2, rel=1e-12)
+                    assert c.at(k + 1) / c.at(k) == pytest.approx(phi2, rel=1e-12)
 
     @given(
         z=st.floats(min_value=0.05, max_value=1.0),
@@ -97,37 +114,7 @@ class TestBarrierValues:
     def test_values_nonnegative(self, z, p, s, i0, k):
         params = WalkParams(p, s, i0)
         for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c):
-            value = fn(params, z, k)
-            assert value >= 0.0
-            # the range form evaluates the scalar form's expression exactly
-            assert fn(params, z, range(0, k + 1))[k] == value
-            assert fn(params, z, range(k, k + 3))[0] == value
-
-
-class TestBarrierRanges:
-    """A range of barrier indices shares one solve and keeps the scalar values."""
-
-    FNS = (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c)
-
-    def test_empty_range_returns_empty_list(self):
-        for fn in self.FNS:
-            assert fn(WalkParams(0.4, 0.5, 2), 1.0, range(0)) == []
-            assert fn(WalkParams(0.4, 0.5, 2), 1.0, range(5, 5)) == []
-
-    def test_range_below_zero_rejected(self):
-        for fn in self.FNS:
-            with pytest.raises(ParameterError):
-                fn(WalkParams(0.4, 0.5, 2), 1.0, range(-1, 3))
-            with pytest.raises(ParameterError):
-                fn(WalkParams(0.4, 0.5, 2), 1.0, -1)
-
-    def test_range_rejects_limit_stop_values(self):
-        for fn in self.FNS:
-            for s in (0.0, 1.0):
-                with pytest.raises(UnsupportedRegimeError):
-                    fn(WalkParams(0.4, s, 1), 1.0, range(0, 4))
-                with pytest.raises(UnsupportedRegimeError):
-                    fn(WalkParams(0.4, s, 1), 1.0, 2)
+            assert fn(params, z).at(k) >= 0.0
 
 
 class TestInterior:
@@ -152,7 +139,7 @@ class TestInterior:
         lhs = mgf.mgf_interior(params, Strategy.A, z, 3)
         rhs = params.p * z * mgf.mgf_interior(params, Strategy.A, z, 2) + params.q * z * (
             1.0 - params.s
-        ) * mgf.mgf_a(params, z, 1)
+        ) * mgf.mgf_a(params, z).at(1)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_c_boundary_below_start_has_no_stop_factor(self):
@@ -161,8 +148,8 @@ class TestInterior:
         z = 0.7
         lhs = mgf.mgf_interior(params, Strategy.C, z, 2)
         rhs = params.p * z * mgf.mgf_interior(params, Strategy.C, z, 1) + params.q * z * mgf.mgf_c(
-            params, z, 1
-        )
+            params, z
+        ).at(1)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_matches_propagation_oracle(self):
@@ -190,9 +177,11 @@ class TestAgainstPropagationOracle:
                         Strategy.B: mgf.mgf_b,
                         Strategy.C: mgf.mgf_c,
                     }[strat]
-                    for k in (0, 1, 2):
+                    values = fn(params, z)
+                    # past the head (k > 2, or k > 3 for C) from the geometric tail
+                    for k in range(6):
                         want = oracle.mgf_dp(params, strat, z, k * params.i0, tol=1e-11)
-                        assert fn(params, z, k) == pytest.approx(
+                        assert values.at(k) == pytest.approx(
                             want, abs=1e-8
                         ), (params, z, strat, k)
 
@@ -235,8 +224,7 @@ def _z_functions(i0, z):
     """Every closed form that reads the characteristic at ``z``, as ``params -> value``."""
     out = {}
     for name, fn in (("a", mgf.mgf_a), ("b", mgf.mgf_b), ("c", mgf.mgf_c)):
-        out[f"mgf_{name} k=2"] = lambda params, fn=fn: fn(params, z, 2)
-        out[f"mgf_{name} range"] = lambda params, fn=fn: fn(params, z, range(0, 5))
+        out[f"mgf_{name}"] = lambda params, fn=fn: fn(params, z)
     for strat in Strategy:
         for pos in range(0, 2 * i0 + 2):
             out[f"mgf_value {strat.value} {pos}"] = (
