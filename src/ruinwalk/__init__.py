@@ -9,7 +9,6 @@ from .core import (
     WalkParams,
 )
 from .charpoly import (
-    CharData,
     DerivativeBundle,
     PhiPair,
     RootPair,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsorptionNotCertainError",
-    "CharData",
     "Characteristic",
     "DerivativeBundle",
     "ExactSolution",

@@ -44,17 +44,6 @@ class RootPair:
 
 
 @dataclass(frozen=True)
-class CharData:
-    """The barrier coupling constant theta with its evaluation context."""
-
-    theta: float
-    omega_pow: float
-    z: float
-    s: float
-    i0: int
-
-
-@dataclass(frozen=True)
 class PhiPair:
     """Barrier recurrence roots, phi1 >= phi2 > 0 (phi1 > 1 > phi2 for 0<s<1)."""
 
@@ -134,58 +123,50 @@ def _power_overflow(roots: RootPair, n: int) -> UnsupportedRegimeError:
     )
 
 
-def theta(z: float, params: WalkParams, lucas: tuple[float, float] | None = None) -> CharData:
+def theta(z: float, params: WalkParams, u_i0: float, u_prev: float) -> float:
     """Coupling constant of the three-term recurrence linking barrier values.
 
-    Computed as ``(D_i0/(1-s) - 2*p*z*D_{i0-1}) / (q*z)`` with ``D_n`` the
-    divided difference of tau powers.  The ``1/(1-s)`` factor on the first
-    term is essential: without it the symmetric-walk value at z=1 would not
-    reduce to ``2*(i0/(1-s) + 1 - i0)`` and the barrier recurrence would
-    not reproduce the independently solved chain (see FORMULA_ERRATA.md).
-    ``lucas`` is ``(D_i0, D_{i0-1})`` at ``z`` when the caller has already
-    solved the step roots; otherwise they are solved here.
+    ``(U_i0/(1-s) - 2*p*z*U_{i0-1}) / (q*z)``, from the divided differences
+    ``u_i0 = U_i0`` and ``u_prev = U_{i0-1}`` of the step roots at ``z``.
+    The ``1/(1-s)`` factor on the first term is essential: without it the
+    symmetric-walk value at z=1 would not reduce to
+    ``2*(i0/(1-s) + 1 - i0)`` and the barrier recurrence would not
+    reproduce the independently solved chain (see FORMULA_ERRATA.md).
+    :func:`ruinwalk.mgf.characteristic` is its one caller in the package.
     """
     s = params.s
     if s >= 1.0:
         raise UnsupportedRegimeError(
             "theta is undefined at s=1; the s=1 branches bypass it"
         )
-    if lucas is None:
-        roots = tau_roots(z, params)
-        lucas = (power_divided_difference(roots, params.i0),
-                 power_divided_difference(roots, params.i0 - 1))
-    d_i0, d_prev = lucas
-    value = (d_i0 / (1.0 - s) - 2.0 * params.p * z * d_prev) / (params.q * z)
-    return CharData(theta=value, omega_pow=params.omega_pow, z=z, s=s, i0=params.i0)
+    return (u_i0 / (1.0 - s) - 2.0 * params.p * z * u_prev) / (params.q * z)
 
 
-def phi_roots(char: CharData) -> PhiPair:
-    """Solve phi**2 - theta*phi + omega**i0 = 0, ordered phi1 >= phi2.
+def phi_roots(theta: float, omega_pow: float) -> PhiPair:
+    """Solve phi**2 - theta*phi + omega_pow = 0, ordered phi1 >= phi2.
 
-    A clearly negative discriminant means the supplied theta is not a valid
-    coupling constant, so it is reported instead of silently clipped; tiny
-    negatives from roundoff at a genuine double root are clamped to zero.
-    A discriminant that is not finite (theta**2 overflows at large
-    ``i0*|log omega|``) would give phi1=inf and phi2=0, so it is reported
-    as an unsupported regime instead.
+    ``omega_pow`` is omega**i0.  A clearly negative discriminant means
+    ``theta`` is not a valid coupling constant, so it is reported instead
+    of silently clipped; tiny negatives from roundoff at a genuine double
+    root are clamped to zero.  A discriminant that is not finite
+    (theta**2 overflows at large ``i0*|log omega|``) would give phi1=inf
+    and phi2=0, so it is reported as an unsupported regime instead.
     """
-    th = char.theta
-    disc = th * th - 4.0 * char.omega_pow
+    disc = theta * theta - 4.0 * omega_pow
     if not math.isfinite(disc):
         raise UnsupportedRegimeError(
-            f"barrier roots overflow (theta={th}, omega**i0={char.omega_pow}); "
+            f"barrier roots overflow (theta={theta}, omega**i0={omega_pow}); "
             "no closed-form answer is available for this instance"
         )
     if disc < 0.0:
-        if disc < -1e-12 * max(th * th, 1.0):
+        if disc < -1e-12 * max(theta * theta, 1.0):
             raise ParameterError(
-                f"complex barrier roots (theta={th}, omega**i0={char.omega_pow}); "
+                f"complex barrier roots (theta={theta}, omega**i0={omega_pow}); "
                 "inconsistent coupling data"
             )
         disc = 0.0
-    phi1 = 0.5 * (th + math.sqrt(disc))
-    phi2 = char.omega_pow / phi1
-    return PhiPair(phi1=phi1, phi2=phi2)
+    phi1 = 0.5 * (theta + math.sqrt(disc))
+    return PhiPair(phi1=phi1, phi2=omega_pow / phi1)
 
 
 def _divided_difference_slope(roots: RootPair, n: int) -> float:
@@ -257,7 +238,7 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     char = characteristic(params, 1.0)
     p, q, s, i0 = params.p, params.q, params.s, params.i0
     lt = _lucas_from(char.roots, params, i0, char.u_i0, char.u_prev)
-    dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - char.coupling.theta
+    dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - char.theta
     phi = char.phi
     gap = phi.phi1 - phi.phi2
     if gap == 0.0:

@@ -70,7 +70,7 @@ def _diagnostics(params: WalkParams) -> dict:
     return {
         "tau1": char.roots.tau1,
         "tau2": char.roots.tau2,
-        "theta": char.coupling.theta,
+        "theta": char.theta,
         "phi1": char.phi.phi1,
         "phi2": char.phi.phi2,
     }
@@ -249,6 +249,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_exact(args) -> int:
     params = _params_from(args)
+    _require_kmax(args.kmax)
     sol = oracle.solve_exact(params, Strategy(args.strategy), tol=args.tol)
     report = {
         "params": {"p": params.p, "s": params.s, "i0": params.i0},
@@ -274,6 +275,7 @@ def cmd_exact(args) -> int:
 
 def cmd_mgf(args) -> int:
     params = _params_from(args)
+    _require_kmax(args.kmax)
     strategy = Strategy(args.strategy)
     report = {
         "params": {"p": params.p, "s": params.s, "i0": params.i0},

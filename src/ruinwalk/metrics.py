@@ -41,7 +41,6 @@ from .core import (
 # The barrier roots tend to 1 (and omega**i0) as s -> 0.  A gap 1 - phi below
 # this keeps fewer than half of its digits: what is left is mostly rounding.
 _MIN_ROOT_GAP = math.sqrt(sys.float_info.epsilon)
-_SMALL_GAP = 0.01  # below it, 1 - phi2 comes from phi1 - 1 where that keeps more digits
 
 
 def _require_resolved(name: str, root: float, gap: float, s: float) -> None:
@@ -63,21 +62,9 @@ def _require_double_root_digits(char: mgf.Characteristic, gap: float, s: float) 
     """
     if not char.phi1_error <= _TIME_RTOL * gap:
         raise UnsupportedRegimeError(
-            f"theta={char.coupling.theta!r} is within rounding of the double root "
+            f"theta={char.theta!r} is within rounding of the double root "
             f"2*omega**(i0/2) at s={s}: the barrier roots keep fewer than 7 digits"
         )
-
-
-def _phi2_gap(params: WalkParams, char: mgf.Characteristic) -> float:
-    """1 - phi2 at z=1, which every profile's tail divides by.
-
-    It cancels as phi2 -> 1 (p > 1/2, s -> 0); phi1 - 1 does not, and
-    ``(phi1 - 1)(1 - phi2) = U_i0 s / (q (1-s))`` gives it from there.
-    """
-    gap, above = 1.0 - char.phi.phi2, char.phi.phi1 - 1.0
-    if gap < _SMALL_GAP and above > gap:
-        gap = char.u_i0 * params.s / (params.q * (1.0 - params.s) * above)
-    return gap
 
 
 def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Profile, float]:
@@ -145,13 +132,12 @@ def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
     s, i0 = params.s, params.i0
     if s in (0.0, 1.0):
         return _limit_profiles(params, strategy)[0]
-    char = mgf.characteristic(params, 1.0)
-    phi2, gap = char.phi.phi2, _phi2_gap(params, char)
-    _require_resolved("phi2", phi2, gap, s)  # the tail sums divide by it
-    ruin, *barriers = mgf._barrier_fn(strategy)(params, 1.0).head
+    values = mgf._barrier_fn(strategy)(params, 1.0)
+    _require_resolved("phi2", values.rho, values.gap, s)  # the tail sums divide by it
+    ruin, *barriers = values.head
     # ruin absorbs every arrival, a barrier each with probability s
     head = [ruin] + [s * v if strategy.is_barrier(k * i0, i0) else 0.0 for k, v in enumerate(barriers, 1)]
-    return Profile(tuple(head), phi2, gap)
+    return Profile(tuple(head), values.rho, values.gap)
 
 
 def bc_ratio(params: WalkParams) -> float:
@@ -259,7 +245,7 @@ def _killed_times(params: WalkParams, strategy: Strategy) -> Profile:
         if strategy is Strategy.B:
             head = [t / (1.0 - s) for t in head]
             mass /= 1.0 - s
-    return Profile(tuple(head), phi.phi2, _phi2_gap(params, char), der.dphi2, mass)
+    return Profile(tuple(head), phi.phi2, char.phi2_gap, der.dphi2, mass)
 
 
 def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
@@ -271,7 +257,6 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     strategy = Strategy(strategy)
     if params.s in (0.0, 1.0):
         return _limit_profiles(params, strategy)[1]
-    char = mgf.characteristic(params, 1.0)
-    # the tail sums divide by the gap
-    _require_resolved("phi2", char.phi.phi2, _phi2_gap(params, char), params.s)
-    return _killed_times(params, strategy)
+    times = _killed_times(params, strategy)
+    _require_resolved("phi2", times.rho, times.gap, params.s)  # the tail sums divide by it
+    return times

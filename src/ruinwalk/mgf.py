@@ -5,10 +5,13 @@ For a walk started at ``i0``, the generating function of a state ``j`` is
 at z=1 it is the expected number of arrivals at ``j`` before absorption.
 Strategy B's functions follow strategy A's through a single factor ``1-s``
 (surviving the t=0 stop decision), which removes the m=0 self-term at the
-start state: B's function at ``i0`` sums from m=1.
+start state: B's function at ``i0`` sums from m=1, and :func:`mgf_b` takes
+it from theta's definition rather than by subtracting that self-term.
 
-Barrier states carry the closed forms, each a :class:`ruinwalk.core.Profile`
-whose tail is geometric in phi2; states strictly between barriers are
+Every closed form reads the instance's :class:`Characteristic` at its z,
+which states theta, phi and ``1 - phi2`` once.  Barrier states carry the
+closed forms, each a :class:`ruinwalk.core.Profile` whose tail is geometric
+in phi2 with gap ``phi2_gap``; states strictly between barriers are
 reconstructed from the two neighbouring barrier values via the divided
 differences of tau powers, one segment at a time, each end weighted by the
 stop rule of :class:`ruinwalk.core.Strategy`.  All formulas here are
@@ -23,7 +26,6 @@ import sys
 from dataclasses import dataclass
 
 from .charpoly import (
-    CharData,
     PhiPair,
     RootPair,
     phi_roots,
@@ -34,11 +36,7 @@ from .charpoly import (
 from .core import ParameterError, Profile, Strategy, UnsupportedRegimeError, WalkParams
 
 _EPS = sys.float_info.epsilon
-
-# below this 1 - s, B's value at i0 is taken without subtracting A's
-# self-term, which would cost two or more digits; above it the subtraction
-# stays, so that every printed value there keeps its bits
-_NEAR_S1 = 0.01
+_SMALL_GAP = 0.01  # below it, 1 - phi2 comes from phi1 - 1 where that keeps more digits
 
 
 def _require_interior_s(params: WalkParams) -> None:
@@ -51,23 +49,29 @@ def _require_interior_s(params: WalkParams) -> None:
 
 @dataclass(frozen=True)
 class Characteristic:
-    """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta and phi at one z.
+    """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta, phi and 1 - phi2 at one z.
 
-    Built by :func:`characteristic`; every closed form for 0 < s < 1 reads it
-    from there.  ``phi1_error`` bounds phi1's rounding error (see
-    :func:`_phi1_error`).
+    Built by :func:`characteristic`; every closed form for 0 < s < 1, and
+    every check that wants theta or phi at some z, reads it from there.
+    ``phi1_error`` bounds phi1's rounding error (see :func:`_phi1_error`).
+    ``phi2_gap`` is ``1 - phi2``, the denominator of every profile's
+    geometric tail; at z=1 it comes from phi1 - 1 where that keeps more
+    digits.
     """
 
     z: float
     roots: RootPair
     u_i0: float
     u_prev: float
-    coupling: CharData
+    theta: float
     phi: PhiPair
     phi1_error: float
+    phi2_gap: float
 
 
-def _phi1_error(p: float, u_i0: float, u_prev: float, coupling: CharData, phi: PhiPair) -> float:
+def _phi1_error(
+    params: WalkParams, z: float, u_i0: float, u_prev: float, th: float, phi: PhiPair
+) -> float:
     """A bound on phi1's rounding error, which grows where the barrier roots meet.
 
     Near the double root theta**2 = 4 omega**i0 (a near-driftless walk as
@@ -76,9 +80,8 @@ def _phi1_error(p: float, u_i0: float, u_prev: float, coupling: CharData, phi: P
     ``d_disc / (4 sqrt(disc))``.  Against the exact solver the bound is
     10-50x pessimistic.
     """
-    z, th = coupling.z, coupling.theta
-    d_theta = _EPS * (u_i0 / (1.0 - coupling.s) + 2.0 * p * z * u_prev) / ((1.0 - p) * z)
-    d_disc = 2.0 * th * d_theta + _EPS * (th * th + 4.0 * coupling.omega_pow)
+    d_theta = _EPS * (u_i0 / (1.0 - params.s) + 2.0 * params.p * z * u_prev) / (params.q * z)
+    d_disc = 2.0 * th * d_theta + _EPS * (th * th + 4.0 * params.omega_pow)
     return 0.5 * d_disc / (2.0 * (phi.phi1 - phi.phi2) + math.sqrt(d_disc))
 
 
@@ -96,15 +99,20 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
         roots = tau_roots(z, params)
         u_i0 = power_divided_difference(roots, params.i0)
         u_prev = power_divided_difference(roots, params.i0 - 1)
-        coupling = theta(z, params, (u_i0, u_prev))
-        phi = phi_roots(coupling)
+        th = theta(z, params, u_i0, u_prev)
+        phi = phi_roots(th, params.omega_pow)
         if params.s and not phi.phi2:
             raise UnsupportedRegimeError(
                 f"phi2 underflows to 0 (omega**i0={params.omega_pow!r}) at z={z}; "
                 "no closed-form answer is available for this instance"
             )
-        error = _phi1_error(params.p, u_i0, u_prev, coupling, phi)
-        char = Characteristic(z, roots, u_i0, u_prev, coupling, phi, error)
+        error = _phi1_error(params, z, u_i0, u_prev, th, phi)
+        gap, above = 1.0 - phi.phi2, phi.phi1 - 1.0
+        if z == 1.0 and gap < _SMALL_GAP and above > gap:
+            # 1 - phi2 cancels as phi2 -> 1 (p > 1/2, s -> 0); phi1 - 1 does not, and at z=1
+            # (phi1 - 1)(1 - phi2) = theta - 1 - omega**i0 = U_i0 s / (q (1-s))
+            gap = u_i0 * params.s / (params.q * (1.0 - params.s) * above)
+        char = Characteristic(z, roots, u_i0, u_prev, th, phi, error, gap)
         memo.clear()
         memo[z] = char
     return char
@@ -120,27 +128,24 @@ def mgf_a(params: WalkParams, z: float) -> Profile:
     char = characteristic(params, z)
     phi2, wi = char.phi.phi2, params.omega_pow
     base = char.u_i0 / (params.q * (1.0 - params.s) * z * wi)
-    return Profile((phi2 / wi, base * phi2, base * phi2 ** 2), phi2, 1.0 - phi2)
+    return Profile((phi2 / wi, base * phi2, base * phi2 ** 2), phi2, char.phi2_gap)
 
 
 def mgf_b(params: WalkParams, z: float) -> Profile:
     """Strategy-B generating function: A's values over 1 - s, less A's m=0 self-term at i0.
 
-    So ``value_B = (value_A - delta(k,1)) / (1-s)``.  A's value at i0 is
-    1 + O(1 - s), so near s = 1 subtracting that 1 leaves an absolute error
-    of about eps / (1 - s).  There theta's definition gives the difference
-    without it: ``U_i0 - q(1-s) z phi1 = (1-s) z (2p U_{i0-1} + q phi2)``,
-    a sum of positive terms.
+    So ``value_B = (value_A - delta(k,1)) / (1-s)``.  At i0 that difference
+    is not taken by subtracting: A's value there is 1 + O(1 - s), and
+    subtracting the 1 would leave an absolute error of about eps / (1 - s).
+    Theta's definition gives it instead as a sum of positive terms,
+    ``U_i0 - q(1-s) z phi1 = (1-s) z (2p U_{i0-1} + q phi2)``, so B's value
+    at i0 is ``(2p U_{i0-1} + q phi2) / (q (1-s) phi1)`` at every s and z.
     """
     a = mgf_a(params, z)
+    char, q = characteristic(params, z), params.q
     one_ms = 1.0 - params.s
-    ruin, start, second = a.head
-    if one_ms < _NEAR_S1:
-        char, q = characteristic(params, z), params.q
-        near = 2.0 * params.p * char.u_prev + q * char.phi.phi2
-        start = near / (q * one_ms * char.phi.phi1)
-    else:
-        start = (start - 1.0) / one_ms
+    ruin, _, second = a.head
+    start = (2.0 * params.p * char.u_prev + q * char.phi.phi2) / (q * one_ms * char.phi.phi1)
     return Profile((ruin / one_ms, start, second / one_ms), a.rho, a.gap)
 
 
@@ -162,7 +167,7 @@ def mgf_c(params: WalkParams, z: float) -> Profile:
         d_i0 * phi2 / denom_far,
         d_i0 * phi2 ** 2 / denom_far,
     )
-    return Profile(head, phi2, 1.0 - phi2)
+    return Profile(head, phi2, char.phi2_gap)
 
 
 def _barrier_fn(strategy: Strategy):

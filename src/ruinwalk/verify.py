@@ -85,7 +85,7 @@ def check_barrier_roots() -> CheckResult:
     ordered = True
     for params in _interior_grid():
         for z in (0.2, 0.5, 0.8, 1.0):
-            phi = cp.phi_roots(cp.theta(z, params))
+            phi = mgf.characteristic(params, z).phi
             if not phi.phi1 > 1.0 > phi.phi2 > 0.0:
                 ordered = False
             worst = max(
@@ -103,7 +103,7 @@ def check_theta_symmetric_limit() -> CheckResult:
     for s in GRID_S:
         for i0 in GRID_I0:
             want = 2.0 * (i0 / (1.0 - s) + 1.0 - i0)
-            got = cp.theta(1.0, WalkParams(0.5, s, i0)).theta
+            got = mgf.characteristic(WalkParams(0.5, s, i0), 1.0).theta
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return _result("theta at the driftless point", worst, 1e-12)
 
@@ -126,7 +126,7 @@ def check_barrier_recurrence() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         for z in (0.4, 0.9, 1.0):
-            theta = mgf.characteristic(params, z).coupling.theta
+            theta = mgf.characteristic(params, z).theta
             vals = mgf.mgf_a(params, z)
             scale = max(vals.at(1), 1e-300)
             for k in range(2, 7):
@@ -242,9 +242,9 @@ def check_derivatives_fd() -> CheckResult:
     worst = 0.0
     for params in _interior_grid():
         der = cp.derivatives_at_1(params)
-        fd_theta = one_sided(lambda z: cp.theta(z, params).theta)
+        fd_theta = one_sided(lambda z: mgf.characteristic(params, z).theta)
         worst = max(worst, abs(der.dtheta - fd_theta) / max(abs(fd_theta), 1e-300))
-        fd_phi2 = one_sided(lambda z: cp.phi_roots(cp.theta(z, params)).phi2)
+        fd_phi2 = one_sided(lambda z: mgf.characteristic(params, z).phi.phi2)
         worst = max(worst, abs(der.dphi2 - fd_phi2) / max(abs(fd_phi2), 1e-300))
     return _result("derivatives match finite differences", worst, 1e-6)
 
@@ -292,7 +292,7 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
     params = WalkParams(0.4, 0.5, 2)
     char = mgf.characteristic(params, 1.0)
     rejected = (char.u_i0 - 2.0 * params.p * char.u_prev) / params.q
-    implemented = char.coupling.theta
+    implemented = char.theta
     sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
     prof = metrics.absorption_profile(params, Strategy.B)
     ok = (
@@ -312,7 +312,7 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
     # 2. strategy-B mean time carries a 1/s, not the bare barrier factor.
     params = WalkParams(0.5, 0.5, 1)
     sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
-    phi = cp.phi_roots(cp.theta(1.0, params))
+    phi = mgf.characteristic(params, 1.0).phi
     rejected_mb = params.i0 * (1.0 - 1.0 / phi.phi1)
     implemented_mb = metrics.mean_time_any(params, Strategy.B)
     candidate = rejected_mb if inject_wrong_mb else implemented_mb
@@ -361,8 +361,7 @@ def _phi_is_consistent_or_matches(
     """True if the rejected theta would still reproduce the oracle's p0."""
     if not _phi_is_consistent(theta_val, params):
         return False
-    phi1 = 0.5 * (theta_val + math.sqrt(theta_val ** 2 - 4.0 * params.omega_pow))
-    phi2 = params.omega_pow / phi1
+    phi2 = cp.phi_roots(theta_val, params.omega_pow).phi2
     candidate = phi2 / (params.omega_pow * (1.0 - params.s))
     return abs(candidate - p0) < 1e-6
 

@@ -199,9 +199,9 @@ def test_criterion_6_derivative_validation():
     for params in _grid():
         der = cp.derivatives_at_1(params)
         for got, fun in (
-            (der.dtheta, lambda z: cp.theta(z, params).theta),
-            (der.dphi1, lambda z: cp.phi_roots(cp.theta(z, params)).phi1),
-            (der.dphi2, lambda z: cp.phi_roots(cp.theta(z, params)).phi2),
+            (der.dtheta, lambda z: mgf.characteristic(params, z).theta),
+            (der.dphi1, lambda z: mgf.characteristic(params, z).phi.phi1),
+            (der.dphi2, lambda z: mgf.characteristic(params, z).phi.phi2),
         ):
             want = fd(fun)
             worst = max(worst, abs(got - want) / max(abs(want), 1e-300))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
+from ruinwalk import mgf
 from ruinwalk.core import ParameterError, UnsupportedRegimeError, WalkParams
 
 from conftest import GRID_I0, GRID_S, SQRT3, grid_params
@@ -78,17 +79,17 @@ class TestPowerDividedDifference:
 
 class TestTheta:
     def test_symmetric_value_at_z_one(self):
-        assert cp.theta(1.0, WalkParams(0.5, 0.5, 2)).theta == pytest.approx(6.0)
-        assert cp.theta(1.0, WalkParams(0.5, 0.5, 1)).theta == pytest.approx(4.0)
+        assert mgf.characteristic(WalkParams(0.5, 0.5, 2), 1.0).theta == pytest.approx(6.0)
+        assert mgf.characteristic(WalkParams(0.5, 0.5, 1), 1.0).theta == pytest.approx(4.0)
 
     def test_unit_stake_asymmetric(self):
         params = WalkParams(0.4, 0.5, 1)
         expected = 1.0 / (params.q * (1.0 - params.s))
-        assert cp.theta(1.0, params).theta == pytest.approx(expected, rel=1e-14)
+        assert mgf.characteristic(params, 1.0).theta == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_total_stop(self):
         with pytest.raises(UnsupportedRegimeError):
-            cp.theta(1.0, WalkParams(0.4, 1.0, 1))
+            cp.theta(1.0, WalkParams(0.4, 1.0, 1), 1.0, 0.0)
 
     def test_generic_branch_approaches_symmetric_limit(self):
         eps = 1e-5
@@ -97,7 +98,7 @@ class TestTheta:
                 limit = 2.0 * (i0 / (1.0 - s) + 1.0 - i0)
                 tol = 1e-3 * max(1.0, abs(limit))
                 for p in (0.5 - eps, 0.5 + eps):
-                    got = cp.theta(1.0, WalkParams(p, s, i0)).theta
+                    got = mgf.characteristic(WalkParams(p, s, i0), 1.0).theta
                     assert abs(got - limit) < tol
 
 
@@ -110,32 +111,34 @@ class TestPhiRoots:
         ],
     )
     def test_known_roots(self, theta_val, omega_pow, want1, want2):
-        char = cp.CharData(theta=theta_val, omega_pow=omega_pow, z=1.0, s=0.5, i0=1)
-        phi = cp.phi_roots(char)
+        phi = cp.phi_roots(theta_val, omega_pow)
         assert phi.phi1 == pytest.approx(want1, rel=1e-14)
         assert phi.phi2 == pytest.approx(want2, rel=1e-14)
 
     def test_no_stop_limit_gives_extremes_of_omega_power(self):
         params = WalkParams(0.4, 0.0, 2)
-        phi = cp.phi_roots(cp.theta(1.0, params))
+        phi = mgf.characteristic(params, 1.0).phi
         assert phi.phi1 == pytest.approx(1.0, rel=1e-12)
         assert phi.phi2 == pytest.approx(params.omega_pow, rel=1e-12)
 
     def test_rejects_clearly_complex_roots(self):
-        char = cp.CharData(theta=1.0, omega_pow=1.0, z=1.0, s=0.5, i0=1)
         with pytest.raises(ParameterError):
-            cp.phi_roots(char)
+            cp.phi_roots(1.0, 1.0)
 
     def test_overflowing_discriminant_is_unsupported(self):
         # theta ~ 1.6e191 here, so theta**2 is inf and phi2 would come out 0
-        char = cp.theta(1.0, WalkParams(0.9, 0.5, 200))
+        params = WalkParams(0.9, 0.5, 200)
+        roots = cp.tau_roots(1.0, params)
+        theta_val = cp.theta(
+            1.0, params, cp.power_divided_difference(roots, 200), cp.power_divided_difference(roots, 199)
+        )
         with pytest.raises(UnsupportedRegimeError):
-            cp.phi_roots(char)
+            cp.phi_roots(theta_val, params.omega_pow)
 
     def test_ordering_and_product_on_grid(self):
         for params in grid_params():
             for z in (0.2, 0.6, 1.0):
-                phi = cp.phi_roots(cp.theta(z, params))
+                phi = mgf.characteristic(params, z).phi
                 assert phi.phi1 > 1.0 > phi.phi2 > 0.0
                 assert phi.phi1 * phi.phi2 == pytest.approx(
                     params.omega_pow, rel=1e-12
@@ -224,13 +227,13 @@ class TestDerivatives:
     def test_matches_finite_differences_on_grid(self):
         for params in grid_params():
             der = cp.derivatives_at_1(params)
-            fd_theta = _richardson_from_below(lambda z: cp.theta(z, params).theta)
+            fd_theta = _richardson_from_below(lambda z: mgf.characteristic(params, z).theta)
             assert der.dtheta == pytest.approx(fd_theta, rel=1e-6)
             fd_phi1 = _richardson_from_below(
-                lambda z: cp.phi_roots(cp.theta(z, params)).phi1
+                lambda z: mgf.characteristic(params, z).phi.phi1
             )
             assert der.dphi1 == pytest.approx(fd_phi1, rel=1e-6)
             fd_phi2 = _richardson_from_below(
-                lambda z: cp.phi_roots(cp.theta(z, params)).phi2
+                lambda z: mgf.characteristic(params, z).phi.phi2
             )
             assert der.dphi2 == pytest.approx(fd_phi2, rel=1e-6)

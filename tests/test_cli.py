@@ -338,6 +338,26 @@ class TestMgfCommand:
         assert json.loads(err) == {"error": f"tol must be finite and > 0, got {float(tol)}"}
 
 
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analytic", "--strategy", "A"],
+        ["exact", "--strategy", "A"],
+        ["mgf", "--strategy", "A", "--z", "0.5"],
+        ["sweep"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_kmax_below_one_exits_2_with_one_line_of_json(command, kmax, capsys):
+    code, out, err = run_cli(
+        [command[0], "--p", "0.4", "--s", "0.5", "--i0", "2", *command[1:], "--kmax", kmax], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": f"kmax must be >= 1, got {kmax}"}
+
+
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--quick"], capsys)
@@ -447,9 +467,8 @@ class TestSweep:
         roots = cp.tau_roots(1.0, fresh())
         theta = phi1 = phi2 = None
         if s < 1.0:
-            coupling = cp.theta(1.0, fresh())
-            phi = cp.phi_roots(coupling)
-            theta, phi1, phi2 = coupling.theta, phi.phi1, phi.phi2
+            char = mgf.characteristic(fresh(), 1.0)
+            theta, phi1, phi2 = char.theta, char.phi.phi1, char.phi.phi2
         row = {
             "p": p, "s": s, "i0": i0, "strategy": strategy.value,
             "omega": fresh().omega, "p0": prof.at(0), "p1": prof.at(1),

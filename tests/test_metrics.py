@@ -335,6 +335,15 @@ class TestPhi2GapNearOne:
             product = (char.phi.phi1 - 1.0) * (1.0 - char.phi.phi2)
             assert product == pytest.approx(char.u_i0 * s / (params.q * (1.0 - s)), rel=1e-13)
 
+    @pytest.mark.parametrize("p, s, i0", [(0.5001, 1e-10, 1), (0.7, 1e-6, 2)])
+    def test_generating_function_tail_keeps_the_gap(self, p, s, i0):
+        # A's masses sum to one through mgf_a's own tail, whose 1 - phi2 would
+        # cancel if it were taken by subtraction
+        params = WalkParams(p, s, i0)
+        values = mgf.mgf_a(params, 1.0)
+        assert abs(values.at(0) + s * values.beyond(0) - 1.0) <= 1e-14
+        assert values.gap == metrics.absorption_profile(params, Strategy.A).gap
+
 
 class TestStrategyBNearS1:
     """B's value at i0 is A's less its m=0 self-term, over 1 - s.  A's value
@@ -362,8 +371,8 @@ class TestStrategyBNearS1:
         assert mgf.mgf_b(params, 0.5).at(1) == pytest.approx(want, abs=1e-10)
 
     def test_both_forms_agree_where_they_meet(self):
-        # just above and below the switch; both are accurate there
-        for s in (1.0 - 1.01 * mgf._NEAR_S1, 1.0 - 0.99 * mgf._NEAR_S1):
+        # either side of 1 - s = 0.01; the one form is accurate on both
+        for s in (1.0 - 0.0101, 1.0 - 0.0099):
             params = WalkParams(0.45, s, 3)
             sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
             got = metrics.absorption_profile(params, Strategy.B).at(1)

@@ -1,6 +1,8 @@
+import decimal
 import gc
 import math
 import weakref
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,7 +74,7 @@ class TestBarrierValues:
     def test_barrier_recurrence(self):
         for params in grid_params():
             for z in (0.4, 1.0):
-                char = cp.theta(z, params)
+                char = mgf.characteristic(params, z)
                 vals = [mgf.mgf_a(params, z).at(k) for k in range(8)]
                 for k in range(2, 7):
                     residual = (
@@ -86,7 +88,7 @@ class TestBarrierValues:
         # omega**i0 * W(i0) == (1-s) * phi1 * W(2*i0) at any z
         for params in small_grid():
             for z in (0.3, 0.8, 1.0):
-                phi = cp.phi_roots(cp.theta(z, params))
+                phi = mgf.characteristic(params, z).phi
                 w = mgf.mgf_c(params, z)
                 w1, w2 = w.at(1), w.at(2)
                 lhs = params.omega_pow * w1
@@ -96,7 +98,7 @@ class TestBarrierValues:
     def test_geometric_barrier_ratio(self):
         for params in small_grid():
             for z in (0.5, 1.0):
-                phi2 = cp.phi_roots(cp.theta(z, params)).phi2
+                phi2 = mgf.characteristic(params, z).phi.phi2
                 a, c = mgf.mgf_a(params, z), mgf.mgf_c(params, z)
                 for k in (1, 2, 3):
                     assert a.at(k + 1) / a.at(k) == pytest.approx(phi2, rel=1e-12)
@@ -115,6 +117,36 @@ class TestBarrierValues:
         params = WalkParams(p, s, i0)
         for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c):
             assert fn(params, z).at(k) >= 0.0
+
+
+def _b_start_reference(p, s, i0, z):
+    """B's value at i0, ``(2p U_{i0-1} + q phi2) / (q (1-s) phi1)``, in 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p, s, z = Decimal(p), Decimal(s), Decimal(z)
+        q = 1 - p
+        tau1 = (1 + (1 - 4 * p * q * z * z).sqrt()) / (2 * q * z)
+        tau2 = p / q / tau1
+
+        def u(n):
+            return sum(tau1 ** a * tau2 ** (n - 1 - a) for a in range(n))
+
+        omega_pow = (p / q) ** i0
+        theta = (u(i0) / (1 - s) - 2 * p * z * u(i0 - 1)) / (q * z)
+        phi1 = (theta + (theta * theta - 4 * omega_pow).sqrt()) / 2
+        phi2 = omega_pow / phi1
+        return (2 * p * u(i0 - 1) + q * phi2) / (q * (1 - s) * phi1)
+
+
+class TestStrategyBStart:
+    @pytest.mark.parametrize("z", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("i0", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.5, 0.9, 0.98, 0.99])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_matches_a_50_digit_evaluation(self, p, s, i0, z):
+        got = mgf.mgf_b(WalkParams(p, s, i0), z).at(1)
+        want = _b_start_reference(p, s, i0, z)
+        assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
 
 
 class TestInterior:
@@ -280,10 +312,11 @@ class TestCharacteristicMemo:
         char = mgf.characteristic(params, 0.7)
         roots = cp.tau_roots(0.7, params)
         assert (char.z, char.roots) == (0.7, roots)
-        assert char.u_i0 == cp.power_divided_difference(roots, 3)
-        assert char.u_prev == cp.power_divided_difference(roots, 2)
-        assert char.coupling == cp.theta(0.7, params)
-        assert char.phi == cp.phi_roots(cp.theta(0.7, params))
+        u_i0, u_prev = cp.power_divided_difference(roots, 3), cp.power_divided_difference(roots, 2)
+        assert (char.u_i0, char.u_prev) == (u_i0, u_prev)
+        assert char.theta == cp.theta(0.7, params, u_i0, u_prev)
+        assert char.phi == cp.phi_roots(char.theta, params.omega_pow)
+        assert char.phi2_gap == 1.0 - char.phi.phi2
 
     def test_same_z_returns_the_identical_object_and_a_new_z_replaces_it(self):
         params = WalkParams(0.4, 0.3, 3)
