@@ -18,7 +18,7 @@ from .charpoly import (
     theta,
 )
 from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_c
-from .mgf import mgf_interior, mgf_value
+from .mgf import mgf_interior, mgf_states, mgf_value
 from .metrics import (
     absorption_profile,
     bc_ratio,
@@ -54,6 +54,7 @@ __all__ = [
     "mgf_c",
     "mgf_dp",
     "mgf_interior",
+    "mgf_states",
     "mgf_value",
     "phi_roots",
     "simulate",

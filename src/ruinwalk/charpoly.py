@@ -228,9 +228,14 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     - theta``, with the Lucas terms of :func:`lucas_terms`; phi's
     derivatives follow by implicit differentiation of the barrier
     quadratic; the roots come from :func:`ruinwalk.mgf.characteristic` at
-    z=1.  The whole bundle is validated against Richardson-extrapolated
-    finite differences in the test suite.
+    z=1.  ``params`` keeps the bundle beside that characteristic, so every
+    strategy's killed times share one solve, and a characteristic built at
+    another z drops both.  The whole bundle is validated against
+    Richardson-extrapolated finite differences in the test suite.
     """
+    der = params._memo.get("derivatives")
+    if der is not None:
+        return der
     if params.s >= 1.0:
         raise UnsupportedRegimeError("derivatives at z=1 are defined for s < 1")
     from .mgf import characteristic  # mgf builds on this module
@@ -247,4 +252,5 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
         )
     dphi1 = phi.phi1 * dtheta / gap
     dphi2 = -phi.phi2 * dtheta / gap
-    return DerivativeBundle(dtheta=dtheta, dphi1=dphi1, dphi2=dphi2, lucas=lt)
+    der = params._memo["derivatives"] = DerivativeBundle(dtheta, dphi1, dphi2, lt)
+    return der

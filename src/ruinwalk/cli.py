@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import charpoly as cp
-from . import metrics, mgf, oracle, verify
+from . import metrics, mgf, oracle
 from .core import (
     ParameterError,
     Strategy,
@@ -32,28 +32,12 @@ from .core import (
     WalkParams,
 )
 
+# one group a line: the instance and strategy, the cells that depend on the
+# strategy, and more of the instance; cmd_sweep formats the instance's once
 _SWEEP_COLUMNS = (
-    "p",
-    "s",
-    "i0",
-    "strategy",
-    "omega",
-    "p0",
-    "p1",
-    "p2",
-    "p3",
-    "tail_bound",
-    "m_total",
-    "et0",
-    "et1",
-    "et2",
-    "et3",
-    "bc_ratio",
-    "tau1",
-    "tau2",
-    "theta",
-    "phi1",
-    "phi2",
+    "p", "s", "i0", "strategy", "omega",
+    "p0", "p1", "p2", "p3", "tail_bound", "m_total", "et0", "et1", "et2", "et3",
+    "bc_ratio", "tau1", "tau2", "theta", "phi1", "phi2",
 )
 
 
@@ -76,12 +60,6 @@ def _diagnostics(params: WalkParams) -> dict:
     }
 
 
-def _barrier_values(params: WalkParams, strategy: Strategy, z: float, kmax: int) -> list:
-    """The generating function on barriers 0..kmax."""
-    values = mgf._barrier_fn(strategy)(params, z)
-    return [values.at(k) for k in range(kmax + 1)]
-
-
 def _times_block(params: WalkParams, strategy: Strategy, kmax: int) -> dict:
     """Killed-time profile, from the closed forms or, for the exactly
     driftless walk with 0 < s < 1, from the exact solver."""
@@ -92,13 +70,12 @@ def _times_block(params: WalkParams, strategy: Strategy, kmax: int) -> dict:
     # workloads are next updated.
     if params.symmetric and 0.0 < params.s < 1.0:
         sol = oracle.solve_exact(params, strategy)
-        et = [sol.killed_time(k) for k in range(0, kmax + 1)]
         m = metrics.mean_time_any(params, strategy)
-        return {"m_total": m, "et": et, "source": "exact"}
+        return {"m_total": m, "et": sol.times.upto(kmax), "source": "exact"}
     tp = metrics.time_profile(params, strategy)
     # at s=0 the total is the ruin time killed by escape, which mean_time_any refuses
     m = tp.total if params.s == 0.0 else metrics.mean_time_any(params, strategy)
-    return {"m_total": m, "et": [tp.at(k) for k in range(kmax + 1)], "source": "analytic"}
+    return {"m_total": m, "et": tp.upto(kmax), "source": "analytic"}
 
 
 def _require_kmax(kmax: int) -> None:
@@ -109,6 +86,7 @@ def _require_kmax(kmax: int) -> None:
 def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
     _require_kmax(args.kmax)
     prof = metrics.absorption_profile(params, strategy)
+    p0, *pk = prof.upto(args.kmax)
     report = {
         "params": {
             "p": params.p,
@@ -119,21 +97,20 @@ def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
         },
         "strategy": strategy.value,
         "absorption": {
-            "p0": prof.at(0),
-            "pk": [prof.at(k) for k in range(1, args.kmax + 1)],
+            "p0": p0,
+            "pk": pk,
             "tail_bound": prof.beyond(args.kmax),
         },
         "times": _times_block(params, strategy, args.kmax),
         "diagnostics": _diagnostics(params),
     }
     if args.z is not None:
-        values = _barrier_values(params, strategy, args.z, args.kmax)
+        values = mgf._barrier_fn(strategy)(params, args.z).upto(args.kmax)
         report["mgf"] = {"z": args.z, "barrier_values": values}
     if args.conditional:
         et = report["times"]["et"]
-        pks = [prof.at(0)] + report["absorption"]["pk"]
         report["conditional_times"] = [
-            (t / pk if pk > 0 else None) for t, pk in zip(et, pks)
+            (t / pk if pk > 0 else None) for t, pk in zip(et, [p0, *pk])
         ]
     return report
 
@@ -141,9 +118,11 @@ def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
 def _float_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _cells(values) -> str:
+    return ",".join(map(_float_cell, values))
 
 
 def _flatten_report(node, prefix: str = "") -> dict:
@@ -164,11 +143,7 @@ def _emit(report: dict, args) -> None:
         text = json.dumps(report, indent=2)
     elif args.format == "csv":
         flat = _flatten_report(report)
-        text = (
-            ",".join(flat.keys())
-            + "\n"
-            + ",".join(_float_cell(v) for v in flat.values())
-        )
+        text = ",".join(flat.keys()) + "\n" + _cells(flat.values())
     else:
         lines = []
 
@@ -262,11 +237,11 @@ def cmd_exact(args) -> int:
         "escape_mass": sol.escape_mass,
         "absorption": {
             "p0": sol.p0,
-            "pk": [sol.probability(k) for k in range(1, args.kmax + 1)],
+            "pk": sol.masses.upto(args.kmax)[1:],
         },
         "times": {
             "m_total": sol.m_total,
-            "et": [sol.killed_time(k) for k in range(0, args.kmax + 1)],
+            "et": sol.times.upto(args.kmax),
         },
     }
     _emit(report, args)
@@ -281,7 +256,7 @@ def cmd_mgf(args) -> int:
         "params": {"p": params.p, "s": params.s, "i0": params.i0},
         "strategy": args.strategy,
         "z": args.z,
-        "barrier_values": _barrier_values(params, strategy, args.z, args.kmax),
+        "barrier_values": mgf._barrier_fn(strategy)(params, args.z).upto(args.kmax),
     }
     if args.state is not None:
         report["state"] = args.state
@@ -299,6 +274,8 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command needs the suite
+
     checks = verify.run_all(
         quick=args.quick,
         trials=args.trials,
@@ -338,28 +315,11 @@ def _parse_range(text: str, integer: bool = False) -> list:
         raise ParameterError(f"malformed range {text!r}; use start:stop:step")
 
 
-def _sweep_row(params: WalkParams, strategy: Strategy, args, instance: dict) -> dict:
-    """One sweep row; ``instance`` holds the columns that do not depend on the strategy."""
+def _sweep_cells(params: WalkParams, strategy: Strategy, kmax: int) -> str:
+    """The cells of a sweep row that depend on the strategy, p0 through et3."""
     prof = metrics.absorption_profile(params, strategy)
     times = _times_block(params, strategy, 3)
-    return {
-        "p": params.p,
-        "s": params.s,
-        "i0": params.i0,
-        "strategy": strategy.value,
-        "omega": params.omega,
-        "p0": prof.at(0),
-        "p1": prof.at(1),
-        "p2": prof.at(2),
-        "p3": prof.at(3),
-        "tail_bound": prof.beyond(args.kmax),
-        "m_total": times["m_total"],
-        "et0": times["et"][0],
-        "et1": times["et"][1],
-        "et2": times["et"][2],
-        "et3": times["et"][3],
-        **instance,
-    }
+    return _cells((*prof.upto(3), prof.beyond(kmax), times["m_total"], *times["et"]))
 
 
 def cmd_sweep(args) -> int:
@@ -377,15 +337,16 @@ def cmd_sweep(args) -> int:
             for i0 in i0s:
                 params = WalkParams(p=p, s=s, i0=i0)
                 _require_kmax(args.kmax)  # after the instance's own checks, ahead of its rows
-                # params keeps its z=1 characteristic, so every column of the
-                # instance shares one solve of the roots
+                # params keeps its z=1 characteristic and derivatives, so every
+                # column of the instance shares one solve; the cells that do not
+                # depend on the strategy are formatted once
                 ratio = metrics.bc_ratio(params) if 0.0 < s < 1.0 else None
-                instance = {"bc_ratio": ratio, **_diagnostics(params)}
+                lead = _cells((params.p, params.s, params.i0))
+                omega = _float_cell(params.omega)
+                trail = _cells((ratio, *_diagnostics(params).values()))
                 for strategy in strategies:
-                    row = _sweep_row(params, strategy, args, instance)
-                    lines.append(
-                        ",".join(_float_cell(row[c]) for c in _SWEEP_COLUMNS)
-                    )
+                    cells = _sweep_cells(params, strategy, args.kmax)
+                    lines.append(f"{lead},{strategy.value},{omega},{cells},{trail}")
     _write_out("\n".join(lines), args)
     return 0
 

@@ -69,8 +69,9 @@ class WalkParams:
     The driftless walk is detected exactly by ``p == 0.5``; the closed forms
     branch on it only at s=0, where its mean absorption time is infinite.
     ``_memo`` holds the characteristic at the last z asked of
-    :func:`ruinwalk.mgf.characteristic`; it takes no part in equality,
-    hashing or repr.
+    :func:`ruinwalk.mgf.characteristic` and, while that z is 1, the bundle
+    of :func:`ruinwalk.charpoly.derivatives_at_1`; it takes no part in
+    equality, hashing or repr.
     """
 
     p: float
@@ -137,8 +138,17 @@ class Profile:
         m = k - len(self.head) + 1
         if m <= 0:
             return self.head[k] if k >= 0 else 0.0
-        if not self.rho:
-            return 0.0
+        return self._past(m) if self.rho else 0.0
+
+    def upto(self, k: int) -> list[float]:
+        """The values at barriers 0..k, each the same float as :meth:`at` gives."""
+        values = list(self.head[:max(k + 1, 0)])
+        past = range(1, k - len(self.head) + 2)
+        values += [self._past(m) for m in past] if self.rho else [0.0] * len(past)
+        return values
+
+    def _past(self, m: int) -> float:
+        """The value m >= 1 barriers past the head's last, for rho != 0."""
         grow = self.rho ** (m - 1)
         return self.head[-1] * grow * self.rho + m * self.mass * grow * self.drho
 

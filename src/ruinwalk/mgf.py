@@ -171,15 +171,15 @@ def mgf_c(params: WalkParams, z: float) -> Profile:
 
 
 def _barrier_fn(strategy: Strategy):
-    return {Strategy.A: mgf_a, Strategy.B: mgf_b, Strategy.C: mgf_c}[
-        Strategy(strategy)
-    ]
+    """The barrier form of a strategy, looked up in the module when called."""
+    return mgf_a if strategy == Strategy.A else mgf_b if strategy == Strategy.B else mgf_c
 
 
-def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
-    """Generating function on a state strictly between barriers.
+def mgf_states(params: WalkParams, strategy: Strategy, z: float, positions) -> list[float]:
+    """Generating function at each state of the iterable ``positions``, from one barrier profile.
 
-    With ``position = k*i0 + n`` (0 < n < i0), the value bridges the two
+    A barrier state k*i0 reads the strategy's profile at k.  A state
+    ``k*i0 + n`` strictly between barriers (0 < n < i0) bridges the two
     values at the ends of its segment, ``left`` at k*i0 and ``right`` at
     (k+1)*i0:
 
@@ -191,32 +191,41 @@ def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int
     B bridges A's values and divides by 1 - s, as its barrier forms do.
     """
     strategy = Strategy(strategy)
-    values = (mgf_c if strategy is Strategy.C else mgf_a)(params, z)
-    i0 = params.i0
-    if i0 < 2:
+    values = _barrier_fn(strategy)(params, z)
+    bridged = mgf_a(params, z) if strategy is Strategy.B else values
+    char = characteristic(params, z)
+    i0, one_ms = params.i0, 1.0 - params.s
+    out = []
+    for position in positions:
+        if position < 0:
+            raise ParameterError(f"position must be >= 0, got {position}")
+        k, n = divmod(position, i0)
+        if n == 0:
+            out.append(values.at(k))
+            continue
+        d_n = power_divided_difference(char.roots, n)
+        d_co = power_divided_difference(char.roots, i0 - n)
+        left, right = bridged.at(k), bridged.at(k + 1)
+        ends = (k * i0, (k + 1) * i0)
+        wl, wr = (0.0 if j == 0 else one_ms if strategy.is_barrier(j, i0) else 1.0 for j in ends)
+        value = (wl * left * params.omega ** n * d_co + wr * right * d_n) / char.u_i0
+        out.append(value / one_ms if strategy is Strategy.B else value)
+    return out
+
+
+def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
+    """Generating function on a state strictly between barriers (see :func:`mgf_states`)."""
+    if params.i0 < 2:
         raise ParameterError("interior states require i0 >= 2")
-    k, n = divmod(position, i0)
-    if n == 0:
+    if position % params.i0 == 0:
         raise ParameterError(
             f"position {position} is a barrier-lattice state; use the barrier forms"
         )
-    char = characteristic(params, z)
-    roots, d_i0 = char.roots, char.u_i0
-    d_n = power_divided_difference(roots, n)
-    d_co = power_divided_difference(roots, i0 - n)
-    one_ms = 1.0 - params.s
-    left, right = values.at(k), values.at(k + 1)
-    ends = (k * i0, (k + 1) * i0)
-    wl, wr = (0.0 if j == 0 else one_ms if strategy.is_barrier(j, i0) else 1.0 for j in ends)
-    value = (wl * left * params.omega ** n * d_co + wr * right * d_n) / d_i0
-    return value / one_ms if strategy is Strategy.B else value
+    return mgf_states(params, strategy, z, (position,))[0]
 
 
 def mgf_value(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
     """Generating function at an arbitrary state, dispatching barrier/interior."""
-    if position < 0:
-        raise ParameterError(f"position must be >= 0, got {position}")
-    k, n = divmod(position, params.i0)
-    if n == 0:
-        return _barrier_fn(strategy)(params, z).at(k)
-    return mgf_interior(params, strategy, z, position)
+    if position % params.i0:
+        return mgf_interior(params, strategy, z, position)
+    return mgf_states(params, strategy, z, (position,))[0]

@@ -163,13 +163,13 @@ def check_mgf_monotonicity() -> CheckResult:
         positions = [0, params.i0, 2 * params.i0]
         if params.i0 >= 2:
             positions.append(params.i0 + 1)
-        # z outermost, so each z's characteristic serves every (strategy, position)
-        prev = {(strategy, pos): -math.inf for strategy in Strategy for pos in positions}
+        # z outermost, so each z's characteristic serves every strategy
+        prev = {strategy: [-math.inf] * len(positions) for strategy in Strategy}
         for z in zs:
-            for key in prev:
-                val = mgf.mgf_value(params, key[0], z, key[1])
-                worst = max(worst, prev[key] - val)
-                prev[key] = val
+            for strategy, before in prev.items():
+                values = mgf.mgf_states(params, strategy, z, positions)
+                worst = max(worst, *(b - v for b, v in zip(before, values)))
+                prev[strategy] = values
     return _result("generating functions nondecreasing in z", worst, 1e-12)
 
 
@@ -232,8 +232,10 @@ def check_time_decomposition() -> CheckResult:
 
 def check_derivatives_fd() -> CheckResult:
     def one_sided(f, h=1e-4):
+        at_1 = f(1.0)
+
         def diff(hh):
-            return (f(1.0) - f(1.0 - hh)) / hh
+            return (at_1 - f(1.0 - hh)) / hh
 
         d1, d2, d3 = diff(h), diff(h / 2), diff(h / 4)
         e1, e2 = 2 * d2 - d1, 2 * d3 - d2
@@ -261,8 +263,8 @@ def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> lis
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
             prof = metrics.absorption_profile(params, strategy)
             at = f"p={params.p} s={params.s} i0={params.i0} strategy={strategy.value}"
-            for k in range(0, 65):
-                gap = abs(prof.at(k) - sol.probability(k))
+            for k, (got, ref) in enumerate(zip(prof.upto(64), sol.masses.upto(64))):
+                gap = abs(got - ref)
                 if gap > worst_p:
                     worst_p, where_p = gap, f"{at} k={k}"
             m = metrics.mean_time_any(params, strategy)
@@ -270,9 +272,8 @@ def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> lis
             if gap > worst_t:
                 worst_t, where_t = gap, f"{at} total"
             tp = metrics.time_profile(params, strategy)
-            for k in range(0, 65):
-                ref = sol.killed_time(k)
-                gap = abs(tp.at(k) - ref) / max(abs(ref), 1e-9)
+            for k, (got, ref) in enumerate(zip(tp.upto(64), sol.times.upto(64))):
+                gap = abs(got - ref) / max(abs(ref), 1e-9)
                 if gap > worst_t:
                     worst_t, where_t = gap, f"{at} k={k}"
     return [

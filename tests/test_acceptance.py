@@ -188,8 +188,10 @@ def test_criterion_5_generating_function_cross_check():
 
 def test_criterion_6_derivative_validation():
     def fd(fun, h=1e-4):
+        at_1 = fun(1.0)
+
         def diff(hh):
-            return (fun(1.0) - fun(1.0 - hh)) / hh
+            return (at_1 - fun(1.0 - hh)) / hh
 
         d1, d2, d3 = diff(h), diff(h / 2), diff(h / 4)
         e1, e2 = 2 * d2 - d1, 2 * d3 - d2

@@ -146,8 +146,10 @@ class TestPhiRoots:
 
 
 def _richardson_from_below(f, h=1e-4):
+    at_1 = f(1.0)
+
     def diff(hh):
-        return (f(1.0) - f(1.0 - hh)) / hh
+        return (at_1 - f(1.0 - hh)) / hh
 
     d1, d2, d3 = diff(h), diff(h / 2), diff(h / 4)
     e1, e2 = 2 * d2 - d1, 2 * d3 - d2

@@ -395,6 +395,15 @@ class TestVerify:
         assert mass <= 1e-12 and time <= 1e-10
 
 
+class TestFloatCell:
+    @pytest.mark.parametrize(
+        "value, cell",
+        [(math.inf, "inf"), (-math.inf, "-inf"), (0.1, "0.1"), (-0.0, "-0.0"), (3, "3"), (None, "")],
+    )
+    def test_cell_text(self, value, cell):
+        assert cli._float_cell(value) == cell
+
+
 class TestSweep:
     def test_three_point_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -525,6 +534,48 @@ class TestSweep:
         # one characteristic per instance serves its columns and all three strategies
         assert calls[0] == 12
 
+    def test_one_derivative_bundle_per_instance(self, monkeypatch, capsys):
+        builds, calls = [0], [0]
+        bundle, derivatives = cp.DerivativeBundle, cp.derivatives_at_1
+
+        def built(*args):
+            builds[0] += 1
+            return bundle(*args)
+
+        def called(params):
+            calls[0] += 1
+            return derivatives(params)
+
+        monkeypatch.setattr(cp, "DerivativeBundle", built)
+        monkeypatch.setattr(cp, "derivatives_at_1", called)
+        # no p = 0.5 row, so every row takes its times from the closed forms
+        code, out, _ = run_cli(
+            ["sweep", "--p", "0.4:0.6:0.2", "--s", "0.2:0.6:0.4", "--i0", "1:3:2",
+             "--strategy", "all"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 8 * 3
+        # the three strategies of an instance share its one z = 1 solve
+        assert (calls[0], builds[0]) == (24, 8)
+
+    @pytest.mark.parametrize("kmax", ["1", "64"])
+    def test_all_strategies_equal_the_three_single_strategy_sweeps(self, kmax, capsys):
+        # s = 0 and 1 take the limit branches, s = 0.5 the exact solver's route
+        grid = ["--p", "0.5", "--s", "0:1:0.5", "--i0", "1:3:1", "--kmax", kmax]
+        code, out, _ = run_cli(["sweep", *grid, "--strategy", "all"], capsys)
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        single = []
+        for strategy in "ABC":
+            code, text, _ = run_cli(["sweep", *grid, "--strategy", strategy], capsys)
+            assert code == 0
+            lines = text.strip().splitlines()
+            assert lines[0] == header
+            single.append(lines[1:])
+        assert len(rows) == 9 * 3
+        assert rows == [row for triple in zip(*single) for row in triple]
+
     def test_kmax_error_precedes_the_first_row(self, capsys):
         code, out, err = run_cli(
             ["sweep", "--p", "0.4", "--s", "0.5", "--i0", "1", "--kmax", "0"], capsys
@@ -564,6 +615,22 @@ class TestSubprocessEntryPoints:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in err, err.decode()
+
+    def test_cli_import_leaves_the_verify_suite_unloaded(self, tmp_path):
+        # only `verify` needs the suite, so no other command pays to load it
+        script = (
+            "import sys\n"
+            "import ruinwalk.cli as cli\n"
+            "cli.build_parser()\n"
+            "code = cli.main(['sweep', '--p', '0.4', '--s', '0.5', '--i0', '2',\n"
+            "                 '--out', sys.argv[1] + '/sweep.csv'])\n"
+            "print(code, 'ruinwalk.verify' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_usage_error_exits_2(self):
         cmd = [sys.executable, "-m", "ruinwalk", "analytic", "--p", "0.5"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruinwalk.core import (
     ParameterError,
@@ -69,6 +71,33 @@ class TestProfile:
         assert [prof.at(k) for k in (2, 3, 10)] == [0.0] * 3
         assert prof.beyond(1) == 0.0 and prof.beyond(0) == 0.5
         assert prof.total == math.inf
+
+
+_value = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+class TestProfileUpto:
+    @given(
+        head=st.lists(_value, min_size=1, max_size=5),
+        rho=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)),
+        drho=st.one_of(st.just(0.0), _value),
+        mass=_value,
+        k=st.integers(min_value=-2, max_value=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reads_the_very_floats_of_at(self, head, rho, drho, mass, k):
+        prof = Profile(tuple(head), rho, 1.0 - rho, drho, mass)
+        got = prof.upto(k)
+        assert len(got) == max(k + 1, 0)
+        # repr tells -0.0 from 0.0, so this is equality to the bit
+        assert list(map(repr, got)) == [repr(prof.at(j)) for j in range(k + 1)]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_inside_the_head_is_a_prefix_of_it(self, k):
+        assert TestProfile.PROFILE.upto(k) == [1.0, 2.0, 3.0][: k + 1]
+
+    def test_nothing_past_a_head_with_rho_zero(self):
+        assert Profile((0.25, 0.5)).upto(4) == [0.25, 0.5, 0.0, 0.0, 0.0]
 
 
 class TestStopRule:

@@ -190,6 +190,22 @@ class TestInterior:
         dp = oracle.mgf_dp(params, Strategy.A, 0.5, 1, tol=1e-12)
         assert value == pytest.approx(dp, abs=1e-9)
 
+    @pytest.mark.parametrize("i0", [1, 3])
+    def test_states_are_the_very_floats_of_each_value(self, i0, strategy):
+        params, positions = WalkParams(0.45, 0.3, i0), list(range(3 * i0 + 2))
+        for z in (0.4, 1.0):
+            got = mgf.mgf_states(params, strategy, z, positions)
+            assert got == [mgf.mgf_value(params, strategy, z, pos) for pos in positions]
+            assert got == [mgf.mgf_states(params, strategy, z, [pos])[0] for pos in positions]
+
+    @pytest.mark.parametrize("position", [-1, -3])
+    def test_negative_positions_are_refused(self, position):
+        params = WalkParams(0.4, 0.5, 3)
+        with pytest.raises(ParameterError, match="position must be >= 0"):
+            mgf.mgf_states(params, Strategy.A, 0.5, [0, position])
+        with pytest.raises(ParameterError, match="position must be >= 0"):
+            mgf.mgf_value(params, Strategy.A, 0.5, position)
+
     def test_dispatch_covers_all_states(self):
         params = WalkParams(0.4, 0.5, 3)
         for pos in range(0, 10):
@@ -262,6 +278,9 @@ def _z_functions(i0, z):
             out[f"mgf_value {strat.value} {pos}"] = (
                 lambda params, strat=strat, pos=pos: mgf.mgf_value(params, strat, z, pos)
             )
+        out[f"mgf_states {strat.value}"] = (
+            lambda params, strat=strat: mgf.mgf_states(params, strat, z, range(2 * i0 + 2))
+        )
         if i0 >= 2:
             out[f"mgf_interior {strat.value}"] = (
                 lambda params, strat=strat: mgf.mgf_interior(params, strat, z, i0 + 1)
@@ -328,6 +347,17 @@ class TestCharacteristicMemo:
         again = mgf.characteristic(params, 0.7)
         assert again is not first and again == first
         assert params._memo == {0.7: again}
+
+    def test_derivatives_are_kept_beside_the_unit_characteristic(self):
+        params = WalkParams(0.4, 0.3, 3)
+        first = cp.derivatives_at_1(params)
+        assert cp.derivatives_at_1(params) is first
+        assert params._memo == {1.0: mgf.characteristic(params, 1.0), "derivatives": first}
+        # a characteristic at another z drops both, and both come back equal
+        other = mgf.characteristic(params, 0.5)
+        assert params._memo == {0.5: other}
+        again = cp.derivatives_at_1(params)
+        assert again is not first and again == first
 
     def test_memo_takes_no_part_in_equality_hash_or_repr(self):
         empty, filled, elsewhere = (WalkParams(0.4, 0.3, 3) for _ in range(3))
