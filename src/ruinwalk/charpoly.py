@@ -7,7 +7,10 @@ expected times) is built from two quadratics:
   which describe the walk between barriers, and
 * the barrier roots ``phi1 > 1 > phi2 > 0`` of
   ``phi**2 - theta*phi + omega**i0 = 0``, where ``theta`` couples
-  consecutive barrier values of the generating functions.
+  consecutive barrier values of the generating functions.  Their gaps
+  ``phi1 - 1``, ``1 - phi2`` and ``phi1 - phi2`` are solved from sums of
+  non-negative terms (:func:`phi_roots`), never from
+  ``theta**2 - 4*omega**i0``, which cancels near the double root.
 
 Differences of tau powers always enter through the divided difference
 ``D_n = (tau2**n - tau1**n) / (tau2 - tau1)``, computed here as the
@@ -29,6 +32,7 @@ formula serves drifting and driftless walks alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import ParameterError, UnsupportedRegimeError, WalkParams
@@ -45,10 +49,18 @@ class RootPair:
 
 @dataclass(frozen=True)
 class PhiPair:
-    """Barrier recurrence roots, phi1 >= phi2 > 0 (phi1 > 1 > phi2 for 0<s<1)."""
+    """Barrier recurrence roots, phi1 >= phi2 > 0 (phi1 > 1 > phi2 for 0<s<1).
+
+    ``phi1_gap = phi1 - 1``, ``phi2_gap = 1 - phi2`` and
+    ``sqrt_disc = phi1 - phi2`` are kept apart, each with its own digits,
+    because they are what the closed forms divide by where a root nears 1.
+    """
 
     phi1: float
     phi2: float
+    phi1_gap: float
+    phi2_gap: float
+    sqrt_disc: float
 
 
 @dataclass(frozen=True)
@@ -142,31 +154,75 @@ def theta(z: float, params: WalkParams, u_i0: float, u_prev: float) -> float:
     return (u_i0 / (1.0 - s) - 2.0 * params.p * z * u_prev) / (params.q * z)
 
 
-def phi_roots(theta: float, omega_pow: float) -> PhiPair:
-    """Solve phi**2 - theta*phi + omega_pow = 0, ordered phi1 >= phi2.
+def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
+    """Solve phi**2 - theta*phi + omega**i0 = 0 from theta's parts, for s < 1.
 
-    ``omega_pow`` is omega**i0.  A clearly negative discriminant means
-    ``theta`` is not a valid coupling constant, so it is reported instead
-    of silently clipped; tiny negatives from roundoff at a genuine double
-    root are clamped to zero.  A discriminant that is not finite
-    (theta**2 overflows at large ``i0*|log omega|``) would give phi1=inf
-    and phi2=0, so it is reported as an unsupported regime instead.
+    With ``u_i0 = U_i0`` at ``z``, theta is ``V_i0 + delta``, where
+    ``V_i0 = tau1**i0 + tau2**i0`` and ``delta = U_i0 s / (q (1-s) z)``.  In
+    ``rise = tau1**i0 - 1`` and ``fall = 1 - tau2**i0`` (both >= 0, from
+    :func:`_power_gaps`) each quantity the roots need is a sum of
+    non-negative terms:
+
+    * ``disc = theta**2 - 4 omega**i0 = (rise + fall)**2 + delta (2 V_i0 + delta)``,
+    * ``(phi1 - 1)(1 - phi2) = theta - 1 - omega**i0 = rise fall + delta``,
+    * ``theta - 2 = rise - fall + delta``, whose sign says which gap is wider.
+
+    The wider gap is ``(|theta - 2| + sqrt(disc)) / 2`` and the other is the
+    product over it, so neither cancels near the double root (near-driftless
+    walks as s -> 0) or as s -> 0, and ``phi1 - phi2 = sqrt(disc)``.  Two
+    inputs are reported as unsupported regimes instead: a discriminant that
+    is not finite (large ``i0*|log omega|``), which would give phi1=inf and
+    phi2=0, and, for s > 0 with theta >= 2, a ``1 - phi2`` that is subnormal
+    or divides a subnormal product (s near the float minimum), which keeps
+    fewer than 53 bits.
     """
-    disc = theta * theta - 4.0 * omega_pow
+    s = params.s
+    try:
+        rise, fall = _power_gaps(z, params)
+    except OverflowError:  # tau1**i0 leaves float range
+        rise, fall = math.inf, 0.0
+    delta = u_i0 * s / (params.q * (1.0 - s) * z)
+    spread = rise + fall  # tau1**i0 - tau2**i0
+    disc = spread * spread + delta * (2.0 * ((1.0 + rise) + (1.0 - fall)) + delta)
     if not math.isfinite(disc):
         raise UnsupportedRegimeError(
-            f"barrier roots overflow (theta={theta}, omega**i0={omega_pow}); "
+            f"barrier roots overflow (tau1**i0 - 1={rise!r}, delta={delta!r}); "
             "no closed-form answer is available for this instance"
         )
-    if disc < 0.0:
-        if disc < -1e-12 * max(theta * theta, 1.0):
-            raise ParameterError(
-                f"complex barrier roots (theta={theta}, omega**i0={omega_pow}); "
-                "inconsistent coupling data"
-            )
-        disc = 0.0
-    phi1 = 0.5 * (theta + math.sqrt(disc))
-    return PhiPair(phi1=phi1, phi2=omega_pow / phi1)
+    sqrt_disc = math.sqrt(disc)
+    lift = rise - fall + delta  # theta - 2
+    wide = 0.5 * (abs(lift) + sqrt_disc)
+    product = rise * fall + delta
+    narrow = product / wide if wide else 0.0  # 0 at the double root 1
+    if s and lift >= 0.0 and min(product, narrow) < sys.float_info.min:
+        raise UnsupportedRegimeError(
+            f"1 - phi2 = {product!r} / {wide!r} at s={s} is, or divides, a subnormal "
+            "number; no closed-form answer keeps its digits"
+        )
+    phi1_gap, phi2_gap = (wide, narrow) if lift >= 0.0 else (narrow, wide)
+    phi1 = 1.0 + phi1_gap
+    return PhiPair(phi1, params.omega_pow / phi1, phi1_gap, phi2_gap, sqrt_disc)
+
+
+def _power_gaps(z: float, params: WalkParams) -> tuple[float, float]:
+    """``tau1**i0 - 1`` and ``1 - tau2**i0``, both >= 0, without cancellation.
+
+    With ``r = sqrt(1 - 4pq z**2)``, taken as ``sqrt((1-z)(1+z) + (z(2p-1))**2)``,
+    ``tau1 - 1 = (a + r) / (2qz)`` for ``a = 1 - 2qz = (1-z) + z(2p-1)`` and
+    ``1 - tau2 = (b + r) / (1 + r)`` for ``b = 1 - 2pz = (1-z) + z(1-2p)``.
+    Where a (or b) is negative, ``a + r = (r**2 - a**2) / (r - a)`` with
+    ``r**2 - a**2 = 4qz(1-z)`` (``4pz(1-z)`` for b) is a quotient of
+    non-negative terms.  ``2p - 1`` is exact for p >= 1/4.  The powers
+    follow through expm1 and log1p; a tau2 within rounding of 0 gives 1.
+    """
+    p, i0 = params.p, params.i0
+    lean, rest = z * (2.0 * p - 1.0), 1.0 - z
+    r = math.sqrt(rest * (1.0 + z) + lean * lean)
+    a, b = rest + lean, rest - lean
+    up = (a + r) / (2.0 * params.q * z) if a >= 0.0 else 2.0 * rest / (r - a)
+    down = (b + r) / (1.0 + r) if b >= 0.0 else 4.0 * p * z * rest / ((r - b) * (1.0 + r))
+    fall = -math.expm1(i0 * math.log1p(-down)) if down < 1.0 else 1.0
+    return math.expm1(i0 * math.log1p(up)), fall
 
 
 def _divided_difference_slope(roots: RootPair, n: int) -> float:
@@ -245,12 +301,11 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     lt = _lucas_from(char.roots, params, i0, char.u_i0, char.u_prev)
     dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - char.theta
     phi = char.phi
-    gap = phi.phi1 - phi.phi2
-    if gap == 0.0:
+    if not phi.sqrt_disc:
         raise UnsupportedRegimeError(
             "barrier roots coincide at z=1; no derivative is available"
         )
-    dphi1 = phi.phi1 * dtheta / gap
-    dphi2 = -phi.phi2 * dtheta / gap
+    dphi1 = phi.phi1 * dtheta / phi.sqrt_disc
+    dphi2 = -phi.phi2 * dtheta / phi.sqrt_disc
     der = params._memo["derivatives"] = DerivativeBundle(dtheta, dphi1, dphi2, lt)
     return der

@@ -160,8 +160,8 @@ class Profile:
         if not self.rho:
             return 0.0
         tail = self.at(k) * self.rho / self.gap
-        if self.drho:  # times add mass * rho**(k-a) * drho / gap**2
-            tail += self.mass * self.rho ** (k - last) * self.drho / (self.gap * self.gap)
+        if self.drho:  # times add mass * rho**(k-a) * drho / gap**2, gap**2 may underflow
+            tail += self.mass * self.rho ** (k - last) * self.drho / self.gap / self.gap
         return tail
 
     @property

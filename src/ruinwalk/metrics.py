@@ -11,7 +11,9 @@ Mean times are *killed* expectations E[T * 1{absorbed at Y}]; the overall
 mean is their sum.  Per-barrier times are z-derivatives at z=1 of the
 generating functions, taken through the Lucas sequences of the step roots
 (:func:`ruinwalk.charpoly.lucas_terms`), which stay analytic at p = 1/2:
-drifting and driftless walks share every formula.
+drifting and driftless walks share every formula.  The barrier roots'
+gaps they divide by come from the characteristic without cancellation, so
+only a result that is not finite in floating point raises.
 
 At the limits s=0 and s=1 the walk is classical gambler's ruin, and one
 builder, :func:`_limit_profiles`, answers every public function there; only
@@ -24,7 +26,6 @@ variants that fail oracle verification; see FORMULA_ERRATA.md.
 from __future__ import annotations
 
 import math
-import sys
 
 from . import charpoly as cp
 from . import mgf
@@ -36,35 +37,6 @@ from .core import (
     UnsupportedRegimeError,
     WalkParams,
 )
-
-
-# The barrier roots tend to 1 (and omega**i0) as s -> 0.  A gap 1 - phi below
-# this keeps fewer than half of its digits: what is left is mostly rounding.
-_MIN_ROOT_GAP = math.sqrt(sys.float_info.epsilon)
-
-
-def _require_resolved(name: str, root: float, gap: float, s: float) -> None:
-    if gap < _MIN_ROOT_GAP:
-        raise UnsupportedRegimeError(
-            f"{name}={root!r} is within rounding of 1 at s={s}; no accurate closed form"
-        )
-
-
-# the README holds closed-form mean times to this relative error
-_TIME_RTOL = 1e-7
-
-
-def _require_double_root_digits(char: mgf.Characteristic, gap: float, s: float) -> None:
-    """Raise where phi1's rounding near the double root leaves ``gap`` fewer than 7 digits.
-
-    ``gap`` is phi1 - 1 for the mean and half the root gap for the killed
-    times, which divide by it through phi's derivatives.
-    """
-    if not char.phi1_error <= _TIME_RTOL * gap:
-        raise UnsupportedRegimeError(
-            f"theta={char.theta!r} is within rounding of the double root "
-            f"2*omega**(i0/2) at s={s}: the barrier roots keep fewer than 7 digits"
-        )
 
 
 def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Profile, float]:
@@ -133,7 +105,6 @@ def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
     if s in (0.0, 1.0):
         return _limit_profiles(params, strategy)[0]
     values = mgf._barrier_fn(strategy)(params, 1.0)
-    _require_resolved("phi2", values.rho, values.gap, s)  # the tail sums divide by it
     ruin, *barriers = values.head
     # ruin absorbs every arrival, a barrier each with probability s
     head = [ruin] + [s * v if strategy.is_barrier(k * i0, i0) else 0.0 for k, v in enumerate(barriers, 1)]
@@ -180,53 +151,52 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
 
 
 def _mean_time_interior(params: WalkParams, strategy: Strategy) -> float:
-    """:func:`mean_time_any` for 0 < s < 1; raises where floating point cannot give it.
+    """:func:`mean_time_any` for 0 < s < 1; raises where it is not finite in floating point.
 
-    As s -> 0, ``(1-s)/s`` overflows, and for p <= 1/2 phi1 tends to 1, so
-    ``1 - 1/phi1`` keeps only the digits of phi1 beyond 1.
+    ``1 - 1/phi1`` is read as ``(phi1 - 1)/phi1`` from the barrier roots'
+    own gap, so it keeps its digits as phi1 -> 1 (p <= 1/2 as s -> 0);
+    what can fail is ``(1-s)/s``, which overflows as s -> 0.
     """
     s, i0 = params.s, params.i0
     char = mgf.characteristic(params, 1.0)
-    inv_phi1 = 1.0 / char.phi.phi1
-    m = i0 * (1.0 - s) / s * (1.0 - inv_phi1)
+    excess = char.phi.phi1_gap / char.phi.phi1  # 1 - 1/phi1
+    m = i0 * (1.0 - s) / s * excess
     if strategy is Strategy.B:
         m /= 1.0 - s
     elif strategy is Strategy.C:
         wi = params.omega_pow
         # (1 - omega**-i0) / (p - q) = U_i0 / (q * omega**i0), finite at p = q
-        num = (1.0 - s) / s * (1.0 - inv_phi1) + char.u_i0 / (params.q * wi)
-        m = i0 * num / (1.0 + 1.0 / wi - inv_phi1)
+        num = (1.0 - s) / s * excess + char.u_i0 / (params.q * wi)
+        m = i0 * num / (1.0 / wi + excess)
     if not math.isfinite(m):
         raise UnsupportedRegimeError(f"the mean time is not finite in floating point at s={s}")
-    _require_resolved("phi1", char.phi.phi1, 1.0 - inv_phi1, s)
-    _require_double_root_digits(char, char.phi.phi1 - 1.0, s)
     return m
 
 
 def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
-    """Killed expected time for absorption exactly at barrier k*i0 (k=0: ruin).
-
-    Assembled from the z-derivative of the generating function at z=1.
-    """
+    """Killed expected time for absorption exactly at barrier k*i0 (k=0: ruin), from :func:`time_profile`."""
     if k < 0:
         raise ParameterError(f"barrier index must be >= 0, got {k}")
-    strategy = Strategy(strategy)
-    if params.s in (0.0, 1.0):
-        return _limit_profiles(params, strategy)[1].at(k)
-    return _killed_times(params, strategy).at(k)
+    return time_profile(params, strategy).at(k)
 
 
-def _killed_times(params: WalkParams, strategy: Strategy) -> Profile:
-    """Derivative assembly of the killed times at ruin and barriers 1..a, 0 < s < 1.
+def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
+    """Killed expected times at ruin and at every barrier k*i0.
 
-    Past barrier a they are the z-derivatives of the geometric masses
-    ``mass * phi2**m``, so the profile's tail carries ``drho = dphi2``.
+    Their total is the mean time of :func:`mean_time_any` up to rounding;
+    at s=0 with upward drift it is the ruin time killed by the escape.  For
+    0 < s < 1 the times at ruin and barriers 1..a are assembled from the
+    z-derivatives at z=1; past barrier a they are the z-derivatives of the
+    geometric masses ``mass * phi2**m``, so the profile's tail carries
+    ``drho = dphi2``.
     """
+    strategy = Strategy(strategy)
     s = params.s
+    if s in (0.0, 1.0):
+        return _limit_profiles(params, strategy)[1]
     der = cp.derivatives_at_1(params)
     char = mgf.characteristic(params, 1.0)
     lt, phi = der.lucas, char.phi
-    _require_double_root_digits(char, 0.5 * (phi.phi1 - phi.phi2), s)
     # logarithmic derivative shared by every barrier form: U_i0 and 1/z
     log_common = lt.du / lt.u - 1.0
     phi_rate = der.dphi2 / phi.phi2
@@ -245,18 +215,7 @@ def _killed_times(params: WalkParams, strategy: Strategy) -> Profile:
         if strategy is Strategy.B:
             head = [t / (1.0 - s) for t in head]
             mass /= 1.0 - s
-    return Profile(tuple(head), phi.phi2, char.phi2_gap, der.dphi2, mass)
-
-
-def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
-    """Killed expected times at ruin and at every barrier k*i0.
-
-    Their total is the mean time of :func:`mean_time_any` up to rounding;
-    at s=0 with upward drift it is the ruin time killed by the escape.
-    """
-    strategy = Strategy(strategy)
-    if params.s in (0.0, 1.0):
-        return _limit_profiles(params, strategy)[1]
-    times = _killed_times(params, strategy)
-    _require_resolved("phi2", times.rho, times.gap, params.s)  # the tail sums divide by it
+    times = Profile(tuple(head), phi.phi2, phi.phi2_gap, der.dphi2, mass)
+    if not math.isfinite(times.total):
+        raise UnsupportedRegimeError(f"the killed times' sum is not finite in floating point at s={s}")
     return times

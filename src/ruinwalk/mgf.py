@@ -9,20 +9,18 @@ start state: B's function at ``i0`` sums from m=1, and :func:`mgf_b` takes
 it from theta's definition rather than by subtracting that self-term.
 
 Every closed form reads the instance's :class:`Characteristic` at its z,
-which states theta, phi and ``1 - phi2`` once.  Barrier states carry the
-closed forms, each a :class:`ruinwalk.core.Profile` whose tail is geometric
-in phi2 with gap ``phi2_gap``; states strictly between barriers are
-reconstructed from the two neighbouring barrier values via the divided
-differences of tau powers, one segment at a time, each end weighted by the
-stop rule of :class:`ruinwalk.core.Strategy`.  All formulas here are
-cross-checked against the step-by-step propagation oracle in
+which states theta and the barrier roots with their gaps once.  Barrier
+states carry the closed forms, each a :class:`ruinwalk.core.Profile` whose
+tail is geometric in phi2 with gap ``phi2_gap``; states strictly between
+barriers are reconstructed from the two neighbouring barrier values via
+the divided differences of tau powers, one segment at a time, each end
+weighted by the stop rule of :class:`ruinwalk.core.Strategy`.  All formulas
+here are cross-checked against the step-by-step propagation oracle in
 :mod:`ruinwalk.oracle`.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 from .charpoly import (
@@ -35,9 +33,6 @@ from .charpoly import (
 )
 from .core import ParameterError, Profile, Strategy, UnsupportedRegimeError, WalkParams
 
-_EPS = sys.float_info.epsilon
-_SMALL_GAP = 0.01  # below it, 1 - phi2 comes from phi1 - 1 where that keeps more digits
-
 
 def _require_interior_s(params: WalkParams) -> None:
     if not 0.0 < params.s < 1.0:
@@ -49,14 +44,13 @@ def _require_interior_s(params: WalkParams) -> None:
 
 @dataclass(frozen=True)
 class Characteristic:
-    """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta, phi and 1 - phi2 at one z.
+    """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta and phi at one z.
 
     Built by :func:`characteristic`; every closed form for 0 < s < 1, and
     every check that wants theta or phi at some z, reads it from there.
-    ``phi1_error`` bounds phi1's rounding error (see :func:`_phi1_error`).
-    ``phi2_gap`` is ``1 - phi2``, the denominator of every profile's
-    geometric tail; at z=1 it comes from phi1 - 1 where that keeps more
-    digits.
+    ``phi.phi2_gap`` is ``1 - phi2``, the denominator of every profile's
+    geometric tail, taken without cancellation at every z (see
+    :func:`ruinwalk.charpoly.phi_roots`).
     """
 
     z: float
@@ -65,24 +59,6 @@ class Characteristic:
     u_prev: float
     theta: float
     phi: PhiPair
-    phi1_error: float
-    phi2_gap: float
-
-
-def _phi1_error(
-    params: WalkParams, z: float, u_i0: float, u_prev: float, th: float, phi: PhiPair
-) -> float:
-    """A bound on phi1's rounding error, which grows where the barrier roots meet.
-
-    Near the double root theta**2 = 4 omega**i0 (a near-driftless walk as
-    s -> 0) the discriminant cancels: its rounding, and theta's own (eps
-    times the size of theta's terms), reach phi1 through the square root as
-    ``d_disc / (4 sqrt(disc))``.  Against the exact solver the bound is
-    10-50x pessimistic.
-    """
-    d_theta = _EPS * (u_i0 / (1.0 - params.s) + 2.0 * params.p * z * u_prev) / (params.q * z)
-    d_disc = 2.0 * th * d_theta + _EPS * (th * th + 4.0 * params.omega_pow)
-    return 0.5 * d_disc / (2.0 * (phi.phi1 - phi.phi2) + math.sqrt(d_disc))
 
 
 def characteristic(params: WalkParams, z: float) -> Characteristic:
@@ -100,19 +76,13 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
         u_i0 = power_divided_difference(roots, params.i0)
         u_prev = power_divided_difference(roots, params.i0 - 1)
         th = theta(z, params, u_i0, u_prev)
-        phi = phi_roots(th, params.omega_pow)
+        phi = phi_roots(z, params, u_i0)
         if params.s and not phi.phi2:
             raise UnsupportedRegimeError(
                 f"phi2 underflows to 0 (omega**i0={params.omega_pow!r}) at z={z}; "
                 "no closed-form answer is available for this instance"
             )
-        error = _phi1_error(params, z, u_i0, u_prev, th, phi)
-        gap, above = 1.0 - phi.phi2, phi.phi1 - 1.0
-        if z == 1.0 and gap < _SMALL_GAP and above > gap:
-            # 1 - phi2 cancels as phi2 -> 1 (p > 1/2, s -> 0); phi1 - 1 does not, and at z=1
-            # (phi1 - 1)(1 - phi2) = theta - 1 - omega**i0 = U_i0 s / (q (1-s))
-            gap = u_i0 * params.s / (params.q * (1.0 - params.s) * above)
-        char = Characteristic(z, roots, u_i0, u_prev, th, phi, error, gap)
+        char = Characteristic(z, roots, u_i0, u_prev, th, phi)
         memo.clear()
         memo[z] = char
     return char
@@ -128,7 +98,7 @@ def mgf_a(params: WalkParams, z: float) -> Profile:
     char = characteristic(params, z)
     phi2, wi = char.phi.phi2, params.omega_pow
     base = char.u_i0 / (params.q * (1.0 - params.s) * z * wi)
-    return Profile((phi2 / wi, base * phi2, base * phi2 ** 2), phi2, char.phi2_gap)
+    return Profile((phi2 / wi, base * phi2, base * phi2 ** 2), phi2, char.phi.phi2_gap)
 
 
 def mgf_b(params: WalkParams, z: float) -> Profile:
@@ -167,7 +137,7 @@ def mgf_c(params: WalkParams, z: float) -> Profile:
         d_i0 * phi2 / denom_far,
         d_i0 * phi2 ** 2 / denom_far,
     )
-    return Profile(head, phi2, char.phi2_gap)
+    return Profile(head, phi2, char.phi.phi2_gap)
 
 
 def _barrier_fn(strategy: Strategy):

@@ -232,22 +232,25 @@ def check_time_decomposition() -> CheckResult:
 
 def check_derivatives_fd() -> CheckResult:
     def one_sided(f, h=1e-4):
+        """Richardson-extrapolated one-sided differences at z=1 of each value f(z) lists."""
         at_1 = f(1.0)
 
         def diff(hh):
-            return (at_1 - f(1.0 - hh)) / hh
+            return [(a - b) / hh for a, b in zip(at_1, f(1.0 - hh))]
 
-        d1, d2, d3 = diff(h), diff(h / 2), diff(h / 4)
-        e1, e2 = 2 * d2 - d1, 2 * d3 - d2
-        return (4 * e2 - e1) / 3
+        steps = zip(diff(h), diff(h / 2), diff(h / 4))
+        return [(4 * (2 * d3 - d2) - (2 * d2 - d1)) / 3 for d1, d2, d3 in steps]
 
     worst = 0.0
     for params in _interior_grid():
         der = cp.derivatives_at_1(params)
-        fd_theta = one_sided(lambda z: mgf.characteristic(params, z).theta)
-        worst = max(worst, abs(der.dtheta - fd_theta) / max(abs(fd_theta), 1e-300))
-        fd_phi2 = one_sided(lambda z: mgf.characteristic(params, z).phi.phi2)
-        worst = max(worst, abs(der.dphi2 - fd_phi2) / max(abs(fd_phi2), 1e-300))
+
+        def theta_phi2(z):  # one characteristic per z serves both differences
+            char = mgf.characteristic(params, z)
+            return char.theta, char.phi.phi2
+
+        for want, fd in zip((der.dtheta, der.dphi2), one_sided(theta_phi2)):
+            worst = max(worst, abs(want - fd) / max(abs(fd), 1e-300))
     return _result("derivatives match finite differences", worst, 1e-6)
 
 
@@ -258,6 +261,7 @@ def check_derivatives_fd() -> CheckResult:
 def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> list[CheckResult]:
     worst_p, where_p = 0.0, "-"
     worst_t, where_t = 0.0, "-"
+    worst_r, where_r = 0.0, "-"
     for params in _interior_grid():
         for strategy in Strategy:
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
@@ -276,9 +280,15 @@ def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> lis
                 gap = abs(got - ref) / max(abs(ref), 1e-9)
                 if gap > worst_t:
                     worst_t, where_t = gap, f"{at} k={k}"
+            # the oracle's period ratio is phi2: rho, 1 - rho and drho against the roots
+            ours, its = (tp.rho, tp.gap, tp.drho), (sol.times.rho, sol.times.gap, sol.times.drho)
+            gap = max(abs(a - b) / abs(b) for a, b in zip(ours, its))
+            if gap > worst_r:
+                worst_r, where_r = gap, at
     return [
         _result("absorption profiles match the exact solver", worst_p, tol_prob, f"at {where_p}"),
         _result("mean times match the exact solver", worst_t, tol_time, f"at {where_t}"),
+        _result("phi2, 1 - phi2 and dphi2 match the exact solver's tail", worst_r, 1e-12, f"at {where_r}"),
     ]
 
 
@@ -362,8 +372,9 @@ def _phi_is_consistent_or_matches(
     """True if the rejected theta would still reproduce the oracle's p0."""
     if not _phi_is_consistent(theta_val, params):
         return False
-    phi2 = cp.phi_roots(theta_val, params.omega_pow).phi2
-    candidate = phi2 / (params.omega_pow * (1.0 - params.s))
+    wi = params.omega_pow
+    phi2 = 2.0 * wi / (theta_val + math.sqrt(theta_val * theta_val - 4.0 * wi))
+    candidate = phi2 / (wi * (1.0 - params.s))
     return abs(candidate - p0) < 1e-6
 
 

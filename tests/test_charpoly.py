@@ -7,6 +7,7 @@ from ruinwalk import charpoly as cp
 from ruinwalk import mgf
 from ruinwalk.core import ParameterError, UnsupportedRegimeError, WalkParams
 
+import decimal_reference as ref
 from conftest import GRID_I0, GRID_S, SQRT3, grid_params
 
 
@@ -104,16 +105,21 @@ class TestTheta:
 
 class TestPhiRoots:
     @pytest.mark.parametrize(
-        "theta_val,omega_pow,want1,want2",
+        "i0,want1,want2",
         [
-            (4.0, 1.0, 2.0 + SQRT3, 2.0 - SQRT3),
-            (6.0, 1.0, 3.0 + 2.0 * math.sqrt(2.0), 3.0 - 2.0 * math.sqrt(2.0)),
+            (1, 2.0 + SQRT3, 2.0 - SQRT3),
+            (2, 3.0 + 2.0 * math.sqrt(2.0), 3.0 - 2.0 * math.sqrt(2.0)),
         ],
     )
-    def test_known_roots(self, theta_val, omega_pow, want1, want2):
-        phi = cp.phi_roots(theta_val, omega_pow)
+    def test_known_roots(self, i0, want1, want2):
+        # p = 1/2 at z = 1: U_i0 = i0 and theta = 2 + 2 i0 s/(1-s), so 4 and 6
+        # at s = 1/2, with omega**i0 = 1
+        phi = cp.phi_roots(1.0, WalkParams(0.5, 0.5, i0), float(i0))
         assert phi.phi1 == pytest.approx(want1, rel=1e-14)
         assert phi.phi2 == pytest.approx(want2, rel=1e-14)
+        assert phi.phi1_gap == pytest.approx(want1 - 1.0, rel=1e-14)
+        assert phi.phi2_gap == pytest.approx(1.0 - want2, rel=1e-14)
+        assert phi.sqrt_disc == pytest.approx(want1 - want2, rel=1e-14)
 
     def test_no_stop_limit_gives_extremes_of_omega_power(self):
         params = WalkParams(0.4, 0.0, 2)
@@ -121,19 +127,12 @@ class TestPhiRoots:
         assert phi.phi1 == pytest.approx(1.0, rel=1e-12)
         assert phi.phi2 == pytest.approx(params.omega_pow, rel=1e-12)
 
-    def test_rejects_clearly_complex_roots(self):
-        with pytest.raises(ParameterError):
-            cp.phi_roots(1.0, 1.0)
-
     def test_overflowing_discriminant_is_unsupported(self):
-        # theta ~ 1.6e191 here, so theta**2 is inf and phi2 would come out 0
+        # tau1**i0 ~ 7e190 here, so the discriminant is inf and phi2 would come out 0
         params = WalkParams(0.9, 0.5, 200)
-        roots = cp.tau_roots(1.0, params)
-        theta_val = cp.theta(
-            1.0, params, cp.power_divided_difference(roots, 200), cp.power_divided_difference(roots, 199)
-        )
+        u_i0 = cp.power_divided_difference(cp.tau_roots(1.0, params), 200)
         with pytest.raises(UnsupportedRegimeError):
-            cp.phi_roots(theta_val, params.omega_pow)
+            cp.phi_roots(1.0, params, u_i0)
 
     def test_ordering_and_product_on_grid(self):
         for params in grid_params():
@@ -143,6 +142,45 @@ class TestPhiRoots:
                 assert phi.phi1 * phi.phi2 == pytest.approx(
                     params.omega_pow, rel=1e-12
                 )
+
+
+_NEAR_HALF = st.sampled_from([0.5, 0.5 + 1e-9, 0.5 - 1e-9, 0.5 + 1e-7, 0.5 - 1e-7])
+
+
+class TestBarrierRootGaps:
+    """``phi1 - 1``, ``1 - phi2`` and ``sqrt(disc)`` against the quadratic
+    formula evaluated in ``decimal``, where theta**2 - 4 omega**i0 cancels in
+    floating point: near p = 1/2, as s -> 0 and as z -> 1."""
+
+    @given(
+        p=st.one_of(_NEAR_HALF, st.floats(0.05, 0.95)),
+        s=st.one_of(
+            st.floats(-300.0, -0.001).map(lambda e: 10.0 ** e),
+            st.floats(-12.0, -0.001).map(lambda e: 1.0 - 10.0 ** e),
+        ),
+        i0=st.integers(1, 13),
+        z=st.one_of(st.just(1.0), st.integers(1, 15).map(lambda k: 1.0 - 10.0 ** -k), st.floats(0.01, 1.0)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_gaps_match_the_decimal_reference(self, p, s, i0, z):
+        params = WalkParams(p, s, i0)
+        phi, want = mgf.characteristic(params, z).phi, ref.barrier_roots(params, z)
+        for name in ("phi1_gap", "phi2_gap", "sqrt_disc"):
+            assert getattr(phi, name) == pytest.approx(want[name], rel=1e-13), name
+
+    @pytest.mark.parametrize(
+        "p, s, i0, z",
+        [
+            (0.5, 1e-16, 2, 1.0),  # theta**2 - 4 omega**i0 left phi1 - 1 off by 0.49 here
+            (1e-20, 0.5, 3, 1.0),  # 1 - tau2 rounds to 1, where log1p(-1) is undefined
+            (1e-20, 0.5, 3, 0.5),
+        ],
+    )
+    def test_all_five_at_edge_points(self, p, s, i0, z):
+        params = WalkParams(p, s, i0)
+        phi, want = mgf.characteristic(params, z).phi, ref.barrier_roots(params, z)
+        for name in ("phi1", "phi2", "phi1_gap", "phi2_gap", "sqrt_disc"):
+            assert getattr(phi, name) == pytest.approx(want[name], rel=1e-15), name
 
 
 def _richardson_from_below(f, h=1e-4):

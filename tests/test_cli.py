@@ -9,6 +9,7 @@ from ruinwalk import charpoly as cp
 from ruinwalk import cli, metrics, mgf, oracle, verify
 from ruinwalk.core import Strategy, WalkParams
 
+import decimal_reference as ref
 from conftest import SQRT3
 
 
@@ -139,15 +140,29 @@ class TestAnalytic:
         assert (code, out) == (2, "")
         assert "not finite" in json.loads(err)["error"]
 
-    def test_mean_at_the_driftless_double_root_exits_2_with_json_error(self, capsys):
-        # m_total was 4000173.797 here against the exact solver's 3999995.99999
-        code, out, err = run_cli(
+    def test_mean_at_the_driftless_double_root_answers(self, capsys):
+        # m_total was 4000173.797 here against the exact solver's 3999995.99999,
+        # and then exit 2 while phi1 came from theta**2 - 4 omega**i0
+        code, out, _ = run_cli(
             ["analytic", "--p", "0.5", "--s", "1e-12", "--i0", "2", "--strategy", "A"],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1
-        assert "double root" in json.loads(err)["error"]
+        assert code == 0
+        m_total = json.loads(out)["times"]["m_total"]
+        params = WalkParams(0.5, 1e-12, 2)
+        assert m_total == pytest.approx(oracle.solve_exact(params, Strategy.A).m_total, rel=1e-7)
+        assert m_total == pytest.approx(ref.mean_time(params, Strategy.A), rel=1e-14)
+
+    def test_driftless_route_falls_back_where_the_exact_solver_does_not_converge(self, capsys):
+        # a period's eigenvalues do not separate at s = 1e-200: this exited 1
+        code, out, _ = run_cli(
+            ["analytic", "--p", "0.5", "--s", "1e-200", "--i0", "2", "--strategy", "A"], capsys
+        )
+        assert code == 0
+        times = json.loads(out)["times"]
+        assert times["source"] == "analytic"
+        params = WalkParams(0.5, 1e-200, 2)
+        assert times["m_total"] == pytest.approx(ref.mean_time(params, Strategy.A), rel=1e-14)
 
     @pytest.mark.parametrize("s", ["1e-17", "1e-200"])
     @pytest.mark.parametrize("p", ["0.4", "0.5", "0.6", "0.7"])
@@ -380,19 +395,23 @@ class TestVerify:
             params = WalkParams(float(where["p"]), float(where["s"]), int(where["i0"]))
             strategy = Strategy(where["strategy"])
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
-            k = int(where["k"])  # both worst cases of this grid are per-site ones
-            if "absorption" in check.name:
+            tp = metrics.time_profile(params, strategy)
+            if "tail" in check.name:  # one figure per instance and strategy
+                ours, its = (tp.rho, tp.gap, tp.drho), (sol.times.rho, sol.times.gap, sol.times.drho)
+                gap = max(abs(a - b) / abs(b) for a, b in zip(ours, its))
+            elif "absorption" in check.name:
+                k = int(where["k"])  # the other worst cases of this grid are per-site ones
                 prof = metrics.absorption_profile(params, strategy)
                 gap = abs(prof.at(k) - sol.probability(k))
             else:
-                ref = sol.killed_time(k)
-                tp = metrics.time_profile(params, strategy)
-                gap = abs(tp.at(k) - ref) / max(abs(ref), 1e-9)
+                k = int(where["k"])
+                want = sol.killed_time(k)
+                gap = abs(tp.at(k) - want) / max(abs(want), 1e-9)
             assert f"{gap:.3e}" == f"{worst[check]:.3e}"
         # read through the tail's continuation, not a dict that stops at
         # tol * 1e-6, the worst errors are rounding-level
-        mass, time = worst.values()
-        assert mass <= 1e-12 and time <= 1e-10
+        mass, time, tail = worst.values()
+        assert mass <= 1e-12 and time <= 1e-10 and tail <= 1e-14
 
 
 class TestFloatCell:
@@ -669,7 +688,7 @@ class TestSubprocessEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
-            [0, 0, 0, 0], [[], [], [], []], True, "18/18 checks passed"
+            [0, 0, 0, 0], [[], [], [], []], True, "19/19 checks passed"
         ]
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["0.4"] * 3 + ["0.5"] * 3

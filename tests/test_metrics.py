@@ -12,6 +12,7 @@ from ruinwalk.core import (
     WalkParams,
 )
 
+import decimal_reference as ref
 from conftest import SQRT3, grid_params, small_grid
 
 
@@ -287,22 +288,38 @@ class TestBarrierRootsNearOne:
         assert all(math.isfinite(v) and v >= 0.0 for v in values), values
         if p > 0.5 or (prof, tp, m) == (None, None, None):
             return
-        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        try:
+            sol = oracle.solve_exact(params, strategy, tol=1e-11)
+            masses, mean_ref = [sol.probability(k) for k in range(4)], sol.m_total
+        except oracle.ConvergenceError:
+            # at p = 1/2, s = 1e-200 a period's eigenvalues do not separate:
+            # the closed forms in decimal judge instead
+            masses, mean_ref = ref.masses(params, strategy, 3), ref.mean_time(params, strategy)
         if prof is not None:
             for k in range(4):
-                assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9)
+                assert prof.at(k) == pytest.approx(masses[k], abs=1e-9)
         for mean in (m, None if tp is None else tp.total):
             if mean is not None:
-                assert mean == pytest.approx(sol.m_total, rel=1e-7)
+                assert mean == pytest.approx(mean_ref, rel=1e-7)
 
-    def test_mean_time_resolved_above_the_cut(self):
-        # 1 - 1/phi1 is about s/(q-p): 5e-8 here, above the sqrt(eps) cut
-        params = WalkParams(0.4, 1e-8, 2)
-        sol = oracle.solve_exact(params, Strategy.A, tol=1e-11)
-        assert metrics.mean_time_any(params, Strategy.A) == pytest.approx(sol.m_total, rel=1e-7)
-        # and 5e-10 here, below it, where the rounding of phi1 is ~1e-6 of the gap
-        with pytest.raises(UnsupportedRegimeError, match="within rounding of 1"):
-            metrics.mean_time_any(WalkParams(0.4, 1e-10, 2), Strategy.A)
+    def test_mean_time_resolved_as_phi1_nears_one(self):
+        # 1 - 1/phi1 is about s/(q-p): 5e-8 and 5e-10 here; the second was
+        # below the sqrt(eps) cut that refused it while phi1 came from theta**2 - 4 omega**i0
+        for s in (1e-8, 1e-10):
+            params = WalkParams(0.4, s, 2)
+            sol = oracle.solve_exact(params, Strategy.A, tol=1e-11)
+            m = metrics.mean_time_any(params, Strategy.A)
+            assert m == pytest.approx(sol.m_total, rel=1e-7)
+            assert m == pytest.approx(ref.mean_time(params, Strategy.A), rel=1e-14)
+
+    @pytest.mark.parametrize("p, s", [(0.6, 1e-310), (0.6, 5e-324), (0.5, 1e-320)])
+    def test_subnormal_stop_term_raises_instead_of_losing_bits(self, p, s, strategy):
+        # 1 - phi2 is, or divides, a subnormal number here and keeps few bits:
+        # unguarded, A's masses summed to 1 - 4.8e-5 at (0.6, 1e-320)
+        params = WalkParams(p, s, 3)
+        for fn in (metrics.absorption_profile, metrics.time_profile):
+            with pytest.raises(UnsupportedRegimeError, match="subnormal"):
+                fn(params, strategy)
 
 
 class TestPhi2GapNearOne:
@@ -380,21 +397,43 @@ class TestStrategyBNearS1:
 
 
 class TestDoubleRootDigits:
-    """Near theta**2 = 4 omega**i0 (near-driftless walks, s -> 0) the
-    discriminant cancels, and the square root hands phi1 its error divided
-    by sqrt(disc): means and killed times that divide by phi1 - 1 or the
-    root gap must match the exact solver to 1e-7 or raise."""
+    """Near theta**2 = 4 omega**i0 (near-driftless walks, s -> 0) that
+    difference cancels; the barrier roots' gaps come from sums of
+    non-negative terms instead, so means and killed times, which divide by
+    phi1 - 1 or the root gap, answer and match the exact solver to 1e-7."""
 
     @pytest.mark.parametrize(
         "p, s, i0",
         [(0.5, 1e-12, 2), (0.5000001, 1e-30, 3), (0.5, 1e-10, 1), (0.4999999, 1e-14, 3)],
     )
-    def test_refuses_what_rounding_decides(self, p, s, i0, strategy):
+    def test_answers_what_rounding_decided(self, p, s, i0, strategy):
+        # each of these raised while phi1 came from theta**2 - 4 omega**i0:
+        # the mean at (0.5, 1e-12, 2) was 4.5e-5 off
         params = WalkParams(p, s, i0)
-        with pytest.raises(UnsupportedRegimeError, match="double root"):
-            metrics.mean_time_any(params, strategy)
-        with pytest.raises(UnsupportedRegimeError, match="within rounding"):
-            metrics.time_profile(params, strategy)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        m = metrics.mean_time_any(params, strategy)
+        assert m == pytest.approx(sol.m_total, rel=1e-7)
+        assert m == pytest.approx(ref.mean_time(params, strategy), rel=1e-14)
+        tp = metrics.time_profile(params, strategy)
+        assert tp.total == pytest.approx(sol.m_total, rel=1e-7)
+        for k in range(4):
+            want = sol.killed_time(k)
+            assert tp.at(k) == pytest.approx(want, rel=1e-7, abs=1e-7 * sol.m_total)
+        prof = metrics.absorption_profile(params, strategy)
+        for k in range(4):
+            assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9)
+
+    @pytest.mark.parametrize("p, s, i0", [(0.5, 1e-16, 8), (0.5, 1e-16, 5), (0.5, 1e-15, 8)])
+    def test_masses_at_the_driftless_double_root(self, p, s, i0, strategy):
+        # these were 2.0e-8, 1.1e-8 and 6.8e-9 off, with no error raised
+        params = WalkParams(p, s, i0)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        prof = metrics.absorption_profile(params, strategy)
+        for got, want in zip(prof.upto(64), sol.masses.upto(64)):
+            assert abs(got - want) <= 1e-14
+        assert metrics.mean_time_any(params, strategy) == pytest.approx(
+            ref.mean_time(params, strategy), rel=1e-14
+        )
 
     @pytest.mark.parametrize("s", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
     @pytest.mark.parametrize("p", [0.5, 0.5 + 1e-7, 0.5 - 1e-7])

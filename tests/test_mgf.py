@@ -334,8 +334,12 @@ class TestCharacteristicMemo:
         u_i0, u_prev = cp.power_divided_difference(roots, 3), cp.power_divided_difference(roots, 2)
         assert (char.u_i0, char.u_prev) == (u_i0, u_prev)
         assert char.theta == cp.theta(0.7, params, u_i0, u_prev)
-        assert char.phi == cp.phi_roots(char.theta, params.omega_pow)
-        assert char.phi2_gap == 1.0 - char.phi.phi2
+        assert char.phi == cp.phi_roots(0.7, params, u_i0)
+        # away from the double root the gaps are the plain differences, to rounding
+        phi = char.phi
+        assert phi.phi1_gap == pytest.approx(phi.phi1 - 1.0, rel=1e-15)
+        assert phi.phi2_gap == pytest.approx(1.0 - phi.phi2, rel=1e-15)
+        assert phi.sqrt_disc == pytest.approx(phi.phi1 - phi.phi2, rel=1e-15)
 
     def test_same_z_returns_the_identical_object_and_a_new_z_replaces_it(self):
         params = WalkParams(0.4, 0.3, 3)
