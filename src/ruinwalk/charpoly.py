@@ -5,11 +5,14 @@ expected times) is built from two quadratics:
 
 * the step roots ``tau1 >= tau2 > 0`` of ``q*z*tau**2 - tau + p*z = 0``,
   which describe the walk between barriers, and
-* the barrier roots ``phi1 > 1 > phi2 > 0`` of
+* the barrier roots ``phi1 > 1 > phi2 >= 0`` of
   ``phi**2 - theta*phi + omega**i0 = 0``, where ``theta`` couples
-  consecutive barrier values of the generating functions.  Their gaps
-  ``phi1 - 1``, ``1 - phi2`` and ``phi1 - phi2`` are solved from sums of
-  non-negative terms (:func:`phi_roots`), never from
+  consecutive barrier values of the generating functions.  They are
+  solved as ``psi = (1-s) phi``, the roots of
+  ``psi**2 - (1-s) theta psi + (1-s)**2 omega**i0 = 0``, which stay finite
+  on all of 0 <= s <= 1 (at s = 1, psi1 = U_i0/(q z) and phi2 = 0).  Their
+  gaps ``(1-s)(phi1 - 1)``, ``1 - phi2`` and ``(1-s)(phi1 - phi2)`` are
+  solved from sums of non-negative terms (:func:`phi_roots`), never from
   ``theta**2 - 4*omega**i0``, which cancels near the double root.
 
 Differences of tau powers always enter through the divided difference
@@ -49,11 +52,14 @@ class RootPair:
 
 @dataclass(frozen=True)
 class PhiPair:
-    """Barrier recurrence roots, phi1 >= phi2 > 0 (phi1 > 1 > phi2 for 0<s<1).
+    """Barrier recurrence roots, phi1 > 1 > phi2 >= 0, and their scaled forms.
 
     ``phi1_gap = phi1 - 1``, ``phi2_gap = 1 - phi2`` and
     ``sqrt_disc = phi1 - phi2`` are kept apart, each with its own digits,
     because they are what the closed forms divide by where a root nears 1.
+    ``psi1``, ``psi1_gap`` and ``psi_sqrt_disc`` are ``1 - s`` times phi1,
+    phi1_gap and sqrt_disc: finite on 0 <= s <= 1, where the unscaled ones
+    are infinite at s = 1, so every closed form reads them.
     """
 
     phi1: float
@@ -61,6 +67,14 @@ class PhiPair:
     phi1_gap: float
     phi2_gap: float
     sqrt_disc: float
+    psi1: float
+    psi1_gap: float
+    psi_sqrt_disc: float
+
+
+def _unscaled(value: float, scale: float) -> float:
+    """``value / scale`` for the scale 1 - s; infinite with value's sign at s = 1."""
+    return value / scale if scale else math.copysign(math.inf, value)
 
 
 @dataclass(frozen=True)
@@ -81,11 +95,16 @@ class LucasTerms:
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """z-derivatives of theta and phi at z=1, with the Lucas terms behind them."""
+    """z-derivatives of theta and phi at z=1, with the Lucas terms behind them.
+
+    ``rate`` is ``dphi1/phi1 = dpsi1/psi1``, finite on 0 <= s <= 1, and
+    ``dphi2 = -phi2 * rate``; ``dtheta`` and ``dphi1`` are infinite at s = 1.
+    """
 
     dtheta: float
     dphi1: float
     dphi2: float
+    rate: float
     lucas: LucasTerms
 
 
@@ -143,65 +162,73 @@ def theta(z: float, params: WalkParams, u_i0: float, u_prev: float) -> float:
     The ``1/(1-s)`` factor on the first term is essential: without it the
     symmetric-walk value at z=1 would not reduce to
     ``2*(i0/(1-s) + 1 - i0)`` and the barrier recurrence would not
-    reproduce the independently solved chain (see FORMULA_ERRATA.md).
+    reproduce the independently solved chain (see FORMULA_ERRATA.md).  At
+    s = 1 theta is infinite; no closed form reads it, since
+    :func:`phi_roots` solves for ``(1-s) phi`` from theta's parts.
     :func:`ruinwalk.mgf.characteristic` is its one caller in the package.
     """
-    s = params.s
-    if s >= 1.0:
-        raise UnsupportedRegimeError(
-            "theta is undefined at s=1; the s=1 branches bypass it"
-        )
-    return (u_i0 / (1.0 - s) - 2.0 * params.p * z * u_prev) / (params.q * z)
+    return (_unscaled(u_i0, 1.0 - params.s) - 2.0 * params.p * z * u_prev) / (params.q * z)
 
 
 def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
-    """Solve phi**2 - theta*phi + omega**i0 = 0 from theta's parts, for s < 1.
+    """Solve ``psi**2 - c theta psi + c**2 omega**i0 = 0`` for ``psi = c phi``, c = 1 - s.
 
-    With ``u_i0 = U_i0`` at ``z``, theta is ``V_i0 + delta``, where
-    ``V_i0 = tau1**i0 + tau2**i0`` and ``delta = U_i0 s / (q (1-s) z)``.  In
+    With ``u_i0 = U_i0`` at ``z``, ``c theta = c V_i0 + c delta``, where
+    ``V_i0 = tau1**i0 + tau2**i0`` and ``c delta = U_i0 s / (q z)``.  In
     ``rise = tau1**i0 - 1`` and ``fall = 1 - tau2**i0`` (both >= 0, from
     :func:`_power_gaps`) each quantity the roots need is a sum of
-    non-negative terms:
+    non-negative terms, finite on all of 0 <= s <= 1:
 
-    * ``disc = theta**2 - 4 omega**i0 = (rise + fall)**2 + delta (2 V_i0 + delta)``,
-    * ``(phi1 - 1)(1 - phi2) = theta - 1 - omega**i0 = rise fall + delta``,
-    * ``theta - 2 = rise - fall + delta``, whose sign says which gap is wider.
+    * ``c**2 disc = (c (rise + fall))**2 + c delta (2 c V_i0 + c delta)``,
+    * ``c (phi1 - 1)(1 - phi2) = c rise fall + c delta``,
+    * ``c (theta - 2) = c (rise - fall) + c delta``, whose sign says which gap
+      is wider (phi1's for every s >= 1/2).
 
-    The wider gap is ``(|theta - 2| + sqrt(disc)) / 2`` and the other is the
-    product over it, so neither cancels near the double root (near-driftless
-    walks as s -> 0) or as s -> 0, and ``phi1 - phi2 = sqrt(disc)``.  Two
-    inputs are reported as unsupported regimes instead: a discriminant that
-    is not finite (large ``i0*|log omega|``), which would give phi1=inf and
-    phi2=0, and, for s > 0 with theta >= 2, a ``1 - phi2`` that is subnormal
-    or divides a subnormal product (s near the float minimum), which keeps
-    fewer than 53 bits.
+    The wider gap is ``c (|theta - 2| + sqrt(disc)) / 2`` and the other the
+    product over it, so neither cancels near the double root or as s -> 0;
+    ``psi1 = c + c (phi1 - 1)`` and ``phi2 = c omega**i0 / psi1``.  At s = 1
+    this gives ``psi1 = U_i0 / (q z)``, phi2 = 0 and ``1 - phi2 = 1``.  Three
+    inputs are unsupported regimes instead: a discriminant that is not
+    finite (large ``i0*|log omega|``); for s > 0 with theta >= 2, a
+    ``1 - phi2`` that is, or divides, a subnormal number (s near the float
+    minimum); and, for 0 < s < 1, a phi2 that underflows to 0.
     """
-    s = params.s
+    s, c = params.s, 1.0 - params.s
     try:
         rise, fall = _power_gaps(z, params)
     except OverflowError:  # tau1**i0 leaves float range
         rise, fall = math.inf, 0.0
-    delta = u_i0 * s / (params.q * (1.0 - s) * z)
-    spread = rise + fall  # tau1**i0 - tau2**i0
-    disc = spread * spread + delta * (2.0 * ((1.0 + rise) + (1.0 - fall)) + delta)
+    c_delta = u_i0 * s / (params.q * z)
+    spread = c * (rise + fall)  # c (tau1**i0 - tau2**i0)
+    disc = spread * spread + c_delta * (2.0 * c * ((1.0 + rise) + (1.0 - fall)) + c_delta)
     if not math.isfinite(disc):
         raise UnsupportedRegimeError(
-            f"barrier roots overflow (tau1**i0 - 1={rise!r}, delta={delta!r}); "
+            f"barrier roots overflow (tau1**i0 - 1={rise!r}, (1-s) delta={c_delta!r}); "
             "no closed-form answer is available for this instance"
         )
     sqrt_disc = math.sqrt(disc)
-    lift = rise - fall + delta  # theta - 2
+    lift = c * (rise - fall) + c_delta  # c (theta - 2)
     wide = 0.5 * (abs(lift) + sqrt_disc)
-    product = rise * fall + delta
-    narrow = product / wide if wide else 0.0  # 0 at the double root 1
+    product = c * rise * fall + c_delta
+    narrow = product / wide if wide else 0.0  # the scale cancels; 0 at the double root 1
     if s and lift >= 0.0 and min(product, narrow) < sys.float_info.min:
         raise UnsupportedRegimeError(
             f"1 - phi2 = {product!r} / {wide!r} at s={s} is, or divides, a subnormal "
             "number; no closed-form answer keeps its digits"
         )
-    phi1_gap, phi2_gap = (wide, narrow) if lift >= 0.0 else (narrow, wide)
-    phi1 = 1.0 + phi1_gap
-    return PhiPair(phi1, params.omega_pow / phi1, phi1_gap, phi2_gap, sqrt_disc)
+    # theta < 2 needs delta < fall <= 1, so c > s/(q z) > 0 there
+    psi1_gap, phi2_gap = (wide, narrow) if lift >= 0.0 else (c * narrow, wide / c)
+    psi1 = c + psi1_gap
+    phi2 = c * params.omega_pow / psi1
+    if 0.0 < s < 1.0 and not phi2:
+        raise UnsupportedRegimeError(
+            f"phi2 underflows to 0 (omega**i0={params.omega_pow!r}) at z={z}; "
+            "no closed-form answer is available for this instance"
+        )
+    return PhiPair(
+        _unscaled(psi1, c), phi2, _unscaled(psi1_gap, c), phi2_gap, _unscaled(sqrt_disc, c),
+        psi1, psi1_gap, sqrt_disc,
+    )
 
 
 def _power_gaps(z: float, params: WalkParams) -> tuple[float, float]:
@@ -253,13 +280,8 @@ def lucas_terms(z: float, params: WalkParams, n: int) -> LucasTerms:
     if n < 1:
         raise ParameterError(f"Lucas index must be >= 1, got {n}")
     roots = tau_roots(z, params)
-    u, u_prev = power_divided_difference(roots, n), power_divided_difference(roots, n - 1)
-    return _lucas_from(roots, params, n, u, u_prev)
-
-
-def _lucas_from(roots: RootPair, params: WalkParams, n: int, u: float, u_prev: float) -> LucasTerms:
-    """:func:`lucas_terms` from step roots already solved, with ``U_n``, ``U_{n-1}``."""
-    de1 = -1.0 / (params.q * roots.z * roots.z)
+    u = power_divided_difference(roots, n)
+    de1 = -1.0 / (params.q * z * z)
     try:
         v = roots.tau1 ** n + roots.tau2 ** n
         slope = _divided_difference_slope(roots, n)
@@ -268,7 +290,7 @@ def _lucas_from(roots: RootPair, params: WalkParams, n: int, u: float, u_prev: f
         raise _power_overflow(roots, n) from None
     return LucasTerms(
         u=u,
-        u_prev=u_prev,
+        u_prev=power_divided_difference(roots, n - 1),
         v=v,
         du=de1 * slope,
         du_prev=de1 * slope_prev,
@@ -277,35 +299,35 @@ def _lucas_from(roots: RootPair, params: WalkParams, n: int, u: float, u_prev: f
 
 
 def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
-    """z-derivatives of theta and phi_i at z=1, for s < 1.
+    """z-derivatives of theta and phi_i at z=1, for 0 <= s <= 1.
 
-    With ``theta = (U_i0/(1-s) - 2*p*z*U_{i0-1}) / (q*z)`` the quotient rule
-    at z=1 gives ``dtheta = (dU_i0/(1-s) - 2*p*(U_{i0-1} + dU_{i0-1}))/q
-    - theta``, with the Lucas terms of :func:`lucas_terms`; phi's
-    derivatives follow by implicit differentiation of the barrier
-    quadratic; the roots come from :func:`ruinwalk.mgf.characteristic` at
-    z=1.  ``params`` keeps the bundle beside that characteristic, so every
-    strategy's killed times share one solve, and a characteristic built at
-    another z drops both.  The whole bundle is validated against
-    Richardson-extrapolated finite differences in the test suite.
+    With ``c theta = (U_i0 - 2*p*z*c*U_{i0-1}) / (q*z)``, c = 1 - s, the
+    quotient rule at z=1 gives ``d(c theta) = (dU_i0 - 2*p*c*(U_{i0-1} +
+    dU_{i0-1}))/q - c theta``, with the Lucas terms of :func:`lucas_terms`;
+    implicit differentiation of the scaled barrier quadratic gives
+    ``rate = dpsi1/psi1 = d(c theta) / (c sqrt(disc))`` and
+    ``dphi2 = -phi2 * rate``, both finite at s = 1.  The roots come from
+    :func:`ruinwalk.mgf.characteristic` at z=1.  ``params`` keeps the bundle
+    beside that characteristic, so every strategy's killed times share one
+    solve, and a characteristic built at another z drops both.  The whole
+    bundle is validated against Richardson-extrapolated finite differences
+    in the test suite.
     """
     der = params._memo.get("derivatives")
     if der is not None:
         return der
-    if params.s >= 1.0:
-        raise UnsupportedRegimeError("derivatives at z=1 are defined for s < 1")
     from .mgf import characteristic  # mgf builds on this module
 
-    char = characteristic(params, 1.0)
-    p, q, s, i0 = params.p, params.q, params.s, params.i0
-    lt = _lucas_from(char.roots, params, i0, char.u_i0, char.u_prev)
-    dtheta = (lt.du / (1.0 - s) - 2.0 * p * (lt.u_prev + lt.du_prev)) / q - char.theta
-    phi = char.phi
-    if not phi.sqrt_disc:
+    phi = characteristic(params, 1.0).phi
+    if not phi.psi_sqrt_disc:
         raise UnsupportedRegimeError(
             "barrier roots coincide at z=1; no derivative is available"
         )
-    dphi1 = phi.phi1 * dtheta / phi.sqrt_disc
-    dphi2 = -phi.phi2 * dtheta / phi.sqrt_disc
-    der = params._memo["derivatives"] = DerivativeBundle(dtheta, dphi1, dphi2, lt)
+    p, c = params.p, 1.0 - params.s
+    lt = lucas_terms(1.0, params, params.i0)
+    c_theta = phi.psi1 + c * phi.phi2  # psi1 + psi2
+    dc_theta = (lt.du - 2.0 * p * c * (lt.u_prev + lt.du_prev)) / params.q - c_theta
+    rate = dc_theta / phi.psi_sqrt_disc
+    dtheta, dphi1 = _unscaled(dc_theta, c), _unscaled(phi.psi1 * rate, c)
+    der = params._memo["derivatives"] = DerivativeBundle(dtheta, dphi1, -phi.phi2 * rate, rate, lt)
     return der

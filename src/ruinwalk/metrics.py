@@ -11,13 +11,16 @@ Mean times are *killed* expectations E[T * 1{absorbed at Y}]; the overall
 mean is their sum.  Per-barrier times are z-derivatives at z=1 of the
 generating functions, taken through the Lucas sequences of the step roots
 (:func:`ruinwalk.charpoly.lucas_terms`), which stay analytic at p = 1/2:
-drifting and driftless walks share every formula.  The barrier roots'
-gaps they divide by come from the characteristic without cancellation, so
-only a result that is not finite in floating point raises.
+drifting and driftless walks share every formula.  Like the generating
+functions, they are written in ``psi1 = (1-s) phi1`` and its log-derivative
+``rate``, both finite on 0 < s <= 1, so s = 1 (stop on arrival) takes the
+same formulas as every other s.  The barrier roots' gaps they divide by
+come from the characteristic without cancellation, so only a result that
+is not finite in floating point raises.
 
-At the limits s=0 and s=1 the walk is classical gambler's ruin, and one
-builder, :func:`_limit_profiles`, answers every public function there; only
-s=0 with p = 1/2 is special, because its mean time is infinite.
+At s=0 no barrier stops and the walk is classical gambler's ruin; one
+builder, :func:`_limit_profiles`, answers every public function there, and
+p = 1/2 is special, because its mean time is infinite.
 
 Two closed forms in this module deliberately differ from easy-to-derive
 variants that fail oracle verification; see FORMULA_ERRATA.md.
@@ -39,53 +42,22 @@ from .core import (
 )
 
 
-def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Profile, float]:
-    """Head-only profiles and the mean time at s=0 and s=1, where the walk is classical ruin.
+def _limit_profiles(params: WalkParams) -> tuple[Profile, Profile, float]:
+    """Head-only profiles and the mean time at s=0, where the walk is classical ruin.
 
-    At s=0 no barrier stops: only ruin absorbs, mass escapes upward when
+    No barrier stops: only ruin absorbs, mass escapes upward when
     omega > 1, and the ruin time is killed by that escape (FORMULA_ERRATA.md #3).
-    At s=1 every active barrier absorbs on arrival.  A stops at t=0.  B
-    steps once and then runs two-sided ruin on [0, i0] from i0-1 or on
-    [i0, 2*i0] from i0+1; C runs it on [0, 2*i0] from i0.  The exit values
-    and their z-derivatives are ratios of the Lucas terms ``U_i0``,
-    ``U_{i0-1}`` and ``V_i0`` at z=1.
     """
     i0, wi = params.i0, params.omega_pow
-    if params.s == 0.0:
-        if params.symmetric:
-            et0 = math.inf
-        elif params.omega < 1.0:
-            et0 = i0 / (params.q - params.p)
-        else:
-            # killed by the escape event: conditioned on ruin the drift flips
-            et0 = i0 / ((params.p - params.q) * wi)
-        p0 = 1.0 if params.omega <= 1.0 else 1.0 / wi
-        return Profile((p0,)), Profile((et0,)), et0
-    if strategy.stops_at_start:
-        return Profile((0.0, 1.0)), Profile((0.0, 0.0)), 0.0
-    lt = cp.lucas_terms(1.0, params, i0)
-    if strategy is Strategy.C:
-        # exit values 1/V_i0 at ruin and omega**i0/V_i0 at the top
-        et0 = -lt.dv / (lt.v * lt.v)
-        return (
-            Profile((1.0 / lt.v, 0.0, wi / lt.v)),
-            Profile((et0, 0.0, wi * et0)),
-            -lt.dv / lt.v,
-        )
-    # B's exit values: 1/U_i0 to ruin, omega*U_{i0-1}/U_i0 and U_{i0-1}/U_i0
-    # to the middle barrier from below and above, omega**(i0-1)/U_i0 to the
-    # top; the killed times are d/dz of z times each, at z=1
-    p, q, u, du = params.p, params.q, lt.u, lt.du
-    p1 = q * (params.omega * lt.u_prev / u) + p * (lt.u_prev / u)
-    p2 = p * (params.omega ** (i0 - 1) / u)
-    to_end = (1.0 - du / u) / u
-    to_middle = (lt.u_prev + lt.du_prev - lt.u_prev * du / u) / u
-    et0 = q * to_end
-    return (
-        Profile((q * (1.0 / u), p1, p2)),
-        Profile((et0, 2.0 * p * to_middle, wi * et0)),
-        float(i0),
-    )
+    if params.symmetric:
+        et0 = math.inf
+    elif params.omega < 1.0:
+        et0 = i0 / (params.q - params.p)
+    else:
+        # killed by the escape event: conditioned on ruin the drift flips
+        et0 = i0 / ((params.p - params.q) * wi)
+    p0 = 1.0 if params.omega <= 1.0 else 1.0 / wi
+    return Profile((p0,)), Profile((et0,)), et0
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +67,15 @@ def _limit_profiles(params: WalkParams, strategy: Strategy) -> tuple[Profile, Pr
 def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
     """Distribution of the absorption site over {0} and the barriers k*i0.
 
-    For 0 < s < 1 the barrier masses are ``s * value`` of the generating
-    functions at z=1, geometric with ratio phi2 past the profile's head.
-    For s=0 only ruin can absorb (mass escapes upward when the drift ratio
-    exceeds 1); for s=1 all mass sits on {0, i0, 2*i0}.
+    For 0 < s <= 1 the barrier masses are ``s * value`` of the generating
+    functions at z=1, geometric with ratio phi2 past the profile's head
+    (phi2 = 0 at s = 1, where all mass sits on {0, i0, 2*i0}).  For s=0
+    only ruin can absorb (mass escapes upward when the drift ratio exceeds 1).
     """
     strategy = Strategy(strategy)
     s, i0 = params.s, params.i0
-    if s in (0.0, 1.0):
-        return _limit_profiles(params, strategy)[0]
+    if not s:
+        return _limit_profiles(params)[0]
     values = mgf._barrier_fn(strategy)(params, 1.0)
     ruin, *barriers = values.head
     # ruin absorbs every arrival, a barrier each with probability s
@@ -114,17 +86,17 @@ def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
 def bc_ratio(params: WalkParams) -> float:
     """The constant ratio P_B(Y) / P_C(Y) shared by ruin and all barriers k >= 2.
 
-    Equals ``phi2 * (1 + omega**i0 - phi2) / ((1-s) * omega**i0)`` and is
-    always below 1: strategy B is strictly more likely than C to stop at any
-    given site because its extra barrier at i0 drains mass earlier.
+    Equals ``(1 + omega**i0 - phi2) / psi1`` with ``psi1 = (1-s) phi1``, and
+    is below 1 for 0 < s < 1: strategy B is strictly more likely than C to
+    stop at any given site because its extra barrier at i0 drains mass
+    earlier.  At s = 1 and i0 = 1 it is exactly 1, so s = 1 is refused.
     """
     if not 0.0 < params.s < 1.0:
         raise UnsupportedRegimeError(
             f"the B/C ratio needs 0 < s < 1, got s={params.s}"
         )
-    phi2 = mgf.characteristic(params, 1.0).phi.phi2
-    wi = params.omega_pow
-    return phi2 * (1.0 + wi - phi2) / ((1.0 - params.s) * wi)
+    phi = mgf.characteristic(params, 1.0).phi
+    return (1.0 + params.omega_pow - phi.phi2) / phi.psi1
 
 
 # ---------------------------------------------------------------------------
@@ -134,40 +106,34 @@ def bc_ratio(params: WalkParams) -> float:
 def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     """Killed mean time until absorption anywhere, E[T * 1{absorbed}].
 
-    For 0 < s < 1 absorption is almost sure and this is the plain mean.
-    Strategy B's mean is A's divided by 1-s (surviving the t=0 stop draw
-    scales every later outcome); the undivided variant fails the oracle,
-    see FORMULA_ERRATA.md.
+    For 0 < s <= 1 absorption is almost sure and this is the plain mean.
+    With ``excess = (1-s)(phi1 - 1)/psi1 = 1 - 1/phi1``, B's mean is
+    ``i0 * excess / s`` and A's is ``(1-s)`` times it (surviving the t=0
+    stop draw scales every later outcome); the variant without the 1/s
+    fails the oracle, see FORMULA_ERRATA.md.  C's is
+    ``i0 * ((1-s) omega**i0 excess / s + U_i0/q) / (1 + omega**i0 excess)``.
+    ``excess`` is read from the barrier roots' own gap, so it keeps its
+    digits as phi1 -> 1 (p <= 1/2 as s -> 0); what can fail is the 1/s,
+    which overflows as s -> 0, and then the mean raises.
     """
     strategy = Strategy(strategy)
-    if params.s in (0.0, 1.0):
-        if params.s == 0.0 and params.omega > 1.0:
+    s, i0 = params.s, params.i0
+    if not s:
+        if params.omega > 1.0:
             raise AbsorptionNotCertainError(
                 "s=0 with upward drift: absorption is not almost sure; "
                 "ask for the killed time at ruin (barrier 0) instead"
             )
-        return _limit_profiles(params, strategy)[2]
-    return _mean_time_interior(params, strategy)
-
-
-def _mean_time_interior(params: WalkParams, strategy: Strategy) -> float:
-    """:func:`mean_time_any` for 0 < s < 1; raises where it is not finite in floating point.
-
-    ``1 - 1/phi1`` is read as ``(phi1 - 1)/phi1`` from the barrier roots'
-    own gap, so it keeps its digits as phi1 -> 1 (p <= 1/2 as s -> 0);
-    what can fail is ``(1-s)/s``, which overflows as s -> 0.
-    """
-    s, i0 = params.s, params.i0
+        return _limit_profiles(params)[2]
     char = mgf.characteristic(params, 1.0)
-    excess = char.phi.phi1_gap / char.phi.phi1  # 1 - 1/phi1
-    m = i0 * (1.0 - s) / s * excess
-    if strategy is Strategy.B:
-        m /= 1.0 - s
+    phi, one_ms = char.phi, 1.0 - s
+    excess = phi.psi1_gap / phi.psi1  # 1 - 1/phi1
+    m = i0 / s * excess  # B's; i0/s overflows, and the mean raises, before excess goes subnormal
+    if strategy is Strategy.A:
+        m *= one_ms
     elif strategy is Strategy.C:
         wi = params.omega_pow
-        # (1 - omega**-i0) / (p - q) = U_i0 / (q * omega**i0), finite at p = q
-        num = (1.0 - s) / s * excess + char.u_i0 / (params.q * wi)
-        m = i0 * num / (1.0 / wi + excess)
+        m = (one_ms * wi * m + i0 * char.u_i0 / params.q) / (1.0 + wi * excess)
     if not math.isfinite(m):
         raise UnsupportedRegimeError(f"the mean time is not finite in floating point at s={s}")
     return m
@@ -185,36 +151,41 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
 
     Their total is the mean time of :func:`mean_time_any` up to rounding;
     at s=0 with upward drift it is the ruin time killed by the escape.  For
-    0 < s < 1 the times at ruin and barriers 1..a are assembled from the
-    z-derivatives at z=1; past barrier a they are the z-derivatives of the
-    geometric masses ``mass * phi2**m``, so the profile's tail carries
-    ``drho = dphi2``.
+    0 < s <= 1 each time is the z-derivative at z=1 of a mass, taken through
+    ``rate = dpsi1/psi1`` and ``dphi2 = -phi2 * rate``.  B's are the
+    derivatives of its subtraction-free values: ``-rate/psi1`` at ruin,
+    ``s[(2p dU_{i0-1} - q phi2 rate)/(q psi1) - b1 rate]`` at i0 and
+    ``s b2 (dU_i0/U_i0 - 1 - 2 rate)`` at 2*i0; A's are (1-s) times B's.
+    C's share the pole ``1/D``, ``D = V_i0 - phi2``: with
+    ``pole = (dV_i0 + phi2 rate)/D`` they are ``-pole/D`` at ruin and
+    ``s w_k (dU_i0/U_i0 - 1 - (k-1) rate - pole)`` at k >= 2.  Past the
+    head they are the z-derivatives of the geometric masses
+    ``mass * phi2**m``, so the profile's tail carries ``drho = dphi2``.
     """
     strategy = Strategy(strategy)
     s = params.s
-    if s in (0.0, 1.0):
-        return _limit_profiles(params, strategy)[1]
+    if not s:
+        return _limit_profiles(params)[1]
     der = cp.derivatives_at_1(params)
-    char = mgf.characteristic(params, 1.0)
-    lt, phi = der.lucas, char.phi
-    # logarithmic derivative shared by every barrier form: U_i0 and 1/z
+    phi, lt, rate = mgf.characteristic(params, 1.0).phi, der.lucas, der.rate
+    # logarithmic derivative shared by the far barrier forms: U_i0 and 1/z
     log_common = lt.du / lt.u - 1.0
-    phi_rate = der.dphi2 / phi.phi2
     if strategy is Strategy.C:
-        # C's barrier values share the pole 1/(V_i0 - phi2)
-        pole_rate = (lt.dv - der.dphi2) / (lt.v - phi.phi2)
         w = mgf.mgf_c(params, 1.0).head
-        head = [w[0] * w[0] * (der.dphi2 - lt.dv), 0.0]
-        head += [s * wk * (log_common + (k - 1) * phi_rate - pole_rate) for k, wk in enumerate(w[2:], 2)]
+        pole = (lt.dv + phi.phi2 * rate) / (lt.v - phi.phi2)
+        head = [-pole * w[0], 0.0]
+        head += [s * wk * (log_common - (k - 1) * rate - pole) for k, wk in enumerate(w[2:], 2)]
         mass = s * w[-1]
     else:
-        u = mgf.mgf_a(params, 1.0).head
-        head = [der.dphi2 / params.omega_pow]
-        head += [s * uk * (log_common + k * phi_rate) for k, uk in enumerate(u[1:], 1)]
-        mass = s * u[-1]
-        if strategy is Strategy.B:
-            head = [t / (1.0 - s) for t in head]
-            mass /= 1.0 - s
+        b = mgf.mgf_b(params, 1.0).head
+        q, psi1 = params.q, phi.psi1
+        start = (2.0 * params.p * lt.du_prev - q * phi.phi2 * rate) / (q * psi1) - b[1] * rate
+        head = [-rate / psi1, s * start, s * b[2] * (log_common - 2.0 * rate)]
+        mass = s * b[2]
+        if strategy is Strategy.A:
+            one_ms = 1.0 - s
+            head = [one_ms * t for t in head]
+            mass *= one_ms
     times = Profile(tuple(head), phi.phi2, phi.phi2_gap, der.dphi2, mass)
     if not math.isfinite(times.total):
         raise UnsupportedRegimeError(f"the killed times' sum is not finite in floating point at s={s}")

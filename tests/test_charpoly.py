@@ -88,9 +88,11 @@ class TestTheta:
         expected = 1.0 / (params.q * (1.0 - params.s))
         assert mgf.characteristic(params, 1.0).theta == pytest.approx(expected, rel=1e-14)
 
-    def test_rejects_total_stop(self):
-        with pytest.raises(UnsupportedRegimeError):
-            cp.theta(1.0, WalkParams(0.4, 1.0, 1), 1.0, 0.0)
+    def test_total_stop_is_infinite(self):
+        # at s = 1 no closed form reads theta: phi_roots solves for (1-s) phi
+        assert cp.theta(1.0, WalkParams(0.4, 1.0, 1), 1.0, 0.0) == math.inf
+        phi = mgf.characteristic(WalkParams(0.4, 1.0, 1), 1.0).phi
+        assert (phi.psi1, phi.phi2, phi.phi2_gap) == (1.0 / 0.6, 0.0, 1.0)
 
     def test_generic_branch_approaches_symmetric_limit(self):
         eps = 1e-5
@@ -250,9 +252,19 @@ class TestDerivatives:
                     assert near.dtheta == pytest.approx(at.dtheta, rel=1e-6)
                     assert near.dphi2 == pytest.approx(at.dphi2, rel=1e-6)
 
-    def test_rejects_total_stop_and_no_stop_double_root(self):
-        with pytest.raises(UnsupportedRegimeError):
-            cp.derivatives_at_1(WalkParams(0.4, 1.0, 1))
+    def test_total_stop_answers_and_no_stop_double_root_is_refused(self):
+        # s = 1: psi1 = U_i0/(q z), so its log-derivative is dU_i0/U_i0 - 1,
+        # and phi2 = 0 does not move; theta and phi1 are infinite
+        for params in (WalkParams(0.4, 1.0, 1), WalkParams(0.5, 1.0, 3), WalkParams(0.7, 1.0, 4)):
+            der = cp.derivatives_at_1(params)
+            lt = der.lucas
+            assert der.rate == pytest.approx(lt.du / lt.u - 1.0, rel=1e-15, abs=0.0)
+            assert der.rate == pytest.approx(
+                _richardson_from_below(lambda z: math.log(mgf.characteristic(params, z).phi.psi1)),
+                rel=1e-6,
+            )
+            assert der.dphi2 == 0.0
+            assert der.dtheta == der.dphi1 == -math.inf
         # s = 0 and p = q: the barrier roots coincide at z=1
         with pytest.raises(UnsupportedRegimeError):
             cp.derivatives_at_1(WalkParams(0.5, 0.0, 2))

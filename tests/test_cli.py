@@ -211,6 +211,16 @@ class TestAnalytic:
         assert code == 0
         assert "absorption.p0" in out
 
+    @pytest.mark.parametrize("strategy", "ABC")
+    def test_times_near_total_stop_match_the_exact_solver(self, strategy, capsys):
+        # B's et1 printed 1.0222 against 0.96, and et did not sum to m_total
+        argv = ["--p", "0.4", "--s", "0.99999999999999", "--i0", "2", "--strategy", strategy, "--kmax", "2"]
+        _, analytic, _ = run_cli(["analytic", *argv], capsys)
+        _, exact, _ = run_cli(["exact", *argv], capsys)
+        got, want = json.loads(analytic)["times"], json.loads(exact)["times"]
+        for g, w in zip(got["et"] + [got["m_total"]], want["et"] + [want["m_total"]]):
+            assert abs(g - w) <= 1e-7 * max(abs(w), 1e-9), (g, w)
+
 
 class TestSimulate:
     def test_deterministic_output(self, capsys):
@@ -340,6 +350,17 @@ class TestMgfCommand:
         )
         report = json.loads(out)
         assert report["dp_gap"] < 1e-8
+
+    @pytest.mark.parametrize("strategy", "ABC")
+    def test_total_stop_answers_and_matches_propagation(self, strategy, capsys):
+        # exited 2: the generating functions refused s = 1
+        code, out, _ = run_cli(
+            ["mgf", "--p", "0.4", "--s", "1", "--i0", "2", "--strategy", strategy,
+             "--z", "0.5", "--state", "3", "--check-dp"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["dp_gap"] <= 1e-8
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_dp_tolerance_that_is_not_finite_and_positive_exits_2(self, tol, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -394,6 +395,55 @@ class TestStrategyBNearS1:
             sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
             got = metrics.absorption_profile(params, Strategy.B).at(1)
             assert got == pytest.approx(sol.probability(1), abs=1e-13)
+
+
+class TestOneFormUpToTotalStop:
+    """Every closed form is written in psi1 = (1-s) phi1, finite on 0 < s <= 1,
+    so s -> 1 and s = 1 take the formulas of every other s.  The forms that
+    divided by 1 - s missed the exact solver at barrier 1 by up to 0.07 as
+    s -> 1, and gave a negative B time at (0.5445, 1 - 9.5e-12, 1)."""
+
+    @given(
+        p=st.floats(0.01, 0.99),
+        s=st.one_of(st.just(1.0), st.integers(3, 15).map(lambda k: 1.0 - 10.0 ** -k)),
+        i0=st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_exact_solver_as_s_nears_one(self, p, s, i0):
+        params = WalkParams(p, s, i0)
+        for strategy in Strategy:
+            sol = oracle.solve_exact(params, strategy, tol=1e-11)
+            prof = metrics.absorption_profile(params, strategy)
+            tp = metrics.time_profile(params, strategy)
+            for k in range(5):
+                assert abs(prof.at(k) - sol.probability(k)) <= 1e-9, (strategy, k)
+                got, want = tp.at(k), sol.killed_time(k)
+                assert got >= 0.0, (strategy, k, got)
+                assert abs(got - want) <= 1e-7 * max(abs(want), 1e-9), (strategy, k, got, want)
+            m = metrics.mean_time_any(params, strategy)
+            assert abs(m - sol.m_total) <= 1e-7 * max(sol.m_total, 1e-9), (strategy, m)
+
+    def test_barrier_one_time_does_not_cancel(self):
+        # s u1 (log_common + phi_rate) left this time 9.9e-14 off: the bracket
+        # was 0.0046 from -1 and 1.0046
+        params = WalkParams(0.64, 0.9, 1)
+        sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
+        got, want = metrics.time_profile(params, Strategy.B).at(1), sol.killed_time(1)
+        assert abs(got - want) <= 1e-14 * want
+
+    def test_subnormal_omega_power_answers(self, strategy):
+        # omega**i0 = 4.5e-311: dividing by it gave A masses (0.24, inf, nan),
+        # and C's mean raised as not finite
+        params = WalkParams(1.34e-24, 0.76, 13)
+        assert 0.0 < params.omega_pow < sys.float_info.min
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        prof = metrics.absorption_profile(params, strategy)
+        tp = metrics.time_profile(params, strategy)
+        for k in range(4):
+            assert abs(prof.at(k) - sol.probability(k)) <= 1e-15, k
+            assert tp.at(k) == pytest.approx(sol.killed_time(k), rel=1e-12, abs=1e-300), k
+        assert metrics.mean_time_any(params, strategy) == pytest.approx(sol.m_total, rel=1e-14, abs=0.0)
+        assert prof.at(0) == pytest.approx({"A": 0.24, "B": 1.0, "C": 1.0}[strategy.value], rel=1e-14, abs=0.0)
 
 
 class TestDoubleRootDigits:

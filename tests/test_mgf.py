@@ -36,11 +36,18 @@ class TestBarrierValues:
             1.0, abs=1e-12
         )
 
-    def test_rejects_limit_stop_values(self):
-        for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c):
-            for s in (0.0, 1.0):
-                with pytest.raises(UnsupportedRegimeError):
-                    fn(WalkParams(0.4, s, 1), 1.0)
+    def test_rejects_no_stop_and_answers_total_stop(self):
+        strategies = {mgf.mgf_a: Strategy.A, mgf.mgf_b: Strategy.B, mgf.mgf_c: Strategy.C}
+        for fn, strategy in strategies.items():
+            with pytest.raises(UnsupportedRegimeError):
+                fn(WalkParams(0.4, 0.0, 1), 1.0)
+            # at s = 1 the one closed form answers, and matches propagation
+            params = WalkParams(0.4, 1.0, 1)
+            for z in (0.3, 0.8):
+                values = fn(params, z)
+                for k in range(4):
+                    want = oracle.mgf_dp(params, strategy, z, k, tol=1e-12)
+                    assert values.at(k) == pytest.approx(want, abs=1e-8)
 
     def test_step_root_overflow_raises_the_typed_error(self):
         # tau1 is near 200 at z = 0.01: its 200th power overflows
@@ -136,6 +143,25 @@ def _b_start_reference(p, s, i0, z):
         phi1 = (theta + (theta * theta - 4 * omega_pow).sqrt()) / 2
         phi2 = omega_pow / phi1
         return (2 * p * u(i0 - 1) + q * phi2) / (q * (1 - s) * phi1)
+
+
+class TestTotalStop:
+    """At s = 1 the barrier forms and the interior bridge take the formulas of
+    every other s: psi1 = U_i0/(q z) and phi2 = 0, with no division by 1 - s."""
+
+    @pytest.mark.parametrize("z", [0.3, 0.8])
+    @pytest.mark.parametrize("p", [0.1, 0.4, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("i0", [1, 2, 3, 5])
+    def test_every_state_matches_propagation(self, i0, p, z, strategy):
+        params = WalkParams(p, 1.0, i0)
+        positions = range(3 * i0 + 1)
+        got = mgf.mgf_states(params, strategy, z, positions)
+        barriers = mgf._barrier_fn(strategy)(params, z)
+        for j, value in zip(positions, got):
+            want = oracle.mgf_dp(params, strategy, z, j, tol=1e-12)
+            assert value == pytest.approx(want, abs=1e-8), j
+            if j % i0 == 0:
+                assert value == barriers.at(j // i0)
 
 
 class TestStrategyBStart:
