@@ -52,23 +52,19 @@ class RootPair:
 
 @dataclass(frozen=True)
 class PhiPair:
-    """Barrier recurrence roots, phi1 > 1 > phi2 >= 0, and their scaled forms.
+    """Barrier recurrence roots phi1 > 1 > phi2 >= 0, phi1 scaled as ``psi1 = (1-s) phi1``.
 
-    ``phi1_gap = phi1 - 1``, ``phi2_gap = 1 - phi2`` and
-    ``sqrt_disc = phi1 - phi2`` are kept apart, each with its own digits,
-    because they are what the closed forms divide by where a root nears 1.
-    ``psi1``, ``psi1_gap`` and ``psi_sqrt_disc`` are ``1 - s`` times phi1,
-    phi1_gap and sqrt_disc: finite on 0 <= s <= 1, where the unscaled ones
-    are infinite at s = 1, so every closed form reads them.
+    ``psi1``, ``psi1_gap = (1-s)(phi1 - 1)`` and
+    ``psi_sqrt_disc = (1-s)(phi1 - phi2)`` are finite on 0 <= s <= 1, where
+    phi1 is infinite at s = 1, and ``phi2_gap = 1 - phi2``.  The gaps are
+    kept apart, each with its own digits, because they are what the closed
+    forms divide by where a root nears 1.
     """
 
-    phi1: float
-    phi2: float
-    phi1_gap: float
-    phi2_gap: float
-    sqrt_disc: float
     psi1: float
+    phi2: float
     psi1_gap: float
+    phi2_gap: float
     psi_sqrt_disc: float
 
 
@@ -98,11 +94,10 @@ class DerivativeBundle:
     """z-derivatives of theta and phi at z=1, with the Lucas terms behind them.
 
     ``rate`` is ``dphi1/phi1 = dpsi1/psi1``, finite on 0 <= s <= 1, and
-    ``dphi2 = -phi2 * rate``; ``dtheta`` and ``dphi1`` are infinite at s = 1.
+    ``dphi2 = -phi2 * rate``; ``dtheta`` is infinite at s = 1.
     """
 
     dtheta: float
-    dphi1: float
     dphi2: float
     rate: float
     lucas: LucasTerms
@@ -180,6 +175,7 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
     non-negative terms, finite on all of 0 <= s <= 1:
 
     * ``c**2 disc = (c (rise + fall))**2 + c delta (2 c V_i0 + c delta)``,
+      whose root is taken as a hypotenuse, so no term is squared past float range,
     * ``c (phi1 - 1)(1 - phi2) = c rise fall + c delta``,
     * ``c (theta - 2) = c (rise - fall) + c delta``, whose sign says which gap
       is wider (phi1's for every s >= 1/2).
@@ -188,7 +184,7 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
     product over it, so neither cancels near the double root or as s -> 0;
     ``psi1 = c + c (phi1 - 1)`` and ``phi2 = c omega**i0 / psi1``.  At s = 1
     this gives ``psi1 = U_i0 / (q z)``, phi2 = 0 and ``1 - phi2 = 1``.  Three
-    inputs are unsupported regimes instead: a discriminant that is not
+    inputs are unsupported regimes instead: a ``c sqrt(disc)`` that is not
     finite (large ``i0*|log omega|``); for s > 0 with theta >= 2, a
     ``1 - phi2`` that is, or divides, a subnormal number (s near the float
     minimum); and, for 0 < s < 1, a phi2 that underflows to 0.
@@ -200,13 +196,14 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
         rise, fall = math.inf, 0.0
     c_delta = u_i0 * s / (params.q * z)
     spread = c * (rise + fall)  # c (tau1**i0 - tau2**i0)
-    disc = spread * spread + c_delta * (2.0 * c * ((1.0 + rise) + (1.0 - fall)) + c_delta)
-    if not math.isfinite(disc):
+    # c sqrt(disc) as a hypotenuse: squaring c delta would overflow at s = 1 long before it does
+    cross = math.sqrt(2.0 * c * ((1.0 + rise) + (1.0 - fall))) * math.sqrt(c_delta)
+    sqrt_disc = math.hypot(spread, c_delta, cross)
+    if not math.isfinite(sqrt_disc):
         raise UnsupportedRegimeError(
             f"barrier roots overflow (tau1**i0 - 1={rise!r}, (1-s) delta={c_delta!r}); "
             "no closed-form answer is available for this instance"
         )
-    sqrt_disc = math.sqrt(disc)
     lift = c * (rise - fall) + c_delta  # c (theta - 2)
     wide = 0.5 * (abs(lift) + sqrt_disc)
     product = c * rise * fall + c_delta
@@ -225,10 +222,7 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
             f"phi2 underflows to 0 (omega**i0={params.omega_pow!r}) at z={z}; "
             "no closed-form answer is available for this instance"
         )
-    return PhiPair(
-        _unscaled(psi1, c), phi2, _unscaled(psi1_gap, c), phi2_gap, _unscaled(sqrt_disc, c),
-        psi1, psi1_gap, sqrt_disc,
-    )
+    return PhiPair(psi1, phi2, psi1_gap, phi2_gap, sqrt_disc)
 
 
 def _power_gaps(z: float, params: WalkParams) -> tuple[float, float]:
@@ -265,8 +259,8 @@ def _divided_difference_slope(roots: RootPair, n: int) -> float:
     return acc
 
 
-def lucas_terms(z: float, params: WalkParams, n: int) -> LucasTerms:
-    """``U_n``, ``U_{n-1}``, ``V_n`` and their z-derivatives at ``z``, for n >= 1.
+def lucas_terms(roots: RootPair, params: WalkParams, n: int) -> LucasTerms:
+    """``U_n``, ``U_{n-1}``, ``V_n`` and their z-derivatives at ``roots.z``, for n >= 1.
 
     At fixed ``e2 = omega``, ``dU_n/de1`` is the positive power sum of
     :func:`_divided_difference_slope` and ``dV_n/de1 = n*U_n``; both are
@@ -279,9 +273,8 @@ def lucas_terms(z: float, params: WalkParams, n: int) -> LucasTerms:
     """
     if n < 1:
         raise ParameterError(f"Lucas index must be >= 1, got {n}")
-    roots = tau_roots(z, params)
     u = power_divided_difference(roots, n)
-    de1 = -1.0 / (params.q * z * z)
+    de1 = -1.0 / (params.q * roots.z * roots.z)
     try:
         v = roots.tau1 ** n + roots.tau2 ** n
         slope = _divided_difference_slope(roots, n)
@@ -318,16 +311,16 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
         return der
     from .mgf import characteristic  # mgf builds on this module
 
-    phi = characteristic(params, 1.0).phi
+    char = characteristic(params, 1.0)
+    phi = char.phi
     if not phi.psi_sqrt_disc:
         raise UnsupportedRegimeError(
             "barrier roots coincide at z=1; no derivative is available"
         )
     p, c = params.p, 1.0 - params.s
-    lt = lucas_terms(1.0, params, params.i0)
+    lt = lucas_terms(char.roots, params, params.i0)
     c_theta = phi.psi1 + c * phi.phi2  # psi1 + psi2
     dc_theta = (lt.du - 2.0 * p * c * (lt.u_prev + lt.du_prev)) / params.q - c_theta
     rate = dc_theta / phi.psi_sqrt_disc
-    dtheta, dphi1 = _unscaled(dc_theta, c), _unscaled(phi.psi1 * rate, c)
-    der = params._memo["derivatives"] = DerivativeBundle(dtheta, dphi1, -phi.phi2 * rate, rate, lt)
+    der = params._memo["derivatives"] = DerivativeBundle(_unscaled(dc_theta, c), -phi.phi2 * rate, rate, lt)
     return der

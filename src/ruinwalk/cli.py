@@ -55,7 +55,7 @@ def _diagnostics(params: WalkParams) -> dict:
         "tau1": char.roots.tau1,
         "tau2": char.roots.tau2,
         "theta": char.theta,
-        "phi1": char.phi.phi1,
+        "phi1": char.phi.psi1 / (1.0 - params.s),
         "phi2": char.phi.phi2,
     }
 

@@ -132,8 +132,9 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     if strategy is Strategy.A:
         m *= one_ms
     elif strategy is Strategy.C:
-        wi = params.omega_pow
-        m = (one_ms * wi * m + i0 * char.u_i0 / params.q) / (1.0 + wi * excess)
+        # omega**i0 excess < omega**i0, so the weights are finite where B's mean is
+        denom = 1.0 + params.omega_pow * excess
+        m = one_ms * m * (params.omega_pow / denom) + i0 * char.u_i0 / params.q / denom
     if not math.isfinite(m):
         raise UnsupportedRegimeError(f"the mean time is not finite in floating point at s={s}")
     return m

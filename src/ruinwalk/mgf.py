@@ -97,10 +97,11 @@ def mgf_b(params: WalkParams, z: float) -> Profile:
     char = characteristic(params, z)
     phi, q = char.phi, params.q
     psi1, phi2 = phi.psi1, phi.phi2
+    # ratios before products: U_i0 omega**i0 overflows long before the value does
     head = (
         1.0 / psi1,
         (2.0 * params.p * char.u_prev + q * phi2) / (q * psi1),
-        char.u_i0 * params.omega_pow / (q * z * psi1 * psi1),
+        char.u_i0 / (q * z * psi1) * (params.omega_pow / psi1),
     )
     return Profile(head, phi2, phi.phi2_gap)
 
@@ -129,7 +130,7 @@ def mgf_c(params: WalkParams, z: float) -> Profile:
     roots, phi, i0 = char.roots, char.phi, params.i0
     qz, phi2 = params.q * z, phi.phi2
     denom = roots.tau1 ** i0 + roots.tau2 ** i0 - phi2
-    far = char.u_i0 * params.omega_pow / (qz * phi.psi1 * denom)
+    far = char.u_i0 / (qz * phi.psi1) * (params.omega_pow / denom)
     head = (1.0 / denom, char.u_i0 / (qz * denom), far, far * phi2)
     return Profile(head, phi2, phi.phi2_gap)
 

@@ -85,13 +85,11 @@ def check_barrier_roots() -> CheckResult:
     ordered = True
     for params in _interior_grid():
         for z in (0.2, 0.5, 0.8, 1.0):
-            phi = mgf.characteristic(params, z).phi
-            if not phi.phi1 > 1.0 > phi.phi2 > 0.0:
+            phi, one_ms = mgf.characteristic(params, z).phi, 1.0 - params.s
+            if not (phi.psi1 > one_ms and 1.0 > phi.phi2 > 0.0):  # phi1 > 1 > phi2 > 0
                 ordered = False
-            worst = max(
-                worst,
-                abs(phi.phi1 * phi.phi2 - params.omega_pow) / params.omega_pow,
-            )
+            scaled_pow = one_ms * params.omega_pow  # psi1 phi2 = (1-s) omega**i0
+            worst = max(worst, abs(phi.psi1 * phi.phi2 - scaled_pow) / scaled_pow)
     res = _result("barrier-root ordering and product identity", worst, 1e-12)
     if not ordered:
         return CheckResult(res.name, False, res.detail + " (ordering violated)")
@@ -109,16 +107,15 @@ def check_theta_symmetric_limit() -> CheckResult:
 
 
 def check_b_from_a_relation() -> CheckResult:
+    # A's values are (1-s) B's plus the start visit; at i0, theta's
+    # definition gives that sum independently as U_i0 / (q z psi1)
     worst = 0.0
     for params in _interior_grid():
         for z in (0.3, 0.7, 1.0):
-            a, b = mgf.mgf_a(params, z), mgf.mgf_b(params, z)
-            for k in range(0, 5):
-                ua, vb = a.at(k), b.at(k)
-                delta = 1.0 if k == 1 else 0.0
-                lhs = ua
-                rhs = delta + (1.0 - params.s) * vb
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+            char = mgf.characteristic(params, z)
+            lhs = mgf.mgf_a(params, z).at(1)
+            rhs = char.u_i0 / (params.q * z * char.phi.psi1)
+            worst = max(worst, abs(lhs - rhs) / rhs)
     return _result("A/B generating-function relation", worst, 1e-12)
 
 
@@ -151,7 +148,7 @@ def check_c_seed_relations() -> CheckResult:
             s_i0 = roots.tau1 ** i0 + roots.tau2 ** i0
             seed = params.q * z * (s_i0 * w1 - (1.0 - params.s) * w2) - d_i0
             worst = max(worst, abs(seed) / max(d_i0, 1e-300))
-            link = params.omega_pow * w1 - (1.0 - params.s) * phi.phi1 * w2
+            link = params.omega_pow * w1 - phi.psi1 * w2
             worst = max(worst, abs(link) / max(params.omega_pow * w1, 1e-300))
     return _result("strategy-C seed and barrier-link relations", worst, 1e-10)
 
@@ -324,7 +321,7 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
     params = WalkParams(0.5, 0.5, 1)
     sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
     phi = mgf.characteristic(params, 1.0).phi
-    rejected_mb = params.i0 * (1.0 - 1.0 / phi.phi1)
+    rejected_mb = params.i0 * phi.psi1_gap / phi.psi1  # i0 (1 - 1/phi1)
     implemented_mb = metrics.mean_time_any(params, Strategy.B)
     candidate = rejected_mb if inject_wrong_mb else implemented_mb
     ok = (

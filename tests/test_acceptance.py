@@ -202,7 +202,10 @@ def test_criterion_6_derivative_validation():
         der = cp.derivatives_at_1(params)
         for got, fun in (
             (der.dtheta, lambda z: mgf.characteristic(params, z).theta),
-            (der.dphi1, lambda z: mgf.characteristic(params, z).phi.phi1),
+            (
+                der.rate * mgf.characteristic(params, 1.0).phi.psi1,
+                lambda z: mgf.characteristic(params, z).phi.psi1,
+            ),
             (der.dphi2, lambda z: mgf.characteristic(params, z).phi.phi2),
         ):
             want = fd(fun)

@@ -115,35 +115,45 @@ class TestPhiRoots:
     )
     def test_known_roots(self, i0, want1, want2):
         # p = 1/2 at z = 1: U_i0 = i0 and theta = 2 + 2 i0 s/(1-s), so 4 and 6
-        # at s = 1/2, with omega**i0 = 1
+        # at s = 1/2, with omega**i0 = 1; psi1 = phi1/2
         phi = cp.phi_roots(1.0, WalkParams(0.5, 0.5, i0), float(i0))
-        assert phi.phi1 == pytest.approx(want1, rel=1e-14)
+        assert phi.psi1 == pytest.approx(0.5 * want1, rel=1e-14)
         assert phi.phi2 == pytest.approx(want2, rel=1e-14)
-        assert phi.phi1_gap == pytest.approx(want1 - 1.0, rel=1e-14)
+        assert phi.psi1_gap == pytest.approx(0.5 * (want1 - 1.0), rel=1e-14)
         assert phi.phi2_gap == pytest.approx(1.0 - want2, rel=1e-14)
-        assert phi.sqrt_disc == pytest.approx(want1 - want2, rel=1e-14)
+        assert phi.psi_sqrt_disc == pytest.approx(0.5 * (want1 - want2), rel=1e-14)
 
     def test_no_stop_limit_gives_extremes_of_omega_power(self):
         params = WalkParams(0.4, 0.0, 2)
         phi = mgf.characteristic(params, 1.0).phi
-        assert phi.phi1 == pytest.approx(1.0, rel=1e-12)
+        assert phi.psi1 == pytest.approx(1.0, rel=1e-12)  # phi1, as 1 - s = 1
         assert phi.phi2 == pytest.approx(params.omega_pow, rel=1e-12)
 
     def test_overflowing_discriminant_is_unsupported(self):
-        # tau1**i0 ~ 7e190 here, so the discriminant is inf and phi2 would come out 0
-        params = WalkParams(0.9, 0.5, 200)
-        u_i0 = cp.power_divided_difference(cp.tau_roots(1.0, params), 200)
+        # tau1**i0 ~ 1.7e308 here, so (1-s) sqrt(disc) is inf and phi2 would
+        # come out 0; at i0 = 200 its square overflowed, but the root does not
+        params = WalkParams(0.9, 0.5, 323)
+        u_i0 = cp.power_divided_difference(cp.tau_roots(1.0, params), 323)
         with pytest.raises(UnsupportedRegimeError):
             cp.phi_roots(1.0, params, u_i0)
 
     def test_ordering_and_product_on_grid(self):
         for params in grid_params():
             for z in (0.2, 0.6, 1.0):
-                phi = mgf.characteristic(params, z).phi
-                assert phi.phi1 > 1.0 > phi.phi2 > 0.0
-                assert phi.phi1 * phi.phi2 == pytest.approx(
-                    params.omega_pow, rel=1e-12
+                phi, one_ms = mgf.characteristic(params, z).phi, 1.0 - params.s
+                assert phi.psi1 > one_ms and 1.0 > phi.phi2 > 0.0  # phi1 > 1 > phi2 > 0
+                assert phi.psi1 * phi.phi2 == pytest.approx(
+                    one_ms * params.omega_pow, rel=1e-12
                 )
+
+
+def _unscaled_roots(params: WalkParams, z: float) -> dict:
+    """The characteristic's barrier roots at z in the decimal reference's unscaled terms, for s < 1."""
+    phi, one_ms = mgf.characteristic(params, z).phi, 1.0 - params.s
+    return {
+        "phi1": phi.psi1 / one_ms, "phi2": phi.phi2, "phi1_gap": phi.psi1_gap / one_ms,
+        "phi2_gap": phi.phi2_gap, "sqrt_disc": phi.psi_sqrt_disc / one_ms,
+    }
 
 
 _NEAR_HALF = st.sampled_from([0.5, 0.5 + 1e-9, 0.5 - 1e-9, 0.5 + 1e-7, 0.5 - 1e-7])
@@ -166,9 +176,9 @@ class TestBarrierRootGaps:
     @settings(max_examples=400, deadline=None)
     def test_gaps_match_the_decimal_reference(self, p, s, i0, z):
         params = WalkParams(p, s, i0)
-        phi, want = mgf.characteristic(params, z).phi, ref.barrier_roots(params, z)
+        got, want = _unscaled_roots(params, z), ref.barrier_roots(params, z)
         for name in ("phi1_gap", "phi2_gap", "sqrt_disc"):
-            assert getattr(phi, name) == pytest.approx(want[name], rel=1e-13), name
+            assert got[name] == pytest.approx(want[name], rel=1e-13), name
 
     @pytest.mark.parametrize(
         "p, s, i0, z",
@@ -180,9 +190,9 @@ class TestBarrierRootGaps:
     )
     def test_all_five_at_edge_points(self, p, s, i0, z):
         params = WalkParams(p, s, i0)
-        phi, want = mgf.characteristic(params, z).phi, ref.barrier_roots(params, z)
+        got, want = _unscaled_roots(params, z), ref.barrier_roots(params, z)
         for name in ("phi1", "phi2", "phi1_gap", "phi2_gap", "sqrt_disc"):
-            assert getattr(phi, name) == pytest.approx(want[name], rel=1e-15), name
+            assert got[name] == pytest.approx(want[name], rel=1e-15), name
 
 
 def _richardson_from_below(f, h=1e-4):
@@ -203,7 +213,7 @@ class TestLucasTerms:
         params = WalkParams(p, 0.5, 1)
         roots = cp.tau_roots(z, params)
         for n in range(1, 9):
-            lt = cp.lucas_terms(z, params, n)
+            lt = cp.lucas_terms(roots, params, n)
             assert lt.u == pytest.approx(cp.power_divided_difference(roots, n), rel=1e-13)
             assert lt.u_prev == pytest.approx(
                 cp.power_divided_difference(roots, n - 1), rel=1e-13, abs=0.0
@@ -214,10 +224,10 @@ class TestLucasTerms:
     def test_derivatives_match_finite_differences(self, p):
         params = WalkParams(p, 0.5, 1)
         for n in (1, 2, 3, 6):
-            lt = cp.lucas_terms(1.0, params, n)
+            lt = cp.lucas_terms(cp.tau_roots(1.0, params), params, n)
             for got, field in ((lt.du, "u"), (lt.du_prev, "u_prev"), (lt.dv, "v")):
                 want = _richardson_from_below(
-                    lambda z, f=field: getattr(cp.lucas_terms(z, params, n), f)
+                    lambda z, f=field: getattr(cp.lucas_terms(cp.tau_roots(z, params), params, n), f)
                 )
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
@@ -225,21 +235,22 @@ class TestLucasTerms:
         # p = q at z=1: U_n = n, V_n = 2, dU_n = -n(n^2-1)/3, dV_n = -2n^2
         params = WalkParams(0.5, 0.3, 1)
         for n in range(1, 12):
-            lt = cp.lucas_terms(1.0, params, n)
+            lt = cp.lucas_terms(cp.tau_roots(1.0, params), params, n)
             assert (lt.u, lt.u_prev, lt.v) == (n, n - 1, 2.0)
             assert lt.du == -n * (n * n - 1) / 3
             assert lt.dv == -2.0 * n * n
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ParameterError):
-            cp.lucas_terms(1.0, WalkParams(0.4, 0.5, 1), 0)
+            params = WalkParams(0.4, 0.5, 1)
+            cp.lucas_terms(cp.tau_roots(1.0, params), params, 0)
 
     def test_overflow_is_an_unsupported_regime(self):
         # U_155 of the roots 99 and 1 is finite, V_155 is not
         params = WalkParams(0.99, 0.5, 1)
         assert math.isfinite(cp.power_divided_difference(cp.tau_roots(1.0, params), 155))
         with pytest.raises(UnsupportedRegimeError, match="overflow"):
-            cp.lucas_terms(1.0, params, 155)
+            cp.lucas_terms(cp.tau_roots(1.0, params), params, 155)
 
 
 class TestDerivatives:
@@ -254,7 +265,7 @@ class TestDerivatives:
 
     def test_total_stop_answers_and_no_stop_double_root_is_refused(self):
         # s = 1: psi1 = U_i0/(q z), so its log-derivative is dU_i0/U_i0 - 1,
-        # and phi2 = 0 does not move; theta and phi1 are infinite
+        # and phi2 = 0 does not move; theta is infinite
         for params in (WalkParams(0.4, 1.0, 1), WalkParams(0.5, 1.0, 3), WalkParams(0.7, 1.0, 4)):
             der = cp.derivatives_at_1(params)
             lt = der.lucas
@@ -264,7 +275,7 @@ class TestDerivatives:
                 rel=1e-6,
             )
             assert der.dphi2 == 0.0
-            assert der.dtheta == der.dphi1 == -math.inf
+            assert der.dtheta == -math.inf
         # s = 0 and p = q: the barrier roots coincide at z=1
         with pytest.raises(UnsupportedRegimeError):
             cp.derivatives_at_1(WalkParams(0.5, 0.0, 2))
@@ -281,10 +292,11 @@ class TestDerivatives:
             der = cp.derivatives_at_1(params)
             fd_theta = _richardson_from_below(lambda z: mgf.characteristic(params, z).theta)
             assert der.dtheta == pytest.approx(fd_theta, rel=1e-6)
-            fd_phi1 = _richardson_from_below(
-                lambda z: mgf.characteristic(params, z).phi.phi1
+            fd_psi1 = _richardson_from_below(
+                lambda z: mgf.characteristic(params, z).phi.psi1
             )
-            assert der.dphi1 == pytest.approx(fd_phi1, rel=1e-6)
+            psi1 = mgf.characteristic(params, 1.0).phi.psi1
+            assert psi1 * der.rate == pytest.approx(fd_psi1, rel=1e-6)
             fd_phi2 = _richardson_from_below(
                 lambda z: mgf.characteristic(params, z).phi.phi2
             )

@@ -88,7 +88,7 @@ class TestAnalytic:
 
     def test_theta_overflow_exits_2_with_json_error(self, capsys):
         code, out, err = run_cli(
-            ["analytic", "--p", "0.9", "--s", "0.5", "--i0", "200", "--strategy", "B"],
+            ["analytic", "--p", "0.9", "--s", "0.5", "--i0", "330", "--strategy", "B"],
             capsys,
         )
         assert code == 2
@@ -517,7 +517,7 @@ class TestSweep:
         theta = phi1 = phi2 = None
         if s < 1.0:
             char = mgf.characteristic(fresh(), 1.0)
-            theta, phi1, phi2 = char.theta, char.phi.phi1, char.phi.phi2
+            theta, phi1, phi2 = char.theta, char.phi.psi1 / (1.0 - s), char.phi.phi2
         row = {
             "p": p, "s": s, "i0": i0, "strategy": strategy.value,
             "omega": fresh().omega, "p0": prof.at(0), "p1": prof.at(1),

@@ -78,9 +78,21 @@ class TestAbsorptionProfile:
             assert near.at(0) == pytest.approx(limit.at(0), abs=1e-4)
 
     def test_theta_overflow_raises_instead_of_negative_mass(self, strategy):
-        # theta**2 overflows here; the profile used to total -1.0
+        # tau1**i0 overflows here; at i0 = 200, where theta**2 overflowed,
+        # the profile used to total -1.0
         with pytest.raises(UnsupportedRegimeError):
-            metrics.absorption_profile(WalkParams(0.9, 0.5, 200), strategy)
+            metrics.absorption_profile(WalkParams(0.9, 0.5, 330), strategy)
+
+    def test_omega_power_past_1e154_matches_the_exact_solver(self, strategy):
+        # theta**2 overflowed here, and every strategy raised; the root of
+        # the discriminant is finite, and so is every answer
+        params = WalkParams(0.9, 0.5, 200)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        prof, tp = metrics.absorption_profile(params, strategy), metrics.time_profile(params, strategy)
+        for k in range(4):
+            assert abs(prof.at(k) - sol.probability(k)) <= 1e-13, k
+            assert tp.at(k) == pytest.approx(sol.killed_time(k), rel=1e-11, abs=0.0), k
+        assert metrics.mean_time_any(params, strategy) == pytest.approx(sol.m_total, rel=1e-13)
 
     @pytest.mark.parametrize("p, s", [(0.99, 0.0), (0.99, 0.5), (0.99, 1.0), (0.01, 0.5)])
     def test_powers_out_of_float_range_raise_the_typed_error(self, p, s, strategy):
@@ -313,6 +325,14 @@ class TestBarrierRootsNearOne:
             assert m == pytest.approx(sol.m_total, rel=1e-7)
             assert m == pytest.approx(ref.mean_time(params, Strategy.A), rel=1e-14)
 
+    @pytest.mark.parametrize("p, s, i0", [(0.9, 1e-250, 100), (0.6, 1e-300, 50)])
+    def test_mean_with_large_omega_power_and_tiny_stop(self, p, s, i0, strategy):
+        # C's mean formed omega**i0 times B's mean before dividing: at
+        # (0.9, 1e-250, 100) that is 2.7e95 * 1e252, which overflowed
+        params = WalkParams(p, s, i0)
+        m = metrics.mean_time_any(params, strategy)
+        assert m == pytest.approx(ref.mean_time(params, strategy), rel=1e-14)
+
     @pytest.mark.parametrize("p, s", [(0.6, 1e-310), (0.6, 5e-324), (0.5, 1e-320)])
     def test_subnormal_stop_term_raises_instead_of_losing_bits(self, p, s, strategy):
         # 1 - phi2 is, or divides, a subnormal number here and keeps few bits:
@@ -350,8 +370,9 @@ class TestPhi2GapNearOne:
         for p, s, i0 in [(0.3, 0.2, 1), (0.55, 0.05, 3), (0.7, 0.5, 2)]:
             params = WalkParams(p, s, i0)
             char = mgf.characteristic(params, 1.0)
-            product = (char.phi.phi1 - 1.0) * (1.0 - char.phi.phi2)
-            assert product == pytest.approx(char.u_i0 * s / (params.q * (1.0 - s)), rel=1e-13)
+            # (1-s)(phi1 - 1)(1 - phi2) = (1-s) delta
+            product = char.phi.psi1_gap * (1.0 - char.phi.phi2)
+            assert product == pytest.approx(char.u_i0 * s / params.q, rel=1e-13)
 
     @pytest.mark.parametrize("p, s, i0", [(0.5001, 1e-10, 1), (0.7, 1e-6, 2)])
     def test_generating_function_tail_keeps_the_gap(self, p, s, i0):
@@ -444,6 +465,29 @@ class TestOneFormUpToTotalStop:
             assert tp.at(k) == pytest.approx(sol.killed_time(k), rel=1e-12, abs=1e-300), k
         assert metrics.mean_time_any(params, strategy) == pytest.approx(sol.m_total, rel=1e-14, abs=0.0)
         assert prof.at(0) == pytest.approx({"A": 0.24, "B": 1.0, "C": 1.0}[strategy.value], rel=1e-14, abs=0.0)
+
+
+    @pytest.mark.parametrize("i0", [170, 200])
+    def test_total_stop_with_omega_power_past_1e154(self, i0, strategy):
+        # (1-s) sqrt(disc) was the root of its square, which overflows at s = 1
+        # once omega**i0 passes about 1e154; stopping on arrival, the masses
+        # and means are ratios of the Lucas terms at z = 1
+        params = WalkParams(0.9, 1.0, i0)
+        p, q, lt = params.p, params.q, cp.lucas_terms(cp.tau_roots(1.0, params), params, i0)
+        start = lt.u_prev / lt.u
+        want_masses, want_mean = {
+            Strategy.A: ((0.0, 1.0, 0.0), 0.0),
+            Strategy.B: ((q / lt.u, (q * params.omega + p) * start, q * (params.omega_pow / lt.u)), float(i0)),
+            Strategy.C: ((1.0 / lt.v, 0.0, params.omega_pow / lt.v), i0 * (lt.u / q) / lt.v),
+        }[strategy]
+        prof = metrics.absorption_profile(params, strategy)
+        for k, want in enumerate(want_masses):
+            assert prof.at(k) == pytest.approx(want, rel=1e-14, abs=0.0), k
+        assert metrics.mean_time_any(params, strategy) == pytest.approx(want_mean, rel=1e-14, abs=0.0)
+        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        tp = metrics.time_profile(params, strategy)
+        for k in range(4):
+            assert tp.at(k) == pytest.approx(sol.killed_time(k), rel=1e-12, abs=0.0), k
 
 
 class TestDoubleRootDigits:

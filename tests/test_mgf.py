@@ -92,14 +92,14 @@ class TestBarrierValues:
                     assert abs(residual) < 1e-10 * max(vals[1], 1.0)
 
     def test_c_barrier_link(self):
-        # omega**i0 * W(i0) == (1-s) * phi1 * W(2*i0) at any z
+        # omega**i0 * W(i0) == (1-s) * phi1 * W(2*i0) = psi1 * W(2*i0) at any z
         for params in small_grid():
             for z in (0.3, 0.8, 1.0):
                 phi = mgf.characteristic(params, z).phi
                 w = mgf.mgf_c(params, z)
                 w1, w2 = w.at(1), w.at(2)
                 lhs = params.omega_pow * w1
-                rhs = (1.0 - params.s) * phi.phi1 * w2
+                rhs = phi.psi1 * w2
                 assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_geometric_barrier_ratio(self):
@@ -363,9 +363,10 @@ class TestCharacteristicMemo:
         assert char.phi == cp.phi_roots(0.7, params, u_i0)
         # away from the double root the gaps are the plain differences, to rounding
         phi = char.phi
-        assert phi.phi1_gap == pytest.approx(phi.phi1 - 1.0, rel=1e-15)
+        one_ms = 1.0 - params.s
+        assert phi.psi1_gap == pytest.approx(phi.psi1 - one_ms, rel=1e-15)
         assert phi.phi2_gap == pytest.approx(1.0 - phi.phi2, rel=1e-15)
-        assert phi.sqrt_disc == pytest.approx(phi.phi1 - phi.phi2, rel=1e-15)
+        assert phi.psi_sqrt_disc == pytest.approx(phi.psi1 - one_ms * phi.phi2, rel=1e-15)
 
     def test_same_z_returns_the_identical_object_and_a_new_z_replaces_it(self):
         params = WalkParams(0.4, 0.3, 3)
