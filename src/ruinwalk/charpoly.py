@@ -37,8 +37,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import ParameterError, UnsupportedRegimeError, WalkParams
+
+if TYPE_CHECKING:
+    from .mgf import Characteristic
 
 
 @dataclass(frozen=True)
@@ -259,10 +263,12 @@ def _divided_difference_slope(roots: RootPair, n: int) -> float:
     return acc
 
 
-def lucas_terms(roots: RootPair, params: WalkParams, n: int) -> LucasTerms:
-    """``U_n``, ``U_{n-1}``, ``V_n`` and their z-derivatives at ``roots.z``, for n >= 1.
+def lucas_terms(char: Characteristic, params: WalkParams) -> LucasTerms:
+    """``U_i0``, ``U_{i0-1}``, ``V_i0`` and their z-derivatives at ``char.z``.
 
-    At fixed ``e2 = omega``, ``dU_n/de1`` is the positive power sum of
+    ``char`` is :func:`ruinwalk.mgf.characteristic`'s for ``params``, which
+    already holds ``U_i0`` and ``U_{i0-1}``.  At fixed ``e2 = omega``,
+    ``dU_n/de1`` is the positive power sum of
     :func:`_divided_difference_slope` and ``dV_n/de1 = n*U_n``; both are
     multiplied by ``de1/dz = -1/(q*z**2)``.  Nothing here divides by the
     root gap, so p = 1/2 needs no special case.  The differentiated
@@ -271,9 +277,7 @@ def lucas_terms(roots: RootPair, params: WalkParams, n: int) -> LucasTerms:
     derivatives from the barrier roots' ones (losing a factor of about 4000
     at p=0.55, s=0.99, i0=50), so the positive sums are used instead.
     """
-    if n < 1:
-        raise ParameterError(f"Lucas index must be >= 1, got {n}")
-    u = power_divided_difference(roots, n)
+    roots, n, u = char.roots, params.i0, char.u_i0
     de1 = -1.0 / (params.q * roots.z * roots.z)
     try:
         v = roots.tau1 ** n + roots.tau2 ** n
@@ -283,7 +287,7 @@ def lucas_terms(roots: RootPair, params: WalkParams, n: int) -> LucasTerms:
         raise _power_overflow(roots, n) from None
     return LucasTerms(
         u=u,
-        u_prev=power_divided_difference(roots, n - 1),
+        u_prev=char.u_prev,
         v=v,
         du=de1 * slope,
         du_prev=de1 * slope_prev,
@@ -318,7 +322,7 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
             "barrier roots coincide at z=1; no derivative is available"
         )
     p, c = params.p, 1.0 - params.s
-    lt = lucas_terms(char.roots, params, params.i0)
+    lt = lucas_terms(char, params)
     c_theta = phi.psi1 + c * phi.phi2  # psi1 + psi2
     dc_theta = (lt.du - 2.0 * p * c * (lt.u_prev + lt.du_prev)) / params.q - c_theta
     rate = dc_theta / phi.psi_sqrt_disc

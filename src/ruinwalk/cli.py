@@ -398,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--trials", type=int, default=1_000_000)
     si.add_argument("--seed", type=int, default=0)
     si.add_argument("--max-steps", type=int, default=10_000_000, dest="max_steps")
-    si.add_argument("--workers", type=int, default=1)
+    si.add_argument("--workers", type=int, default=1,
+                    help="processes that walk the trial ranges, at most one per range and usable "
+                         "CPU; the output does not depend on it")
     _add_output_flags(si)
     si.set_defaults(func=cmd_simulate)
 

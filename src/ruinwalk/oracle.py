@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .core import ParameterError, Profile, Strategy, WalkParams
 
-_RANGE = 1 << 19  # trials per stream: the unit of parallelism, whatever `workers` is
+_RANGE = 1 << 19  # trials per stream: the unit a worker process walks, whatever `workers` is
 _BATCH = 1 << 15  # live trials a stream holds at most
 _TABLE = 1 << 12  # states whose barrier test is a table lookup; the rest take the modulo
 # one period's ratio maps move a converged fixed point by rounding only
@@ -575,6 +575,16 @@ def _range_trials(
     return tallies, escaped
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
 def simulate(
     params: WalkParams,
     strategy: Strategy,
@@ -588,11 +598,15 @@ def simulate(
     Trial ``t`` draws its uniforms from the counter-based stream
     ``(seed, t, step)``, one Philox block per four steps (see
     :mod:`ruinwalk.rng`).  The trials split into ranges of ``_RANGE``, each
-    walked as one stream by :func:`_range_trials` on one of ``workers``
-    threads; the tallies are exact integers until the sums become floats
-    here, so the result is bit-identical for any ``workers`` value, range
-    size or batch size.  Trials still alive after ``max_steps`` are counted
-    as escaped, never dropped silently.
+    walked as one stream by :func:`_range_trials`, round robin over up to
+    ``workers`` processes (no more than ranges or usable CPUs): this one
+    walks the first share and forks a child per other share, which pipes
+    back its pickled tallies or exception.  A child that ends without a
+    result raises :class:`ConvergenceError`; no child outlives the call.
+    The tallies are exact integers until the sums become floats here, so
+    the result is bit-identical for any ``workers`` value, range size or
+    batch size.  Trials still alive after ``max_steps`` are counted as
+    escaped, never dropped silently.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -600,21 +614,64 @@ def simulate(
         raise ParameterError(f"max_steps must be >= 1, got {max_steps}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    from concurrent.futures import ThreadPoolExecutor
+    import os
+    import pickle
+    import signal
 
     from . import rng
 
     strategy = Strategy(strategy)
     bounds = [(lo, min(lo + _RANGE, trials)) for lo in range(0, trials, _RANGE)]
+    n_shares = min(workers, len(bounds), _usable_cpus()) if hasattr(os, "fork") else 1
+    shares = [bounds[i::n_shares] for i in range(n_shares)]  # round robin; the first is ours
 
-    def run(b: tuple[int, int]):
-        return _range_trials(params, strategy, seed, b[0], b[1], max_steps)
+    def walk(share: list[tuple[int, int]]) -> list:
+        return [_range_trials(params, strategy, seed, lo, hi, max_steps) for lo, hi in share]
 
-    if workers == 1 or len(bounds) == 1:
-        partials = [run(b) for b in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, bounds))
+    children = []  # (pid, the read end of its pipe), until reaped
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child runs numpy ufuncs, one pickle and os._exit only:
+                # it flushes no stdio buffer it inherited, runs no atexit
+                # handler and never calls into BLAS, whose threads the fork
+                # did not copy.  It never returns from this block.
+                code = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        outcome = (True, walk(share))
+                    except BaseException as exc:
+                        outcome = (False, exc)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps(outcome))
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, open(read_end, "rb")))
+            os.close(write_end)
+        partials = walk(shares[0])
+        for worker in range(1, n_shares):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code or not data:  # a child exits 0 only once its whole result is sent
+                raise ConvergenceError(
+                    f"Monte Carlo worker {worker} ended without a result (exit status {code})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            partials += value
+    finally:  # children are left here only if something failed
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
     totals: dict[int, list[int]] = {}
     escaped = 0

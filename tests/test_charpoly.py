@@ -210,47 +210,54 @@ class TestLucasTerms:
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.5 + 1e-6, 0.7])
     @pytest.mark.parametrize("z", [0.6, 1.0])
     def test_values_match_the_step_roots(self, p, z):
-        params = WalkParams(p, 0.5, 1)
-        roots = cp.tau_roots(z, params)
         for n in range(1, 9):
-            lt = cp.lucas_terms(roots, params, n)
+            params = WalkParams(p, 0.5, n)
+            char = mgf.characteristic(params, z)
+            roots = char.roots
+            lt = cp.lucas_terms(char, params)
             assert lt.u == pytest.approx(cp.power_divided_difference(roots, n), rel=1e-13)
             assert lt.u_prev == pytest.approx(
                 cp.power_divided_difference(roots, n - 1), rel=1e-13, abs=0.0
             )
             assert lt.v == pytest.approx(roots.tau1 ** n + roots.tau2 ** n, rel=1e-13)
 
+    def test_reads_the_characteristic_it_is_given(self):
+        # U_i0 and U_{i0-1} come from the characteristic, not a second solve
+        params = WalkParams(0.4, 0.5, 3)
+        char = mgf.characteristic(params, 1.0)
+        lt = cp.lucas_terms(char, params)
+        assert (lt.u, lt.u_prev) == (char.u_i0, char.u_prev)
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.5 - 1e-8, 0.7])
     def test_derivatives_match_finite_differences(self, p):
-        params = WalkParams(p, 0.5, 1)
         for n in (1, 2, 3, 6):
-            lt = cp.lucas_terms(cp.tau_roots(1.0, params), params, n)
+            params = WalkParams(p, 0.5, n)
+            lt = cp.lucas_terms(mgf.characteristic(params, 1.0), params)
             for got, field in ((lt.du, "u"), (lt.du_prev, "u_prev"), (lt.dv, "v")):
                 want = _richardson_from_below(
-                    lambda z, f=field: getattr(cp.lucas_terms(cp.tau_roots(z, params), params, n), f)
+                    lambda z, f=field: getattr(cp.lucas_terms(mgf.characteristic(params, z), params), f)
                 )
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
     def test_driftless_closed_forms(self):
         # p = q at z=1: U_n = n, V_n = 2, dU_n = -n(n^2-1)/3, dV_n = -2n^2
-        params = WalkParams(0.5, 0.3, 1)
         for n in range(1, 12):
-            lt = cp.lucas_terms(cp.tau_roots(1.0, params), params, n)
+            params = WalkParams(0.5, 0.3, n)
+            lt = cp.lucas_terms(mgf.characteristic(params, 1.0), params)
             assert (lt.u, lt.u_prev, lt.v) == (n, n - 1, 2.0)
             assert lt.du == -n * (n * n - 1) / 3
             assert lt.dv == -2.0 * n * n
 
-    def test_rejects_index_below_one(self):
-        with pytest.raises(ParameterError):
-            params = WalkParams(0.4, 0.5, 1)
-            cp.lucas_terms(cp.tau_roots(1.0, params), params, 0)
-
     def test_overflow_is_an_unsupported_regime(self):
-        # U_155 of the roots 99 and 1 is finite, V_155 is not
-        params = WalkParams(0.99, 0.5, 1)
-        assert math.isfinite(cp.power_divided_difference(cp.tau_roots(1.0, params), 155))
+        # U_155 of the roots 99 and 1 is finite, V_155 is not; the
+        # characteristic refuses omega**155 first, so its U terms are given
+        params = WalkParams(0.99, 0.5, 155)
+        roots = cp.tau_roots(1.0, params)
+        u_i0, u_prev = (cp.power_divided_difference(roots, n) for n in (155, 154))
+        assert math.isfinite(u_i0)
+        char = mgf.Characteristic(1.0, roots, u_i0, u_prev, math.inf, None)
         with pytest.raises(UnsupportedRegimeError, match="overflow"):
-            cp.lucas_terms(cp.tau_roots(1.0, params), params, 155)
+            cp.lucas_terms(char, params)
 
 
 class TestDerivatives:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from ruinwalk import charpoly as cp
 from ruinwalk import cli, metrics, mgf, oracle, verify
-from ruinwalk.core import Strategy, WalkParams
+from ruinwalk.core import ParameterError, Strategy, WalkParams
 
 import decimal_reference as ref
 from conftest import SQRT3
@@ -258,6 +259,35 @@ class TestSimulate:
         )
         report = json.loads(out)
         assert abs(report["mean_time"] - 10.0) < 4.0 * report["mean_time_se"]
+
+    @pytest.mark.parametrize(
+        "how, code, message",
+        [("raises", 2, "refused in a worker"), ("dies", 1, "did not converge")],
+    )
+    def test_a_failing_worker_exits_with_one_line_json(self, capsys, monkeypatch, how, code, message):
+        # three ranges of 1,000 trials on two CPUs: one forked worker, which
+        # inherits the patched range walker
+        monkeypatch.setattr(oracle, "_RANGE", 1000)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        parent, real = os.getpid(), oracle._range_trials
+
+        def range_trials(*args):
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise ParameterError("refused in a worker")
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_range_trials", range_trials)
+        got, out, err = run_cli(
+            ["simulate", "--p", "0.5", "--s", "0.3", "--i0", "2", "--strategy", "B",
+             "--trials", "3000", "--seed", "5", "--workers", "2"],
+            capsys,
+        )
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert message in json.loads(err)["error"]
 
 
 class TestExact:

@@ -473,7 +473,7 @@ class TestOneFormUpToTotalStop:
         # once omega**i0 passes about 1e154; stopping on arrival, the masses
         # and means are ratios of the Lucas terms at z = 1
         params = WalkParams(0.9, 1.0, i0)
-        p, q, lt = params.p, params.q, cp.lucas_terms(cp.tau_roots(1.0, params), params, i0)
+        p, q, lt = params.p, params.q, cp.lucas_terms(mgf.characteristic(params, 1.0), params)
         start = lt.u_prev / lt.u
         want_masses, want_mean = {
             Strategy.A: ((0.0, 1.0, 0.0), 0.0),

@@ -1,5 +1,6 @@
 import ast
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -504,8 +505,9 @@ class TestSimulate:
     def test_refilled_batches_match_the_reference_loop(
         self, p, s, i0, strategy, max_steps, table, monkeypatch
     ):
-        # ranges of 1,000 trials in batches of 64: three streams on two
-        # threads, each refilled hundreds of times
+        # ranges of 1,000 trials in batches of 64: three streams, two of
+        # them walked here and one in a forked worker wherever two CPUs
+        # are usable, each refilled hundreds of times
         monkeypatch.setattr(oracle, "_RANGE", 1000)
         monkeypatch.setattr(oracle, "_BATCH", 64)
         if table is not None:  # states past 3 take the modulo and tally one by one
@@ -576,6 +578,98 @@ class TestSimulate:
             oracle.simulate(params, Strategy.B, 0, seed=1)
         with pytest.raises(ParameterError):
             oracle.simulate(params, Strategy.B, 10, seed=1, max_steps=0)
+
+
+class TestWorkers:
+    """Worker processes, on ranges of 1,000 trials: 3,000 trials span three."""
+
+    PARAMS = WalkParams(0.5, 0.3, 2)
+
+    @pytest.fixture(autouse=True)
+    def _three_ranges_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_RANGE", 1000)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of forks, counted in this process around the real ``os.fork``."""
+        calls, real_fork = [], os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    @staticmethod
+    def _in_children(monkeypatch, act):
+        """``_range_trials`` runs ``act(lo)`` in a forked worker, and walks here."""
+        parent, real = os.getpid(), oracle._range_trials
+
+        def range_trials(params, strategy, seed, lo, hi, max_steps):
+            if os.getpid() != parent:
+                act(lo)
+            return real(params, strategy, seed, lo, hi, max_steps)
+
+        monkeypatch.setattr(oracle, "_range_trials", range_trials)
+
+    @staticmethod
+    def _assert_every_child_reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [2, 64])
+    def test_one_fork_per_usable_cpu_past_the_first(self, forks, workers):
+        one = oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200)
+        assert forks == []
+        got = oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=workers)
+        assert got == one
+        assert forks == [1]
+        self._assert_every_child_reaped()
+
+    def test_one_worker_or_one_range_forks_nothing(self, forks):
+        oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=1)
+        oracle.simulate(self.PARAMS, Strategy.B, 1000, seed=5, max_steps=200, workers=2)
+        assert forks == []
+
+    def test_without_fork_every_share_runs_here(self, monkeypatch):
+        one = oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200)
+        monkeypatch.delattr(os, "fork")
+        assert oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2) == one
+
+    def test_a_workers_exception_comes_back_with_its_type(self, monkeypatch):
+        def refuse(lo):
+            raise ParameterError(f"range at {lo} refused")
+
+        self._in_children(monkeypatch, refuse)
+        with pytest.raises(ParameterError, match="range at 1000 refused"):  # the child's range
+            oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2)
+        self._assert_every_child_reaped()
+
+    @pytest.mark.parametrize("code", [3, 0])  # 0: ends cleanly, but sends nothing
+    def test_a_worker_that_dies_raises_convergence_error(self, monkeypatch, code):
+        self._in_children(monkeypatch, lambda lo: os._exit(code))
+        with pytest.raises(oracle.ConvergenceError, match=rf"worker 1 .*exit status {code}\)"):
+            oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2)
+        self._assert_every_child_reaped()
+
+    def test_a_failing_parent_share_kills_its_workers(self, monkeypatch):
+        import time
+
+        parent = os.getpid()
+
+        def range_trials(params, strategy, seed, lo, hi, max_steps):
+            if os.getpid() != parent:
+                time.sleep(60)  # would outlive the test unless killed
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(oracle, "_range_trials", range_trials)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2)
+        assert time.monotonic() - start < 10.0
+        self._assert_every_child_reaped()
 
 
 def _reference_walk(params, strategy, trials, seed, max_steps):
