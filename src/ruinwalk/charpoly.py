@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import ParameterError, UnsupportedRegimeError, WalkParams
 
@@ -45,8 +44,7 @@ if TYPE_CHECKING:
     from .mgf import Characteristic
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     """Step roots at a given z, ordered tau1 >= tau2."""
 
     tau1: float
@@ -54,8 +52,7 @@ class RootPair:
     z: float
 
 
-@dataclass(frozen=True)
-class PhiPair:
+class PhiPair(NamedTuple):
     """Barrier recurrence roots phi1 > 1 > phi2 >= 0, phi1 scaled as ``psi1 = (1-s) phi1``.
 
     ``psi1``, ``psi1_gap = (1-s)(phi1 - 1)`` and
@@ -77,8 +74,7 @@ def _unscaled(value: float, scale: float) -> float:
     return value / scale if scale else math.copysign(math.inf, value)
 
 
-@dataclass(frozen=True)
-class LucasTerms:
+class LucasTerms(NamedTuple):
     """``U_n``, ``U_{n-1}`` and ``V_n`` of the step roots with their z-derivatives.
 
     ``U_n = (tau1**n - tau2**n) / (tau1 - tau2)`` and
@@ -93,8 +89,7 @@ class LucasTerms:
     dv: float
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
+class DerivativeBundle(NamedTuple):
     """z-derivatives of theta and phi at z=1, with the Lucas terms behind them.
 
     ``rate`` is ``dphi1/phi1 = dpsi1/psi1``, finite on 0 <= s <= 1, and

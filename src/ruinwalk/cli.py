@@ -284,14 +284,17 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         inject_wrong_mb=args.inject_wrong_mb,
     )
-    width = max(len(c.name) for c in checks)
-    for c in checks:
-        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}")
     failures = [c for c in checks if not c.passed]
-    print(
-        f"{len(checks) - len(failures)}/{len(checks)} checks passed"
-        + ("" if not failures else f"; first failure: {failures[0].name}")
-    )
+    if args.format == "json":
+        print(json.dumps([c._asdict() for c in checks], indent=2))
+    else:
+        width = max(len(c.name) for c in checks)
+        for c in checks:
+            print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}")
+        print(
+            f"{len(checks) - len(failures)}/{len(checks)} checks passed"
+            + ("" if not failures else f"; first failure: {failures[0].name}")
+        )
     return 1 if failures else 0
 
 
@@ -428,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--quick", action="store_true", help="skip the Monte Carlo layer")
     ve.add_argument("--trials", type=int, default=1_000_000)
     ve.add_argument("--seed", type=int, default=20240914)
+    ve.add_argument("--format", choices=["text", "json"], default="text",
+                    help="one line per check, or a JSON array of {name, passed, detail}")
     ve.add_argument("--inject-wrong-mb", action="store_true",
                     dest="inject_wrong_mb", help=argparse.SUPPRESS)
     ve.set_defaults(func=cmd_verify)

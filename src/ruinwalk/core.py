@@ -23,8 +23,8 @@ every layer reads it from there:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class ParameterError(ValueError):
@@ -61,33 +61,51 @@ class Strategy(str, Enum):
         return (state % i0 == 0) & (state >= self.first_barrier_multiple * i0)
 
 
-@dataclass(frozen=True)
 class WalkParams:
     """Problem instance: step-up probability p, stop probability s, stake i0.
 
     Derived quantities: ``q = 1 - p`` and the drift ratio ``omega = p/q``.
     The driftless walk is detected exactly by ``p == 0.5``; the closed forms
     branch on it only at s=0, where its mean absorption time is infinite.
-    ``_memo`` holds the characteristic at the last z asked of
-    :func:`ruinwalk.mgf.characteristic` and, while that z is 1, the bundle
-    of :func:`ruinwalk.charpoly.derivatives_at_1`; it takes no part in
-    equality, hashing or repr.
+    An instance is immutable.  ``_memo`` holds the characteristic at the
+    last z asked of :func:`ruinwalk.mgf.characteristic` and, while that z is
+    1, the bundle of :func:`ruinwalk.charpoly.derivatives_at_1`; it takes no
+    part in equality, hashing, repr or pickling.
     """
 
-    p: float
-    s: float
-    i0: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("p", "s", "i0", "_memo", "__weakref__")
 
-    def __post_init__(self):
-        if not isinstance(self.i0, int) or isinstance(self.i0, bool):
-            raise ParameterError(f"i0 must be an integer, got {self.i0!r}")
-        if not 0.0 < self.p < 1.0:
-            raise ParameterError(f"p must lie in (0, 1), got {self.p}")
-        if not 0.0 <= self.s <= 1.0:
-            raise ParameterError(f"s must lie in [0, 1], got {self.s}")
-        if self.i0 < 1:
-            raise ParameterError(f"i0 must be >= 1, got {self.i0}")
+    def __init__(self, p: float, s: float, i0: int):
+        if not isinstance(i0, int) or isinstance(i0, bool):
+            raise ParameterError(f"i0 must be an integer, got {i0!r}")
+        if not 0.0 < p < 1.0:
+            raise ParameterError(f"p must lie in (0, 1), got {p}")
+        if not 0.0 <= s <= 1.0:
+            raise ParameterError(f"s must lie in [0, 1], got {s}")
+        if i0 < 1:
+            raise ParameterError(f"i0 must be >= 1, got {i0}")
+        for name, value in (("p", p), ("s", s), ("i0", i0), ("_memo", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.s, self.i0) == (other.p, other.s, other.i0)
+
+    def __hash__(self):
+        return hash((self.p, self.s, self.i0))
+
+    def __repr__(self):
+        return f"WalkParams(p={self.p!r}, s={self.s!r}, i0={self.i0!r})"
+
+    def __reduce__(self):
+        return WalkParams, (self.p, self.s, self.i0)
 
     @property
     def q(self) -> float:
@@ -114,8 +132,7 @@ class WalkParams:
         return self.p == 0.5
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Values at ruin (k = 0) and at every barrier k*i0: masses or killed times.
 
     ``head`` holds barriers 0..a explicitly.  Past it the values are

@@ -24,7 +24,7 @@ cross-checked against the step-by-step propagation oracle in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charpoly import (
     PhiPair,
@@ -45,8 +45,7 @@ def _require_stopping(params: WalkParams) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(NamedTuple):
     """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta and phi at one z.
 
     Built by :func:`characteristic`; every closed form for 0 < s <= 1, and

@@ -26,7 +26,7 @@ else, starts without loading numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ParameterError, Profile, Strategy, WalkParams
 
@@ -45,8 +45,7 @@ class ConvergenceError(RuntimeError):
 # exact first-step solver
 
 
-@dataclass(frozen=True)
-class ExactSolution:
+class ExactSolution(NamedTuple):
     """Absorption profile and killed time profile from the exact solver.
 
     ``masses`` and ``times`` answer every k: their head runs to the cut's
@@ -405,8 +404,7 @@ def _dp_once(
 # Monte Carlo
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """Aggregated Monte Carlo outcome with enough sums for standard errors."""
 
     trials: int

@@ -438,6 +438,22 @@ class TestVerify:
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(failing) == 1 and "m_B relation" in failing[0]
 
+    @pytest.mark.parametrize("inject", [False, True])
+    def test_json_format_carries_the_checks_of_text_mode(self, inject, capsys):
+        flags = ["verify", "--quick"] + (["--inject-wrong-mb"] if inject else [])
+        code, out, _ = run_cli(flags, capsys)
+        json_code, json_out, _ = run_cli(flags + ["--format", "json"], capsys)
+        checks = json.loads(json_out)
+        assert json_code == code == (1 if inject else 0)
+        assert all(list(check) == ["name", "passed", "detail"] for check in checks)
+        width = max(len(check["name"]) for check in checks)
+        lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert lines == [
+            f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']:<{width}}  {c['detail']}"
+            for c in checks
+        ]
+        assert sum(not check["passed"] for check in checks) == int(inject)
+
     def test_exact_agreement_names_its_worst_cases(self):
         worst = {}
         for check in verify.check_exact_agreement():
@@ -463,6 +479,33 @@ class TestVerify:
         # tol * 1e-6, the worst errors are rounding-level
         mass, time, tail = worst.values()
         assert mass <= 1e-12 and time <= 1e-10 and tail <= 1e-14
+
+
+class TestReports:
+    INSTANCE = ["--p", "0.4", "--s", "0.3", "--i0", "2", "--strategy", "B"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", *INSTANCE, "--z", "0.5", "--conditional"],
+        ["analytic", "--p", "0.5", "--s", "0.3", "--i0", "2", "--strategy", "A"],
+        ["exact", *INSTANCE],
+        ["mgf", *INSTANCE, "--z", "0.5", "--state", "3", "--check-dp"],
+        ["simulate", *INSTANCE, "--trials", "2000", "--seed", "3"],
+    ])
+    def test_hold_no_record(self, argv, monkeypatch):
+        # a record is a tuple, which _emit would print as a list of its
+        # fields: every list in a report is built, never a record passed on
+        reports = []
+        monkeypatch.setattr(cli, "_emit", lambda report, args: reports.append(report))
+        assert cli.main(argv) == 0
+
+        def walk(node):
+            assert not hasattr(node, "_fields"), repr(node)
+            if isinstance(node, dict):
+                node = list(node.values())
+            for child in node if isinstance(node, (list, tuple)) else ():
+                walk(child)
+
+        walk(reports[0])
 
 
 class TestFloatCell:
@@ -701,6 +744,23 @@ class TestSubprocessEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+    def test_cli_start_loads_no_dataclasses_numpy_or_suite(self):
+        # -S keeps a site .pth file from loading modules ahead of ruinwalk
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import sys\n"
+            "import ruinwalk.cli\n"
+            "ruinwalk.cli.build_parser()\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy', 'ruinwalk.rng',\n"
+            "                           'ruinwalk.verify') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_usage_error_exits_2(self):
         cmd = [sys.executable, "-m", "ruinwalk", "analytic", "--p", "0.5"]

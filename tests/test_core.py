@@ -1,10 +1,13 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruinwalk import charpoly as cp
+from ruinwalk import mgf, oracle, verify
 from ruinwalk.core import (
     ParameterError,
     Profile,
@@ -45,6 +48,69 @@ class TestWalkParams:
     def test_rejects_bad_i0(self, i0):
         with pytest.raises(ParameterError):
             WalkParams(0.5, 0.5, i0)
+
+
+    @pytest.mark.parametrize("name", ["p", "s", "i0", "_memo", "other"])
+    def test_refuses_assignment_and_deletion(self, name):
+        params = WalkParams(0.4, 0.5, 2)
+        with pytest.raises(AttributeError):
+            setattr(params, name, 0.3)
+        with pytest.raises(AttributeError):
+            delattr(params, name)
+        assert (params.p, params.s, params.i0) == (0.4, 0.5, 2)
+
+    def test_pickles_by_its_fields_alone(self):
+        params = WalkParams(0.4, 0.5, 2)
+        mgf.characteristic(params, 1.0)
+        back = pickle.loads(pickle.dumps(params))
+        assert back == params and repr(back) == repr(params)
+        assert back._memo == {}
+
+
+RECORDS = ("Profile", "RootPair", "PhiPair", "Characteristic", "DerivativeBundle",
+           "LucasTerms", "ExactSolution", "SimResult", "CheckResult")
+
+
+def _records():
+    """One instance of every record type in the package, by name."""
+    params = WalkParams(0.4, 0.3, 2)
+    char = mgf.characteristic(params, 0.7)
+    der = cp.derivatives_at_1(params)
+    return {
+        "Profile": Profile((1.0, 2.0, 3.0), rho=0.5, gap=0.5, drho=0.25, mass=0.75),
+        "RootPair": char.roots,
+        "PhiPair": char.phi,
+        "Characteristic": char,
+        "DerivativeBundle": der,
+        "LucasTerms": der.lucas,
+        "ExactSolution": oracle.solve_exact(params, Strategy.B),
+        "SimResult": oracle.simulate(params, Strategy.B, trials=2000, seed=3),
+        "CheckResult": verify.check_step_roots(n_samples=10),
+    }
+
+
+class TestRecords:
+    """The records are NamedTuples: immutable, and tuples of their fields."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_refuse_assignment(self, name):
+        record = _records()[name]
+        assert type(record).__name__ == name
+        for field in (*record._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_are_tuples_of_their_fields(self, name):
+        record = _records()[name]
+        assert record == tuple(record) == tuple(getattr(record, f) for f in record._fields)
+
+    @pytest.mark.parametrize("name", ["ExactSolution", "SimResult"])
+    def test_oracle_results_survive_a_pickle_round_trip(self, name):
+        record = _records()[name]
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record
+        assert back.probability(2) == record.probability(2)
 
 
 class TestProfile:

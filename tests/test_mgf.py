@@ -402,10 +402,15 @@ class TestCharacteristicMemo:
         assert len({empty, filled, elsewhere}) == 1
 
     def test_is_freed_with_its_params_by_refcount(self):
-        # the characteristic holds no reference back to its params, so no
-        # cycle keeps either alive once the params go
+        # the characteristic and the derivative bundle in the memo hold no
+        # reference back to their params, so no cycle keeps the params alive
+        # once the last name for them goes (a record, being a tuple, takes
+        # no weak reference; the params do)
         params = WalkParams(0.4, 0.3, 3)
-        ref = weakref.ref(mgf.characteristic(params, 1.0))
+        mgf.characteristic(params, 1.0)
+        cp.derivatives_at_1(params)
+        assert len(params._memo) == 2
+        ref = weakref.ref(params)
         gc.disable()
         try:
             del params
