@@ -1,7 +1,6 @@
 """Barrier-stopping gambler's-ruin walks: closed forms, oracles, verification."""
 
 from .core import (
-    AbsorptionNotCertainError,
     ParameterError,
     Profile,
     Strategy,
@@ -19,19 +18,12 @@ from .charpoly import (
 )
 from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_c
 from .mgf import mgf_interior, mgf_states, mgf_value
-from .metrics import (
-    absorption_profile,
-    bc_ratio,
-    mean_time_any,
-    mean_time_at,
-    time_profile,
-)
+from .metrics import absorption_profile, bc_ratio, mean_time_any, time_profile
 from .oracle import ExactSolution, SimResult, mgf_dp, simulate, solve_exact
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorptionNotCertainError",
     "Characteristic",
     "DerivativeBundle",
     "ExactSolution",
@@ -48,7 +40,6 @@ __all__ = [
     "characteristic",
     "derivatives_at_1",
     "mean_time_any",
-    "mean_time_at",
     "mgf_a",
     "mgf_b",
     "mgf_c",

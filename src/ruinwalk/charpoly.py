@@ -182,11 +182,12 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
     The wider gap is ``c (|theta - 2| + sqrt(disc)) / 2`` and the other the
     product over it, so neither cancels near the double root or as s -> 0;
     ``psi1 = c + c (phi1 - 1)`` and ``phi2 = c omega**i0 / psi1``.  At s = 1
-    this gives ``psi1 = U_i0 / (q z)``, phi2 = 0 and ``1 - phi2 = 1``.  Three
-    inputs are unsupported regimes instead: a ``c sqrt(disc)`` that is not
-    finite (large ``i0*|log omega|``); for s > 0 with theta >= 2, a
-    ``1 - phi2`` that is, or divides, a subnormal number (s near the float
-    minimum); and, for 0 < s < 1, a phi2 that underflows to 0.
+    this gives ``psi1 = U_i0 / (q z)``, phi2 = 0 and ``1 - phi2 = 1``.  Where
+    ``omega**i0`` underflows, phi2 = 0 is a value: no closed form divides
+    by phi2.  Two inputs are unsupported regimes instead: a
+    ``c sqrt(disc)`` that is not finite (large ``i0*|log omega|``), and, for
+    s > 0 with theta >= 2, a ``1 - phi2`` that is, or divides, a subnormal
+    number (s near the float minimum).
     """
     s, c = params.s, 1.0 - params.s
     try:
@@ -216,11 +217,6 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
     psi1_gap, phi2_gap = (wide, narrow) if lift >= 0.0 else (c * narrow, wide / c)
     psi1 = c + psi1_gap
     phi2 = c * params.omega_pow / psi1
-    if 0.0 < s < 1.0 and not phi2:
-        raise UnsupportedRegimeError(
-            f"phi2 underflows to 0 (omega**i0={params.omega_pow!r}) at z={z}; "
-            "no closed-form answer is available for this instance"
-        )
     return PhiPair(psi1, phi2, psi1_gap, phi2_gap, sqrt_disc)
 
 

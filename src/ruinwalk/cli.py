@@ -74,10 +74,8 @@ def _times_block(params: WalkParams, strategy: Strategy, kmax: int) -> dict:
             return {"m_total": metrics.mean_time_any(params, strategy), "et": et, "source": "exact"}
         except oracle.ConvergenceError:
             pass  # as s -> 0 a period's eigenvalues do not separate; the closed forms answer
-    tp = metrics.time_profile(params, strategy)
-    # at s=0 the total is the ruin time killed by escape, which mean_time_any refuses
-    m = tp.total if params.s == 0.0 else metrics.mean_time_any(params, strategy)
-    return {"m_total": m, "et": tp.upto(kmax), "source": "analytic"}
+    et = metrics.time_profile(params, strategy).upto(kmax)
+    return {"m_total": metrics.mean_time_any(params, strategy), "et": et, "source": "analytic"}
 
 
 def _require_kmax(kmax: int) -> None:
@@ -232,13 +230,12 @@ def cmd_exact(args) -> int:
         "params": {"p": params.p, "s": params.s, "i0": params.i0},
         "strategy": args.strategy,
         "truncation_k": sol.truncation_k,
-        "method": sol.method,
         "squarings": sol.squarings,
         "fixed_point_residual": sol.fixed_point_residual,
         "error_estimate": sol.error_estimate,
         "escape_mass": sol.escape_mass,
         "absorption": {
-            "p0": sol.p0,
+            "p0": sol.masses.at(0),
             "pk": sol.masses.upto(args.kmax)[1:],
         },
         "times": {

@@ -35,10 +35,6 @@ class UnsupportedRegimeError(ValueError):
     """No closed-form path exists for the requested parameter regime."""
 
 
-class AbsorptionNotCertainError(ValueError):
-    """A mean was requested that requires almost-sure absorption."""
-
-
 class Strategy(str, Enum):
     """The stop rule: :meth:`is_barrier` for t > 0 and :attr:`stops_at_start` for t = 0."""
 

@@ -32,18 +32,11 @@ import math
 
 from . import charpoly as cp
 from . import mgf
-from .core import (
-    AbsorptionNotCertainError,
-    ParameterError,
-    Profile,
-    Strategy,
-    UnsupportedRegimeError,
-    WalkParams,
-)
+from .core import Profile, Strategy, UnsupportedRegimeError, WalkParams
 
 
-def _limit_profiles(params: WalkParams) -> tuple[Profile, Profile, float]:
-    """Head-only profiles and the mean time at s=0, where the walk is classical ruin.
+def _limit_profiles(params: WalkParams) -> tuple[Profile, Profile]:
+    """Head-only mass and time profiles at s=0, where the walk is classical ruin.
 
     No barrier stops: only ruin absorbs, mass escapes upward when
     omega > 1, and the ruin time is killed by that escape (FORMULA_ERRATA.md #3).
@@ -57,7 +50,7 @@ def _limit_profiles(params: WalkParams) -> tuple[Profile, Profile, float]:
         # killed by the escape event: conditioned on ruin the drift flips
         et0 = i0 / ((params.p - params.q) * wi)
     p0 = 1.0 if params.omega <= 1.0 else 1.0 / wi
-    return Profile((p0,)), Profile((et0,)), et0
+    return Profile((p0,)), Profile((et0,))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +100,8 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     """Killed mean time until absorption anywhere, E[T * 1{absorbed}].
 
     For 0 < s <= 1 absorption is almost sure and this is the plain mean.
+    At s=0 it is the total of :func:`time_profile`: the ruin time, killed
+    by the escape when omega > 1 and infinite at p = 1/2.
     With ``excess = (1-s)(phi1 - 1)/psi1 = 1 - 1/phi1``, B's mean is
     ``i0 * excess / s`` and A's is ``(1-s)`` times it (surviving the t=0
     stop draw scales every later outcome); the variant without the 1/s
@@ -119,12 +114,7 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     strategy = Strategy(strategy)
     s, i0 = params.s, params.i0
     if not s:
-        if params.omega > 1.0:
-            raise AbsorptionNotCertainError(
-                "s=0 with upward drift: absorption is not almost sure; "
-                "ask for the killed time at ruin (barrier 0) instead"
-            )
-        return _limit_profiles(params)[2]
+        return _limit_profiles(params)[1].total
     char = mgf.characteristic(params, 1.0)
     phi, one_ms = char.phi, 1.0 - s
     excess = phi.psi1_gap / phi.psi1  # 1 - 1/phi1
@@ -138,13 +128,6 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     if not math.isfinite(m):
         raise UnsupportedRegimeError(f"the mean time is not finite in floating point at s={s}")
     return m
-
-
-def mean_time_at(params: WalkParams, strategy: Strategy, k: int) -> float:
-    """Killed expected time for absorption exactly at barrier k*i0 (k=0: ruin), from :func:`time_profile`."""
-    if k < 0:
-        raise ParameterError(f"barrier index must be >= 0, got {k}")
-    return time_profile(params, strategy).at(k)
 
 
 def time_profile(params: WalkParams, strategy: Strategy) -> Profile:

@@ -63,15 +63,8 @@ class ExactSolution(NamedTuple):
     error_estimate: float  # bound on the error of the tail's fixed point
     masses: Profile
     times: Profile
-    method: str = "transfer"
     squarings: int = 0  # of the period matrix; each doubles the periods spanned
     fixed_point_residual: float = 0.0
-
-    def probability(self, k: int) -> float:
-        return self.masses.at(k)
-
-    def killed_time(self, k: int) -> float:
-        return self.times.at(k)
 
 
 def _factor_tridiagonal(sub: list[float], diag: list[float], sup: list[float]) -> tuple:

@@ -100,16 +100,16 @@ class TestAnalytic:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analytic", "--p", p, "--s", s, "--i0", "200", "--strategy", strategy]
-            for p, s in (("0.99", "0"), ("0.99", "0.5"), ("0.99", "1"), ("0.01", "0.5"))
+            ["analytic", "--p", "0.99", "--s", s, "--i0", "200", "--strategy", strategy]
+            for s in ("0", "0.5", "1")
             for strategy in "ABC"
         ]
         + [["mgf", "--p", "0.5", "--s", "0.5", "--i0", "200", "--strategy", "A", "--z", "0.01"]],
         ids=lambda argv: " ".join(argv[:1] + argv[2::2]),
     )
     def test_powers_out_of_float_range_exit_2_with_json_error(self, argv, capsys):
-        # omega**i0 or the step-root powers overflow, or phi2 underflows to 0:
-        # each escaped as a traceback with exit 1
+        # omega**i0 or the step-root powers overflow: each escaped as a
+        # traceback with exit 1
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -132,6 +132,20 @@ class TestAnalytic:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert math.isfinite(json.loads(out)["absorption"]["p0"])
+
+    def test_phi2_underflow_answers_like_the_exact_solver(self, strategy, capsys):
+        # phi2 rounds to 0 here, which exited 2; the README's tolerances hold
+        argv = ["--p", "0.01", "--s", "0.5", "--i0", "200", "--strategy", strategy.value, "--kmax", "8"]
+        reports = []
+        for command in ("analytic", "exact"):
+            code, out, _ = run_cli([command, *argv], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        got, want = reports
+        for key in ("p0", "pk"):
+            assert got["absorption"][key] == pytest.approx(want["absorption"][key], rel=0.0, abs=1e-9)
+        assert got["times"]["m_total"] == pytest.approx(want["times"]["m_total"], rel=1e-7)
+        assert got["times"]["et"] == pytest.approx(want["times"]["et"], rel=1e-7, abs=0.0)
 
     def test_non_finite_mean_time_exits_2_with_json_error(self, capsys):
         code, out, err = run_cli(
@@ -334,7 +348,6 @@ class TestExact:
         report = json.loads(out)
         assert report["absorption"]["p0"] == pytest.approx(4 - 2 * SQRT3, abs=1e-9)
         assert report["times"]["m_total"] == pytest.approx(2 * (SQRT3 - 1), abs=1e-9)
-        assert report["method"] == "transfer"
         assert 0 < report["squarings"] <= 64
         assert 0.0 <= report["fixed_point_residual"] < 1e-15
 
@@ -348,8 +361,8 @@ class TestExact:
             capsys,
         )
         report = json.loads(out)
-        assert report["absorption"]["pk"] == [sol.probability(k) for k in range(1, kmax + 1)]
-        assert report["times"]["et"] == [sol.killed_time(k) for k in range(kmax + 1)]
+        assert report["absorption"]["pk"] == [sol.masses.at(k) for k in range(1, kmax + 1)]
+        assert report["times"]["et"] == [sol.times.at(k) for k in range(kmax + 1)]
         assert report["absorption"]["pk"][-1] > 0.0
 
     def test_tail_out_of_range_exits_1_with_json_error(self, capsys):
@@ -365,7 +378,6 @@ class TestExact:
             ["exact", "--p", "0.5", "--s", "0", "--i0", "2", "--strategy", "B"], capsys
         )
         report = json.loads(out)
-        assert report["method"] == "transfer"
         assert report["squarings"] == 0
         assert report["absorption"]["p0"] == 1.0
         assert report["times"]["m_total"] == math.inf
@@ -469,10 +481,10 @@ class TestVerify:
             elif "absorption" in check.name:
                 k = int(where["k"])  # the other worst cases of this grid are per-site ones
                 prof = metrics.absorption_profile(params, strategy)
-                gap = abs(prof.at(k) - sol.probability(k))
+                gap = abs(prof.at(k) - sol.masses.at(k))
             else:
                 k = int(where["k"])
-                want = sol.killed_time(k)
+                want = sol.times.at(k)
                 gap = abs(tp.at(k) - want) / max(abs(want), 1e-9)
             assert f"{gap:.3e}" == f"{worst[check]:.3e}"
         # read through the tail's continuation, not a dict that stops at
@@ -581,11 +593,11 @@ class TestSweep:
         if p == 0.5 and 0.0 < s < 1.0:  # the CLI's exact-solver route
             sol = oracle.solve_exact(fresh(), strategy)
             m_total = metrics.mean_time_any(fresh(), strategy)
-            et = [sol.killed_time(k) for k in range(4)]
+            et = [sol.times.at(k) for k in range(4)]
         else:
             tp = metrics.time_profile(fresh(), strategy)
             et = [tp.at(k) for k in range(4)]
-            m_total = tp.total if s == 0.0 else metrics.mean_time_any(fresh(), strategy)
+            m_total = metrics.mean_time_any(fresh(), strategy)
         roots = cp.tau_roots(1.0, fresh())
         theta = phi1 = phi2 = None
         if s < 1.0:
@@ -799,7 +811,7 @@ class TestSubprocessEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
-            [0, 0, 0, 0], [[], [], [], []], True, "19/19 checks passed"
+            [0, 0, 0, 0], [[], [], [], []], True, "18/18 checks passed"
         ]
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["0.4"] * 3 + ["0.5"] * 3

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
 from ruinwalk import cli, metrics, mgf, oracle
-from ruinwalk.core import (
-    AbsorptionNotCertainError,
-    Strategy,
-    UnsupportedRegimeError,
-    WalkParams,
-)
+from ruinwalk.core import Strategy, UnsupportedRegimeError, WalkParams
 
 import decimal_reference as ref
 from conftest import SQRT3, grid_params, small_grid
@@ -83,24 +78,26 @@ class TestAbsorptionProfile:
         with pytest.raises(UnsupportedRegimeError):
             metrics.absorption_profile(WalkParams(0.9, 0.5, 330), strategy)
 
-    def test_omega_power_past_1e154_matches_the_exact_solver(self, strategy):
-        # theta**2 overflowed here, and every strategy raised; the root of
-        # the discriminant is finite, and so is every answer
-        params = WalkParams(0.9, 0.5, 200)
+    @pytest.mark.parametrize("p", [0.9, 0.01])
+    def test_extreme_omega_powers_match_the_exact_solver(self, p, strategy):
+        # at p = 0.9 omega**i0 is past 1e154: theta**2 overflowed, and every
+        # strategy raised; the root of the discriminant is finite, and so is
+        # every answer.  At p = 0.01 omega**i0 = 7.5e-400 rounds phi2 to 0,
+        # which was refused; no closed form divides by phi2, so 0 is a value
+        params = WalkParams(p, 0.5, 200)
         sol = oracle.solve_exact(params, strategy, tol=1e-11)
         prof, tp = metrics.absorption_profile(params, strategy), metrics.time_profile(params, strategy)
         for k in range(4):
-            assert abs(prof.at(k) - sol.probability(k)) <= 1e-13, k
-            assert tp.at(k) == pytest.approx(sol.killed_time(k), rel=1e-11, abs=0.0), k
+            assert abs(prof.at(k) - sol.masses.at(k)) <= 1e-13, k
+            assert tp.at(k) == pytest.approx(sol.times.at(k), rel=1e-11, abs=0.0), k
         assert metrics.mean_time_any(params, strategy) == pytest.approx(sol.m_total, rel=1e-13)
 
-    @pytest.mark.parametrize("p, s", [(0.99, 0.0), (0.99, 0.5), (0.99, 1.0), (0.01, 0.5)])
+    @pytest.mark.parametrize("p, s", [(0.99, 0.0), (0.99, 0.5), (0.99, 1.0)])
     def test_powers_out_of_float_range_raise_the_typed_error(self, p, s, strategy):
-        # omega**i0 or the step-root powers overflow, or phi2 underflows to 0;
-        # these escaped as OverflowError or ZeroDivisionError
+        # omega**i0 or the step-root powers overflow; these escaped as OverflowError
         params = WalkParams(p, s, 200)
         for fn in (metrics.absorption_profile, metrics.time_profile):
-            with pytest.raises(UnsupportedRegimeError, match="overflow|underflow"):
+            with pytest.raises(UnsupportedRegimeError, match="overflow"):
                 fn(params, strategy)
 
 
@@ -156,7 +153,6 @@ class TestOneSolvePerProfile:
                 metrics.absorption_profile(params, other)
                 metrics.time_profile(params, other)
                 metrics.mean_time_any(params, other)
-                metrics.mean_time_at(params, other, 3)
             metrics.bc_ratio(params)
             cp.derivatives_at_1(params)
             cli._diagnostics(params)
@@ -224,14 +220,51 @@ class TestMeanTimeAny:
             WalkParams(0.4, 0.0, 2), Strategy.B
         ) == pytest.approx(10.0, rel=1e-12)
         assert metrics.mean_time_any(WalkParams(0.5, 0.0, 2), Strategy.A) == math.inf
-        with pytest.raises(AbsorptionNotCertainError):
-            metrics.mean_time_any(WalkParams(0.7, 0.0, 2), Strategy.C)
+        # upward drift: the mean is the ruin time, killed by the escape
+        params = WalkParams(0.7, 0.0, 2)
+        sol = oracle.solve_exact(params, Strategy.C, tol=1e-11)
+        m = metrics.mean_time_any(params, Strategy.C)
+        assert m == metrics.time_profile(params, Strategy.C).total
+        assert m == pytest.approx(sol.m_total, rel=1e-7)
 
     def test_matches_exact_solver(self, strategy):
         for params in small_grid():
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
             m = metrics.mean_time_any(params, strategy)
             assert m == pytest.approx(sol.m_total, rel=1e-7)
+
+
+class TestSmallBarrierRoot:
+    """Far below the driftless point omega**i0, and with it phi2, may round
+    to 0.  No closed form divides by phi2, so 0 is a value: every answer
+    is finite and matches the exact solver to the README's tolerances."""
+
+    @given(
+        p=st.floats(1e-4, 0.3),
+        s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        i0=st.integers(20, 400),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_answers_match_the_exact_solver(self, p, s, i0):
+        params = WalkParams(p, s, i0)
+        for strategy in Strategy:
+            sol = oracle.solve_exact(params, strategy, tol=1e-11)
+            prof = metrics.absorption_profile(params, strategy)
+            tp = metrics.time_profile(params, strategy)
+            # C's ruin mass 1/(V_i0 - phi2) can round one ulp past 1
+            assert all(0.0 <= m <= 1.0 + 2.0 ** -52 for m in prof.upto(64)), strategy
+            assert prof.total == pytest.approx(1.0, abs=1e-9)
+            for k, (got, want) in enumerate(zip(prof.upto(64), sol.masses.upto(64))):
+                assert abs(got - want) <= 1e-9, (strategy, k, got, want)
+            for k, (got, want) in enumerate(zip(tp.upto(64), sol.times.upto(64))):
+                assert math.isfinite(got) and math.copysign(1.0, got) == 1.0, (strategy, k, got)
+                assert abs(got - want) <= 1e-7 * max(abs(want), 1e-9), (strategy, k, got, want)
+            assert tp.total == pytest.approx(sol.m_total, rel=1e-7)
+            if math.isinf(i0 / s):  # B's mean i0 (1 - 1/phi1) / s forms i0/s first
+                with pytest.raises(UnsupportedRegimeError, match="not finite"):
+                    metrics.mean_time_any(params, strategy)
+            else:
+                assert metrics.mean_time_any(params, strategy) == pytest.approx(sol.m_total, rel=1e-7)
 
 
 class TestNonFiniteMeans:
@@ -258,20 +291,16 @@ class TestLimitRegimes:
         prof = metrics.absorption_profile(params, strategy)
         tp = metrics.time_profile(params, strategy)
         for k in range(4):
-            assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9), k
-            got, ref = tp.at(k), sol.killed_time(k)
+            assert prof.at(k) == pytest.approx(sol.masses.at(k), abs=1e-9), k
+            got, ref = tp.at(k), sol.times.at(k)
             if math.isinf(ref):
                 assert got == ref
             else:
                 assert abs(got - ref) <= 1e-7 * max(abs(ref), 1e-9), (k, got, ref)
-        # the four public functions read one builder here
-        for k in range(4):
-            assert metrics.mean_time_at(params, strategy, k) == tp.at(k)
-        if s == 0.0 and params.omega > 1.0:
-            with pytest.raises(AbsorptionNotCertainError):
-                metrics.mean_time_any(params, strategy)
-        else:
-            assert metrics.mean_time_any(params, strategy) == pytest.approx(tp.total, rel=1e-12)
+        # the mean reads the same builder, and is the killed mean at s=0 too
+        m = metrics.mean_time_any(params, strategy)
+        assert m == pytest.approx(tp.total, rel=1e-12)
+        assert m == pytest.approx(sol.m_total, rel=1e-7)
 
 
 def _answer_or_none(fn, *args):
@@ -303,7 +332,7 @@ class TestBarrierRootsNearOne:
             return
         try:
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
-            masses, mean_ref = [sol.probability(k) for k in range(4)], sol.m_total
+            masses, mean_ref = [sol.masses.at(k) for k in range(4)], sol.m_total
         except oracle.ConvergenceError:
             # at p = 1/2, s = 1e-200 a period's eigenvalues do not separate:
             # the closed forms in decimal judge instead
@@ -362,7 +391,7 @@ class TestPhi2GapNearOne:
         prof = metrics.absorption_profile(params, strategy)
         assert prof.total == pytest.approx(sol.masses.total, abs=1e-9)
         for k in range(0, 64, 3):
-            assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9)
+            assert prof.at(k) == pytest.approx(sol.masses.at(k), abs=1e-9)
             assert prof.beyond(k) == pytest.approx(sol.masses.beyond(k), abs=1e-9)
 
     def test_gap_times_phi1_excess_is_the_stop_term(self):
@@ -394,7 +423,7 @@ class TestStrategyBNearS1:
         params = WalkParams(p, 1.0 - gap, i0)
         prof = metrics.absorption_profile(params, Strategy.B)
         sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
-        assert abs(prof.at(1) - sol.probability(1)) <= 1e-12
+        assert abs(prof.at(1) - sol.masses.at(1)) <= 1e-12
         assert abs(prof.total - 1.0) <= 1e-9
 
     def test_reaches_the_s_1_limit(self):
@@ -415,7 +444,7 @@ class TestStrategyBNearS1:
             params = WalkParams(0.45, s, 3)
             sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
             got = metrics.absorption_profile(params, Strategy.B).at(1)
-            assert got == pytest.approx(sol.probability(1), abs=1e-13)
+            assert got == pytest.approx(sol.masses.at(1), abs=1e-13)
 
 
 class TestOneFormUpToTotalStop:
@@ -437,8 +466,8 @@ class TestOneFormUpToTotalStop:
             prof = metrics.absorption_profile(params, strategy)
             tp = metrics.time_profile(params, strategy)
             for k in range(5):
-                assert abs(prof.at(k) - sol.probability(k)) <= 1e-9, (strategy, k)
-                got, want = tp.at(k), sol.killed_time(k)
+                assert abs(prof.at(k) - sol.masses.at(k)) <= 1e-9, (strategy, k)
+                got, want = tp.at(k), sol.times.at(k)
                 assert got >= 0.0, (strategy, k, got)
                 assert abs(got - want) <= 1e-7 * max(abs(want), 1e-9), (strategy, k, got, want)
             m = metrics.mean_time_any(params, strategy)
@@ -449,7 +478,7 @@ class TestOneFormUpToTotalStop:
         # was 0.0046 from -1 and 1.0046
         params = WalkParams(0.64, 0.9, 1)
         sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
-        got, want = metrics.time_profile(params, Strategy.B).at(1), sol.killed_time(1)
+        got, want = metrics.time_profile(params, Strategy.B).at(1), sol.times.at(1)
         assert abs(got - want) <= 1e-14 * want
 
     def test_subnormal_omega_power_answers(self, strategy):
@@ -461,8 +490,8 @@ class TestOneFormUpToTotalStop:
         prof = metrics.absorption_profile(params, strategy)
         tp = metrics.time_profile(params, strategy)
         for k in range(4):
-            assert abs(prof.at(k) - sol.probability(k)) <= 1e-15, k
-            assert tp.at(k) == pytest.approx(sol.killed_time(k), rel=1e-12, abs=1e-300), k
+            assert abs(prof.at(k) - sol.masses.at(k)) <= 1e-15, k
+            assert tp.at(k) == pytest.approx(sol.times.at(k), rel=1e-12, abs=1e-300), k
         assert metrics.mean_time_any(params, strategy) == pytest.approx(sol.m_total, rel=1e-14, abs=0.0)
         assert prof.at(0) == pytest.approx({"A": 0.24, "B": 1.0, "C": 1.0}[strategy.value], rel=1e-14, abs=0.0)
 
@@ -487,7 +516,7 @@ class TestOneFormUpToTotalStop:
         sol = oracle.solve_exact(params, strategy, tol=1e-11)
         tp = metrics.time_profile(params, strategy)
         for k in range(4):
-            assert tp.at(k) == pytest.approx(sol.killed_time(k), rel=1e-12, abs=0.0), k
+            assert tp.at(k) == pytest.approx(sol.times.at(k), rel=1e-12, abs=0.0), k
 
 
 class TestDoubleRootDigits:
@@ -511,11 +540,11 @@ class TestDoubleRootDigits:
         tp = metrics.time_profile(params, strategy)
         assert tp.total == pytest.approx(sol.m_total, rel=1e-7)
         for k in range(4):
-            want = sol.killed_time(k)
+            want = sol.times.at(k)
             assert tp.at(k) == pytest.approx(want, rel=1e-7, abs=1e-7 * sol.m_total)
         prof = metrics.absorption_profile(params, strategy)
         for k in range(4):
-            assert prof.at(k) == pytest.approx(sol.probability(k), abs=1e-9)
+            assert prof.at(k) == pytest.approx(sol.masses.at(k), abs=1e-9)
 
     @pytest.mark.parametrize("p, s, i0", [(0.5, 1e-16, 8), (0.5, 1e-16, 5), (0.5, 1e-15, 8)])
     def test_masses_at_the_driftless_double_root(self, p, s, i0, strategy):
@@ -544,7 +573,7 @@ class TestDoubleRootDigits:
             if tp is not None:
                 assert tp.total == pytest.approx(sol.m_total, rel=1e-7)
                 for k in range(4):
-                    want = sol.killed_time(k)
+                    want = sol.times.at(k)
                     assert tp.at(k) == pytest.approx(want, rel=1e-7, abs=1e-7 * sol.m_total)
         if s >= 1e-8:  # well away from the double root both answer
             assert m is not None and tp is not None
@@ -552,21 +581,17 @@ class TestDoubleRootDigits:
 
 class TestKilledTimesPerBarrier:
     def test_no_stop_killed_time_at_ruin(self):
-        assert metrics.mean_time_at(
-            WalkParams(0.4, 0.0, 2), Strategy.B, 0
-        ) == pytest.approx(10.0, rel=1e-12)
+        assert metrics.time_profile(WalkParams(0.4, 0.0, 2), Strategy.B).at(0) == pytest.approx(10.0, rel=1e-12)
         # upward drift: ruin is rare, and conditioning flips the drift
         params = WalkParams(0.6, 0.0, 2)
         want = params.i0 / ((params.p - params.q) * params.omega_pow)
-        assert metrics.mean_time_at(params, Strategy.B, 0) == pytest.approx(
+        assert metrics.time_profile(params, Strategy.B).at(0) == pytest.approx(
             want, rel=1e-12
         )
-        assert metrics.mean_time_at(params, Strategy.B, 1) == 0.0
+        assert metrics.time_profile(params, Strategy.B).at(1) == 0.0
 
     def test_all_stop_risk_seeking_unit_stake(self):
-        assert metrics.mean_time_at(
-            WalkParams(0.4, 1.0, 1), Strategy.C, 0
-        ) == pytest.approx(0.6, rel=1e-12)
+        assert metrics.time_profile(WalkParams(0.4, 1.0, 1), Strategy.C).at(0) == pytest.approx(0.6, rel=1e-12)
 
     def test_all_stop_triple_sums_to_stake(self, strategy):
         if strategy is Strategy.A:
@@ -575,7 +600,7 @@ class TestKilledTimesPerBarrier:
             for i0 in (1, 2, 4):
                 params = WalkParams(p, 1.0, i0)
                 total = sum(
-                    metrics.mean_time_at(params, strategy, k) for k in (0, 1, 2)
+                    metrics.time_profile(params, strategy).at(k) for k in (0, 1, 2)
                 )
                 want = metrics.mean_time_any(params, strategy)
                 assert total == pytest.approx(want, rel=1e-10)
@@ -586,7 +611,7 @@ class TestKilledTimesPerBarrier:
                 params = WalkParams(p, 1.0, i0)
                 sol = oracle.solve_exact(params, strategy, tol=1e-11)
                 for k in (0, 1, 2):
-                    assert metrics.mean_time_at(params, strategy, k) == pytest.approx(
+                    assert metrics.time_profile(params, strategy).at(k) == pytest.approx(
                         sol.et.get(k, 0.0), abs=1e-9
                     )
 
@@ -595,11 +620,7 @@ class TestKilledTimesPerBarrier:
         sol = oracle.solve_exact(params, strategy, tol=1e-11)
         tp = metrics.time_profile(params, strategy)
         for k in range(0, 4):
-            ref = sol.killed_time(k)
-            assert metrics.mean_time_at(params, strategy, k) == pytest.approx(
-                ref, rel=1e-12, abs=1e-15
-            )
-            assert tp.at(k) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert tp.at(k) == pytest.approx(sol.times.at(k), rel=1e-12, abs=1e-15)
 
     def test_matches_exact_solver(self, strategy):
         for params in small_grid():
@@ -634,7 +655,7 @@ class TestNearDriftless:
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
             tp = metrics.time_profile(params, strategy)
             pairs = [(metrics.mean_time_any(params, strategy), sol.m_total)] + [
-                (tp.at(k), sol.killed_time(k)) for k in range(0, 9)
+                (tp.at(k), sol.times.at(k)) for k in range(0, 9)
             ]
             for got, ref in pairs:
                 assert abs(got - ref) <= 1e-7 * max(abs(ref), 1e-9), (i0, got, ref)
@@ -652,7 +673,7 @@ class TestLargeStakePrecision:
         sol = oracle.solve_exact(params, strategy, tol=1e-11)
         tp = metrics.time_profile(params, strategy)
         pairs = [(metrics.mean_time_any(params, strategy), sol.m_total)] + [
-            (tp.at(k), sol.killed_time(k)) for k in range(0, 9)
+            (tp.at(k), sol.times.at(k)) for k in range(0, 9)
         ]
         for got, ref in pairs:
             assert abs(got - ref) <= 5e-11 * max(abs(ref), 1e-9), (got, ref)

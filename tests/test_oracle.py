@@ -120,13 +120,12 @@ class TestSolveExact:
         # a double fixed point: reported at once, with no squaring and no solve
         monkeypatch.setattr(oracle, "solve_banded", _no_call)
         sol = oracle.solve_exact(WalkParams(0.5, 0.0, i0), strategy)
-        assert sol.method == "transfer"
         assert sol.squarings == 0
         assert sol.p0 == 1.0
         assert sol.escape_mass == 0.0
         assert math.isinf(sol.m_total)
         assert math.isinf(sol.et[0])
-        assert [sol.probability(k) for k in range(1, 5)] == [0.0] * 4
+        assert [sol.masses.at(k) for k in range(1, 5)] == [0.0] * 4
 
     def test_stopping_walk_solves_by_transfer(self, strategy, monkeypatch):
         calls = []
@@ -135,7 +134,6 @@ class TestSolveExact:
             oracle, "solve_banded", lambda f, rhs: calls.append(len(rhs)) or solve(f, rhs)
         )
         sol = oracle.solve_exact(WalkParams(0.5, 0.1, 2), strategy)
-        assert sol.method == "transfer"
         cut = (strategy.first_barrier_multiple + 1) * 2
         assert calls == [cut, cut]  # the masses' and the times' solve, on the head only
         assert 0 < sol.squarings <= 64
@@ -229,11 +227,11 @@ class TestTransferSolve:
         trunc_k = 2 * sol.truncation_k + 64
         ref = oracle._solve_truncated(params, strategy, trunc_k)
         masses = [ref["p0"]] + [ref["pk"][k] for k in range(1, trunc_k // 2)]
-        assert [sol.probability(k) for k in range(trunc_k // 2)] == pytest.approx(
+        assert [sol.masses.at(k) for k in range(trunc_k // 2)] == pytest.approx(
             masses, rel=0.0, abs=1e-13
         )
         times = [ref["et"][k] for k in range(sol.truncation_k)]
-        assert [sol.killed_time(k) for k in range(sol.truncation_k)] == pytest.approx(
+        assert [sol.times.at(k) for k in range(sol.truncation_k)] == pytest.approx(
             times, rel=1e-10, abs=0.0
         )
         assert sol.m_total == pytest.approx(ref["m_total"], rel=1e-10)
@@ -243,15 +241,15 @@ class TestTransferSolve:
         sol = oracle.solve_exact(WalkParams(0.45, 0.3, 2), strategy)
         assert sorted(sol.pk) == list(range(1, sol.truncation_k))
         assert sorted(sol.et) == list(range(sol.truncation_k))
-        assert all(sol.probability(k) == v for k, v in sol.pk.items())
-        assert all(sol.killed_time(k) == v for k, v in sol.et.items())
+        assert all(sol.masses.at(k) == v for k, v in sol.pk.items())
+        assert all(sol.times.at(k) == v for k, v in sol.et.items())
         # the dicts end at the first barrier past the head whose mass and
         # time are both below tol * 1e-6; the accessors go on from there
         last = sol.truncation_k - 1
         assert max(sol.pk[last], sol.et[last]) < 1e-16 <= max(sol.pk[last - 1], sol.et[last - 1])
-        beyond = [sol.probability(k) for k in range(last + 1, last + 4)]
+        beyond = [sol.masses.at(k) for k in range(last + 1, last + 4)]
         assert 0.0 < beyond[2] < beyond[1] < beyond[0] < sol.pk[last]
-        assert sol.probability(-1) == sol.killed_time(-1) == 0.0
+        assert sol.masses.at(-1) == sol.times.at(-1) == 0.0
 
     @pytest.mark.parametrize(
         "p, s, i0, strategy",
@@ -264,7 +262,7 @@ class TestTransferSolve:
         params = WalkParams(p, s, i0)
         sol = oracle.solve_exact(params, strategy)
         prof = metrics.absorption_profile(params, strategy)
-        assert [sol.probability(k) for k in range(257)] == pytest.approx(
+        assert [sol.masses.at(k) for k in range(257)] == pytest.approx(
             [prof.at(k) for k in range(257)], rel=0.0, abs=1e-9
         )
         assert sol.m_total == pytest.approx(metrics.mean_time_any(params, strategy), rel=1e-7)
