@@ -1,6 +1,7 @@
 """Barrier-stopping gambler's-ruin walks: closed forms, oracles, verification."""
 
 from .core import (
+    ConvergenceError,
     ParameterError,
     Profile,
     Strategy,
@@ -19,12 +20,22 @@ from .charpoly import (
 from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_c
 from .mgf import mgf_interior, mgf_states, mgf_value
 from .metrics import absorption_profile, bc_ratio, mean_time_any, time_profile
-from .oracle import ExactSolution, SimResult, mgf_dp, simulate, solve_exact
 
 __version__ = "0.1.0"
 
+# served by __getattr__, so that only a caller of an oracle loads ruinwalk.oracle
+_ORACLE_NAMES = frozenset({"ExactSolution", "SimResult", "mgf_dp", "simulate", "solve_exact"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 __all__ = [
     "Characteristic",
+    "ConvergenceError",
     "DerivativeBundle",
     "ExactSolution",
     "ParameterError",

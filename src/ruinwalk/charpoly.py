@@ -181,7 +181,11 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
 
     The wider gap is ``c (|theta - 2| + sqrt(disc)) / 2`` and the other the
     product over it, so neither cancels near the double root or as s -> 0;
-    ``psi1 = c + c (phi1 - 1)`` and ``phi2 = c omega**i0 / psi1``.  At s = 1
+    ``psi1 = c + c (phi1 - 1)`` and ``phi2 = c omega**i0 / psi1``, except
+    where that quotient's few ulps of rounding carry it to 1 or past while
+    ``1 - phi2`` is not 0: there phi2 is held at ``1 - (1 - phi2)``, which is
+    exactly 1.0 where that gap is below 2**-53 (a tail ratio of 1 or more
+    would make the tail sum grow; the gap itself keeps its digits).  At s = 1
     this gives ``psi1 = U_i0 / (q z)``, phi2 = 0 and ``1 - phi2 = 1``.  Where
     ``omega**i0`` underflows, phi2 = 0 is a value: no closed form divides
     by phi2.  Two inputs are unsupported regimes instead: a
@@ -217,6 +221,8 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
     psi1_gap, phi2_gap = (wide, narrow) if lift >= 0.0 else (c * narrow, wide / c)
     psi1 = c + psi1_gap
     phi2 = c * params.omega_pow / psi1
+    if phi2 >= 1.0 and phi2_gap:  # its few ulps of rounding outgrew the gap; a tail ratio past 1 would grow
+        phi2 = 1.0 - phi2_gap
     return PhiPair(psi1, phi2, psi1_gap, phi2_gap, sqrt_disc)
 
 

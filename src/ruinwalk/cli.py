@@ -24,8 +24,9 @@ import os
 import sys
 
 from . import charpoly as cp
-from . import metrics, mgf, oracle
+from . import metrics, mgf
 from .core import (
+    ConvergenceError,
     ParameterError,
     Strategy,
     UnsupportedRegimeError,
@@ -67,12 +68,14 @@ def _times_block(params: WalkParams, strategy: Strategy, kmax: int) -> dict:
     # 1e-7).  This route stays only because the benchmark's tracer self-test
     # (bench/test_tracer.py, MUST_RUN) needs its sweep to reach
     # oracle.solve_exact; it and times.source go when the benchmark's
-    # workloads are next updated.
+    # workloads are next updated.  It is all that loads oracle in `analytic`
+    # and `sweep`.
     if params.symmetric and 0.0 < params.s < 1.0:
+        from . import oracle
         try:
             et = oracle.solve_exact(params, strategy).times.upto(kmax)
             return {"m_total": metrics.mean_time_any(params, strategy), "et": et, "source": "exact"}
-        except oracle.ConvergenceError:
+        except ConvergenceError:
             pass  # as s -> 0 a period's eigenvalues do not separate; the closed forms answer
     et = metrics.time_profile(params, strategy).upto(kmax)
     return {"m_total": metrics.mean_time_any(params, strategy), "et": et, "source": "analytic"}
@@ -188,6 +191,7 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import oracle
     params = _params_from(args)
     sim = oracle.simulate(
         params,
@@ -223,6 +227,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from . import oracle
     params = _params_from(args)
     _require_kmax(args.kmax)
     sol = oracle.solve_exact(params, Strategy(args.strategy), tol=args.tol)
@@ -263,6 +268,7 @@ def cmd_mgf(args) -> int:
     if args.check_dp:
         if not 0.0 < args.z < 1.0:
             raise ParameterError("--check-dp needs 0 < z < 1")
+        from . import oracle
         sample = args.state if args.state is not None else params.i0
         dp = oracle.mgf_dp(params, strategy, args.z, sample, tol=args.tol)
         report["dp_state"] = sample
@@ -296,7 +302,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(text: str, integer: bool = False) -> list:
-    """``start:stop:step`` (inclusive, possibly empty) or a single value."""
+    """``start:stop:step`` (inclusive, possibly empty) or a single value, each part an int if ``integer``."""
     parts = text.split(":")
     cast = int if integer else float
     try:
@@ -304,14 +310,14 @@ def _parse_range(text: str, integer: bool = False) -> list:
             return [cast(parts[0])]
         if len(parts) != 3:
             raise ValueError
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = (cast(x) for x in parts)
         if step <= 0:
             raise ValueError
         values = []
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         for idx in range(max(count, 0)):
             val = start + idx * step
-            values.append(int(round(val)) if integer else round(val, 12))
+            values.append(val if integer else round(val, 12))
         return values
     except ValueError:
         raise ParameterError(f"malformed range {text!r}; use start:stop:step")
@@ -466,7 +472,7 @@ def main(argv=None) -> int:
     except (ParameterError, UnsupportedRegimeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except oracle.ConvergenceError as exc:
+    except ConvergenceError as exc:
         print(json.dumps({"error": f"oracle did not converge: {exc}"}), file=sys.stderr)
         return 1
 

@@ -35,6 +35,10 @@ class UnsupportedRegimeError(ValueError):
     """No closed-form path exists for the requested parameter regime."""
 
 
+class ConvergenceError(RuntimeError):
+    """An oracle could not resolve its answer to working precision."""
+
+
 class Strategy(str, Enum):
     """The stop rule: :meth:`is_barrier` for t > 0 and :attr:`stops_at_start` for t = 0."""
 

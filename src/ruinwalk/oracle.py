@@ -28,17 +28,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import ParameterError, Profile, Strategy, WalkParams
+from .core import ConvergenceError, ParameterError, Profile, Strategy, WalkParams
 
 _RANGE = 1 << 19  # trials per stream: the unit a worker process walks, whatever `workers` is
 _BATCH = 1 << 15  # live trials a stream holds at most
 _TABLE = 1 << 12  # states whose barrier test is a table lookup; the rest take the modulo
 # one period's ratio maps move a converged fixed point by rounding only
 _MAX_RELATIVE_RESIDUAL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """An oracle could not resolve its answer to working precision."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -6,8 +7,9 @@ import sys
 
 import pytest
 
+import ruinwalk
 from ruinwalk import charpoly as cp
-from ruinwalk import cli, metrics, mgf, oracle, verify
+from ruinwalk import cli, core, metrics, mgf, oracle, verify
 from ruinwalk.core import ParameterError, Strategy, WalkParams
 
 import decimal_reference as ref
@@ -581,6 +583,13 @@ class TestSweep:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("i0", ["1:3:0.5", "1.5:3:1", "1:2.5:1", "1.7"])
+    def test_integer_range_with_a_fractional_part_exits_2(self, i0, capsys):
+        # 1:3:0.5 printed i0 = 1, 2, 2, 2, 3: rounded steps repeated a row
+        code, out, err = run_cli(["sweep", "--p", "0.4", "--s", "0.5", "--i0", i0], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"malformed range {i0!r}; use start:stop:step"}
+
     @staticmethod
     def unshared_row(p, s, i0, strategy, kmax):
         """One sweep row's cells from separate calls, each on its own fresh
@@ -764,8 +773,8 @@ class TestSubprocessEntryPoints:
             "import sys\n"
             "import ruinwalk.cli\n"
             "ruinwalk.cli.build_parser()\n"
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy', 'ruinwalk.rng',\n"
-            "                           'ruinwalk.verify') if m in sys.modules))\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy', 'ruinwalk.oracle',\n"
+            "                           'ruinwalk.rng', 'ruinwalk.verify') if m in sys.modules))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True, text=True,
@@ -773,6 +782,71 @@ class TestSubprocessEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["analytic", "--p", "0.4", "--s", "0.5", "--i0", "3", "--strategy", "B"], False),
+        (["mgf", "--p", "0.4", "--s", "0.5", "--i0", "3", "--strategy", "B", "--z", "0.5"], False),
+        (["sweep", "--p", "0.3:0.45:0.05", "--s", "0:1:0.5", "--i0", "1:2:1"], False),
+        (["exact", "--p", "0.4", "--s", "0.5", "--i0", "3", "--strategy", "B"], True),
+        (["mgf", "--p", "0.4", "--s", "0.5", "--i0", "3", "--strategy", "B", "--z", "0.5",
+          "--check-dp"], True),
+        (["sweep", "--p", "0.45:0.5:0.05", "--s", "0.5", "--i0", "1:2:1"], True),
+    ])
+    @pytest.mark.parametrize("site", [[], ["-S"]], ids=["site", "no-site"])
+    def test_only_oracle_commands_load_the_oracles(self, argv, loads, site, capsys):
+        # -X importtime lists every module the `-m ruinwalk` entry point loads;
+        # the sweep loads oracle only for a driftless row's exact-solver route.
+        # -S reads no .pth file, so numpy's directory (for --check-dp) is named
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        numpy_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
+        proc = subprocess.run(
+            [sys.executable, *site, "-X", "importtime", "-m", "ruinwalk", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join((src_dir, numpy_dir))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "ruinwalk.cli" in imported
+        assert ("ruinwalk.oracle" in imported) is loads
+        # the same bytes as this process, which imported oracle up front
+        assert run_cli(argv, capsys)[:2] == (0, proc.stdout)
+
+    def test_package_serves_the_oracle_names_on_first_use(self):
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import sys\n"
+            "import ruinwalk\n"
+            "try:\n"
+            "    ruinwalk.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+            "print('ruinwalk.oracle' in sys.modules)\n"
+            "solve = ruinwalk.solve_exact\n"
+            "print('ruinwalk.oracle' in sys.modules, solve is sys.modules['ruinwalk.oracle'].solve_exact)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "module 'ruinwalk' has no attribute 'no_such_name'", "False", "True True"
+        ]
+
+    @pytest.mark.parametrize("name", ["ExactSolution", "SimResult", "mgf_dp", "simulate", "solve_exact"])
+    def test_lazy_names_are_the_oracles_own(self, name):
+        assert name in ruinwalk.__all__
+        assert getattr(ruinwalk, name) is getattr(oracle, name)
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from ruinwalk import *", namespace)
+        assert {name: namespace[name] for name in ruinwalk.__all__} == {
+            name: getattr(ruinwalk, name) for name in ruinwalk.__all__
+        }
+
+    def test_convergence_error_is_one_class(self):
+        assert oracle.ConvergenceError is core.ConvergenceError is ruinwalk.ConvergenceError
 
     def test_usage_error_exits_2(self):
         cmd = [sys.executable, "-m", "ruinwalk", "analytic", "--p", "0.5"]

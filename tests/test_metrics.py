@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
 from ruinwalk import cli, metrics, mgf, oracle
-from ruinwalk.core import Strategy, UnsupportedRegimeError, WalkParams
+from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
 
 import decimal_reference as ref
 from conftest import SQRT3, grid_params, small_grid
@@ -677,3 +677,66 @@ class TestLargeStakePrecision:
         ]
         for got, ref in pairs:
             assert abs(got - ref) <= 5e-11 * max(abs(ref), 1e-9), (got, ref)
+
+
+def _pow10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# the driftless walk, its near neighbours, and 1e-6 to 1 - 1e-6 log-scaled from either end
+_DOMAIN_P = st.one_of(
+    st.just(0.5),
+    st.tuples(st.sampled_from([-1.0, 1.0]), _pow10(-16, -1)).map(lambda t: 0.5 + t[0] * t[1]),
+    _pow10(-6, 0),
+    _pow10(-6, -0.3).map(lambda d: 1.0 - d),
+)
+# both limits, vanishing stops, near-total stops and the rest
+_DOMAIN_S = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    _pow10(-300, -1),
+    _pow10(-16, -1).map(lambda d: 1.0 - d),
+    st.floats(0.0, 1.0),
+)
+_DOMAIN_I0 = st.one_of(st.sampled_from([1, 2, 3, 5, 8]), st.integers(1, 1000))
+
+
+class TestWholeDomain:
+    """Over every input WalkParams accepts, from p = 1e-6 to 1 - 1e-6, s = 0
+    to 1 and stakes up to 1000, each closed form raises a typed error or
+    answers with masses in [0, 1] that sum to 1 and times and means that are
+    >= 0, never NaN or -0.0 (ROADMAP item 4's property)."""
+
+    @given(p=_DOMAIN_P, s=_DOMAIN_S, i0=_DOMAIN_I0)
+    @settings(max_examples=200, deadline=None)
+    def test_answers_are_masses_and_times_or_typed_errors(self, p, s, i0):
+        try:
+            params = WalkParams(p, s, i0)
+        except ParameterError:  # 10**e rounds to p = 1 as e nears 0
+            return
+        escapes = s == 0.0 and params.omega > 1.0  # the walk may never stop
+        endless = s == 0.0 and params.symmetric  # ruin is certain but its mean time infinite
+        for strategy in Strategy:
+            prof = _answer_or_none(metrics.absorption_profile, params, strategy)
+            if prof is not None:
+                masses = prof.upto(64)
+                # C's ruin mass 1/(V_i0 - phi2) can round one ulp past 1
+                assert all(0.0 <= m <= 1.0 + 2.0 ** -52 for m in masses), (strategy, masses)
+                assert 0.0 <= prof.beyond(64) <= prof.total, (strategy, prof.beyond(64))
+                assert escapes or abs(prof.total - 1.0) <= 1e-12, (strategy, prof.total)
+            tp = _answer_or_none(metrics.time_profile, params, strategy)
+            mean = _answer_or_none(metrics.mean_time_any, params, strategy)
+            times = ([] if tp is None else [*tp.upto(64), tp.beyond(64), tp.total]) + (
+                [] if mean is None else [mean]
+            )
+            for t in times:
+                assert t >= 0.0 and math.copysign(1.0, t) == 1.0, (strategy, t)
+                assert endless or math.isfinite(t), (strategy, t)
+
+    def test_tail_ratio_stays_below_one_as_the_gap_nears_rounding(self, strategy):
+        # c omega**i0 / psi1 read 1.0000000000000007 with 1 - phi2 = 1e-15, so
+        # the tail grew and the mass past barrier 64 summed to 1 + 4.1e-14
+        params = WalkParams(0.99999, 1e-15, 3)
+        phi = mgf.characteristic(params, 1.0).phi
+        assert phi.phi2 == 1.0 - phi.phi2_gap
+        prof = metrics.absorption_profile(params, strategy)
+        assert prof.beyond(64) < prof.beyond(0) <= prof.total
