@@ -57,9 +57,9 @@ class PhiPair(NamedTuple):
 
     ``psi1``, ``psi1_gap = (1-s)(phi1 - 1)`` and
     ``psi_sqrt_disc = (1-s)(phi1 - phi2)`` are finite on 0 <= s <= 1, where
-    phi1 is infinite at s = 1, and ``phi2_gap = 1 - phi2``.  The gaps are
-    kept apart, each with its own digits, because they are what the closed
-    forms divide by where a root nears 1.
+    phi1 is infinite at s = 1, and ``phi2_gap = 1 - phi2``.  The gaps keep
+    their own digits: the closed forms divide by them where a root nears 1,
+    and strategy C's by ``v_minus_phi2 = V_i0 - phi2``.
     """
 
     psi1: float
@@ -67,6 +67,7 @@ class PhiPair(NamedTuple):
     psi1_gap: float
     phi2_gap: float
     psi_sqrt_disc: float
+    v_minus_phi2: float
 
 
 def _unscaled(value: float, scale: float) -> float:
@@ -75,7 +76,7 @@ def _unscaled(value: float, scale: float) -> float:
 
 
 class LucasTerms(NamedTuple):
-    """``U_n``, ``U_{n-1}`` and ``V_n`` of the step roots with their z-derivatives.
+    """``U_n`` and ``U_{n-1}`` of the step roots with their z-derivatives, and ``dV_n``.
 
     ``U_n = (tau1**n - tau2**n) / (tau1 - tau2)`` and
     ``V_n = tau1**n + tau2**n``; the ``d`` fields are d/dz.
@@ -83,7 +84,6 @@ class LucasTerms(NamedTuple):
 
     u: float
     u_prev: float
-    v: float
     du: float
     du_prev: float
     dv: float
@@ -164,10 +164,10 @@ def theta(z: float, params: WalkParams, u_i0: float, u_prev: float) -> float:
     return (_unscaled(u_i0, 1.0 - params.s) - 2.0 * params.p * z * u_prev) / (params.q * z)
 
 
-def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
+def phi_roots(roots: RootPair, params: WalkParams, u_i0: float) -> PhiPair:
     """Solve ``psi**2 - c theta psi + c**2 omega**i0 = 0`` for ``psi = c phi``, c = 1 - s.
 
-    With ``u_i0 = U_i0`` at ``z``, ``c theta = c V_i0 + c delta``, where
+    With ``u_i0 = U_i0`` at the roots' ``z``, ``c theta = c V_i0 + c delta``, where
     ``V_i0 = tau1**i0 + tau2**i0`` and ``c delta = U_i0 s / (q z)``.  In
     ``rise = tau1**i0 - 1`` and ``fall = 1 - tau2**i0`` (both >= 0, from
     :func:`_power_gaps`) each quantity the roots need is a sum of
@@ -191,13 +191,17 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
     by phi2.  Two inputs are unsupported regimes instead: a
     ``c sqrt(disc)`` that is not finite (large ``i0*|log omega|``), and, for
     s > 0 with theta >= 2, a ``1 - phi2`` that is, or divides, a subnormal
-    number (s near the float minimum).
+    number (s near the float minimum).  C's denominator ``V_i0 - phi2`` is
+    ``tau1**i0 + (tau2**i0 - phi2)``, the second term >= 0 at z = 1: ``1 - phi2``,
+    or ``omega**i0 (1 - c/psi1) = omega**i0 psi1_gap / psi1`` where tau1 is 1.
+    For z < 1 it is the plain difference, as only V_i0 cancels tau1's rounding.
     """
-    s, c = params.s, 1.0 - params.s
+    s, c, z = params.s, 1.0 - params.s, roots.z
     try:
         rise, fall = _power_gaps(z, params)
+        top = roots.tau1 ** params.i0
     except OverflowError:  # tau1**i0 leaves float range
-        rise, fall = math.inf, 0.0
+        rise, fall, top = math.inf, 0.0, math.inf
     c_delta = u_i0 * s / (params.q * z)
     spread = c * (rise + fall)  # c (tau1**i0 - tau2**i0)
     # c sqrt(disc) as a hypotenuse: squaring c delta would overflow at s = 1 long before it does
@@ -223,7 +227,8 @@ def phi_roots(z: float, params: WalkParams, u_i0: float) -> PhiPair:
     phi2 = c * params.omega_pow / psi1
     if phi2 >= 1.0 and phi2_gap:  # its few ulps of rounding outgrew the gap; a tail ratio past 1 would grow
         phi2 = 1.0 - phi2_gap
-    return PhiPair(psi1, phi2, psi1_gap, phi2_gap, sqrt_disc)
+    low = params.omega_pow * psi1_gap / psi1 if roots.tau1 == 1.0 else roots.tau2 ** params.i0 - phi2
+    return PhiPair(psi1, phi2, psi1_gap, phi2_gap, sqrt_disc, top + low)
 
 
 def _power_gaps(z: float, params: WalkParams) -> tuple[float, float]:
@@ -261,7 +266,7 @@ def _divided_difference_slope(roots: RootPair, n: int) -> float:
 
 
 def lucas_terms(char: Characteristic, params: WalkParams) -> LucasTerms:
-    """``U_i0``, ``U_{i0-1}``, ``V_i0`` and their z-derivatives at ``char.z``.
+    """``U_i0``, ``U_{i0-1}`` and the z-derivatives of those and of ``V_i0`` at ``char.z``.
 
     ``char`` is :func:`ruinwalk.mgf.characteristic`'s for ``params``, which
     already holds ``U_i0`` and ``U_{i0-1}``.  At fixed ``e2 = omega``,
@@ -276,16 +281,13 @@ def lucas_terms(char: Characteristic, params: WalkParams) -> LucasTerms:
     """
     roots, n, u = char.roots, params.i0, char.u_i0
     de1 = -1.0 / (params.q * roots.z * roots.z)
-    try:
-        v = roots.tau1 ** n + roots.tau2 ** n
-        slope = _divided_difference_slope(roots, n)
-        slope_prev = _divided_difference_slope(roots, n - 1)
-    except OverflowError:
-        raise _power_overflow(roots, n) from None
+    slope = _divided_difference_slope(roots, n)
+    if not math.isfinite(slope):  # the larger of the two slopes
+        raise _power_overflow(roots, n)
+    slope_prev = _divided_difference_slope(roots, n - 1)
     return LucasTerms(
         u=u,
         u_prev=char.u_prev,
-        v=v,
         du=de1 * slope,
         du_prev=de1 * slope_prev,
         dv=de1 * n * u,

@@ -9,8 +9,8 @@ mgf        generating-function values at a given z
 verify     the three-layer agreement suite; exit 0 iff every check passes
 sweep      CSV over parameter ranges (``--p 0.3:0.7:0.05`` style)
 
-Exit codes: 0 success, 1 verification failure, an unresolved oracle or a closed
-stdout, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, an unresolved oracle, a closed
+stdout or a missing numpy, 2 usage or parameter error.
 Errors are emitted as one-line JSON on stderr.  JSON output carries full
 float precision; ``--format table`` rounds to six significant digits.
 """
@@ -230,7 +230,7 @@ def cmd_exact(args) -> int:
     from . import oracle
     params = _params_from(args)
     _require_kmax(args.kmax)
-    sol = oracle.solve_exact(params, Strategy(args.strategy), tol=args.tol)
+    sol = oracle.solve_exact(params, Strategy(args.strategy))
     report = {
         "params": {"p": params.p, "s": params.s, "i0": params.i0},
         "strategy": args.strategy,
@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_instance_flags(ex)
     ex.add_argument("--kmax", type=int, default=64)
-    ex.add_argument("--tol", type=float, default=1e-10)
     _add_output_flags(ex)
     ex.set_defaults(func=cmd_exact)
 
@@ -474,6 +473,11 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         print(json.dumps({"error": f"oracle did not converge: {exc}"}), file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:  # Monte Carlo and mass propagation import numpy on first use
+        if exc.name != "numpy":
+            raise
+        print(json.dumps({"error": f"this command needs numpy: {exc}"}), file=sys.stderr)
         return 1
 
 

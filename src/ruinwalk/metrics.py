@@ -79,7 +79,7 @@ def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
 def bc_ratio(params: WalkParams) -> float:
     """The constant ratio P_B(Y) / P_C(Y) shared by ruin and all barriers k >= 2.
 
-    Equals ``(1 + omega**i0 - phi2) / psi1`` with ``psi1 = (1-s) phi1``, and
+    Equals ``D / psi1``, C's denominator ``D = V_i0 - phi2`` over ``psi1 = (1-s) phi1``, and
     is below 1 for 0 < s < 1: strategy B is strictly more likely than C to
     stop at any given site because its extra barrier at i0 drains mass
     earlier.  At s = 1 and i0 = 1 it is exactly 1, so s = 1 is refused.
@@ -89,7 +89,7 @@ def bc_ratio(params: WalkParams) -> float:
             f"the B/C ratio needs 0 < s < 1, got s={params.s}"
         )
     phi = mgf.characteristic(params, 1.0).phi
-    return (1.0 + params.omega_pow - phi.phi2) / phi.psi1
+    return phi.v_minus_phi2 / phi.psi1
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     ``i0 * excess / s`` and A's is ``(1-s)`` times it (surviving the t=0
     stop draw scales every later outcome); the variant without the 1/s
     fails the oracle, see FORMULA_ERRATA.md.  C's is
-    ``i0 * ((1-s) omega**i0 excess / s + U_i0/q) / (1 + omega**i0 excess)``.
+    ``i0 * ((1-s) omega**i0 excess / s + U_i0/q) / D``, ``D = V_i0 - phi2``.
     ``excess`` is read from the barrier roots' own gap, so it keeps its
     digits as phi1 -> 1 (p <= 1/2 as s -> 0); what can fail is the 1/s,
     which overflows as s -> 0, and then the mean raises.
@@ -122,8 +122,8 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     if strategy is Strategy.A:
         m *= one_ms
     elif strategy is Strategy.C:
-        # omega**i0 excess < omega**i0, so the weights are finite where B's mean is
-        denom = 1.0 + params.omega_pow * excess
+        # D >= omega**i0, so the weights are finite where B's mean is
+        denom = phi.v_minus_phi2
         m = one_ms * m * (params.omega_pow / denom) + i0 * char.u_i0 / params.q / denom
     if not math.isfinite(m):
         raise UnsupportedRegimeError(f"the mean time is not finite in floating point at s={s}")
@@ -140,7 +140,7 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     derivatives of its subtraction-free values: ``-rate/psi1`` at ruin,
     ``s[(2p dU_{i0-1} - q phi2 rate)/(q psi1) - b1 rate]`` at i0 and
     ``s b2 (dU_i0/U_i0 - 1 - 2 rate)`` at 2*i0; A's are (1-s) times B's.
-    C's share the pole ``1/D``, ``D = V_i0 - phi2``: with
+    C's share the pole ``1/D`` of the characteristic's ``D = V_i0 - phi2``: with
     ``pole = (dV_i0 + phi2 rate)/D`` they are ``-pole/D`` at ruin and
     ``s w_k (dU_i0/U_i0 - 1 - (k-1) rate - pole)`` at k >= 2.  Past the
     head they are the z-derivatives of the geometric masses
@@ -156,7 +156,7 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     log_common = lt.du / lt.u - 1.0
     if strategy is Strategy.C:
         w = mgf.mgf_c(params, 1.0).head
-        pole = (lt.dv + phi.phi2 * rate) / (lt.v - phi.phi2)
+        pole = (lt.dv + phi.phi2 * rate) / phi.v_minus_phi2
         head = [-pole * w[0], 0.0]
         head += [s * wk * (log_common - (k - 1) * rate - pole) for k, wk in enumerate(w[2:], 2)]
         mass = s * w[-1]

@@ -77,7 +77,7 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
         u_i0 = power_divided_difference(roots, params.i0)
         u_prev = power_divided_difference(roots, params.i0 - 1)
         th = theta(z, params, u_i0, u_prev)
-        phi = phi_roots(z, params, u_i0)
+        phi = phi_roots(roots, params, u_i0)
         char = Characteristic(z, roots, u_i0, u_prev, th, phi)
         memo.clear()
         memo[z] = char
@@ -120,18 +120,17 @@ def mgf_a(params: WalkParams, z: float) -> Profile:
 def mgf_c(params: WalkParams, z: float) -> Profile:
     """Strategy-C generating function on ruin and every barrier k*i0, for 0 < s <= 1.
 
-    With ``D = V_i0 - phi2`` the head holds barriers 0..3,
+    With ``D = V_i0 - phi2``, the characteristic's, the head holds barriers 0..3,
     ``(1/D, U_i0/(q z D), U_i0 omega**i0/(q z psi1 D), that * phi2)``, and
     the tail continues it with ``rho = phi2``.
     """
     _require_stopping(params)
     char = characteristic(params, z)
-    roots, phi, i0 = char.roots, char.phi, params.i0
-    qz, phi2 = params.q * z, phi.phi2
-    denom = roots.tau1 ** i0 + roots.tau2 ** i0 - phi2
-    far = char.u_i0 / (qz * phi.psi1) * (params.omega_pow / denom)
-    head = (1.0 / denom, char.u_i0 / (qz * denom), far, far * phi2)
-    return Profile(head, phi2, phi.phi2_gap)
+    phi, qz, denom = char.phi, params.q * z, char.phi.v_minus_phi2
+    # U_i0/(q z) / psi1 is exactly 1 at s = 1, where psi1 is that quotient
+    far = char.u_i0 / qz / phi.psi1 * (params.omega_pow / denom)
+    head = (1.0 / denom, char.u_i0 / (qz * denom), far, far * phi.phi2)
+    return Profile(head, phi.phi2, phi.phi2_gap)
 
 
 def _barrier_fn(strategy: Strategy):

@@ -140,11 +140,10 @@ def check_c_seed_relations() -> CheckResult:
     for params in _interior_grid():
         for z in (0.4, 0.9, 1.0):
             char = mgf.characteristic(params, z)
-            roots, phi, d_i0 = char.roots, char.phi, char.u_i0
+            phi, d_i0 = char.phi, char.u_i0
             w = mgf.mgf_c(params, z)
             w1, w2 = w.at(1), w.at(2)
-            i0 = params.i0
-            s_i0 = roots.tau1 ** i0 + roots.tau2 ** i0
+            s_i0 = d_i0 / (params.q * z) - 2.0 * params.omega * char.u_prev  # V_i0 = e1 U_i0 - 2 e2 U_{i0-1}
             seed = params.q * z * (s_i0 * w1 - (1.0 - params.s) * w2) - d_i0
             worst = max(worst, abs(seed) / max(d_i0, 1e-300))
             link = params.omega_pow * w1 - phi.psi1 * w2

@@ -46,6 +46,14 @@ def barrier_roots(params: WalkParams, z: float = 1.0) -> dict:
         return {key: float(found[key]) for key in ("phi1", "phi2", "phi1_gap", "phi2_gap", "sqrt_disc")}
 
 
+def v_minus_phi2(params: WalkParams, z: float = 1.0) -> float:
+    """Strategy C's denominator ``V_i0 - phi2 = tau1**i0 + tau2**i0 - phi2`` at z, for 0 < s < 1."""
+    with localcontext() as ctx:
+        ctx.prec = _precision(params)
+        found = _roots(params, z)
+        return float(found["v"] - found["phi2"])
+
+
 def mean_time(params: WalkParams, strategy: Strategy) -> float:
     """The closed-form mean absorption time for 0 < s < 1."""
     with localcontext() as ctx:

@@ -116,12 +116,14 @@ class TestPhiRoots:
     def test_known_roots(self, i0, want1, want2):
         # p = 1/2 at z = 1: U_i0 = i0 and theta = 2 + 2 i0 s/(1-s), so 4 and 6
         # at s = 1/2, with omega**i0 = 1; psi1 = phi1/2
-        phi = cp.phi_roots(1.0, WalkParams(0.5, 0.5, i0), float(i0))
+        params = WalkParams(0.5, 0.5, i0)
+        phi = cp.phi_roots(cp.tau_roots(1.0, params), params, float(i0))
         assert phi.psi1 == pytest.approx(0.5 * want1, rel=1e-14)
         assert phi.phi2 == pytest.approx(want2, rel=1e-14)
         assert phi.psi1_gap == pytest.approx(0.5 * (want1 - 1.0), rel=1e-14)
         assert phi.phi2_gap == pytest.approx(1.0 - want2, rel=1e-14)
         assert phi.psi_sqrt_disc == pytest.approx(0.5 * (want1 - want2), rel=1e-14)
+        assert phi.v_minus_phi2 == pytest.approx(2.0 - want2, rel=1e-14)  # V_i0 = 2
 
     def test_no_stop_limit_gives_extremes_of_omega_power(self):
         params = WalkParams(0.4, 0.0, 2)
@@ -133,9 +135,10 @@ class TestPhiRoots:
         # tau1**i0 ~ 1.7e308 here, so (1-s) sqrt(disc) is inf and phi2 would
         # come out 0; at i0 = 200 its square overflowed, but the root does not
         params = WalkParams(0.9, 0.5, 323)
-        u_i0 = cp.power_divided_difference(cp.tau_roots(1.0, params), 323)
+        roots = cp.tau_roots(1.0, params)
+        u_i0 = cp.power_divided_difference(roots, 323)
         with pytest.raises(UnsupportedRegimeError):
-            cp.phi_roots(1.0, params, u_i0)
+            cp.phi_roots(roots, params, u_i0)
 
     def test_ordering_and_product_on_grid(self):
         for params in grid_params():
@@ -180,6 +183,21 @@ class TestBarrierRootGaps:
         for name in ("phi1_gap", "phi2_gap", "sqrt_disc"):
             assert got[name] == pytest.approx(want[name], rel=1e-13), name
 
+    @given(
+        p=st.one_of(st.floats(-1e-12, 1e-12).map(lambda d: 0.5 + d), st.floats(0.01, 0.99)),
+        s=st.one_of(st.floats(-12.0, -1.0).map(lambda e: 10.0 ** e), st.floats(1e-12, 1.0 - 1e-6)),
+        i0=st.integers(1, 60),
+        z=st.one_of(st.just(1.0), st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0 ** e), st.floats(0.01, 1.0)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_c_denominator_is_as_accurate_as_the_sum_of_powers(self, p, s, i0, z):
+        # V_i0 - phi2 against decimal, within 4 ulps of the error of
+        # tau1**i0 + tau2**i0 - phi2 from the same roots
+        params = WalkParams(p, s, i0)
+        char, want = mgf.characteristic(params, z), ref.v_minus_phi2(params, z)
+        summed = char.roots.tau1 ** i0 + char.roots.tau2 ** i0 - char.phi.phi2
+        assert abs(char.phi.v_minus_phi2 - want) <= abs(summed - want) + 4 * 2.0 ** -52 * want
+
     @pytest.mark.parametrize(
         "p, s, i0, z",
         [
@@ -219,7 +237,6 @@ class TestLucasTerms:
             assert lt.u_prev == pytest.approx(
                 cp.power_divided_difference(roots, n - 1), rel=1e-13, abs=0.0
             )
-            assert lt.v == pytest.approx(roots.tau1 ** n + roots.tau2 ** n, rel=1e-13)
 
     def test_reads_the_characteristic_it_is_given(self):
         # U_i0 and U_{i0-1} come from the characteristic, not a second solve
@@ -233,29 +250,31 @@ class TestLucasTerms:
         for n in (1, 2, 3, 6):
             params = WalkParams(p, 0.5, n)
             lt = cp.lucas_terms(mgf.characteristic(params, 1.0), params)
-            for got, field in ((lt.du, "u"), (lt.du_prev, "u_prev"), (lt.dv, "v")):
-                want = _richardson_from_below(
-                    lambda z, f=field: getattr(cp.lucas_terms(mgf.characteristic(params, z), params), f)
-                )
+            for got, value in (
+                (lt.du, lambda char: char.u_i0),
+                (lt.du_prev, lambda char: char.u_prev),
+                (lt.dv, lambda char, n=n: char.roots.tau1 ** n + char.roots.tau2 ** n),
+            ):
+                want = _richardson_from_below(lambda z, f=value: f(mgf.characteristic(params, z)))
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
     def test_driftless_closed_forms(self):
         # p = q at z=1: U_n = n, V_n = 2, dU_n = -n(n^2-1)/3, dV_n = -2n^2
         for n in range(1, 12):
             params = WalkParams(0.5, 0.3, n)
-            lt = cp.lucas_terms(mgf.characteristic(params, 1.0), params)
-            assert (lt.u, lt.u_prev, lt.v) == (n, n - 1, 2.0)
+            char = mgf.characteristic(params, 1.0)
+            lt = cp.lucas_terms(char, params)
+            assert (lt.u, lt.u_prev) == (n, n - 1)
+            assert char.roots.tau1 ** n + char.roots.tau2 ** n == 2.0
             assert lt.du == -n * (n * n - 1) / 3
             assert lt.dv == -2.0 * n * n
 
     def test_overflow_is_an_unsupported_regime(self):
-        # U_155 of the roots 99 and 1 is finite, V_155 is not; the
-        # characteristic refuses omega**155 first, so its U terms are given
-        params = WalkParams(0.99, 0.5, 155)
-        roots = cp.tau_roots(1.0, params)
-        u_i0, u_prev = (cp.power_divided_difference(roots, n) for n in (155, 154))
-        assert math.isfinite(u_i0)
-        char = mgf.Characteristic(1.0, roots, u_i0, u_prev, math.inf, None)
+        # the characteristic answers here, with U_1740 of the roots 1.5 and 1
+        # finite, but the slope dU_1740/de1 leaves float range
+        params = WalkParams(0.6, 0.5, 1740)
+        char = mgf.characteristic(params, 1.0)
+        assert math.isfinite(char.u_i0)
         with pytest.raises(UnsupportedRegimeError, match="overflow"):
             cp.lucas_terms(char, params)
 

@@ -251,8 +251,7 @@ class TestSmallBarrierRoot:
             sol = oracle.solve_exact(params, strategy, tol=1e-11)
             prof = metrics.absorption_profile(params, strategy)
             tp = metrics.time_profile(params, strategy)
-            # C's ruin mass 1/(V_i0 - phi2) can round one ulp past 1
-            assert all(0.0 <= m <= 1.0 + 2.0 ** -52 for m in prof.upto(64)), strategy
+            assert all(0.0 <= m <= 1.0 for m in prof.upto(64)), strategy
             assert prof.total == pytest.approx(1.0, abs=1e-9)
             for k, (got, want) in enumerate(zip(prof.upto(64), sol.masses.upto(64))):
                 assert abs(got - want) <= 1e-9, (strategy, k, got, want)
@@ -502,12 +501,13 @@ class TestOneFormUpToTotalStop:
         # once omega**i0 passes about 1e154; stopping on arrival, the masses
         # and means are ratios of the Lucas terms at z = 1
         params = WalkParams(0.9, 1.0, i0)
-        p, q, lt = params.p, params.q, cp.lucas_terms(mgf.characteristic(params, 1.0), params)
-        start = lt.u_prev / lt.u
+        p, q, char = params.p, params.q, mgf.characteristic(params, 1.0)
+        u, v = char.u_i0, char.roots.tau1 ** i0 + char.roots.tau2 ** i0
+        start = char.u_prev / u
         want_masses, want_mean = {
             Strategy.A: ((0.0, 1.0, 0.0), 0.0),
-            Strategy.B: ((q / lt.u, (q * params.omega + p) * start, q * (params.omega_pow / lt.u)), float(i0)),
-            Strategy.C: ((1.0 / lt.v, 0.0, params.omega_pow / lt.v), i0 * (lt.u / q) / lt.v),
+            Strategy.B: ((q / u, (q * params.omega + p) * start, q * (params.omega_pow / u)), float(i0)),
+            Strategy.C: ((1.0 / v, 0.0, params.omega_pow / v), i0 * (u / q) / v),
         }[strategy]
         prof = metrics.absorption_profile(params, strategy)
         for k, want in enumerate(want_masses):
@@ -719,8 +719,7 @@ class TestWholeDomain:
             prof = _answer_or_none(metrics.absorption_profile, params, strategy)
             if prof is not None:
                 masses = prof.upto(64)
-                # C's ruin mass 1/(V_i0 - phi2) can round one ulp past 1
-                assert all(0.0 <= m <= 1.0 + 2.0 ** -52 for m in masses), (strategy, masses)
+                assert all(0.0 <= m <= 1.0 for m in masses), (strategy, masses)
                 assert 0.0 <= prof.beyond(64) <= prof.total, (strategy, prof.beyond(64))
                 assert escapes or abs(prof.total - 1.0) <= 1e-12, (strategy, prof.total)
             tp = _answer_or_none(metrics.time_profile, params, strategy)
@@ -731,6 +730,18 @@ class TestWholeDomain:
             for t in times:
                 assert t >= 0.0 and math.copysign(1.0, t) == 1.0, (strategy, t)
                 assert endless or math.isfinite(t), (strategy, t)
+
+    @pytest.mark.parametrize(
+        "p, s, i0, k",
+        [
+            # 1/(V_i0 - phi2) read 1 + 2**-52: 1 + omega**i0 rounded up, and phi2 past omega**i0
+            (0.26483852871301305, 3.854910724599262e-11, 35, 0),
+            # U_i0 / (q psi1) read 1 + 2**-52, with psi1 the quotient U_i0 / q
+            (0.9549955114854997, 1.0, 40, 2),
+        ],
+    )
+    def test_c_masses_do_not_round_past_one(self, p, s, i0, k):
+        assert metrics.absorption_profile(WalkParams(p, s, i0), Strategy.C).at(k) <= 1.0
 
     def test_tail_ratio_stays_below_one_as_the_gap_nears_rounding(self, strategy):
         # c omega**i0 / psi1 read 1.0000000000000007 with 1 - phi2 = 1e-15, so

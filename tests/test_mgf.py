@@ -360,13 +360,14 @@ class TestCharacteristicMemo:
         u_i0, u_prev = cp.power_divided_difference(roots, 3), cp.power_divided_difference(roots, 2)
         assert (char.u_i0, char.u_prev) == (u_i0, u_prev)
         assert char.theta == cp.theta(0.7, params, u_i0, u_prev)
-        assert char.phi == cp.phi_roots(0.7, params, u_i0)
+        assert char.phi == cp.phi_roots(roots, params, u_i0)
         # away from the double root the gaps are the plain differences, to rounding
         phi = char.phi
         one_ms = 1.0 - params.s
         assert phi.psi1_gap == pytest.approx(phi.psi1 - one_ms, rel=1e-15)
         assert phi.phi2_gap == pytest.approx(1.0 - phi.phi2, rel=1e-15)
         assert phi.psi_sqrt_disc == pytest.approx(phi.psi1 - one_ms * phi.phi2, rel=1e-15)
+        assert phi.v_minus_phi2 == pytest.approx(roots.tau1 ** 3 + roots.tau2 ** 3 - phi.phi2, rel=1e-15)
 
     def test_same_z_returns_the_identical_object_and_a_new_z_replaces_it(self):
         params = WalkParams(0.4, 0.3, 3)
