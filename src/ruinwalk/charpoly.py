@@ -26,8 +26,8 @@ serves every regime.
 ``e1 = tau1 + tau2 = 1/(q*z)`` and product ``e2 = omega``, and
 ``V_n = tau1**n + tau2**n`` is its companion; both are polynomials in
 (e1, e2), and so are their e1-derivatives.  With e2 independent of z, the
-z-derivatives follow by the chain rule through ``de1/dz = -1/(q*z**2)``
-(:func:`lucas_terms`), without ever forming ``dtau/dz``, which is infinite
+z-derivatives at z=1 follow by the chain rule through ``de1/dz = -1/q``
+(:func:`derivatives_at_1`), without ever forming ``dtau/dz``, which is infinite
 at z=1 when p=q.  Every expected time with s > 0 is built on them, so one
 formula serves drifting and driftless walks alike.
 """
@@ -36,12 +36,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .core import ParameterError, UnsupportedRegimeError, WalkParams
-
-if TYPE_CHECKING:
-    from .mgf import Characteristic
 
 
 class RootPair(NamedTuple):
@@ -75,31 +72,20 @@ def _unscaled(value: float, scale: float) -> float:
     return value / scale if scale else math.copysign(math.inf, value)
 
 
-class LucasTerms(NamedTuple):
-    """``U_n`` and ``U_{n-1}`` of the step roots with their z-derivatives, and ``dV_n``.
-
-    ``U_n = (tau1**n - tau2**n) / (tau1 - tau2)`` and
-    ``V_n = tau1**n + tau2**n``; the ``d`` fields are d/dz.
-    """
-
-    u: float
-    u_prev: float
-    du: float
-    du_prev: float
-    dv: float
-
-
 class DerivativeBundle(NamedTuple):
-    """z-derivatives of theta and phi at z=1, with the Lucas terms behind them.
+    """z-derivatives at z=1 of theta and phi, and of the divided differences behind them.
 
     ``rate`` is ``dphi1/phi1 = dpsi1/psi1``, finite on 0 <= s <= 1, and
-    ``dphi2 = -phi2 * rate``; ``dtheta`` is infinite at s = 1.
+    ``dphi2 = -phi2 * rate``; ``dtheta`` is infinite at s = 1.  ``du`` and
+    ``du_prev`` are ``dU_i0/dz`` and ``dU_{i0-1}/dz`` of
+    ``U_n = (tau1**n - tau2**n) / (tau1 - tau2)``.
     """
 
     dtheta: float
     dphi2: float
     rate: float
-    lucas: LucasTerms
+    du: float
+    du_prev: float
 
 
 def tau_roots(z: float, params: WalkParams) -> RootPair:
@@ -107,20 +93,26 @@ def tau_roots(z: float, params: WalkParams) -> RootPair:
 
     At z=1 the roots are exactly ``max(1, omega)`` and ``min(1, omega)``.
     For z < 1 the larger root comes from the additive branch of the
-    quadratic formula (no cancellation for this sign pattern) and the
-    smaller from the product identity tau1*tau2 = omega.
+    quadratic formula with :func:`_disc_root` (no cancellation for this
+    sign pattern) and the smaller from the product identity tau1*tau2 = omega.
     """
     if not 0.0 < z <= 1.0:
         raise ParameterError(f"z must lie in (0, 1], got {z}")
     omega = params.omega
     if z == 1.0:
         return RootPair(tau1=max(1.0, omega), tau2=min(1.0, omega), z=z)
-    disc = 1.0 - 4.0 * params.p * params.q * z * z
-    # disc >= (1 - 2*sqrt(pq)*z)... strictly positive for z < 1 since 4pq <= 1
-    root = math.sqrt(disc)
-    tau1 = (1.0 + root) / (2.0 * params.q * z)
-    tau2 = omega / tau1
-    return RootPair(tau1=tau1, tau2=tau2, z=z)
+    tau1 = (1.0 + _disc_root(z, params.p)) / (2.0 * params.q * z)
+    return RootPair(tau1=tau1, tau2=omega / tau1, z=z)
+
+
+def _disc_root(z: float, p: float) -> float:
+    """``sqrt(1 - 4pq z**2) = qz (tau1 - tau2)`` as ``sqrt((1-z)(1+z) + (z(2p-1))**2)``.
+
+    The terms are non-negative, where ``1 - 4pq z**2`` cancels as z -> 1 and
+    p -> 1/2; ``2p - 1`` is exact for p >= 1/4.
+    """
+    lean, rest = z * (2.0 * p - 1.0), 1.0 - z
+    return math.sqrt(rest * (1.0 + z) + lean * lean)
 
 
 def power_divided_difference(roots: RootPair, n: int) -> float:
@@ -194,7 +186,9 @@ def phi_roots(roots: RootPair, params: WalkParams, u_i0: float) -> PhiPair:
     number (s near the float minimum).  C's denominator ``V_i0 - phi2`` is
     ``tau1**i0 + (tau2**i0 - phi2)``, the second term >= 0 at z = 1: ``1 - phi2``,
     or ``omega**i0 (1 - c/psi1) = omega**i0 psi1_gap / psi1`` where tau1 is 1.
-    For z < 1 it is the plain difference, as only V_i0 cancels tau1's rounding.
+    For z < 1 it is the plain difference: tau1**i0 carries i0 times tau1's
+    few ulps of rounding, which only V_i0 cancels, as tau2 = omega/tau1
+    rounds the other way.
     """
     s, c, z = params.s, 1.0 - params.s, roots.z
     try:
@@ -234,17 +228,16 @@ def phi_roots(roots: RootPair, params: WalkParams, u_i0: float) -> PhiPair:
 def _power_gaps(z: float, params: WalkParams) -> tuple[float, float]:
     """``tau1**i0 - 1`` and ``1 - tau2**i0``, both >= 0, without cancellation.
 
-    With ``r = sqrt(1 - 4pq z**2)``, taken as ``sqrt((1-z)(1+z) + (z(2p-1))**2)``,
+    With ``r = sqrt(1 - 4pq z**2)`` of :func:`_disc_root`,
     ``tau1 - 1 = (a + r) / (2qz)`` for ``a = 1 - 2qz = (1-z) + z(2p-1)`` and
     ``1 - tau2 = (b + r) / (1 + r)`` for ``b = 1 - 2pz = (1-z) + z(1-2p)``.
     Where a (or b) is negative, ``a + r = (r**2 - a**2) / (r - a)`` with
     ``r**2 - a**2 = 4qz(1-z)`` (``4pz(1-z)`` for b) is a quotient of
-    non-negative terms.  ``2p - 1`` is exact for p >= 1/4.  The powers
-    follow through expm1 and log1p; a tau2 within rounding of 0 gives 1.
+    non-negative terms.  The powers follow through expm1 and log1p; a tau2
+    within rounding of 0 gives 1.
     """
     p, i0 = params.p, params.i0
-    lean, rest = z * (2.0 * p - 1.0), 1.0 - z
-    r = math.sqrt(rest * (1.0 + z) + lean * lean)
+    lean, rest, r = z * (2.0 * p - 1.0), 1.0 - z, _disc_root(z, p)
     a, b = rest + lean, rest - lean
     up = (a + r) / (2.0 * params.q * z) if a >= 0.0 else 2.0 * rest / (r - a)
     down = (b + r) / (1.0 + r) if b >= 0.0 else 4.0 * p * z * rest / ((r - b) * (1.0 + r))
@@ -265,49 +258,26 @@ def _divided_difference_slope(roots: RootPair, n: int) -> float:
     return acc
 
 
-def lucas_terms(char: Characteristic, params: WalkParams) -> LucasTerms:
-    """``U_i0``, ``U_{i0-1}`` and the z-derivatives of those and of ``V_i0`` at ``char.z``.
-
-    ``char`` is :func:`ruinwalk.mgf.characteristic`'s for ``params``, which
-    already holds ``U_i0`` and ``U_{i0-1}``.  At fixed ``e2 = omega``,
-    ``dU_n/de1`` is the positive power sum of
-    :func:`_divided_difference_slope` and ``dV_n/de1 = n*U_n``; both are
-    multiplied by ``de1/dz = -1/(q*z**2)``.  Nothing here divides by the
-    root gap, so p = 1/2 needs no special case.  The differentiated
-    recurrence ``x_n = e1*x_{n-1} - e2*x_{n-2}`` gives the same values with
-    rounding that grows with n, and the killed times subtract these
-    derivatives from the barrier roots' ones (losing a factor of about 4000
-    at p=0.55, s=0.99, i0=50), so the positive sums are used instead.
-    """
-    roots, n, u = char.roots, params.i0, char.u_i0
-    de1 = -1.0 / (params.q * roots.z * roots.z)
-    slope = _divided_difference_slope(roots, n)
-    if not math.isfinite(slope):  # the larger of the two slopes
-        raise _power_overflow(roots, n)
-    slope_prev = _divided_difference_slope(roots, n - 1)
-    return LucasTerms(
-        u=u,
-        u_prev=char.u_prev,
-        du=de1 * slope,
-        du_prev=de1 * slope_prev,
-        dv=de1 * n * u,
-    )
-
-
 def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     """z-derivatives of theta and phi_i at z=1, for 0 <= s <= 1.
 
-    With ``c theta = (U_i0 - 2*p*z*c*U_{i0-1}) / (q*z)``, c = 1 - s, the
+    At fixed ``e2 = omega``, ``dU_n/de1`` is the positive power sum of
+    :func:`_divided_difference_slope`, multiplied by ``de1/dz = -1/q`` for
+    ``du`` and ``du_prev``.  Nothing there divides by the root gap, so
+    p = 1/2 needs no special case.  The differentiated recurrence
+    ``x_n = e1*x_{n-1} - e2*x_{n-2}`` gives the same values with rounding
+    that grows with n, and the killed times subtract these derivatives from
+    the barrier roots' ones (losing a factor of about 4000 at p=0.55,
+    s=0.99, i0=50), so the positive sums are used instead.  With
+    ``c theta = (U_i0 - 2*p*z*c*U_{i0-1}) / (q*z)``, c = 1 - s, the
     quotient rule at z=1 gives ``d(c theta) = (dU_i0 - 2*p*c*(U_{i0-1} +
-    dU_{i0-1}))/q - c theta``, with the Lucas terms of :func:`lucas_terms`;
-    implicit differentiation of the scaled barrier quadratic gives
-    ``rate = dpsi1/psi1 = d(c theta) / (c sqrt(disc))`` and
-    ``dphi2 = -phi2 * rate``, both finite at s = 1.  The roots come from
-    :func:`ruinwalk.mgf.characteristic` at z=1.  ``params`` keeps the bundle
-    beside that characteristic, so every strategy's killed times share one
-    solve, and a characteristic built at another z drops both.  The whole
-    bundle is validated against Richardson-extrapolated finite differences
-    in the test suite.
+    dU_{i0-1}))/q - c theta``; implicit differentiation of the scaled
+    barrier quadratic gives ``rate = dpsi1/psi1 = d(c theta) / (c sqrt(disc))``
+    and ``dphi2 = -phi2 * rate``, both finite at s = 1.  The roots and
+    ``U_i0``, ``U_{i0-1}`` come from :func:`ruinwalk.mgf.characteristic` at
+    z=1.  ``params`` keeps the bundle beside that characteristic, so every
+    strategy's killed times share one solve, and a characteristic built at
+    another z drops both.
     """
     der = params._memo.get("derivatives")
     if der is not None:
@@ -315,15 +285,18 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     from .mgf import characteristic  # mgf builds on this module
 
     char = characteristic(params, 1.0)
-    phi = char.phi
+    phi, roots, n = char.phi, char.roots, params.i0
     if not phi.psi_sqrt_disc:
         raise UnsupportedRegimeError(
             "barrier roots coincide at z=1; no derivative is available"
         )
-    p, c = params.p, 1.0 - params.s
-    lt = lucas_terms(char, params)
+    slope = _divided_difference_slope(roots, n)
+    if not math.isfinite(slope):  # the larger of the two slopes
+        raise _power_overflow(roots, n)
+    p, q, c, de1 = params.p, params.q, 1.0 - params.s, -1.0 / params.q
+    du, du_prev = de1 * slope, de1 * _divided_difference_slope(roots, n - 1)
     c_theta = phi.psi1 + c * phi.phi2  # psi1 + psi2
-    dc_theta = (lt.du - 2.0 * p * c * (lt.u_prev + lt.du_prev)) / params.q - c_theta
+    dc_theta = (du - 2.0 * p * c * (char.u_prev + du_prev)) / q - c_theta
     rate = dc_theta / phi.psi_sqrt_disc
-    der = params._memo["derivatives"] = DerivativeBundle(_unscaled(dc_theta, c), -phi.phi2 * rate, rate, lt)
+    der = params._memo["derivatives"] = DerivativeBundle(_unscaled(dc_theta, c), -phi.phi2 * rate, rate, du, du_prev)
     return der

@@ -9,9 +9,9 @@ probability s, so
 
 Mean times are *killed* expectations E[T * 1{absorbed at Y}]; the overall
 mean is their sum.  Per-barrier times are z-derivatives at z=1 of the
-generating functions, taken through the Lucas sequences of the step roots
-(:func:`ruinwalk.charpoly.lucas_terms`), which stay analytic at p = 1/2:
-drifting and driftless walks share every formula.  Like the generating
+generating functions, taken through the slopes of the Lucas sequences of the
+step roots (:func:`ruinwalk.charpoly.derivatives_at_1`), which stay analytic
+at p = 1/2: drifting and driftless walks share every formula.  Like the generating
 functions, they are written in ``psi1 = (1-s) phi1`` and its log-derivative
 ``rate``, both finite on 0 < s <= 1, so s = 1 (stop on arrival) takes the
 same formulas as every other s.  The barrier roots' gaps they divide by
@@ -141,8 +141,8 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     ``s[(2p dU_{i0-1} - q phi2 rate)/(q psi1) - b1 rate]`` at i0 and
     ``s b2 (dU_i0/U_i0 - 1 - 2 rate)`` at 2*i0; A's are (1-s) times B's.
     C's share the pole ``1/D`` of the characteristic's ``D = V_i0 - phi2``: with
-    ``pole = (dV_i0 + phi2 rate)/D`` they are ``-pole/D`` at ruin and
-    ``s w_k (dU_i0/U_i0 - 1 - (k-1) rate - pole)`` at k >= 2.  Past the
+    ``pole = (dV_i0 + phi2 rate)/D``, ``dV_i0 = -i0 U_i0/q``, they are ``-pole/D``
+    at ruin and ``s w_k (dU_i0/U_i0 - 1 - (k-1) rate - pole)`` at k >= 2.  Past the
     head they are the z-derivatives of the geometric masses
     ``mass * phi2**m``, so the profile's tail carries ``drho = dphi2``.
     """
@@ -151,19 +151,20 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     if not s:
         return _limit_profiles(params)[1]
     der = cp.derivatives_at_1(params)
-    phi, lt, rate = mgf.characteristic(params, 1.0).phi, der.lucas, der.rate
+    char, rate = mgf.characteristic(params, 1.0), der.rate
+    phi, q = char.phi, params.q
     # logarithmic derivative shared by the far barrier forms: U_i0 and 1/z
-    log_common = lt.du / lt.u - 1.0
+    log_common = der.du / char.u_i0 - 1.0
     if strategy is Strategy.C:
         w = mgf.mgf_c(params, 1.0).head
-        pole = (lt.dv + phi.phi2 * rate) / phi.v_minus_phi2
+        pole = (-1.0 / q * params.i0 * char.u_i0 + phi.phi2 * rate) / phi.v_minus_phi2
         head = [-pole * w[0], 0.0]
         head += [s * wk * (log_common - (k - 1) * rate - pole) for k, wk in enumerate(w[2:], 2)]
         mass = s * w[-1]
     else:
         b = mgf.mgf_b(params, 1.0).head
-        q, psi1 = params.q, phi.psi1
-        start = (2.0 * params.p * lt.du_prev - q * phi.phi2 * rate) / (q * psi1) - b[1] * rate
+        psi1 = phi.psi1
+        start = (2.0 * params.p * der.du_prev - q * phi.phi2 * rate) / (q * psi1) - b[1] * rate
         head = [-rate / psi1, s * start, s * b[2] * (log_common - 2.0 * rate)]
         mass = s * b[2]
         if strategy is Strategy.A:

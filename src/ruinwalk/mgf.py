@@ -54,9 +54,9 @@ class Characteristic(NamedTuple):
     ``phi.phi2_gap`` is ``1 - phi2``, the denominator of every profile's
     geometric tail, both taken without cancellation at every z (see
     :func:`ruinwalk.charpoly.phi_roots`); ``theta`` is infinite at s = 1.
+    The z is ``roots.z``.
     """
 
-    z: float
     roots: RootPair
     u_i0: float
     u_prev: float
@@ -78,7 +78,7 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
         u_prev = power_divided_difference(roots, params.i0 - 1)
         th = theta(z, params, u_i0, u_prev)
         phi = phi_roots(roots, params, u_i0)
-        char = Characteristic(z, roots, u_i0, u_prev, th, phi)
+        char = Characteristic(roots, u_i0, u_prev, th, phi)
         memo.clear()
         memo[z] = char
     return char

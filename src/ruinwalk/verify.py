@@ -245,29 +245,30 @@ def check_derivatives_fd() -> CheckResult:
 
 
 def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> list[CheckResult]:
+    """The profiles' fields, from which every barrier's value is computed: heads, means and tails."""
     worst_p, where_p = 0.0, "-"
     worst_t, where_t = 0.0, "-"
     worst_r, where_r = 0.0, "-"
     for params in _interior_grid():
         for strategy in Strategy:
-            sol = oracle.solve_exact(params, strategy, tol=1e-11)
+            sol = oracle.solve_exact(params, strategy)
             prof = metrics.absorption_profile(params, strategy)
+            tp = metrics.time_profile(params, strategy)
             at = f"p={params.p} s={params.s} i0={params.i0} strategy={strategy.value}"
-            for k, (got, ref) in enumerate(zip(prof.upto(64), sol.masses.upto(64))):
+            for k, (got, ref) in enumerate(zip(prof.head, sol.masses.head, strict=True)):
                 gap = abs(got - ref)
                 if gap > worst_p:
                     worst_p, where_p = gap, f"{at} k={k}"
-            m = metrics.mean_time_any(params, strategy)
-            gap = abs(m - sol.m_total) / max(abs(sol.m_total), 1e-300)
-            if gap > worst_t:
-                worst_t, where_t = gap, f"{at} total"
-            tp = metrics.time_profile(params, strategy)
-            for k, (got, ref) in enumerate(zip(tp.upto(64), sol.times.upto(64))):
+            sites = [f"k={k}" for k in range(len(tp.head))] + ["total", "tail"]
+            ours = (*tp.head, metrics.mean_time_any(params, strategy), tp.mass)
+            its = (*sol.times.head, sol.m_total, sol.times.mass)
+            for site, got, ref in zip(sites, ours, its, strict=True):
                 gap = abs(got - ref) / max(abs(ref), 1e-9)
                 if gap > worst_t:
-                    worst_t, where_t = gap, f"{at} k={k}"
+                    worst_t, where_t = gap, f"{at} {site}"
             # the oracle's period ratio is phi2: rho, 1 - rho and drho against the roots
-            ours, its = (tp.rho, tp.gap, tp.drho), (sol.times.rho, sol.times.gap, sol.times.drho)
+            ours = (prof.rho, prof.gap, tp.rho, tp.gap, tp.drho)
+            its = (sol.masses.rho, sol.masses.gap, sol.times.rho, sol.times.gap, sol.times.drho)
             gap = max(abs(a - b) / abs(b) for a, b in zip(ours, its))
             if gap > worst_r:
                 worst_r, where_r = gap, at
@@ -290,7 +291,7 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
     char = mgf.characteristic(params, 1.0)
     rejected = (char.u_i0 - 2.0 * params.p * char.u_prev) / params.q
     implemented = char.theta
-    p0 = oracle.solve_exact(params, Strategy.B, tol=1e-11).masses.at(0)
+    p0 = oracle.solve_exact(params, Strategy.B).masses.at(0)
     prof = metrics.absorption_profile(params, Strategy.B)
     ok = (
         abs(prof.at(0) - p0) < 1e-9
@@ -308,7 +309,7 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
 
     # 2. strategy-B mean time carries a 1/s, not the bare barrier factor.
     params = WalkParams(0.5, 0.5, 1)
-    sol = oracle.solve_exact(params, Strategy.B, tol=1e-11)
+    sol = oracle.solve_exact(params, Strategy.B)
     phi = mgf.characteristic(params, 1.0).phi
     rejected_mb = params.i0 * phi.psi1_gap / phi.psi1  # i0 (1 - 1/phi1)
     implemented_mb = metrics.mean_time_any(params, Strategy.B)
@@ -328,7 +329,7 @@ def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
     # 3. ruin-time prefactor at s=0: the killed time is omega**-i0 times
     #    the z-derivative of phi2, not that derivative alone.
     params = WalkParams(0.4, 0.0, 2)
-    et0 = oracle.solve_exact(params, Strategy.B, tol=1e-11).times.at(0)
+    et0 = oracle.solve_exact(params, Strategy.B).times.at(0)
     der = cp.derivatives_at_1(params)
     implemented_et0 = metrics.time_profile(params, Strategy.B).at(0)
     rejected_et0 = der.dphi2  # bare derivative, missing the omega**-i0 factor
@@ -374,7 +375,7 @@ def check_monte_carlo(
     results = []
     for p, s, i0, strategy in MC_GRID:
         params = WalkParams(p, s, i0)
-        sol = oracle.solve_exact(params, strategy, tol=1e-11)
+        sol = oracle.solve_exact(params, strategy)
         passed, detail = _mc_point(params, strategy, sol, trials, seed, sigmas)
         if not passed:  # one retry with a fresh stream, recorded
             passed, retry_detail = _mc_point(

@@ -21,11 +21,28 @@ def _precision(params: WalkParams) -> int:
     return 120 + max(0, -math.floor(math.log10(params.s)))
 
 
+def _step_roots(p: Decimal, z: Decimal) -> tuple[Decimal, Decimal]:
+    q = 1 - p
+    r = (1 - 4 * p * q * z * z).sqrt()
+    return (1 + r) / (2 * q * z), (1 - r) / (2 * q * z)
+
+
+def step_roots(params: WalkParams, z: float) -> dict:
+    """``tau1``, ``tau2`` and ``tau1_pow = tau1**i0`` at z, as floats.
+
+    ``1 - 4pq z**2`` cancels as z -> 1 and p -> 1/2 by at most the 32 digits
+    of two float inputs, so a fixed precision serves every instance.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 120
+        t1, t2 = _step_roots(Decimal(params.p), Decimal(z))
+        return {"tau1": float(t1), "tau2": float(t2), "tau1_pow": float(t1 ** params.i0)}
+
+
 def _roots(params: WalkParams, z: float) -> dict:
     p, s, z = Decimal(params.p), Decimal(params.s), Decimal(z)
     q, i0 = 1 - p, params.i0
-    r = (1 - 4 * p * q * z * z).sqrt()
-    t1, t2 = (1 + r) / (2 * q * z), (1 - r) / (2 * q * z)
+    t1, t2 = _step_roots(p, z)
     u, u_prev = (sum(t1 ** a * t2 ** (n - 1 - a) for a in range(n)) for n in (i0, i0 - 1))
     wi = (p / q) ** i0
     theta = (u / (1 - s) - 2 * p * z * u_prev) / (q * z)

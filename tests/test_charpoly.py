@@ -54,6 +54,42 @@ class TestTauRoots:
         )
 
 
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / math.ulp(want)
+
+
+class TestStepRootAccuracy:
+    """tau1 and tau2 against the quadratic formula in ``decimal``: the
+    discriminant ``1 - 4pq z**2`` cancels as z -> 1 and p -> 1/2, and the
+    roots take its root as a sum of non-negative terms."""
+
+    def test_near_the_double_root(self):
+        # 1 - 4pq z**2 left tau1 34,669 ulps and tau1**44 1.5e6 ulps off here
+        params, z = WalkParams(0.4999999999994848, 3.1e-4, 44), 1.0 - 2.6e-11
+        roots, want = cp.tau_roots(z, params), ref.step_roots(params, z)
+        assert _ulps(roots.tau1, want["tau1"]) <= 2
+        assert _ulps(roots.tau2, want["tau2"]) <= 2
+        assert _ulps(roots.tau1 ** 44, want["tau1_pow"]) <= 44
+
+    @given(
+        pz=st.one_of(
+            st.tuples(
+                st.floats(-13.0, -3.0).map(lambda e: 10.0 ** e),
+                st.sampled_from([-1.0, 1.0]),
+                st.floats(-12.0, -2.0).map(lambda e: 1.0 - 10.0 ** e),
+            ).map(lambda t: (0.5 + t[1] * t[0], t[2])),
+            st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_within_four_ulps(self, pz):
+        p, z = pz
+        params = WalkParams(p, 0.5, 1)
+        roots, want = cp.tau_roots(z, params), ref.step_roots(params, z)
+        assert _ulps(roots.tau1, want["tau1"]) <= 4
+        assert _ulps(roots.tau2, want["tau2"]) <= 4
+
+
 class TestPowerDividedDifference:
     def test_matches_quotient_for_distinct_roots(self):
         roots = cp.tau_roots(0.7, WalkParams(0.4, 0.5, 1))
@@ -225,6 +261,9 @@ def _richardson_from_below(f, h=1e-4):
 
 
 class TestLucasTerms:
+    """``U_i0`` and ``U_{i0-1}`` on the characteristic, and their z-slopes at
+    z=1 on the derivative bundle."""
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.5 + 1e-6, 0.7])
     @pytest.mark.parametrize("z", [0.6, 1.0])
     def test_values_match_the_step_roots(self, p, z):
@@ -232,28 +271,30 @@ class TestLucasTerms:
             params = WalkParams(p, 0.5, n)
             char = mgf.characteristic(params, z)
             roots = char.roots
-            lt = cp.lucas_terms(char, params)
-            assert lt.u == pytest.approx(cp.power_divided_difference(roots, n), rel=1e-13)
-            assert lt.u_prev == pytest.approx(
+            assert char.u_i0 == pytest.approx(cp.power_divided_difference(roots, n), rel=1e-13)
+            assert char.u_prev == pytest.approx(
                 cp.power_divided_difference(roots, n - 1), rel=1e-13, abs=0.0
             )
 
     def test_reads_the_characteristic_it_is_given(self):
-        # U_i0 and U_{i0-1} come from the characteristic, not a second solve
+        # the slopes are taken at the roots the characteristic holds, not a second solve
         params = WalkParams(0.4, 0.5, 3)
         char = mgf.characteristic(params, 1.0)
-        lt = cp.lucas_terms(char, params)
-        assert (lt.u, lt.u_prev) == (char.u_i0, char.u_prev)
+        der = cp.derivatives_at_1(params)
+        de1 = -1.0 / params.q
+        assert der.du == de1 * cp._divided_difference_slope(char.roots, 3)
+        assert der.du_prev == de1 * cp._divided_difference_slope(char.roots, 2)
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.5 - 1e-8, 0.7])
     def test_derivatives_match_finite_differences(self, p):
         for n in (1, 2, 3, 6):
             params = WalkParams(p, 0.5, n)
-            lt = cp.lucas_terms(mgf.characteristic(params, 1.0), params)
+            der = cp.derivatives_at_1(params)
+            dv = -1.0 / params.q * n * mgf.characteristic(params, 1.0).u_i0  # time_profile's dV_i0
             for got, value in (
-                (lt.du, lambda char: char.u_i0),
-                (lt.du_prev, lambda char: char.u_prev),
-                (lt.dv, lambda char, n=n: char.roots.tau1 ** n + char.roots.tau2 ** n),
+                (der.du, lambda char: char.u_i0),
+                (der.du_prev, lambda char: char.u_prev),
+                (dv, lambda char, n=n: char.roots.tau1 ** n + char.roots.tau2 ** n),
             ):
                 want = _richardson_from_below(lambda z, f=value: f(mgf.characteristic(params, z)))
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
@@ -263,11 +304,11 @@ class TestLucasTerms:
         for n in range(1, 12):
             params = WalkParams(0.5, 0.3, n)
             char = mgf.characteristic(params, 1.0)
-            lt = cp.lucas_terms(char, params)
-            assert (lt.u, lt.u_prev) == (n, n - 1)
+            der = cp.derivatives_at_1(params)
+            assert (char.u_i0, char.u_prev) == (n, n - 1)
             assert char.roots.tau1 ** n + char.roots.tau2 ** n == 2.0
-            assert lt.du == -n * (n * n - 1) / 3
-            assert lt.dv == -2.0 * n * n
+            assert der.du == -n * (n * n - 1) / 3
+            assert -1.0 / params.q * n * char.u_i0 == -2.0 * n * n
 
     def test_overflow_is_an_unsupported_regime(self):
         # the characteristic answers here, with U_1740 of the roots 1.5 and 1
@@ -276,7 +317,7 @@ class TestLucasTerms:
         char = mgf.characteristic(params, 1.0)
         assert math.isfinite(char.u_i0)
         with pytest.raises(UnsupportedRegimeError, match="overflow"):
-            cp.lucas_terms(char, params)
+            cp.derivatives_at_1(params)
 
 
 class TestDerivatives:
@@ -294,8 +335,8 @@ class TestDerivatives:
         # and phi2 = 0 does not move; theta is infinite
         for params in (WalkParams(0.4, 1.0, 1), WalkParams(0.5, 1.0, 3), WalkParams(0.7, 1.0, 4)):
             der = cp.derivatives_at_1(params)
-            lt = der.lucas
-            assert der.rate == pytest.approx(lt.du / lt.u - 1.0, rel=1e-15, abs=0.0)
+            u_i0 = mgf.characteristic(params, 1.0).u_i0
+            assert der.rate == pytest.approx(der.du / u_i0 - 1.0, rel=1e-15, abs=0.0)
             assert der.rate == pytest.approx(
                 _richardson_from_below(lambda z: math.log(mgf.characteristic(params, z).phi.psi1)),
                 rel=1e-6,

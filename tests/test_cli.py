@@ -464,27 +464,53 @@ class TestVerify:
         worst = {}
         for check in verify.check_exact_agreement():
             worst[check] = float(check.detail.split()[0].removeprefix("worst="))
-            where = dict(item.split("=") for item in check.detail.split(" at ")[1].split())
+            where = dict(item.split("=") for item in check.detail.split(" at ")[1].split() if "=" in item)
             params = WalkParams(float(where["p"]), float(where["s"]), int(where["i0"]))
             strategy = Strategy(where["strategy"])
-            sol = oracle.solve_exact(params, strategy, tol=1e-11)
+            sol = oracle.solve_exact(params, strategy)
+            prof = metrics.absorption_profile(params, strategy)
             tp = metrics.time_profile(params, strategy)
             if "tail" in check.name:  # one figure per instance and strategy
-                ours, its = (tp.rho, tp.gap, tp.drho), (sol.times.rho, sol.times.gap, sol.times.drho)
+                ours = (prof.rho, prof.gap, tp.rho, tp.gap, tp.drho)
+                its = (sol.masses.rho, sol.masses.gap, sol.times.rho, sol.times.gap, sol.times.drho)
                 gap = max(abs(a - b) / abs(b) for a, b in zip(ours, its))
             elif "absorption" in check.name:
-                k = int(where["k"])  # the other worst cases of this grid are per-site ones
-                prof = metrics.absorption_profile(params, strategy)
-                gap = abs(prof.at(k) - sol.masses.at(k))
+                k = int(where["k"])  # a head site: the tail is judged by the tail check
+                gap = abs(prof.head[k] - sol.masses.head[k])
             else:
-                k = int(where["k"])
-                want = sol.times.at(k)
-                gap = abs(tp.at(k) - want) / max(abs(want), 1e-9)
+                site = check.detail.split()[-1]  # a head k, the mean or the tail's mass
+                if site == "total":
+                    got, want = metrics.mean_time_any(params, strategy), sol.m_total
+                elif site == "tail":
+                    got, want = tp.mass, sol.times.mass
+                else:
+                    k = int(where["k"])
+                    got, want = tp.head[k], sol.times.head[k]
+                gap = abs(got - want) / max(abs(want), 1e-9)
             assert f"{gap:.3e}" == f"{worst[check]:.3e}"
-        # read through the tail's continuation, not a dict that stops at
-        # tol * 1e-6, the worst errors are rounding-level
+        # the profiles' fields agree to rounding
         mass, time, tail = worst.values()
         assert mass <= 1e-12 and time <= 1e-10 and tail <= 1e-14
+
+    @pytest.mark.parametrize(
+        "function, field, factor, failing",
+        [
+            ("time_profile", "mass", 1.0 + 1e-6, "mean times match the exact solver"),
+            ("time_profile", "rho", 1.0 + 1e-10, "match the exact solver's tail"),
+            ("absorption_profile", "rho", 1.0 + 1e-10, "match the exact solver's tail"),
+        ],
+    )
+    def test_exact_agreement_fails_on_a_patched_tail(self, function, field, factor, failing, monkeypatch):
+        # a tail field off by more than its tolerance fails its check, and only that one
+        original = getattr(metrics, function)
+
+        def patched(params, strategy):
+            profile = original(params, strategy)
+            return profile._replace(**{field: getattr(profile, field) * factor})
+
+        monkeypatch.setattr(metrics, function, patched)
+        failed = [check.name for check in verify.check_exact_agreement() if not check.passed]
+        assert len(failed) == 1 and failing in failed[0]
 
 
 class TestReports:

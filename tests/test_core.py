@@ -68,21 +68,19 @@ class TestWalkParams:
 
 
 RECORDS = ("Profile", "RootPair", "PhiPair", "Characteristic", "DerivativeBundle",
-           "LucasTerms", "ExactSolution", "SimResult", "CheckResult")
+           "ExactSolution", "SimResult", "CheckResult")
 
 
 def _records():
     """One instance of every record type in the package, by name."""
     params = WalkParams(0.4, 0.3, 2)
     char = mgf.characteristic(params, 0.7)
-    der = cp.derivatives_at_1(params)
     return {
         "Profile": Profile((1.0, 2.0, 3.0), rho=0.5, gap=0.5, drho=0.25, mass=0.75),
         "RootPair": char.roots,
         "PhiPair": char.phi,
         "Characteristic": char,
-        "DerivativeBundle": der,
-        "LucasTerms": der.lucas,
+        "DerivativeBundle": cp.derivatives_at_1(params),
         "ExactSolution": oracle.solve_exact(params, Strategy.B),
         "SimResult": oracle.simulate(params, Strategy.B, trials=2000, seed=3),
         "CheckResult": verify.check_step_roots(n_samples=10),

@@ -356,7 +356,7 @@ class TestCharacteristicMemo:
         params = WalkParams(0.4, 0.3, 3)
         char = mgf.characteristic(params, 0.7)
         roots = cp.tau_roots(0.7, params)
-        assert (char.z, char.roots) == (0.7, roots)
+        assert char.roots == roots and roots.z == 0.7
         u_i0, u_prev = cp.power_divided_difference(roots, 3), cp.power_divided_difference(roots, 2)
         assert (char.u_i0, char.u_prev) == (u_i0, u_prev)
         assert char.theta == cp.theta(0.7, params, u_i0, u_prev)
@@ -374,7 +374,7 @@ class TestCharacteristicMemo:
         first = mgf.characteristic(params, 0.7)
         assert mgf.characteristic(params, 0.7) is first
         other = mgf.characteristic(params, 0.5)
-        assert other.z == 0.5
+        assert other.roots.z == 0.5
         assert params._memo == {0.5: other}
         again = mgf.characteristic(params, 0.7)
         assert again is not first and again == first
@@ -422,4 +422,4 @@ class TestCharacteristicMemo:
     def test_is_frozen(self):
         char = mgf.characteristic(WalkParams(0.4, 0.3, 3), 1.0)
         with pytest.raises(AttributeError):
-            char.z = 0.5
+            char.theta = 0.5
