@@ -258,6 +258,9 @@ def _divided_difference_slope(roots: RootPair, n: int) -> float:
     return acc
 
 
+_last_derivatives = (None, None)  # params, DerivativeBundle; held, so its id is not reused
+
+
 def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     """z-derivatives of theta and phi_i at z=1, for 0 <= s <= 1.
 
@@ -275,12 +278,12 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     barrier quadratic gives ``rate = dpsi1/psi1 = d(c theta) / (c sqrt(disc))``
     and ``dphi2 = -phi2 * rate``, both finite at s = 1.  The roots and
     ``U_i0``, ``U_{i0-1}`` come from :func:`ruinwalk.mgf.characteristic` at
-    z=1.  ``params`` keeps the bundle beside that characteristic, so every
-    strategy's killed times share one solve, and a characteristic built at
-    another z drops both.
+    z=1.  The last bundle built is kept, keyed by the params object's
+    identity, so every strategy's killed times share one solve.
     """
-    der = params._memo.get("derivatives")
-    if der is not None:
+    global _last_derivatives
+    last, der = _last_derivatives
+    if last is params:
         return der
     from .mgf import characteristic  # mgf builds on this module
 
@@ -298,5 +301,6 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     c_theta = phi.psi1 + c * phi.phi2  # psi1 + psi2
     dc_theta = (du - 2.0 * p * c * (char.u_prev + du_prev)) / q - c_theta
     rate = dc_theta / phi.psi_sqrt_disc
-    der = params._memo["derivatives"] = DerivativeBundle(_unscaled(dc_theta, c), -phi.phi2 * rate, rate, du, du_prev)
+    der = DerivativeBundle(_unscaled(dc_theta, c), -phi.phi2 * rate, rate, du, du_prev)
+    _last_derivatives = params, der
     return der

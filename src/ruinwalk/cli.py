@@ -128,14 +128,15 @@ def _cells(values) -> str:
     return ",".join(map(_float_cell, values))
 
 
-def _flatten_report(node, prefix: str = "") -> dict:
+def _flatten_report(node, lists: bool, prefix: str = "") -> dict:
+    """The report's leaves by dotted key; a list splits into indexed keys if ``lists``, else is one leaf."""
     out: dict = {}
     if isinstance(node, dict):
         for key, val in node.items():
-            out.update(_flatten_report(val, f"{prefix}{key}."))
-    elif isinstance(node, (list, tuple)):
+            out.update(_flatten_report(val, lists, f"{prefix}{key}."))
+    elif lists and isinstance(node, (list, tuple)):
         for idx, val in enumerate(node):
-            out.update(_flatten_report(val, f"{prefix}{idx}."))
+            out.update(_flatten_report(val, lists, f"{prefix}{idx}."))
     else:
         out[prefix[:-1]] = node
     return out
@@ -145,22 +146,13 @@ def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(report, indent=2)
     elif args.format == "csv":
-        flat = _flatten_report(report)
+        flat = _flatten_report(report, lists=True)
         text = ",".join(flat.keys()) + "\n" + _cells(flat.values())
     else:
         lines = []
-
-        def walk(prefix: str, node) -> None:
-            if isinstance(node, dict):
-                for key, val in node.items():
-                    walk(f"{prefix}{key}.", val)
-            elif isinstance(node, (list, tuple)):
-                body = " ".join(_table_num(v) for v in node)
-                lines.append(f"{prefix[:-1]:<28} {body}")
-            else:
-                lines.append(f"{prefix[:-1]:<28} {_table_num(node)}")
-
-        walk("", report)
+        for key, val in _flatten_report(report, lists=False).items():
+            body = " ".join(map(_table_num, val)) if isinstance(val, (list, tuple)) else _table_num(val)
+            lines.append(f"{key:<28} {body}")
         text = "\n".join(lines)
     _write_out(text, args)
 
@@ -345,9 +337,9 @@ def cmd_sweep(args) -> int:
             for i0 in i0s:
                 params = WalkParams(p=p, s=s, i0=i0)
                 _require_kmax(args.kmax)  # after the instance's own checks, ahead of its rows
-                # params keeps its z=1 characteristic and derivatives, so every
-                # column of the instance shares one solve; the cells that do not
-                # depend on the strategy are formatted once
+                # mgf and charpoly keep the last instance's z=1 characteristic and
+                # derivatives, so every column of the instance shares one solve; the
+                # cells that do not depend on the strategy are formatted once
                 ratio = metrics.bc_ratio(params) if 0.0 < s < 1.0 else None
                 lead = _cells((params.p, params.s, params.i0))
                 omega = _float_cell(params.omega)

@@ -61,21 +61,20 @@ class Strategy(str, Enum):
         return (state % i0 == 0) & (state >= self.first_barrier_multiple * i0)
 
 
-class WalkParams:
+class WalkParams(NamedTuple("WalkParams", [("p", float), ("s", float), ("i0", int)])):
     """Problem instance: step-up probability p, stop probability s, stake i0.
 
     Derived quantities: ``q = 1 - p`` and the drift ratio ``omega = p/q``.
     The driftless walk is detected exactly by ``p == 0.5``; the closed forms
     branch on it only at s=0, where its mean absorption time is infinite.
-    An instance is immutable.  ``_memo`` holds the characteristic at the
-    last z asked of :func:`ruinwalk.mgf.characteristic` and, while that z is
-    1, the bundle of :func:`ruinwalk.charpoly.derivatives_at_1`; it takes no
-    part in equality, hashing, repr or pickling.
+    Like every record here it is an immutable NamedTuple, equal to the plain
+    tuple ``(p, s, i0)``; every way of making one, ``_replace`` and
+    ``_make`` included, checks the fields.
     """
 
-    __slots__ = ("p", "s", "i0", "_memo", "__weakref__")
+    __slots__ = ()
 
-    def __init__(self, p: float, s: float, i0: int):
+    def __new__(cls, p: float, s: float, i0: int):
         if not isinstance(i0, int) or isinstance(i0, bool):
             raise ParameterError(f"i0 must be an integer, got {i0!r}")
         if not 0.0 < p < 1.0:
@@ -84,28 +83,11 @@ class WalkParams:
             raise ParameterError(f"s must lie in [0, 1], got {s}")
         if i0 < 1:
             raise ParameterError(f"i0 must be >= 1, got {i0}")
-        for name, value in (("p", p), ("s", s), ("i0", i0), ("_memo", {})):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, p, s, i0)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.s, self.i0) == (other.p, other.s, other.i0)
-
-    def __hash__(self):
-        return hash((self.p, self.s, self.i0))
-
-    def __repr__(self):
-        return f"WalkParams(p={self.p!r}, s={self.s!r}, i0={self.i0!r})"
-
-    def __reduce__(self):
-        return WalkParams, (self.p, self.s, self.i0)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def q(self) -> float:

@@ -64,23 +64,27 @@ class Characteristic(NamedTuple):
     phi: PhiPair
 
 
+_last_characteristic = (None, None, None)  # params, z, Characteristic; held, so its id is not reused
+
+
 def characteristic(params: WalkParams, z: float) -> Characteristic:
     """The characteristic of ``params`` at ``z``: one solve of the roots.
 
-    ``params`` keeps the one for the last z asked, so repeated calls at the
-    same z return that object without solving again.
+    The last one built is kept, keyed by the params object's identity and
+    z, so repeated calls for the same object at the same z return it
+    without solving again.
     """
-    memo = params._memo
-    char = memo.get(z)
-    if char is None:
-        roots = tau_roots(z, params)
-        u_i0 = power_divided_difference(roots, params.i0)
-        u_prev = power_divided_difference(roots, params.i0 - 1)
-        th = theta(z, params, u_i0, u_prev)
-        phi = phi_roots(roots, params, u_i0)
-        char = Characteristic(roots, u_i0, u_prev, th, phi)
-        memo.clear()
-        memo[z] = char
+    global _last_characteristic
+    last, last_z, char = _last_characteristic
+    if last is params and last_z == z:
+        return char
+    roots = tau_roots(z, params)
+    u_i0 = power_divided_difference(roots, params.i0)
+    u_prev = power_divided_difference(roots, params.i0 - 1)
+    th = theta(z, params, u_i0, u_prev)
+    phi = phi_roots(roots, params, u_i0)
+    char = Characteristic(roots, u_i0, u_prev, th, phi)
+    _last_characteristic = params, z, char
     return char
 
 

@@ -59,15 +59,28 @@ class TestWalkParams:
             delattr(params, name)
         assert (params.p, params.s, params.i0) == (0.4, 0.5, 2)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda params: params._replace(p=2.0), "p must lie in (0, 1), got 2.0"),
+        (lambda params: params._replace(i0=1.5), "i0 must be an integer, got 1.5"),
+        (lambda params: WalkParams._make((0.4, 7.0, 2)), "s must lie in [0, 1], got 7.0"),
+    ], ids=["replace-p", "replace-i0", "make"])
+    def test_every_construction_path_checks_the_fields(self, make, message):
+        params = WalkParams(0.4, 0.5, 2)
+        with pytest.raises(ParameterError) as err:
+            make(params)
+        assert str(err.value) == message
+        assert params._replace(s=0.3) == WalkParams._make((0.4, 0.3, 2)) == (0.4, 0.3, 2)
+        assert type(params._replace(s=0.3)) is WalkParams
+
     def test_pickles_by_its_fields_alone(self):
         params = WalkParams(0.4, 0.5, 2)
         mgf.characteristic(params, 1.0)
         back = pickle.loads(pickle.dumps(params))
+        assert type(back) is WalkParams
         assert back == params and repr(back) == repr(params)
-        assert back._memo == {}
 
 
-RECORDS = ("Profile", "RootPair", "PhiPair", "Characteristic", "DerivativeBundle",
+RECORDS = ("WalkParams", "Profile", "RootPair", "PhiPair", "Characteristic", "DerivativeBundle",
            "ExactSolution", "SimResult", "CheckResult")
 
 
@@ -76,6 +89,7 @@ def _records():
     params = WalkParams(0.4, 0.3, 2)
     char = mgf.characteristic(params, 0.7)
     return {
+        "WalkParams": params,
         "Profile": Profile((1.0, 2.0, 3.0), rho=0.5, gap=0.5, drho=0.25, mass=0.75),
         "RootPair": char.roots,
         "PhiPair": char.phi,

@@ -1,7 +1,7 @@
 import decimal
 import gc
 import math
-import weakref
+import sys
 from decimal import Decimal
 
 import pytest
@@ -375,47 +375,45 @@ class TestCharacteristicMemo:
         assert mgf.characteristic(params, 0.7) is first
         other = mgf.characteristic(params, 0.5)
         assert other.roots.z == 0.5
-        assert params._memo == {0.5: other}
+        assert mgf.characteristic(params, 0.5) is other
         again = mgf.characteristic(params, 0.7)
         assert again is not first and again == first
-        assert params._memo == {0.7: again}
 
-    def test_derivatives_are_kept_beside_the_unit_characteristic(self):
+    def test_derivatives_are_kept_apart_from_the_characteristic(self):
         params = WalkParams(0.4, 0.3, 3)
         first = cp.derivatives_at_1(params)
         assert cp.derivatives_at_1(params) is first
-        assert params._memo == {1.0: mgf.characteristic(params, 1.0), "derivatives": first}
-        # a characteristic at another z drops both, and both come back equal
-        other = mgf.characteristic(params, 0.5)
-        assert params._memo == {0.5: other}
-        again = cp.derivatives_at_1(params)
+        # a characteristic at another z leaves the bundle in place
+        mgf.characteristic(params, 0.5)
+        assert cp.derivatives_at_1(params) is first
+        # an equal instance is another object, and is solved again to an equal bundle
+        again = cp.derivatives_at_1(WalkParams(0.4, 0.3, 3))
         assert again is not first and again == first
 
-    def test_memo_takes_no_part_in_equality_hash_or_repr(self):
-        empty, filled, elsewhere = (WalkParams(0.4, 0.3, 3) for _ in range(3))
-        mgf.characteristic(filled, 1.0)
+    def test_is_a_tuple_of_its_fields_whatever_has_been_solved(self):
+        fresh, unit, elsewhere = (WalkParams(0.4, 0.3, 3) for _ in range(3))
+        mgf.characteristic(unit, 1.0)
+        cp.derivatives_at_1(unit)
         mgf.characteristic(elsewhere, 0.5)
-        assert empty._memo == {} and filled._memo != elsewhere._memo
-        for params in (filled, elsewhere):
-            assert params == empty
-            assert hash(params) == hash(empty)
-            assert repr(params) == repr(empty) == "WalkParams(p=0.4, s=0.3, i0=3)"
-        assert len({empty, filled, elsewhere}) == 1
+        for params in (fresh, unit, elsewhere):
+            assert params == (0.4, 0.3, 3)
+            assert hash(params) == hash((0.4, 0.3, 3))
+            assert repr(params) == "WalkParams(p=0.4, s=0.3, i0=3)"
+        assert len({fresh, unit, elsewhere}) == 1
 
-    def test_is_freed_with_its_params_by_refcount(self):
-        # the characteristic and the derivative bundle in the memo hold no
-        # reference back to their params, so no cycle keeps the params alive
-        # once the last name for them goes (a record, being a tuple, takes
-        # no weak reference; the params do)
-        params = WalkParams(0.4, 0.3, 3)
-        mgf.characteristic(params, 1.0)
-        cp.derivatives_at_1(params)
-        assert len(params._memo) == 2
-        ref = weakref.ref(params)
+    def test_kept_solves_release_their_params_once_another_is_solved(self):
+        # the kept characteristic and bundle hold the last params solved,
+        # and only until the next params is: no reference outlives that
+        params, other = WalkParams(0.4, 0.3, 3), WalkParams(0.45, 0.3, 3)
         gc.disable()
         try:
-            del params
-            assert ref() is None
+            before = sys.getrefcount(params)
+            mgf.characteristic(params, 1.0)
+            cp.derivatives_at_1(params)
+            assert sys.getrefcount(params) > before
+            mgf.characteristic(other, 1.0)
+            cp.derivatives_at_1(other)
+            assert sys.getrefcount(params) == before
         finally:
             gc.enable()
 
