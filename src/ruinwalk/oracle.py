@@ -13,8 +13,8 @@ dynamics, and reads which states stop, and whether the start does, from
   every barrier past it follows geometrically.
 * :func:`mgf_dp` propagates the surviving probability mass step by step and
   accumulates the visit generating function directly from its definition.
-* :func:`simulate` runs seeded Monte Carlo trials with a counter-based
-  per-trial random stream.  Each fixed range of trials runs as one refilled
+* :func:`simulate` runs seeded Monte Carlo trials on the raw words of a
+  counter-based per-trial stream.  Each range of trials runs as one refilled
   batch and tallies exact integers, so results are bit-identical, by
   construction, for any range size, batch size or worker count.
 
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .core import ConvergenceError, ParameterError, Profile, Strategy, WalkParams
 
-_RANGE = 1 << 19  # trials per stream: the unit a worker process walks, whatever `workers` is
+_RANGE = 1 << 19  # trials per stream at most: the unit a worker process walks, whatever `workers` is
 _BATCH = 1 << 15  # live trials a stream holds at most
 _TABLE = 1 << 12  # states whose barrier test is a table lookup; the rest take the modulo
 # one period's ratio maps move a converged fixed point by rounding only
@@ -462,6 +462,19 @@ def _add_events(
             acc[2] += t * t
 
 
+def _word_below(x: float):
+    """The test ``words * 2**-32 < x`` on uint32 words, exactly: ``words < ceil(x * 2**32)``.
+
+    A bound of 2**32 always holds: ``words <= 2**32 - 1`` in uint32, as both
+    operands are, so NEP 50 and numpy 1.x value-based casting agree.
+    """
+    import numpy as np
+
+    bound = math.ceil(x * 2**32)
+    top = np.uint32(min(bound, (1 << 32) - 1))
+    return (lambda words: words <= top) if bound >> 32 else (lambda words: words < top)
+
+
 def _range_trials(
     params: WalkParams,
     strategy: Strategy,
@@ -477,15 +490,16 @@ def _range_trials(
     range's next trials, so a trial that joins at tick g takes its step t
     at tick g + t and every row's lane, ``t % 4``, is the tick's: one
     Philox call per four ticks serves the batch, each row at its own block
-    index.  A trial's uniforms depend only on (seed, trial, step), never on
-    the batch it ran in.  The tallies are those of :func:`_add_events`.
+    index.  A trial's words depend only on (seed, trial, step), never on
+    the batch it ran in, and each is tested as u = word * 2**-32 in integers
+    (:func:`_word_below`).  The tallies are those of :func:`_add_events`.
     """
     import numpy as np
 
     from . import rng
 
     p, s, i0, lanes_n = params.p, params.s, params.i0, rng.LANES
-    up_on_barrier = s + (1.0 - s) * p
+    stops, ups_on_barrier, ups = map(_word_below, (s, s + (1.0 - s) * p, p))
     # states below _TABLE look up whether they are barriers and the rest
     # take the modulo, so the table's memory is fixed however far trials walk
     barrier_table = strategy.is_barrier(np.arange(_TABLE), i0)
@@ -522,11 +536,11 @@ def _range_trials(
                 break
             alive = np.ones(n_alive, dtype=bool)
             # one Philox evaluation serves ticks tick .. tick+3
-            lanes = rng.block_uniforms(seed, ids, tick // lanes_n - joined).T
+            lanes = rng.block_words(seed, ids, tick // lanes_n - joined).T
         elif not n_alive:
             tick += lanes_n - lane
             continue
-        u = rng.step_uniforms(seed, ids, tick, lanes.T)  # every row's step is tick mod 4
+        word = rng.step_uniforms(seed, ids, tick, lanes.T)  # every row's step is tick mod 4
         if top >= _TABLE:
             top = int(x.max())
         if top < _TABLE:
@@ -535,11 +549,11 @@ def _range_trials(
             on_barrier = strategy.is_barrier(x, i0)
         if lane == 0 and not strategy.stops_at_start:  # i0 stops no trial on its first step
             on_barrier[fresh:] = False
-        stopped = u < s
+        stopped = stops(word)
         stopped &= on_barrier
-        up = u < up_on_barrier
+        up = ups_on_barrier(word)
         up &= on_barrier
-        up |= u < p
+        up |= ups(word)
         step = up.view(np.int8) * np.int8(2)  # +1 up, -1 down, in one byte
         step -= np.int8(1)
         x += step
@@ -584,12 +598,13 @@ def simulate(
 
     Trial ``t`` draws its uniforms from the counter-based stream
     ``(seed, t, step)``, one Philox block per four steps (see
-    :mod:`ruinwalk.rng`).  The trials split into ranges of ``_RANGE``, each
-    walked as one stream by :func:`_range_trials`, round robin over up to
-    ``workers`` processes (no more than ranges or usable CPUs): this one
-    walks the first share and forks a child per other share, which pipes
-    back its pickled tallies or exception.  A child that ends without a
-    result raises :class:`ConvergenceError`; no child outlives the call.
+    :mod:`ruinwalk.rng`), and tests each word with integer thresholds.  The
+    trials split into ``ceil(trials / _RANGE)`` ranges of equal size (to one
+    trial), each walked as one stream by :func:`_range_trials`, round robin
+    over up to ``workers`` processes (no more than ranges or usable CPUs):
+    this one walks the first share and forks a child per other share, which
+    pipes back its pickled tallies or exception.  A child that ends without
+    a result raises :class:`ConvergenceError`; no child outlives the call.
     The tallies are exact integers until the sums become floats here, so
     the result is bit-identical for any ``workers`` value, range size or
     batch size.  Trials still alive after ``max_steps`` are counted as
@@ -608,7 +623,8 @@ def simulate(
     from . import rng
 
     strategy = Strategy(strategy)
-    bounds = [(lo, min(lo + _RANGE, trials)) for lo in range(0, trials, _RANGE)]
+    n_ranges = -(-trials // _RANGE)
+    bounds = [(trials * i // n_ranges, trials * (i + 1) // n_ranges) for i in range(n_ranges)]
     n_shares = min(workers, len(bounds), _usable_cpus()) if hasattr(os, "fork") else 1
     shares = [bounds[i::n_shares] for i in range(n_shares)]  # round robin; the first is ours
 
@@ -661,21 +677,17 @@ def simulate(
             os.waitpid(pid, 0)
 
     totals: dict[int, list[int]] = {}
-    escaped = 0
-    for tallies, esc in partials:
-        escaped += esc
+    for tallies, _ in partials:
         for state, acc in tallies.items():
-            total = totals.setdefault(state, [0, 0, 0])
-            for i, v in enumerate(acc):
-                total[i] += v
+            totals[state] = [a + b for a, b in zip(totals.get(state, (0, 0, 0)), acc)]
     totals = dict(sorted(totals.items()))
-    key = rng.split_key(seed)
+    escaped = sum(esc for _, esc in partials)
     return SimResult(
         trials=trials,
         seed=seed,
         generator=(
             ("name", rng.GENERATOR_NAME),
-            ("key", key),
+            ("key", rng.split_key(seed)),
             ("counter_layout", "(step // 4, trial_lo32, trial_hi32, 0)"),
             ("output_lane", "step % 4"),
         ),

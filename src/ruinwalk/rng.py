@@ -10,8 +10,9 @@ simulator uses all four: the counter layout is
 
     (step // 4, trial_low32, trial_high32, 0)    key = (seed_low32, seed_high32)
 
-and the uniform for ``step`` is output word ``step % 4``.  One evaluation
-(:func:`block_uniforms`) therefore serves four consecutive steps of a trial,
+and ``step`` draws output word ``step % 4``, whose uniform is exactly u =
+word * 2**-32, so the simulator tests u < x on the word, in integers.  One
+evaluation (:func:`block_words`) serves four consecutive steps of a trial,
 and one call can draw each trial at its own block index;
 :func:`step_uniforms` is the per-step view of the same stream, and reads a
 step from a block already drawn when it is handed one.  The
@@ -85,11 +86,11 @@ def split_key(seed: int) -> tuple[int, int]:
     return seed & 0xFFFFFFFF, seed >> 32
 
 
-def block_uniforms(seed: int, trials: np.ndarray, block: int | np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) for steps ``4*block .. 4*block + 3`` of each trial.
+def block_words(seed: int, trials: np.ndarray, block: int | np.ndarray) -> np.ndarray:
+    """The Philox words of steps ``4*block .. 4*block + 3`` of each trial.
 
-    Returns an (n, 4) float64 array whose column ``j`` is the uniform of
-    step ``4*block + j``; it is laid out column by column, so ``.T`` is a
+    Returns an (n, 4) uint32 array whose column ``j`` is the word of step
+    ``4*block + j``; it is laid out column by column, so ``.T`` is a
     C-contiguous (4, n) array.  ``trials`` is an integer array of trial
     indices and ``block`` one block index for them all or an array of one
     per trial; the result for a given (seed, trial, step) is the same
@@ -99,11 +100,16 @@ def block_uniforms(seed: int, trials: np.ndarray, block: int | np.ndarray) -> np
     if blocks.size and not (blocks.min() >= 0 and blocks.max() <= 0xFFFFFFFF):
         raise ValueError(f"every block must be in [0, 2**32), got {block}")
     trials = np.asarray(trials, dtype=np.uint64)
-    counter = np.zeros((trials.shape[0], 4), dtype=np.uint32)
-    counter[:, 0] = block
-    counter[:, 1] = trials & _MASK32
-    counter[:, 2] = trials >> _SHIFT32
-    return philox4x32(counter, split_key(seed)) * 2.0**-32
+    counter = np.zeros((4, trials.shape[0]), dtype=np.uint32)  # word by word: .T is (n, 4)
+    counter[0] = block
+    counter[1] = trials & _MASK32
+    counter[2] = trials >> _SHIFT32
+    return philox4x32(counter.T, split_key(seed))
+
+
+def block_uniforms(seed: int, trials: np.ndarray, block: int | np.ndarray) -> np.ndarray:
+    """The uniforms u = word * 2**-32 in [0, 1) of :func:`block_words`, laid out alike."""
+    return block_words(seed, trials, block) * 2.0**-32
 
 
 def step_uniforms(
@@ -111,13 +117,13 @@ def step_uniforms(
 ) -> np.ndarray:
     """One uniform in [0, 1) per trial for a given step index.
 
-    The per-step view of :func:`block_uniforms`: word ``step % 4`` of the
-    block ``step // 4``.  ``block``, if given, is a :func:`block_uniforms`
-    result for these same trials (rows may have been dropped from both
-    alike) holding each trial's step; trials may be at different steps,
-    drawn at different block indices, if all are at ``step`` modulo 4.  The
-    uniforms are read from it instead of evaluating Philox again, so a
-    caller walking steps in order pays one evaluation per four steps.
+    The per-step view of :func:`block_uniforms`: column ``step % 4`` of the
+    block ``step // 4``.  ``block``, if given, is a :func:`block_words` or
+    :func:`block_uniforms` result for these trials (rows may have been
+    dropped from both alike) holding each trial's step; trials may be at
+    different steps, drawn at different block indices, if all are at
+    ``step`` modulo 4.  Its column, words or uniforms, is read instead of
+    evaluating Philox again, so one evaluation serves four steps in order.
     """
     if block is None:
         block = block_uniforms(seed, trials, step // LANES)

@@ -14,6 +14,7 @@ negative control for the suite itself.
 from __future__ import annotations
 
 import math
+import os
 import random
 from typing import NamedTuple
 
@@ -393,7 +394,7 @@ def check_monte_carlo(
 
 
 def _mc_point(params, strategy, sol, trials, seed, sigmas):
-    sim = oracle.simulate(params, strategy, trials, seed=seed)
+    sim = oracle.simulate(params, strategy, trials, seed=seed, workers=os.cpu_count() or 1)
     worst_z = 0.0
     for k in (0, 1, 2, 3):
         est, se = sim.probability(k * params.i0)

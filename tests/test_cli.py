@@ -512,6 +512,27 @@ class TestVerify:
         failed = [check.name for check in verify.check_exact_agreement() if not check.passed]
         assert len(failed) == 1 and failing in failed[0]
 
+    def test_monte_carlo_check_is_the_same_on_one_cpu_or_two(self, monkeypatch):
+        # 2,000 trials in ranges of 1,000: with two CPUs each point forks a worker
+        monkeypatch.setattr(oracle, "_RANGE", 1000)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        forks, real_fork = [], os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        records, fork_counts = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+            records.append(verify.check_monte_carlo(trials=2000, seed=7))
+            fork_counts.append(len(forks))
+        assert len(records[0]) == len(verify.MC_GRID)
+        assert records[0] == records[1]
+        # none on one CPU; on two, one per point (and per retry)
+        assert fork_counts[0] == 0 and fork_counts[1] >= len(verify.MC_GRID)
+
 
 class TestReports:
     INSTANCE = ["--p", "0.4", "--s", "0.3", "--i0", "2", "--strategy", "B"]

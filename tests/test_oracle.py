@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruinwalk import metrics, oracle, rng
 from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
@@ -497,6 +498,10 @@ class TestSimulate:
             (0.5, 0.1, 2, Strategy.C, 37),
             (0.5, 0.3, 2, Strategy.B, 37),
             (0.45, 0.1, 3, Strategy.A, 37),
+            # s = 0: the stop threshold is 0, which no word is below
+            (0.5, 0.0, 2, Strategy.B, 37),
+            # s = 1: the stop threshold rounds to 2**32, so every barrier arrival stops
+            (0.4, 1.0, 2, Strategy.B, 1001),
         ],
     )
     @pytest.mark.parametrize("table", [None, 4], ids=["table", "modulo"])
@@ -530,6 +535,22 @@ class TestSimulate:
                 runs.append(oracle.simulate(params, Strategy.B, 5000, 11, 40, workers))
         assert runs[0].escaped > 0
         assert all(run == runs[0] for run in runs)
+
+    def test_trials_split_into_equal_ranges_whatever_the_workers(self, monkeypatch):
+        # 1,001 trials over ranges of at most 1,000 make two, of 500 and 501
+        monkeypatch.setattr(oracle, "_RANGE", 1000)
+        seen, real = [], oracle._range_trials
+
+        def range_trials(params, strategy, seed, lo, hi, max_steps):
+            seen.append((lo, hi))
+            return real(params, strategy, seed, lo, hi, max_steps)
+
+        monkeypatch.setattr(oracle, "_range_trials", range_trials)
+        params = WalkParams(0.5, 0.3, 2)
+        one = oracle.simulate(params, Strategy.B, 1001, seed=5, max_steps=200, workers=1)
+        assert seen == [(0, 500), (500, 1001)]
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        assert oracle.simulate(params, Strategy.B, 1001, seed=5, max_steps=200, workers=2) == one
 
     def test_drifting_escapes_keep_memory_bounded(self, monkeypatch):
         # every trial not ruined at once walks up to max_steps; a table, a
@@ -576,6 +597,35 @@ class TestSimulate:
             oracle.simulate(params, Strategy.B, 0, seed=1)
         with pytest.raises(ParameterError):
             oracle.simulate(params, Strategy.B, 10, seed=1, max_steps=0)
+
+
+def _word_step_or_neighbour(n: int, side: int) -> float:
+    """n * 2**-32, or its float neighbour below (side -1) or above (+1), held in [0, 1]."""
+    x = n * 2.0**-32
+    if side:
+        x = min(max(math.nextafter(x, 2.0 * side), 0.0), 1.0)
+    return x
+
+
+class TestWordThresholds:
+    """The walk's integer test of a Philox word against the float rule u < x."""
+
+    @given(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 2**-32, 1 - 2**-32]),
+            st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+            # x * 2**32 an integer, and its float neighbours on either side
+            st.builds(_word_step_or_neighbour, st.integers(0, 2**32), st.sampled_from([-1, 0, 1])),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_integer_decision_equals_the_float_rule(self, x):
+        bound = math.ceil(x * 2**32)
+        words = sorted({w for w in (0, 1, bound - 1, bound, 2**32 - 1) if 0 <= w < 2**32})
+        got = oracle._word_below(x)(np.array(words, dtype=np.uint32))
+        assert got.dtype == bool
+        assert got.tolist() == [w * 2.0**-32 < x for w in words]
 
 
 class TestWorkers:
