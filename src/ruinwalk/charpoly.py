@@ -28,8 +28,8 @@ serves every regime.
 (e1, e2), and so are their e1-derivatives.  With e2 independent of z, the
 z-derivatives at z=1 follow by the chain rule through ``de1/dz = -1/q``
 (:func:`derivatives_at_1`), without ever forming ``dtau/dz``, which is infinite
-at z=1 when p=q.  Every expected time with s > 0 is built on them, so one
-formula serves drifting and driftless walks alike.
+at z=1 when p=q.  Every expected time is built on them, so one formula
+serves drifting and driftless walks alike.
 """
 
 from __future__ import annotations
@@ -68,14 +68,19 @@ class PhiPair(NamedTuple):
 
 
 def _unscaled(value: float, scale: float) -> float:
-    """``value / scale`` for the scale 1 - s; infinite with value's sign at s = 1."""
+    """``value / scale``; infinite with value's sign where the scale is 0.
+
+    The scales are ``1 - s``, 0 at s = 1, and ``(1-s)(phi1 - phi2)``, 0 where
+    the barrier roots coincide (z = 1, s = 0, p = 1/2).
+    """
     return value / scale if scale else math.copysign(math.inf, value)
 
 
 class DerivativeBundle(NamedTuple):
     """z-derivatives at z=1 of theta and phi, and of the divided differences behind them.
 
-    ``rate`` is ``dphi1/phi1 = dpsi1/psi1``, finite on 0 <= s <= 1, and
+    ``rate`` is ``dphi1/phi1 = dpsi1/psi1``, finite on 0 <= s <= 1 except
+    at the double root s = 0, p = 1/2, where it is -inf, and
     ``dphi2 = -phi2 * rate``; ``dtheta`` is infinite at s = 1.  ``du`` and
     ``du_prev`` are ``dU_i0/dz`` and ``dU_{i0-1}/dz`` of
     ``U_n = (tau1**n - tau2**n) / (tau1 - tau2)``.
@@ -276,7 +281,9 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     quotient rule at z=1 gives ``d(c theta) = (dU_i0 - 2*p*c*(U_{i0-1} +
     dU_{i0-1}))/q - c theta``; implicit differentiation of the scaled
     barrier quadratic gives ``rate = dpsi1/psi1 = d(c theta) / (c sqrt(disc))``
-    and ``dphi2 = -phi2 * rate``, both finite at s = 1.  The roots and
+    and ``dphi2 = -phi2 * rate``, both finite at s = 1; where the roots
+    coincide (s = 0, p = 1/2) ``c sqrt(disc)`` is 0 and ``rate`` is -inf,
+    the mean times being infinite there.  The roots and
     ``U_i0``, ``U_{i0-1}`` come from :func:`ruinwalk.mgf.characteristic` at
     z=1.  The last bundle built is kept, keyed by the params object's
     identity, so every strategy's killed times share one solve.
@@ -289,10 +296,6 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
 
     char = characteristic(params, 1.0)
     phi, roots, n = char.phi, char.roots, params.i0
-    if not phi.psi_sqrt_disc:
-        raise UnsupportedRegimeError(
-            "barrier roots coincide at z=1; no derivative is available"
-        )
     slope = _divided_difference_slope(roots, n)
     if not math.isfinite(slope):  # the larger of the two slopes
         raise _power_overflow(roots, n)
@@ -300,7 +303,7 @@ def derivatives_at_1(params: WalkParams) -> DerivativeBundle:
     du, du_prev = de1 * slope, de1 * _divided_difference_slope(roots, n - 1)
     c_theta = phi.psi1 + c * phi.phi2  # psi1 + psi2
     dc_theta = (du - 2.0 * p * c * (char.u_prev + du_prev)) / q - c_theta
-    rate = dc_theta / phi.psi_sqrt_disc
+    rate = _unscaled(dc_theta, phi.psi_sqrt_disc)
     der = DerivativeBundle(_unscaled(dc_theta, c), -phi.phi2 * rate, rate, du, du_prev)
     _last_derivatives = params, der
     return der

@@ -23,6 +23,7 @@ every layer reads it from there:
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,8 +66,8 @@ class WalkParams(NamedTuple("WalkParams", [("p", float), ("s", float), ("i0", in
     """Problem instance: step-up probability p, stop probability s, stake i0.
 
     Derived quantities: ``q = 1 - p`` and the drift ratio ``omega = p/q``.
-    The driftless walk is detected exactly by ``p == 0.5``; the closed forms
-    branch on it only at s=0, where its mean absorption time is infinite.
+    The driftless walk is detected exactly by ``p == 0.5``; no closed form
+    branches on it.
     Like every record here it is an immutable NamedTuple, equal to the plain
     tuple ``(p, s, i0)``; every way of making one, ``_replace`` and
     ``_make`` included, checks the fields.
@@ -152,12 +153,19 @@ class Profile(NamedTuple):
         return self.head[-1] * grow * self.rho + m * self.mass * grow * self.drho
 
     def beyond(self, k: int) -> float:
-        """The exact sum of the values at the barriers past k."""
+        """The exact sum of the values at the barriers past k; inf where the gap is 0.
+
+        A gap of 0 is a tail ratio of 1 that nothing stops: the visits of a
+        walk that never stops at a barrier and drifts up (z = 1, s = 0,
+        p >= 1/2), whose sum diverges.
+        """
         last = len(self.head) - 1
         if k < last:
             return sum(self.head[max(k + 1, 0):]) + self.beyond(last)
         if not self.rho:
             return 0.0
+        if not self.gap:
+            return math.inf
         tail = self.at(k) * self.rho / self.gap
         if self.drho:  # times add mass * rho**(k-a) * drho / gap**2, gap**2 may underflow
             tail += self.mass * self.rho ** (k - last) * self.drho / self.gap / self.gap

@@ -13,14 +13,14 @@ generating functions, taken through the slopes of the Lucas sequences of the
 step roots (:func:`ruinwalk.charpoly.derivatives_at_1`), which stay analytic
 at p = 1/2: drifting and driftless walks share every formula.  Like the generating
 functions, they are written in ``psi1 = (1-s) phi1`` and its log-derivative
-``rate``, both finite on 0 < s <= 1, so s = 1 (stop on arrival) takes the
-same formulas as every other s.  The barrier roots' gaps they divide by
-come from the characteristic without cancellation, so only a result that
-is not finite in floating point raises.
-
-At s=0 no barrier stops and the walk is classical gambler's ruin; one
-builder, :func:`_limit_profiles`, answers every public function there, and
-p = 1/2 is special, because its mean time is infinite.
+``rate``, so every 0 <= s <= 1 takes the same formulas: s = 1 stops on
+arrival, and at s = 0 no barrier stops and the walk is classical gambler's
+ruin.  There the barrier masses are 0, mass escapes upward when omega > 1,
+and only the ruin time is reported, killed by that escape; at p = 1/2 the
+barrier roots coincide at 1, ``rate`` is -inf and every time is infinite.
+The barrier roots' gaps the forms divide by come from the characteristic
+without cancellation, so only a result that is not finite in floating
+point raises.
 
 Two closed forms in this module deliberately differ from easy-to-derive
 variants that fail oracle verification; see FORMULA_ERRATA.md.
@@ -35,24 +35,6 @@ from . import mgf
 from .core import Profile, Strategy, UnsupportedRegimeError, WalkParams
 
 
-def _limit_profiles(params: WalkParams) -> tuple[Profile, Profile]:
-    """Head-only mass and time profiles at s=0, where the walk is classical ruin.
-
-    No barrier stops: only ruin absorbs, mass escapes upward when
-    omega > 1, and the ruin time is killed by that escape (FORMULA_ERRATA.md #3).
-    """
-    i0, wi = params.i0, params.omega_pow
-    if params.symmetric:
-        et0 = math.inf
-    elif params.omega < 1.0:
-        et0 = i0 / (params.q - params.p)
-    else:
-        # killed by the escape event: conditioned on ruin the drift flips
-        et0 = i0 / ((params.p - params.q) * wi)
-    p0 = 1.0 if params.omega <= 1.0 else 1.0 / wi
-    return Profile((p0,)), Profile((et0,))
-
-
 # ---------------------------------------------------------------------------
 # absorption probabilities
 
@@ -60,20 +42,19 @@ def _limit_profiles(params: WalkParams) -> tuple[Profile, Profile]:
 def absorption_profile(params: WalkParams, strategy: Strategy) -> Profile:
     """Distribution of the absorption site over {0} and the barriers k*i0.
 
-    For 0 < s <= 1 the barrier masses are ``s * value`` of the generating
-    functions at z=1, geometric with ratio phi2 past the profile's head
-    (phi2 = 0 at s = 1, where all mass sits on {0, i0, 2*i0}).  For s=0
-    only ruin can absorb (mass escapes upward when the drift ratio exceeds 1).
+    The barrier masses are ``s * value`` of the generating functions at
+    z=1, geometric with ratio phi2 past the profile's head (phi2 = 0 at
+    s = 1, where all mass sits on {0, i0, 2*i0}).  At s = 0 they are all 0,
+    so the tail's ratio is 0 too, and only ruin absorbs (mass escapes
+    upward when the drift ratio exceeds 1).
     """
     strategy = Strategy(strategy)
     s, i0 = params.s, params.i0
-    if not s:
-        return _limit_profiles(params)[0]
     values = mgf._barrier_fn(strategy)(params, 1.0)
     ruin, *barriers = values.head
     # ruin absorbs every arrival, a barrier each with probability s
     head = [ruin] + [s * v if strategy.is_barrier(k * i0, i0) else 0.0 for k, v in enumerate(barriers, 1)]
-    return Profile(tuple(head), values.rho, values.gap)
+    return Profile(tuple(head), values.rho if s else 0.0, values.gap)
 
 
 def bc_ratio(params: WalkParams) -> float:
@@ -100,7 +81,7 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     """Killed mean time until absorption anywhere, E[T * 1{absorbed}].
 
     For 0 < s <= 1 absorption is almost sure and this is the plain mean.
-    At s=0 it is the total of :func:`time_profile`: the ruin time, killed
+    At s = 0 it is the total of :func:`time_profile`: the ruin time, killed
     by the escape when omega > 1 and infinite at p = 1/2.
     With ``excess = (1-s)(phi1 - 1)/psi1 = 1 - 1/phi1``, B's mean is
     ``i0 * excess / s`` and A's is ``(1-s)`` times it (surviving the t=0
@@ -113,8 +94,8 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
     """
     strategy = Strategy(strategy)
     s, i0 = params.s, params.i0
-    if not s:
-        return _limit_profiles(params)[1].total
+    if not s:  # B's i0 * excess / s below divides by s
+        return time_profile(params, strategy).total
     char = mgf.characteristic(params, 1.0)
     phi, one_ms = char.phi, 1.0 - s
     excess = phi.psi1_gap / phi.psi1  # 1 - 1/phi1
@@ -133,9 +114,8 @@ def mean_time_any(params: WalkParams, strategy: Strategy) -> float:
 def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     """Killed expected times at ruin and at every barrier k*i0.
 
-    Their total is the mean time of :func:`mean_time_any` up to rounding;
-    at s=0 with upward drift it is the ruin time killed by the escape.  For
-    0 < s <= 1 each time is the z-derivative at z=1 of a mass, taken through
+    Their total is the mean time of :func:`mean_time_any` up to rounding.
+    Each time is the z-derivative at z=1 of a mass, taken through
     ``rate = dpsi1/psi1`` and ``dphi2 = -phi2 * rate``.  B's are the
     derivatives of its subtraction-free values: ``-rate/psi1`` at ruin,
     ``s[(2p dU_{i0-1} - q phi2 rate)/(q psi1) - b1 rate]`` at i0 and
@@ -145,11 +125,13 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     at ruin and ``s w_k (dU_i0/U_i0 - 1 - (k-1) rate - pole)`` at k >= 2.  Past the
     head they are the z-derivatives of the geometric masses
     ``mass * phi2**m``, so the profile's tail carries ``drho = dphi2``.
+    At s = 0 only ruin absorbs, so the profile is the ruin entry alone, for
+    every strategy B's ``-rate/psi1 = omega**-i0 dphi2``: killed by the
+    escape when omega > 1, and infinite at p = 1/2, where the barrier roots
+    coincide and ``rate`` is -inf.
     """
     strategy = Strategy(strategy)
     s = params.s
-    if not s:
-        return _limit_profiles(params)[1]
     der = cp.derivatives_at_1(params)
     char, rate = mgf.characteristic(params, 1.0), der.rate
     phi, q = char.phi, params.q
@@ -171,7 +153,7 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
             one_ms = 1.0 - s
             head = [one_ms * t for t in head]
             mass *= one_ms
-    times = Profile(tuple(head), phi.phi2, phi.phi2_gap, der.dphi2, mass)
-    if not math.isfinite(times.total):
+    times = Profile(tuple(head), phi.phi2, phi.phi2_gap, der.dphi2, mass) if s else Profile(tuple(head[:1]))
+    if not math.isfinite(times.total) and phi.psi_sqrt_disc:  # at the double root the times are infinite
         raise UnsupportedRegimeError(f"the killed times' sum is not finite in floating point at s={s}")
     return times

@@ -5,9 +5,9 @@ For a walk started at ``i0``, the generating function of a state ``j`` is
 at z=1 it is the expected number of arrivals at ``j`` before absorption.
 
 Strategy B's barrier values are the primary closed forms.  They are written
-in ``psi1 = (1-s) phi1``, which is finite on all of 0 < s <= 1, so one form
-serves every stopping probability, s = 1 included, and none divides by
-``1 - s`` or by ``omega**i0``.  Strategy A's follow through a single
+in ``psi1 = (1-s) phi1``, which is finite on all of 0 <= s <= 1, so one form
+serves every stopping probability, s = 0 and s = 1 included, and none
+divides by ``1 - s`` or by ``omega**i0``.  Strategy A's follow through a single
 factor ``1-s`` (surviving the t=0 stop decision), except at the start
 state: B's function at ``i0`` sums from m=1, and A's adds the m=0 visit.
 
@@ -34,21 +34,13 @@ from .charpoly import (
     tau_roots,
     theta,
 )
-from .core import ParameterError, Profile, Strategy, UnsupportedRegimeError, WalkParams
-
-
-def _require_stopping(params: WalkParams) -> None:
-    if not params.s:
-        raise UnsupportedRegimeError(
-            "closed-form generating functions need s > 0, got s=0; "
-            "the s=0 case is served by the metrics limit branch"
-        )
+from .core import ParameterError, Profile, Strategy, WalkParams
 
 
 class Characteristic(NamedTuple):
     """One instance's step roots, ``U_i0 = D_i0``, ``U_{i0-1}``, theta and phi at one z.
 
-    Built by :func:`characteristic`; every closed form for 0 < s <= 1, and
+    Built by :func:`characteristic`; every closed form for 0 <= s <= 1, and
     every check that wants theta or phi at some z, reads it from there.
     ``phi.psi1 = (1-s) phi1`` is what the closed forms divide by, and
     ``phi.phi2_gap`` is ``1 - phi2``, the denominator of every profile's
@@ -89,14 +81,13 @@ def characteristic(params: WalkParams, z: float) -> Characteristic:
 
 
 def mgf_b(params: WalkParams, z: float) -> Profile:
-    """Strategy-B generating function on ruin and every barrier k*i0, for 0 < s <= 1.
+    """Strategy-B generating function on ruin and every barrier k*i0, for 0 <= s <= 1.
 
     ``(1/psi1, (2p U_{i0-1} + q phi2)/(q psi1), U_i0 omega**i0/(q z psi1**2))``
     on barriers 0..2, then geometric with ``rho = phi2``.  B's value at i0
     counts the visits after t=0; theta's definition gives it as a sum of
     positive terms, ``U_i0 - q z psi1 = (1-s) z (2p U_{i0-1} + q phi2)``.
     """
-    _require_stopping(params)
     char = characteristic(params, z)
     phi, q = char.phi, params.q
     psi1, phi2 = phi.psi1, phi.phi2
@@ -122,13 +113,12 @@ def mgf_a(params: WalkParams, z: float) -> Profile:
 
 
 def mgf_c(params: WalkParams, z: float) -> Profile:
-    """Strategy-C generating function on ruin and every barrier k*i0, for 0 < s <= 1.
+    """Strategy-C generating function on ruin and every barrier k*i0, for 0 <= s <= 1.
 
     With ``D = V_i0 - phi2``, the characteristic's, the head holds barriers 0..3,
     ``(1/D, U_i0/(q z D), U_i0 omega**i0/(q z psi1 D), that * phi2)``, and
     the tail continues it with ``rho = phi2``.
     """
-    _require_stopping(params)
     char = characteristic(params, z)
     phi, qz, denom = char.phi, params.q * z, char.phi.v_minus_phi2
     # U_i0/(q z) / psi1 is exactly 1 at s = 1, where psi1 is that quotient

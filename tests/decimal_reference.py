@@ -101,3 +101,23 @@ def masses(params: WalkParams, strategy: Strategy, kmax: int) -> list[float]:
                 out = [m / (1 - s) for m in out]
                 out[1] = s * (2 * p * c["u_prev"] + q * phi2) / (q * (1 - s) * c["phi1"])
         return [float(m) for m in out]
+
+
+def no_stop(params: WalkParams) -> tuple[float, float]:
+    """Ruin mass and killed ruin time at s = 0, classical gambler's ruin with exact q = 1 - p.
+
+    Below p = 1/2 ruin is certain and takes ``i0 / (1 - 2p)`` on average;
+    above it the walk escapes upward, ruin has mass ``omega**-i0`` and
+    killed time ``omega**-i0 * i0 / (2p - 1)``; at p = 1/2 the time is
+    infinite.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 120
+        p, i0 = Decimal(params.p), params.i0
+        lean = 2 * p - 1
+        if lean < 0:
+            return 1.0, float(i0 / -lean)
+        if not lean:
+            return 1.0, math.inf
+        mass = ((1 - p) / p) ** i0
+        return float(mass), float(mass * i0 / lean)

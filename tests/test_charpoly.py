@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
-from ruinwalk import mgf
-from ruinwalk.core import ParameterError, UnsupportedRegimeError, WalkParams
+from ruinwalk import metrics, mgf
+from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
 
 import decimal_reference as ref
 from conftest import GRID_I0, GRID_S, SQRT3, grid_params
@@ -330,7 +330,7 @@ class TestDerivatives:
                     assert near.dtheta == pytest.approx(at.dtheta, rel=1e-6)
                     assert near.dphi2 == pytest.approx(at.dphi2, rel=1e-6)
 
-    def test_total_stop_answers_and_no_stop_double_root_is_refused(self):
+    def test_total_stop_answers_and_no_stop_double_root_is_endless(self):
         # s = 1: psi1 = U_i0/(q z), so its log-derivative is dU_i0/U_i0 - 1,
         # and phi2 = 0 does not move; theta is infinite
         for params in (WalkParams(0.4, 1.0, 1), WalkParams(0.5, 1.0, 3), WalkParams(0.7, 1.0, 4)):
@@ -343,9 +343,13 @@ class TestDerivatives:
             )
             assert der.dphi2 == 0.0
             assert der.dtheta == -math.inf
-        # s = 0 and p = q: the barrier roots coincide at z=1
-        with pytest.raises(UnsupportedRegimeError):
-            cp.derivatives_at_1(WalkParams(0.5, 0.0, 2))
+        # s = 0 and p = q: the barrier roots coincide at z=1, and ruin is
+        # certain but its mean time infinite
+        params = WalkParams(0.5, 0.0, 2)
+        assert cp.derivatives_at_1(params).rate == -math.inf
+        for strategy in Strategy:
+            assert metrics.time_profile(params, strategy).at(0) == math.inf
+            assert metrics.mean_time_any(params, strategy) == math.inf
 
     def test_no_stop_ruin_root_slope(self):
         # downward drift: slope of the smaller barrier root is i0*omega**i0/(q-p)

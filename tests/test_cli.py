@@ -665,8 +665,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("kmax", [2, 64])
     def test_rows_match_unshared_calls(self, kmax, capsys):
-        # s = 0 and 1 take the special branches, p = 0.5 with s = 0.5 the
-        # exact solver; every cell must be the very float the separate calls give
+        # s = 0 and 1 are the ends of the one closed form, p = 0.5 with s = 0.5
+        # the exact solver; every cell must be the very float the separate calls give
         code, out, _ = run_cli(
             ["sweep", "--p", "0.4:0.6:0.1", "--s", "0:1:0.5", "--i0", "1:3:2",
              "--strategy", "all", "--kmax", str(kmax)],
@@ -734,7 +734,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("kmax", ["1", "64"])
     def test_all_strategies_equal_the_three_single_strategy_sweeps(self, kmax, capsys):
-        # s = 0 and 1 take the limit branches, s = 0.5 the exact solver's route
+        # s = 0 and 1 are the ends of the one closed form, s = 0.5 the exact solver's route
         grid = ["--p", "0.5", "--s", "0:1:0.5", "--i0", "1:3:1", "--kmax", kmax]
         code, out, _ = run_cli(["sweep", *grid, "--strategy", "all"], capsys)
         assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
 from ruinwalk import cli, metrics, mgf, oracle
-from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
+from ruinwalk.core import ParameterError, Profile, Strategy, UnsupportedRegimeError, WalkParams
 
 import decimal_reference as ref
 from conftest import SQRT3, grid_params, small_grid
@@ -300,6 +300,23 @@ class TestLimitRegimes:
         m = metrics.mean_time_any(params, strategy)
         assert m == pytest.approx(tp.total, rel=1e-12)
         assert m == pytest.approx(sol.m_total, rel=1e-7)
+
+    @pytest.mark.parametrize("i0", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize(
+        "p",
+        [0.3, 0.5 - 1e-4, 0.5 - 1e-9, 0.5 - 1e-13, 0.4999999999999947, 0.5, 0.5 + 1e-13, 0.5 + 1e-9, 0.7],
+    )
+    def test_no_stop_matches_classical_ruin_with_exact_drift(self, p, i0, strategy):
+        # q = fl(1 - p) rounds below 1/2 and i0/(q - p) carries that rounding
+        # (5.2e-3 at p = 0.4999999999999947); the reference takes 1 - 2p exactly
+        params = WalkParams(p, 0.0, i0)
+        mass, time = ref.no_stop(params)
+        rel = 1e-14 if i0 <= 8 else 1e-12
+        assert metrics.absorption_profile(params, strategy).at(0) == pytest.approx(mass, rel=rel, abs=0.0)
+        times = metrics.time_profile(params, strategy)
+        assert times == Profile((times.at(0),))  # only ruin absorbs
+        assert times.at(0) == pytest.approx(time, rel=rel, abs=0.0)
+        assert metrics.mean_time_any(params, strategy) == pytest.approx(time, rel=rel, abs=0.0)
 
 
 def _answer_or_none(fn, *args):

@@ -36,18 +36,25 @@ class TestBarrierValues:
             1.0, abs=1e-12
         )
 
-    def test_rejects_no_stop_and_answers_total_stop(self):
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_answers_no_stop_and_total_stop(self, s):
+        # at s = 0 and s = 1 the one closed form answers, and matches propagation
         strategies = {mgf.mgf_a: Strategy.A, mgf.mgf_b: Strategy.B, mgf.mgf_c: Strategy.C}
+        params = WalkParams(0.4, s, 1)
         for fn, strategy in strategies.items():
-            with pytest.raises(UnsupportedRegimeError):
-                fn(WalkParams(0.4, 0.0, 1), 1.0)
-            # at s = 1 the one closed form answers, and matches propagation
-            params = WalkParams(0.4, 1.0, 1)
             for z in (0.3, 0.8):
                 values = fn(params, z)
                 for k in range(4):
                     want = oracle.mgf_dp(params, strategy, z, k, tol=1e-12)
                     assert values.at(k) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("p", [0.5, 0.6])
+    def test_no_stop_visits_diverge_where_the_walk_may_escape(self, p):
+        # at z = 1 with s = 0 and p >= 1/2, phi2 is 1 with a gap of 0: the
+        # expected visits to the barriers past the head sum to infinity
+        values = mgf.mgf_b(WalkParams(p, 0.0, 2), 1.0)
+        assert values.gap == 0.0
+        assert values.total == math.inf
 
     def test_step_root_overflow_raises_the_typed_error(self):
         # tau1 is near 200 at z = 0.01: its 200th power overflows
