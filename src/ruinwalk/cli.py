@@ -303,7 +303,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (cast(x) for x in parts)
-        if step <= 0:
+        if step <= 0 or not all(map(math.isfinite, (start, stop, step))):
             raise ValueError
         values = []
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -311,7 +311,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
             val = start + idx * step
             values.append(val if integer else round(val, 12))
         return values
-    except ValueError:
+    except (ValueError, OverflowError):  # an int bound past float range overflows isfinite
         raise ParameterError(f"malformed range {text!r}; use start:stop:step")
 
 

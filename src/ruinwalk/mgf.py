@@ -178,8 +178,6 @@ def mgf_states(params: WalkParams, strategy: Strategy, z: float, positions) -> l
 
 def mgf_interior(params: WalkParams, strategy: Strategy, z: float, position: int) -> float:
     """Generating function on a state strictly between barriers (see :func:`mgf_states`)."""
-    if params.i0 < 2:
-        raise ParameterError("interior states require i0 >= 2")
     if position % params.i0 == 0:
         raise ParameterError(
             f"position {position} is a barrier-lattice state; use the barrier forms"

@@ -145,7 +145,6 @@ def test_criterion_3_closed_form_spot_checks():
 def test_criterion_4_identity_suite():
     named = [
         verify.check_step_roots(),
-        verify.check_barrier_roots(),
         verify.check_b_from_a_relation(),
         verify.check_barrier_recurrence(),
         verify.check_c_seed_relations(),

@@ -108,6 +108,11 @@ class TestPowerDividedDifference:
         roots = cp.tau_roots(0.9, WalkParams(0.3, 0.5, 1))
         assert cp.power_divided_difference(roots, 0) == 0.0
 
+    def test_negative_power_is_refused(self):
+        roots = cp.tau_roots(0.9, WalkParams(0.3, 0.5, 1))
+        with pytest.raises(ParameterError):
+            cp.power_divided_difference(roots, -1)
+
     def test_overflow_is_an_unsupported_regime(self):
         roots = cp.tau_roots(0.01, WalkParams(0.5, 0.5, 1))  # tau1 near 200
         with pytest.raises(UnsupportedRegimeError, match="overflow"):
@@ -233,6 +238,18 @@ class TestBarrierRootGaps:
         char, want = mgf.characteristic(params, z), ref.v_minus_phi2(params, z)
         summed = char.roots.tau1 ** i0 + char.roots.tau2 ** i0 - char.phi.phi2
         assert abs(char.phi.v_minus_phi2 - want) <= abs(summed - want) + 4 * 2.0 ** -52 * want
+
+    @pytest.mark.parametrize("p", [0.4, 0.6])
+    @pytest.mark.parametrize("z", [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+    def test_power_gaps_keep_their_digits_near_z_1(self, p, z):
+        # p < 1/2 makes 1 - 2qz negative near z = 1 and p > 1/2 makes 1 - 2pz
+        # negative; the plain sum of that term and sqrt(1 - 4pq z**2) cancels,
+        # and with tiny s its digits are phi1 - 1's (p < 1/2) or 1 - phi2's
+        # (p > 1/2): up to 7.5e-10 off at z = 1 - 1e-9
+        params = WalkParams(p, 1e-14, 3)
+        got, want = _unscaled_roots(params, z), ref.barrier_roots(params, z)
+        for name in ("phi1_gap", "phi2_gap"):
+            assert got[name] == pytest.approx(want[name], rel=1e-14, abs=0.0), name
 
     @pytest.mark.parametrize(
         "p, s, i0, z",

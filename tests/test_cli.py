@@ -13,7 +13,12 @@ from ruinwalk import cli, core, metrics, mgf, oracle, verify
 from ruinwalk.core import ParameterError, Strategy, WalkParams
 
 import decimal_reference as ref
-from conftest import SQRT3
+from conftest import SQRT3, small_grid
+
+
+def _off(values, k):
+    """``values`` with entry k off by one part in a million."""
+    return (*values[:k], values[k] * (1.0 + 1e-6), *values[k + 1:])
 
 
 def run_cli(args, capsys):
@@ -471,8 +476,8 @@ class TestVerify:
             prof = metrics.absorption_profile(params, strategy)
             tp = metrics.time_profile(params, strategy)
             if "tail" in check.name:  # one figure per instance and strategy
-                ours = (prof.rho, prof.gap, tp.rho, tp.gap, tp.drho)
-                its = (sol.masses.rho, sol.masses.gap, sol.times.rho, sol.times.gap, sol.times.drho)
+                ours = (prof.rho, prof.gap, tp.drho)
+                its = (sol.masses.rho, sol.masses.gap, sol.times.drho)
                 gap = max(abs(a - b) / abs(b) for a, b in zip(ours, its))
             elif "absorption" in check.name:
                 k = int(where["k"])  # a head site: the tail is judged by the tail check
@@ -496,7 +501,7 @@ class TestVerify:
         "function, field, factor, failing",
         [
             ("time_profile", "mass", 1.0 + 1e-6, "mean times match the exact solver"),
-            ("time_profile", "rho", 1.0 + 1e-10, "match the exact solver's tail"),
+            ("time_profile", "drho", 1.0 + 1e-10, "match the exact solver's tail"),
             ("absorption_profile", "rho", 1.0 + 1e-10, "match the exact solver's tail"),
         ],
     )
@@ -511,6 +516,32 @@ class TestVerify:
         monkeypatch.setattr(metrics, function, patched)
         failed = [check.name for check in verify.check_exact_agreement() if not check.passed]
         assert len(failed) == 1 and failing in failed[0]
+
+    def test_time_tails_share_the_mass_tails_ratio(self):
+        # so the tail check reads rho and 1 - rho once per side, from the mass profile
+        for params in small_grid():
+            for strategy in Strategy:
+                prof, tp = metrics.absorption_profile(params, strategy), metrics.time_profile(params, strategy)
+                sol = oracle.solve_exact(params, strategy)
+                assert (tp.rho, tp.gap) == (prof.rho, prof.gap)
+                assert (sol.times.rho, sol.times.gap) == (sol.masses.rho, sol.masses.gap)
+
+    @pytest.mark.parametrize(
+        "check, module, function, edit",
+        [
+            ("check_step_roots", cp, "tau_roots", lambda roots: roots._replace(tau2=roots.tau2 * (1.0 + 1e-6))),
+            ("check_barrier_recurrence", mgf, "mgf_a", lambda a: a._replace(head=_off(a.head, 1))),
+            ("check_c_seed_relations", mgf, "mgf_c", lambda c: c._replace(head=_off(c.head, 2))),
+            ("check_barrier_geometry", mgf, "mgf_a", lambda a: a._replace(head=_off(a.head, 2))),
+            ("check_bc_ratio", metrics, "bc_ratio", lambda ratio: ratio * (1.0 + 1e-6)),
+        ],
+        ids=["step_roots", "barrier_recurrence", "c_seed_relations", "barrier_geometry", "bc_ratio"],
+    )
+    def test_trimmed_check_fails_on_a_value_off_by_1e_6(self, check, module, function, edit, monkeypatch):
+        # each check kept only the evaluations that read an independently built value
+        original = getattr(module, function)
+        monkeypatch.setattr(module, function, lambda *args: edit(original(*args)))
+        assert not getattr(verify, check)().passed
 
     def test_monte_carlo_check_is_the_same_on_one_cpu_or_two(self, monkeypatch):
         # 2,000 trials in ranges of 1,000: with two CPUs each point forks a worker
@@ -621,6 +652,14 @@ class TestSweep:
         )
         assert code == 2
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("p", ["0.3:inf:0.1", "-inf:0.7:0.1", "0.3:0.7:inf", "0.3:nan:0.1"])
+    def test_non_finite_range_bound_exits_2(self, p, capsys):
+        # 0.3:inf:0.1 overflowed counting its rows: a raw OverflowError traceback and exit 1
+        code, out, err = run_cli(["sweep", f"--p={p}", "--s", "0.5", "--i0", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": f"malformed range {p!r}; use start:stop:step"}
 
     @pytest.mark.parametrize("i0", ["1:3:0.5", "1.5:3:1", "1:2.5:1", "1.7"])
     def test_integer_range_with_a_fractional_part_exits_2(self, i0, capsys):
@@ -941,7 +980,7 @@ class TestSubprocessEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
-            [0, 0, 0, 0], [[], [], [], []], True, "18/18 checks passed"
+            [0, 0, 0, 0], [[], [], [], []], True, "17/17 checks passed"
         ]
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["0.4"] * 3 + ["0.5"] * 3

@@ -144,6 +144,11 @@ class TestProfile:
             assert prof.beyond(k) == pytest.approx(want, rel=1e-15)
         assert prof.total == pytest.approx(math.fsum(prof.at(j) for j in range(200)), rel=1e-15)
 
+    def test_beyond_a_negative_barrier_is_the_total(self):
+        # no barrier lies below ruin, so every value lies past k < 0
+        for k in (-1, -2, -5):
+            assert self.PROFILE.beyond(k) == self.PROFILE.total
+
     def test_head_only(self):
         # an infinite head value stays in the head: nothing lies past it
         prof = Profile((math.inf, 0.5))

@@ -512,6 +512,16 @@ class TestOneFormUpToTotalStop:
         assert prof.at(0) == pytest.approx({"A": 0.24, "B": 1.0, "C": 1.0}[strategy.value], rel=1e-14, abs=0.0)
 
 
+    @pytest.mark.parametrize("i0", [1, 3])
+    def test_subnormal_drift_ratio_answers(self, i0, strategy):
+        # with omega = 1e-310 the walk steps straight down to ruin: i0 steps,
+        # after A's start draw survives with 1 - s; omega's reciprocal is past
+        # float range, so no slope may divide by tau2
+        params = WalkParams(1e-310, 0.25, i0)
+        want = (0.75 if strategy is Strategy.A else 1.0) * i0
+        assert metrics.time_profile(params, strategy).total == pytest.approx(want, rel=1e-15)
+        assert metrics.mean_time_any(params, strategy) == pytest.approx(want, rel=1e-15)
+
     @pytest.mark.parametrize("i0", [170, 200])
     def test_total_stop_with_omega_power_past_1e154(self, i0, strategy):
         # (1-s) sqrt(disc) was the root of its square, which overflows at s = 1
