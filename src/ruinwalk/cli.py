@@ -18,6 +18,7 @@ float precision; ``--format table`` rounds to six significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -40,6 +41,10 @@ _SWEEP_COLUMNS = (
     "p0", "p1", "p2", "p3", "tail_bound", "m_total", "et0", "et1", "et2", "et3",
     "bc_ratio", "tau1", "tau2", "theta", "phi1", "phi2",
 )
+_SWEEP_MAX_ROWS = 10**7  # a larger grid is refused before any of its values is built
+# a grid forks only if each process gets this many instances: on 2 cores a
+# fork broke even at about 200, costing some 10 ms beside half the walk
+_SWEEP_SHARE_MIN = 128
 
 
 def _params_from(args) -> WalkParams:
@@ -293,26 +298,27 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _parse_range(text: str, integer: bool = False) -> list:
-    """``start:stop:step`` (inclusive, possibly empty) or a single value, each part an int if ``integer``."""
+def _parse_range(text: str, integer: bool = False) -> tuple:
+    """``start:stop:step`` (inclusive, possibly empty) or a single value, each part an int if ``integer``.
+
+    Returns the count and an iterator that builds the values as it is read,
+    so that a grid's size is known before any of its values exists.
+    """
     parts = text.split(":")
     cast = int if integer else float
     try:
         if len(parts) == 1:
-            return [cast(parts[0])]
+            return 1, iter((cast(parts[0]),))
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (cast(x) for x in parts)
         if step <= 0 or not all(map(math.isfinite, (start, stop, step))):
             raise ValueError
-        values = []
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        for idx in range(max(count, 0)):
-            val = start + idx * step
-            values.append(val if integer else round(val, 12))
-        return values
+        count = max(int(math.floor((stop - start) / step + 1e-9)) + 1, 0)
     except (ValueError, OverflowError):  # an int bound past float range overflows isfinite
         raise ParameterError(f"malformed range {text!r}; use start:stop:step")
+    values = (start + idx * step for idx in range(count))
+    return count, values if integer else (round(val, 12) for val in values)
 
 
 def _sweep_cells(params: WalkParams, strategy: Strategy, kmax: int) -> str:
@@ -322,32 +328,52 @@ def _sweep_cells(params: WalkParams, strategy: Strategy, kmax: int) -> str:
     return _cells((*prof.upto(3), prof.beyond(kmax), times["m_total"], *times["et"]))
 
 
+def _sweep_rows(instances, strategies: list[Strategy], kmax: int) -> list[str]:
+    """The CSV rows of ``instances``, each a (p, s, i0), in order."""
+    rows = []
+    for p, s, i0 in instances:
+        params = WalkParams(p=p, s=s, i0=i0)
+        _require_kmax(kmax)  # after the instance's own checks, ahead of its rows
+        # mgf and charpoly keep the last instance's z=1 characteristic and
+        # derivatives, so every column of the instance shares one solve; the
+        # cells that do not depend on the strategy are formatted once
+        ratio = metrics.bc_ratio(params) if 0.0 < s < 1.0 else None
+        lead = _cells((params.p, params.s, params.i0))
+        omega = _float_cell(params.omega)
+        trail = _cells((ratio, *_diagnostics(params).values()))
+        for strategy in strategies:
+            cells = _sweep_cells(params, strategy, kmax)
+            rows.append(f"{lead},{strategy.value},{omega},{cells},{trail}")
+    return rows
+
+
 def cmd_sweep(args) -> int:
-    ps = _parse_range(args.p)
-    ss = _parse_range(args.s)
-    i0s = _parse_range(args.i0, integer=True)
+    axes = [_parse_range(args.p), _parse_range(args.s), _parse_range(args.i0, integer=True)]
     strategies = (
         [Strategy.A, Strategy.B, Strategy.C]
         if args.strategy == "all"
         else [Strategy(args.strategy)]
     )
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for p in ps:  # nested ascending loops give lexicographic row order
-        for s in ss:
-            for i0 in i0s:
-                params = WalkParams(p=p, s=s, i0=i0)
-                _require_kmax(args.kmax)  # after the instance's own checks, ahead of its rows
-                # mgf and charpoly keep the last instance's z=1 characteristic and
-                # derivatives, so every column of the instance shares one solve; the
-                # cells that do not depend on the strategy are formatted once
-                ratio = metrics.bc_ratio(params) if 0.0 < s < 1.0 else None
-                lead = _cells((params.p, params.s, params.i0))
-                omega = _float_cell(params.omega)
-                trail = _cells((ratio, *_diagnostics(params).values()))
-                for strategy in strategies:
-                    cells = _sweep_cells(params, strategy, args.kmax)
-                    lines.append(f"{lead},{strategy.value},{omega},{cells},{trail}")
-    _write_out("\n".join(lines), args)
+    n = math.prod(count for count, _ in axes)
+    if n * len(strategies) > _SWEEP_MAX_ROWS:
+        raise ParameterError(f"the sweep has more than {_SWEEP_MAX_ROWS} rows")
+    ps, ss, i0s = (list(values) for _, values in axes)
+
+    def rows(share: tuple[int, int]) -> list[str]:
+        # the product's ascending order is the rows' lexicographic order
+        instances = itertools.islice(itertools.product(ps, ss, i0s), *share)
+        return _sweep_rows(instances, strategies, args.kmax)
+
+    # contiguous equal shares, one per usable CPU and each of at least
+    # _SWEEP_SHARE_MIN instances, joined in order: the CSV and the first
+    # failing instance's error do not depend on how many there are
+    n_shares = 1
+    if n >= 2 * _SWEEP_SHARE_MIN:
+        from . import parallel
+        n_shares = min(parallel.usable_cpus(), n // _SWEEP_SHARE_MIN)
+    shares = [(n * k // n_shares, n * (k + 1) // n_shares) for k in range(n_shares)]
+    parts = parallel.run_shares(rows, shares, "sweep") if n_shares > 1 else [rows(shares[0])]
+    _write_out("\n".join([",".join(_SWEEP_COLUMNS)] + [row for part in parts for row in part]), args)
     return 0
 
 

@@ -576,16 +576,6 @@ def _range_trials(
     return tallies, escaped
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
 def simulate(
     params: WalkParams,
     strategy: Strategy,
@@ -602,10 +592,8 @@ def simulate(
     trials split into ``ceil(trials / _RANGE)`` ranges of equal size (to one
     trial), each walked as one stream by :func:`_range_trials`, round robin
     over up to ``workers`` processes (no more than ranges or usable CPUs):
-    this one walks the first share and forks a child per other share, which
-    pipes back its pickled tallies or exception.  A child that ends without
-    a result raises :class:`ConvergenceError`; no child outlives the call.
-    The tallies are exact integers until the sums become floats here, so
+    this one walks the first share and forks a child per other share
+    (:func:`ruinwalk.parallel.run_shares`).  The tallies are exact integers until the sums become floats here, so
     the result is bit-identical for any ``workers`` value, range size or
     batch size.  Trials still alive after ``max_steps`` are counted as
     escaped, never dropped silently.
@@ -616,65 +604,18 @@ def simulate(
         raise ParameterError(f"max_steps must be >= 1, got {max_steps}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    import os
-    import pickle
-    import signal
-
-    from . import rng
+    from . import parallel, rng
 
     strategy = Strategy(strategy)
     n_ranges = -(-trials // _RANGE)
     bounds = [(trials * i // n_ranges, trials * (i + 1) // n_ranges) for i in range(n_ranges)]
-    n_shares = min(workers, len(bounds), _usable_cpus()) if hasattr(os, "fork") else 1
+    n_shares = min(workers, len(bounds), parallel.usable_cpus())
     shares = [bounds[i::n_shares] for i in range(n_shares)]  # round robin; the first is ours
 
     def walk(share: list[tuple[int, int]]) -> list:
         return [_range_trials(params, strategy, seed, lo, hi, max_steps) for lo, hi in share]
 
-    children = []  # (pid, the read end of its pipe), until reaped
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # The child runs numpy ufuncs, one pickle and os._exit only:
-                # it flushes no stdio buffer it inherited, runs no atexit
-                # handler and never calls into BLAS, whose threads the fork
-                # did not copy.  It never returns from this block.
-                code = 1
-                try:
-                    os.close(read_end)
-                    try:
-                        outcome = (True, walk(share))
-                    except BaseException as exc:
-                        outcome = (False, exc)
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(pickle.dumps(outcome))
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append((pid, open(read_end, "rb")))
-            os.close(write_end)
-        partials = walk(shares[0])
-        for worker in range(1, n_shares):
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code or not data:  # a child exits 0 only once its whole result is sent
-                raise ConvergenceError(
-                    f"Monte Carlo worker {worker} ended without a result (exit status {code})"
-                )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            partials += value
-    finally:  # children are left here only if something failed
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    partials = [part for done in parallel.run_shares(walk, shares, "Monte Carlo") for part in done]
 
     totals: dict[int, list[int]] = {}
     for tallies, _ in partials:

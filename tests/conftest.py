@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -30,3 +31,21 @@ def small_grid():
 @pytest.fixture(params=list(Strategy), ids=lambda s: s.value)
 def strategy(request):
     return request.param
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of forks, counted in this process around the real ``os.fork``."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def assert_every_child_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -9,11 +9,11 @@ import pytest
 
 import ruinwalk
 from ruinwalk import charpoly as cp
-from ruinwalk import cli, core, metrics, mgf, oracle, verify
+from ruinwalk import cli, core, metrics, mgf, oracle, parallel, verify
 from ruinwalk.core import ParameterError, Strategy, WalkParams
 
 import decimal_reference as ref
-from conftest import SQRT3, small_grid
+from conftest import SQRT3, assert_every_child_reaped, small_grid
 
 
 def _off(values, k):
@@ -290,7 +290,7 @@ class TestSimulate:
         # three ranges of 1,000 trials on two CPUs: one forked worker, which
         # inherits the patched range walker
         monkeypatch.setattr(oracle, "_RANGE", 1000)
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         parent, real = os.getpid(), oracle._range_trials
 
         def range_trials(*args):
@@ -543,20 +543,13 @@ class TestVerify:
         monkeypatch.setattr(module, function, lambda *args: edit(original(*args)))
         assert not getattr(verify, check)().passed
 
-    def test_monte_carlo_check_is_the_same_on_one_cpu_or_two(self, monkeypatch):
+    def test_monte_carlo_check_is_the_same_on_one_cpu_or_two(self, forks, monkeypatch):
         # 2,000 trials in ranges of 1,000: with two CPUs each point forks a worker
         monkeypatch.setattr(oracle, "_RANGE", 1000)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        forks, real_fork = [], os.fork
-
-        def fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
         records, fork_counts = [], []
         for cpus in (1, 2):
-            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             records.append(verify.check_monte_carlo(trials=2000, seed=7))
             fork_counts.append(len(forks))
         assert len(records[0]) == len(verify.MC_GRID)
@@ -806,6 +799,74 @@ class TestSweep:
         lines = target.read_text().strip().splitlines()
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("grid", [
+        ["--p", "0.3:0.7:1e-300", "--s", "0.5", "--i0", "1"],  # 4.0e299 values
+        ["--p", "0.4", "--s", "0.5", "--i0", "1:1000000000000000000:1"],
+        # 3,333,334 instances of three rows each: 10,000,002 rows
+        ["--p", "0.4", "--s", "0.5", "--i0", "1:3333334:1"],
+    ])
+    def test_oversized_grid_exits_2_before_building_it(self, grid, capsys):
+        # each used to append values until memory ran out
+        code, out, err = run_cli(["sweep", *grid], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "the sweep has more than 10000000 rows"}
+
+
+class TestSweepWorkers:
+    """A large grid's rows in contiguous shares, each past the first in a forked process."""
+
+    GRID = ["--p", "0.30:0.70:0.01", "--s", "0.1:0.9:0.2", "--i0", "1:5:1"]  # the benchmark's
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+    def test_forked_csv_equals_the_one_process_csv(self, forks, monkeypatch, capsys):
+        code, forked, _ = run_cli(["sweep", *self.GRID], capsys)
+        assert code == 0
+        assert forks == [1]
+        assert_every_child_reaped()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(["sweep", *self.GRID], capsys) == (0, forked, "")
+        assert len(forked.splitlines()) == 1 + 1025 * 3
+
+    @pytest.mark.parametrize("extra, n_forks", [(-1, 0), (0, 1)])
+    def test_forks_only_when_each_share_gets_the_minimum(self, extra, n_forks, forks, capsys):
+        i0s = f"1:{2 * cli._SWEEP_SHARE_MIN + extra}:1"
+        code, out, _ = run_cli(["sweep", "--p", "0.45", "--s", "0.5", "--i0", i0s, "--strategy", "B"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * cli._SWEEP_SHARE_MIN + extra
+        assert len(forks) == n_forks
+        assert_every_child_reaped()
+
+    def test_a_parameter_error_in_the_childs_share_exits_2_as_in_one_process(
+        self, forks, monkeypatch, capsys
+    ):
+        # p = 1.0 is the grid's last p, so its instances fall in the child's share
+        grid = ["sweep", "--p", "0.3:1.0:0.01", "--s", "0.1:0.9:0.2", "--i0", "1:5:1"]
+        forked = run_cli(grid, capsys)
+        assert forks == [1]
+        assert_every_child_reaped()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(grid, capsys) == forked == (2, "", '{"error": "p must lie in (0, 1), got 1.0"}\n')
+
+    def test_a_child_that_dies_exits_1_with_one_line_json(self, forks, monkeypatch, capsys):
+        parent, real = os.getpid(), cli._sweep_rows
+
+        def sweep_rows(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_sweep_rows", sweep_rows)
+        code, out, err = run_cli(["sweep", *self.GRID], capsys)
+        assert (code, out) == (1, "")
+        assert forks == [1]
+        assert json.loads(err) == {
+            "error": "oracle did not converge: sweep worker 1 ended without a result (exit status 3)"
+        }
+        assert_every_child_reaped()
+
 
 class TestSubprocessEntryPoints:
     def test_module_invocation_bytes_identical(self):
@@ -852,7 +913,8 @@ class TestSubprocessEntryPoints:
             "import ruinwalk.cli\n"
             "ruinwalk.cli.build_parser()\n"
             "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy', 'ruinwalk.oracle',\n"
-            "                           'ruinwalk.rng', 'ruinwalk.verify') if m in sys.modules))\n"
+            "                           'ruinwalk.parallel', 'ruinwalk.rng', 'ruinwalk.verify')\n"
+            "               if m in sys.modules))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True, text=True,

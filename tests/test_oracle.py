@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruinwalk import metrics, oracle, rng
+from ruinwalk import metrics, oracle, parallel, rng
 from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
 
-from conftest import SQRT3, small_grid
+from conftest import SQRT3, assert_every_child_reaped, small_grid
 
 
 class TestPhilox:
@@ -183,25 +183,35 @@ class TestSolveExact:
             assert sol.escape_mass < 1e-9
 
 
+def _imports(module) -> set[str]:
+    """What ``module`` imports: ``.name`` for this package's modules, else the top-level name."""
+    # ast.walk also reaches imports in functions
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update(
+                f".{node.module}" if node.module else f".{alias.name}"
+                for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
 class TestIndependence:
-    def test_imports_only_core_rng_numpy_and_the_standard_library(self):
-        # the oracles check the closed forms, so they must share no code with
-        # charpoly, mgf or metrics; ast.walk also reaches imports in functions
-        tree = ast.parse(Path(oracle.__file__).read_text())
-        found = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                found.update(
-                    f".{node.module}" if node.module else f".{alias.name}"
-                    for alias in node.names
-                )
-            elif isinstance(node, ast.ImportFrom):
-                found.add(node.module.split(".")[0])
-            elif isinstance(node, ast.Import):
-                found.update(alias.name.split(".")[0] for alias in node.names)
-        assert {".core", ".rng", "numpy"} <= found
-        allowed = {".core", ".rng", "numpy"} | set(sys.stdlib_module_names)
-        assert found - allowed == set()
+    # the oracles check the closed forms, so they must share no code with
+    # charpoly, mgf or metrics, not even through the fork helper they use
+    def test_imports_only_core_rng_parallel_numpy_and_the_standard_library(self):
+        found = _imports(oracle)
+        assert {".core", ".rng", ".parallel", "numpy"} <= found
+        assert found - {".core", ".rng", ".parallel", "numpy"} - set(sys.stdlib_module_names) == set()
+
+    def test_the_fork_helper_imports_only_core_and_the_standard_library(self):
+        found = _imports(parallel)
+        assert ".core" in found
+        assert found - {".core"} - set(sys.stdlib_module_names) == set()
 
 
 def _no_call(*args):
@@ -549,7 +559,7 @@ class TestSimulate:
         params = WalkParams(0.5, 0.3, 2)
         one = oracle.simulate(params, Strategy.B, 1001, seed=5, max_steps=200, workers=1)
         assert seen == [(0, 500), (500, 1001)]
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         assert oracle.simulate(params, Strategy.B, 1001, seed=5, max_steps=200, workers=2) == one
 
     def test_drifting_escapes_keep_memory_bounded(self, monkeypatch):
@@ -636,19 +646,7 @@ class TestWorkers:
     @pytest.fixture(autouse=True)
     def _three_ranges_two_cpus(self, monkeypatch):
         monkeypatch.setattr(oracle, "_RANGE", 1000)
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The number of forks, counted in this process around the real ``os.fork``."""
-        calls, real_fork = [], os.fork
-
-        def fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
     @staticmethod
     def _in_children(monkeypatch, act):
@@ -662,11 +660,6 @@ class TestWorkers:
 
         monkeypatch.setattr(oracle, "_range_trials", range_trials)
 
-    @staticmethod
-    def _assert_every_child_reaped():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("workers", [2, 64])
     def test_one_fork_per_usable_cpu_past_the_first(self, forks, workers):
         one = oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200)
@@ -674,7 +667,7 @@ class TestWorkers:
         got = oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=workers)
         assert got == one
         assert forks == [1]
-        self._assert_every_child_reaped()
+        assert_every_child_reaped()
 
     def test_one_worker_or_one_range_forks_nothing(self, forks):
         oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=1)
@@ -693,14 +686,14 @@ class TestWorkers:
         self._in_children(monkeypatch, refuse)
         with pytest.raises(ParameterError, match="range at 1000 refused"):  # the child's range
             oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2)
-        self._assert_every_child_reaped()
+        assert_every_child_reaped()
 
     @pytest.mark.parametrize("code", [3, 0])  # 0: ends cleanly, but sends nothing
     def test_a_worker_that_dies_raises_convergence_error(self, monkeypatch, code):
         self._in_children(monkeypatch, lambda lo: os._exit(code))
         with pytest.raises(oracle.ConvergenceError, match=rf"worker 1 .*exit status {code}\)"):
             oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2)
-        self._assert_every_child_reaped()
+        assert_every_child_reaped()
 
     def test_a_failing_parent_share_kills_its_workers(self, monkeypatch):
         import time
@@ -717,7 +710,7 @@ class TestWorkers:
         with pytest.raises(KeyboardInterrupt):
             oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2)
         assert time.monotonic() - start < 10.0
-        self._assert_every_child_reaped()
+        assert_every_child_reaped()
 
 
 def _reference_walk(params, strategy, trials, seed, max_steps):
