@@ -7,6 +7,7 @@ from .core import (
     Strategy,
     UnsupportedRegimeError,
     WalkParams,
+    WorkerError,
 )
 from .charpoly import (
     DerivativeBundle,
@@ -46,6 +47,7 @@ __all__ = [
     "Strategy",
     "UnsupportedRegimeError",
     "WalkParams",
+    "WorkerError",
     "absorption_profile",
     "bc_ratio",
     "characteristic",

@@ -9,8 +9,9 @@ mgf        generating-function values at a given z
 verify     the three-layer agreement suite; exit 0 iff every check passes
 sweep      CSV over parameter ranges (``--p 0.3:0.7:0.05`` style)
 
-Exit codes: 0 success, 1 verification failure, an unresolved oracle, a closed
-stdout or a missing numpy, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, an unresolved oracle, a worker
+process that ended without its result, a closed stdout or a missing numpy,
+2 usage or parameter error.
 Errors are emitted as one-line JSON on stderr.  JSON output carries full
 float precision; ``--format table`` rounds to six significant digits.
 """
@@ -32,6 +33,7 @@ from .core import (
     Strategy,
     UnsupportedRegimeError,
     WalkParams,
+    WorkerError,
 )
 
 # one group a line: the instance and strategy, the cells that depend on the
@@ -491,6 +493,9 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         print(json.dumps({"error": f"oracle did not converge: {exc}"}), file=sys.stderr)
+        return 1
+    except WorkerError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     except ModuleNotFoundError as exc:  # Monte Carlo and mass propagation import numpy on first use
         if exc.name != "numpy":

@@ -40,6 +40,10 @@ class ConvergenceError(RuntimeError):
     """An oracle could not resolve its answer to working precision."""
 
 
+class WorkerError(RuntimeError):
+    """A forked worker process ended without sending its result."""
+
+
 class Strategy(str, Enum):
     """The stop rule: :meth:`is_barrier` for t > 0 and :attr:`stops_at_start` for t = 0."""
 

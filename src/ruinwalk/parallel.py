@@ -1,7 +1,8 @@
 """Shares of one command's work, each past the first in a forked process.
 
 Loaded only by the commands that may fork: ``simulate`` for its trial
-ranges and ``sweep`` for the rows of a large grid.
+ranges, ``sweep`` for the rows of a large grid and ``verify`` for its
+exact-solver checks.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import os
 import pickle
 
-from .core import ConvergenceError
+from .core import WorkerError
 
 
 def usable_cpus() -> int:
@@ -27,7 +28,7 @@ def run_shares(work, shares: list, what: str) -> list:
     which pipes back its pickled result or exception; without ``os.fork``
     every share runs here.  Results come back in share order, and so does
     the first failing share's exception, with its type.  A child that ends
-    without a result raises :class:`ConvergenceError`, which calls it
+    without a result raises :class:`WorkerError`, which calls it
     ``what`` worker k, k its share's index; no child outlives the call.
     The caller runs no other thread: a child gets a copy of this one alone.
     """
@@ -65,7 +66,7 @@ def run_shares(work, shares: list, what: str) -> list:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if code or not data:  # a child exits 0 only once its whole result is sent
-                raise ConvergenceError(
+                raise WorkerError(
                     f"{what} worker {worker} ended without a result (exit status {code})"
                 )
             ok, value = pickle.loads(data)

@@ -4,6 +4,11 @@ Each check returns a named pass/fail record so the CLI can print one line
 per identity and name the first failure.  The default grids match the
 acceptance criteria; ``quick=True`` skips the Monte Carlo layer.
 
+:func:`run_all` runs the identity checks in this process and, with two
+usable CPUs, the exact-solver and errata checks in a forked one
+(:func:`ruinwalk.parallel.run_shares`).  The functions that call an oracle
+import it themselves, so only the process that runs them compiles it.
+
 An evaluation compares values built independently of each other.  What
 holds by construction is not evaluated: ``tau1 tau2 = omega`` and
 ``psi1 phi2 = (1-s) omega**i0`` are how tau2 and phi2 are built, and past
@@ -26,7 +31,7 @@ import random
 from typing import NamedTuple
 
 from . import charpoly as cp
-from . import metrics, mgf, oracle
+from . import metrics, mgf
 from .core import Strategy, WalkParams
 
 GRID_P = (0.3, 0.45, 0.5, 0.55, 0.7)
@@ -233,6 +238,8 @@ def check_derivatives_fd() -> CheckResult:
 
 def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> list[CheckResult]:
     """The profiles' fields, from which every barrier's value is computed: heads, means and tails."""
+    from . import oracle
+
     worst_p, where_p = 0.0, "-"
     worst_t, where_t = 0.0, "-"
     worst_r, where_r = 0.0, "-"
@@ -272,6 +279,8 @@ def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> lis
 
 
 def check_errata(inject_wrong_mb: bool = False) -> list[CheckResult]:
+    from . import oracle
+
     results = []
 
     # 1. theta coupling: the 1/(1-s) scaling on the tau-power gap is required.
@@ -360,6 +369,8 @@ def _phi_is_consistent_or_matches(
 def check_monte_carlo(
     trials: int = 1_000_000, seed: int = 20240914, sigmas: float = 4.0
 ) -> list[CheckResult]:
+    from . import oracle
+
     results = []
     for p, s, i0, strategy in MC_GRID:
         params = WalkParams(p, s, i0)
@@ -381,6 +392,8 @@ def check_monte_carlo(
 
 
 def _mc_point(params, strategy, sol, trials, seed, sigmas):
+    from . import oracle
+
     sim = oracle.simulate(params, strategy, trials, seed=seed, workers=os.cpu_count() or 1)
     worst_z = 0.0
     for k in (0, 1, 2, 3):
@@ -398,13 +411,8 @@ def _mc_point(params, strategy, sol, trials, seed, sigmas):
 # top level
 
 
-def run_all(
-    quick: bool = False,
-    trials: int = 1_000_000,
-    seed: int = 20240914,
-    inject_wrong_mb: bool = False,
-) -> list[CheckResult]:
-    checks = [
+def _identity_checks() -> list[CheckResult]:
+    return [
         check_step_roots(),
         check_theta_symmetric_limit(),
         check_b_from_a_relation(),
@@ -417,8 +425,29 @@ def run_all(
         check_time_decomposition(),
         check_derivatives_fd(),
     ]
-    checks.extend(check_exact_agreement())
-    checks.extend(check_errata(inject_wrong_mb=inject_wrong_mb))
+
+
+def _solver_checks(inject_wrong_mb: bool) -> list[CheckResult]:
+    return [*check_exact_agreement(), *check_errata(inject_wrong_mb=inject_wrong_mb)]
+
+
+def run_all(
+    quick: bool = False,
+    trials: int = 1_000_000,
+    seed: int = 20240914,
+    inject_wrong_mb: bool = False,
+) -> list[CheckResult]:
+    """Every check's result in the order listed, however many CPUs ran them."""
+    from . import parallel
+
+    # about equally long, the solver's share with oracle's compile; with two
+    # CPUs this process runs only the first, and compiles no oracle if quick
+    shares = [_identity_checks, lambda: _solver_checks(inject_wrong_mb)]
+    if parallel.usable_cpus() > 1:
+        parts = parallel.run_shares(lambda share: share(), shares, "verify")
+    else:
+        parts = [share() for share in shares]
+    checks = [check for part in parts for check in part]
     if not quick:
         checks.extend(check_monte_carlo(trials=trials, seed=seed))
     return checks

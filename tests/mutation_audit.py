@@ -34,6 +34,7 @@ import ast
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -83,30 +84,34 @@ _FLIP = {
     ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
 
-# runs in the mutant's copy: each check guarded, so one that raises hides no other
+# runs in the mutant's copy: each check guarded, so one that raises hides no
+# other; a raise becomes a failing result, which comes back from a forked
+# share of run_all as any other result does
 _VERIFY = r"""
+import inspect
 import json
 from ruinwalk import verify
 
-failed = {}
-
 
 def guarded(name, check):
+    many = str(inspect.signature(check).return_annotation).startswith("list")
+
     def run(*args, **kwargs):
         try:
             return check(*args, **kwargs)
         except Exception as exc:
-            failed[name + " (raised)"] = type(exc).__name__
-            return []
+            raised = verify.CheckResult(name + " (raised)", False, type(exc).__name__)
+            return [raised] if many else raised
     return run
 
 
 for name in dir(verify):
     if name.startswith("check_"):
         setattr(verify, name, guarded(name, getattr(verify, name)))
+failed = {}
 for result in verify.run_all(quick=True):
-    if not isinstance(result, list) and not result.passed:  # a list stands in for a raise
-        failed[result.name] = "failed"
+    if not result.passed:
+        failed[result.name] = result.detail if result.name.endswith(" (raised)") else "failed"
 print(json.dumps(failed))
 """
 
@@ -197,9 +202,16 @@ def _run(work: Path, mutant: Mutant, argv: list[str], timeout: float) -> subproc
     path.write_text(mutant.source)
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        return subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return None
+        # its own session, so that a timeout kills the processes it forked too
+        with subprocess.Popen(argv, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                return None
+        return subprocess.CompletedProcess(argv, proc.returncode, out, err)
     finally:
         path.write_text(original)
         shutil.rmtree(work / ".hypothesis", ignore_errors=True)

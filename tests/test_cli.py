@@ -284,7 +284,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "how, code, message",
-        [("raises", 2, "refused in a worker"), ("dies", 1, "did not converge")],
+        [("raises", 2, "refused in a worker"), ("dies", 1, "Monte Carlo worker 1 ended without a result")],
     )
     def test_a_failing_worker_exits_with_one_line_json(self, capsys, monkeypatch, how, code, message):
         # three ranges of 1,000 trials on two CPUs: one forked worker, which
@@ -862,9 +862,76 @@ class TestSweepWorkers:
         code, out, err = run_cli(["sweep", *self.GRID], capsys)
         assert (code, out) == (1, "")
         assert forks == [1]
-        assert json.loads(err) == {
-            "error": "oracle did not converge: sweep worker 1 ended without a result (exit status 3)"
-        }
+        assert json.loads(err) == {"error": "sweep worker 1 ended without a result (exit status 3)"}
+        assert_every_child_reaped()
+
+
+class TestVerifyWorkers:
+    """The exact-solver checks in a forked process while this one runs the identity checks."""
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--inject-wrong-mb"]],
+                             ids=["text", "json", "inject-wrong-mb"])
+    def test_output_is_the_same_on_two_cpus_one_or_without_fork(self, flags, forks, monkeypatch, capsys):
+        argv = ["verify", "--quick", *flags]
+        runs, fork_counts = [], []
+        for cpus in (2, 1):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            runs.append(run_cli(argv, capsys))
+            fork_counts.append(len(forks))
+        assert fork_counts == [1, 1]  # one fork on two CPUs, none on one
+        assert_every_child_reaped()
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        runs.append(run_cli(argv, capsys))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == (1 if "--inject-wrong-mb" in flags else 0)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_only_the_process_that_runs_the_solver_compiles_oracle(self, cpus):
+        # the errata checks run in the solver's process; a record appended to
+        # theirs passes if oracle is loaded there and names that process
+        script = (
+            "import contextlib, io, json, os, sys\n"
+            "from ruinwalk import cli, parallel, verify\n"
+            f"parallel.usable_cpus = lambda: {cpus}\n"
+            "errata = verify.check_errata\n"
+            "def check_errata(**kwargs):\n"
+            "    here = verify.CheckResult('solver', 'ruinwalk.oracle' in sys.modules, str(os.getpid()))\n"
+            "    return [*errata(**kwargs), here]\n"
+            "verify.check_errata = check_errata\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = cli.main(['verify', '--quick', '--format', 'json'])\n"
+            "solver = json.loads(out.getvalue())[-1]\n"
+            "print(code, solver['passed'], solver['detail'] == str(os.getpid()), 'ruinwalk.oracle' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the solver's process loads oracle; this one only if it is that process
+        here = cpus == 1
+        assert proc.stdout.split() == ["0", "True", str(here), str(here)]
+
+    @pytest.mark.parametrize("how, message", [
+        ("raises", "oracle did not converge: the period map's eigenvalues are too close to separate"),
+        ("dies", "verify worker 1 ended without a result (exit status 3)"),
+    ])
+    def test_a_failing_solver_share_exits_1_with_one_line_json(self, how, message, forks, monkeypatch, capsys):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        parent, real = os.getpid(), verify.check_exact_agreement
+
+        def check_exact_agreement():
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise core.ConvergenceError("the period map's eigenvalues are too close to separate")
+                os._exit(3)
+            return real()
+
+        monkeypatch.setattr(verify, "check_exact_agreement", check_exact_agreement)
+        code, out, err = run_cli(["verify", "--quick"], capsys)
+        assert (code, out) == (1, "")
+        assert forks == [1]
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": message}
         assert_every_child_reaped()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruinwalk import metrics, oracle, parallel, rng
-from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
+from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams, WorkerError
 
 from conftest import SQRT3, assert_every_child_reaped, small_grid
 
@@ -689,9 +689,9 @@ class TestWorkers:
         assert_every_child_reaped()
 
     @pytest.mark.parametrize("code", [3, 0])  # 0: ends cleanly, but sends nothing
-    def test_a_worker_that_dies_raises_convergence_error(self, monkeypatch, code):
+    def test_a_worker_that_dies_raises_worker_error(self, monkeypatch, code):
         self._in_children(monkeypatch, lambda lo: os._exit(code))
-        with pytest.raises(oracle.ConvergenceError, match=rf"worker 1 .*exit status {code}\)"):
+        with pytest.raises(WorkerError, match=rf"^Monte Carlo worker 1 .*exit status {code}\)$"):
             oracle.simulate(self.PARAMS, Strategy.B, 3000, seed=5, max_steps=200, workers=2)
         assert_every_child_reaped()
 
