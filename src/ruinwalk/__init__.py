@@ -9,61 +9,35 @@ from .core import (
     WalkParams,
     WorkerError,
 )
-from .charpoly import (
-    DerivativeBundle,
-    PhiPair,
-    RootPair,
-    derivatives_at_1,
-    phi_roots,
-    tau_roots,
-    theta,
-)
-from .mgf import Characteristic, characteristic, mgf_a, mgf_b, mgf_c
-from .mgf import mgf_interior, mgf_states, mgf_value
-from .metrics import absorption_profile, bc_ratio, mean_time_any, time_profile
 
 __version__ = "0.1.0"
 
-# served by __getattr__, so that only a caller of an oracle loads ruinwalk.oracle
-_ORACLE_NAMES = frozenset({"ExactSolution", "SimResult", "mgf_dp", "simulate", "solve_exact"})
+# every other public name, by the submodule that defines it: __getattr__
+# serves it on first use, so `import ruinwalk` compiles only core
+_LAZY = {
+    name: module
+    for module, names in {
+        "charpoly": "DerivativeBundle PhiPair RootPair derivatives_at_1 phi_roots tau_roots theta",
+        "mgf": "Characteristic characteristic mgf_a mgf_b mgf_c mgf_interior mgf_states mgf_value",
+        "metrics": "absorption_profile bc_ratio mean_time_any time_profile",
+        "oracle": "ExactSolution SimResult mgf_dp simulate solve_exact",
+    }.items()
+    for name in names.split()
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
-__all__ = [
-    "Characteristic",
-    "ConvergenceError",
-    "DerivativeBundle",
-    "ExactSolution",
-    "ParameterError",
-    "PhiPair",
-    "Profile",
-    "RootPair",
-    "SimResult",
-    "Strategy",
-    "UnsupportedRegimeError",
-    "WalkParams",
-    "WorkerError",
-    "absorption_profile",
-    "bc_ratio",
-    "characteristic",
-    "derivatives_at_1",
-    "mean_time_any",
-    "mgf_a",
-    "mgf_b",
-    "mgf_c",
-    "mgf_dp",
-    "mgf_interior",
-    "mgf_states",
-    "mgf_value",
-    "phi_roots",
-    "simulate",
-    "solve_exact",
-    "tau_roots",
-    "theta",
-    "time_profile",
-]
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+__all__ = sorted([
+    "ConvergenceError", "ParameterError", "Profile", "Strategy",
+    "UnsupportedRegimeError", "WalkParams", "WorkerError", *_LAZY,
+])

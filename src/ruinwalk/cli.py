@@ -20,13 +20,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
 
-from . import charpoly as cp
-from . import metrics, mgf
 from .core import (
     ConvergenceError,
     ParameterError,
@@ -53,76 +50,9 @@ def _params_from(args) -> WalkParams:
     return WalkParams(p=args.p, s=args.s, i0=args.i0)
 
 
-def _diagnostics(params: WalkParams) -> dict:
-    """Roots at z=1."""
-    if params.s >= 1.0:  # theta and phi are undefined
-        roots = cp.tau_roots(1.0, params)
-        return {"tau1": roots.tau1, "tau2": roots.tau2, "theta": None, "phi1": None, "phi2": None}
-    char = mgf.characteristic(params, 1.0)
-    return {
-        "tau1": char.roots.tau1,
-        "tau2": char.roots.tau2,
-        "theta": char.theta,
-        "phi1": char.phi.psi1 / (1.0 - params.s),
-        "phi2": char.phi.phi2,
-    }
-
-
-def _times_block(params: WalkParams, strategy: Strategy, kmax: int) -> dict:
-    """Killed-time profile, from the closed forms or, for the exactly
-    driftless walk with 0 < s < 1, from the exact solver where it converges."""
-    # The closed forms answer p = 1/2 too (the tests hold the two routes to
-    # 1e-7).  This route stays only because the benchmark's tracer self-test
-    # (bench/test_tracer.py, MUST_RUN) needs its sweep to reach
-    # oracle.solve_exact; it and times.source go when the benchmark's
-    # workloads are next updated.  It is all that loads oracle in `analytic`
-    # and `sweep`.
-    if params.symmetric and 0.0 < params.s < 1.0:
-        from . import oracle
-        try:
-            et = oracle.solve_exact(params, strategy).times.upto(kmax)
-            return {"m_total": metrics.mean_time_any(params, strategy), "et": et, "source": "exact"}
-        except ConvergenceError:
-            pass  # as s -> 0 a period's eigenvalues do not separate; the closed forms answer
-    et = metrics.time_profile(params, strategy).upto(kmax)
-    return {"m_total": metrics.mean_time_any(params, strategy), "et": et, "source": "analytic"}
-
-
 def _require_kmax(kmax: int) -> None:
     if kmax < 1:
         raise ParameterError(f"kmax must be >= 1, got {kmax}")
-
-
-def _analytic_report(params: WalkParams, strategy: Strategy, args) -> dict:
-    _require_kmax(args.kmax)
-    prof = metrics.absorption_profile(params, strategy)
-    p0, *pk = prof.upto(args.kmax)
-    report = {
-        "params": {
-            "p": params.p,
-            "s": params.s,
-            "i0": params.i0,
-            "q": params.q,
-            "omega": params.omega,
-        },
-        "strategy": strategy.value,
-        "absorption": {
-            "p0": p0,
-            "pk": pk,
-            "tail_bound": prof.beyond(args.kmax),
-        },
-        "times": _times_block(params, strategy, args.kmax),
-        "diagnostics": _diagnostics(params),
-    }
-    if args.z is not None:
-        values = mgf._barrier_fn(strategy)(params, args.z).upto(args.kmax)
-        report["mgf"] = {"z": args.z, "barrier_values": values}
-    if args.conditional:
-        et = report["times"]["et"]
-        report["conditional_times"] = [
-            (t / pk if pk > 0 else None) for t, pk in zip(et, [p0, *pk])
-        ]
-    return report
 
 
 def _float_cell(value) -> str:
@@ -151,6 +81,7 @@ def _flatten_report(node, lists: bool, prefix: str = "") -> dict:
 
 def _emit(report: dict, args) -> None:
     if args.format == "json":
+        import json  # loaded only where JSON is written
         text = json.dumps(report, indent=2)
     elif args.format == "csv":
         flat = _flatten_report(report, lists=True)
@@ -183,8 +114,8 @@ def _write_out(text: str, args) -> None:
 
 
 def cmd_analytic(args) -> int:
-    params = _params_from(args)
-    report = _analytic_report(params, Strategy(args.strategy), args)
+    from . import reports
+    report = reports.analytic_report(_params_from(args), Strategy(args.strategy), args)
     _emit(report, args)
     return 0
 
@@ -252,28 +183,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_mgf(args) -> int:
-    params = _params_from(args)
-    _require_kmax(args.kmax)
-    strategy = Strategy(args.strategy)
-    report = {
-        "params": {"p": params.p, "s": params.s, "i0": params.i0},
-        "strategy": args.strategy,
-        "z": args.z,
-        "barrier_values": mgf._barrier_fn(strategy)(params, args.z).upto(args.kmax),
-    }
-    if args.state is not None:
-        report["state"] = args.state
-        report["state_value"] = mgf.mgf_value(params, strategy, args.z, args.state)
-    if args.check_dp:
-        if not 0.0 < args.z < 1.0:
-            raise ParameterError("--check-dp needs 0 < z < 1")
-        from . import oracle
-        sample = args.state if args.state is not None else params.i0
-        dp = oracle.mgf_dp(params, strategy, args.z, sample, tol=args.tol)
-        report["dp_state"] = sample
-        report["dp_value"] = dp
-        report["dp_gap"] = abs(dp - mgf.mgf_value(params, strategy, args.z, sample))
-    _emit(report, args)
+    from . import reports
+    _emit(reports.mgf_report(_params_from(args), Strategy(args.strategy), args), args)
     return 0
 
 
@@ -288,6 +199,7 @@ def cmd_verify(args) -> int:
     )
     failures = [c for c in checks if not c.passed]
     if args.format == "json":
+        import json
         print(json.dumps([c._asdict() for c in checks], indent=2))
     else:
         width = max(len(c.name) for c in checks)
@@ -323,33 +235,8 @@ def _parse_range(text: str, integer: bool = False) -> tuple:
     return count, values if integer else (round(val, 12) for val in values)
 
 
-def _sweep_cells(params: WalkParams, strategy: Strategy, kmax: int) -> str:
-    """The cells of a sweep row that depend on the strategy, p0 through et3."""
-    prof = metrics.absorption_profile(params, strategy)
-    times = _times_block(params, strategy, 3)
-    return _cells((*prof.upto(3), prof.beyond(kmax), times["m_total"], *times["et"]))
-
-
-def _sweep_rows(instances, strategies: list[Strategy], kmax: int) -> list[str]:
-    """The CSV rows of ``instances``, each a (p, s, i0), in order."""
-    rows = []
-    for p, s, i0 in instances:
-        params = WalkParams(p=p, s=s, i0=i0)
-        _require_kmax(kmax)  # after the instance's own checks, ahead of its rows
-        # mgf and charpoly keep the last instance's z=1 characteristic and
-        # derivatives, so every column of the instance shares one solve; the
-        # cells that do not depend on the strategy are formatted once
-        ratio = metrics.bc_ratio(params) if 0.0 < s < 1.0 else None
-        lead = _cells((params.p, params.s, params.i0))
-        omega = _float_cell(params.omega)
-        trail = _cells((ratio, *_diagnostics(params).values()))
-        for strategy in strategies:
-            cells = _sweep_cells(params, strategy, kmax)
-            rows.append(f"{lead},{strategy.value},{omega},{cells},{trail}")
-    return rows
-
-
 def cmd_sweep(args) -> int:
+    from . import reports  # here, so that a forked share inherits the compiled closed forms
     axes = [_parse_range(args.p), _parse_range(args.s), _parse_range(args.i0, integer=True)]
     strategies = (
         [Strategy.A, Strategy.B, Strategy.C]
@@ -364,7 +251,7 @@ def cmd_sweep(args) -> int:
     def rows(share: tuple[int, int]) -> list[str]:
         # the product's ascending order is the rows' lexicographic order
         instances = itertools.islice(itertools.product(ps, ss, i0s), *share)
-        return _sweep_rows(instances, strategies, args.kmax)
+        return reports.sweep_rows(instances, strategies, args.kmax)
 
     # contiguous equal shares, one per usable CPU and each of at least
     # _SWEEP_SHARE_MIN instances, joined in order: the CSV and the first
@@ -477,6 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(message: str) -> None:
+    import json
+    print(json.dumps({"error": message}), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -489,18 +381,18 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ParameterError, UnsupportedRegimeError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _print_error(str(exc))
         return 2
     except ConvergenceError as exc:
-        print(json.dumps({"error": f"oracle did not converge: {exc}"}), file=sys.stderr)
+        _print_error(f"oracle did not converge: {exc}")
         return 1
     except WorkerError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _print_error(str(exc))
         return 1
     except ModuleNotFoundError as exc:  # Monte Carlo and mass propagation import numpy on first use
         if exc.name != "numpy":
             raise
-        print(json.dumps({"error": f"this command needs numpy: {exc}"}), file=sys.stderr)
+        _print_error(f"this command needs numpy: {exc}")
         return 1
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import ruinwalk
 from ruinwalk import charpoly as cp
-from ruinwalk import cli, core, metrics, mgf, oracle, parallel, verify
+from ruinwalk import cli, core, metrics, mgf, oracle, parallel, reports, verify
 from ruinwalk.core import ParameterError, Strategy, WalkParams
 
 import decimal_reference as ref
@@ -850,15 +850,42 @@ class TestSweepWorkers:
         monkeypatch.delattr(os, "fork")
         assert run_cli(grid, capsys) == forked == (2, "", '{"error": "p must lie in (0, 1), got 1.0"}\n')
 
+    def test_the_closed_forms_compile_before_the_fork(self, tmp_path):
+        # 2 x 5 x 26 = 260 instances and no p = 1/2 row: two shares, one of
+        # them forked.  -X importtime logs the child's imports on the stderr
+        # it shares, so a closed form the child compiled again would be listed twice
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import os, sys\n"
+            "from ruinwalk import cli, parallel\n"
+            "parallel.usable_cpus = lambda: 2\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "code = cli.main(['sweep', '--p', '0.4:0.6:0.2', '--s', '0.1:0.9:0.2', '--i0', '1:26:1',\n"
+            "                 '--out', sys.argv[1]])\n"
+            "print(code, len(forks))\n"
+        )
+        out = tmp_path / "sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", script, str(out)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+        assert len(out.read_text().splitlines()) == 1 + 260 * 3
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        for module in ("ruinwalk.charpoly", "ruinwalk.mgf", "ruinwalk.metrics"):
+            assert imported.count(module) == 1, module
+
     def test_a_child_that_dies_exits_1_with_one_line_json(self, forks, monkeypatch, capsys):
-        parent, real = os.getpid(), cli._sweep_rows
+        parent, real = os.getpid(), reports.sweep_rows
 
         def sweep_rows(*args):
             if os.getpid() != parent:
                 os._exit(3)
             return real(*args)
 
-        monkeypatch.setattr(cli, "_sweep_rows", sweep_rows)
+        monkeypatch.setattr(reports, "sweep_rows", sweep_rows)
         code, out, err = run_cli(["sweep", *self.GRID], capsys)
         assert (code, out) == (1, "")
         assert forks == [1]
@@ -979,16 +1006,16 @@ class TestSubprocessEntryPoints:
             "import sys\n"
             "import ruinwalk.cli\n"
             "ruinwalk.cli.build_parser()\n"
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy', 'ruinwalk.oracle',\n"
-            "                           'ruinwalk.parallel', 'ruinwalk.rng', 'ruinwalk.verify')\n"
-            "               if m in sys.modules))\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'numpy') if m in sys.modules))\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('ruinwalk'))))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src_dir},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        # the closed forms, the oracles, the suite and json load with the commands that use them
+        assert proc.stdout.splitlines() == ["", "ruinwalk ruinwalk.cli ruinwalk.core"]
 
     @pytest.mark.parametrize("argv, loads", [
         (["analytic", "--p", "0.4", "--s", "0.5", "--i0", "3", "--strategy", "B"], False),
@@ -998,6 +1025,8 @@ class TestSubprocessEntryPoints:
         (["mgf", "--p", "0.4", "--s", "0.5", "--i0", "3", "--strategy", "B", "--z", "0.5",
           "--check-dp"], True),
         (["sweep", "--p", "0.45:0.5:0.05", "--s", "0.5", "--i0", "1:2:1"], True),
+        (["simulate", "--p", "0.4", "--s", "0.5", "--i0", "3", "--strategy", "B", "--trials", "1000"], True),
+        (["verify", "--quick"], True),
     ])
     @pytest.mark.parametrize("site", [[], ["-S"]], ids=["site", "no-site"])
     def test_only_oracle_commands_load_the_oracles(self, argv, loads, site, capsys):
@@ -1015,6 +1044,11 @@ class TestSubprocessEntryPoints:
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "ruinwalk.cli" in imported
         assert ("ruinwalk.oracle" in imported) is loads
+        # the closed forms load with the commands that read them, json where JSON is written
+        closed_forms = {"ruinwalk.charpoly", "ruinwalk.mgf", "ruinwalk.metrics"}
+        assert imported & closed_forms == (set() if argv[0] in ("exact", "simulate") else closed_forms)
+        assert ("ruinwalk.reports" in imported) is (argv[0] in ("analytic", "mgf", "sweep"))
+        assert ("json" in imported) is (argv[0] not in ("sweep", "verify"))
         # the same bytes as this process, which imported oracle up front
         assert run_cli(argv, capsys)[:2] == (0, proc.stdout)
 
@@ -1040,6 +1074,7 @@ class TestSubprocessEntryPoints:
         script = (
             "import sys\n"
             "import ruinwalk\n"
+            "print(sorted(m for m in sys.modules if m.startswith('ruinwalk')))\n"
             "try:\n"
             "    ruinwalk.no_such_name\n"
             "except AttributeError as exc:\n"
@@ -1054,13 +1089,33 @@ class TestSubprocessEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "module 'ruinwalk' has no attribute 'no_such_name'", "False", "True True"
+            "['ruinwalk', 'ruinwalk.core']",
+            "module 'ruinwalk' has no attribute 'no_such_name'", "False", "True True",
         ]
 
-    @pytest.mark.parametrize("name", ["ExactSolution", "SimResult", "mgf_dp", "simulate", "solve_exact"])
+    @pytest.mark.parametrize("name", sorted(ruinwalk._LAZY))
     def test_lazy_names_are_the_oracles_own(self, name):
+        # every name the package serves on first use is its defining submodule's object
+        module = importlib.import_module(f"ruinwalk.{ruinwalk._LAZY[name]}")
         assert name in ruinwalk.__all__
-        assert getattr(ruinwalk, name) is getattr(oracle, name)
+        assert getattr(ruinwalk, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+
+    def test_dir_lists_every_public_name(self):
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import ruinwalk\n"
+            "names = dir(ruinwalk)\n"
+            "print(names == sorted(names), set(ruinwalk.__all__) <= set(names), 'core' in names)\n"
+            "ruinwalk.solve_exact\n"
+            "print(dir(ruinwalk) == sorted({*names, 'oracle'}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True", "True", "True"]
 
     def test_star_import_binds_every_public_name(self):
         namespace = {}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
-from ruinwalk import cli, metrics, mgf, oracle
+from ruinwalk import metrics, mgf, oracle, reports
 from ruinwalk.core import ParameterError, Profile, Strategy, UnsupportedRegimeError, WalkParams
 
 import decimal_reference as ref
@@ -155,7 +155,7 @@ class TestOneSolvePerProfile:
                 metrics.mean_time_any(params, other)
             metrics.bc_ratio(params)
             cp.derivatives_at_1(params)
-            cli._diagnostics(params)
+            reports.diagnostics(params)
             assert calls[0] == 1, first.__name__
 
 

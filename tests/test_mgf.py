@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
-from ruinwalk import cli, metrics, mgf, oracle
+from ruinwalk import metrics, mgf, oracle, reports
 from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, WalkParams
 
 from conftest import SQRT3, grid_params, small_grid
@@ -326,7 +326,7 @@ def _unit_z_functions():
     out = {
         "bc_ratio": metrics.bc_ratio,
         "derivatives_at_1": cp.derivatives_at_1,
-        "cli diagnostics": cli._diagnostics,
+        "cli diagnostics": reports.diagnostics,
     }
     for strat in Strategy:
         out[f"absorption_profile {strat.value}"] = (
