@@ -321,9 +321,9 @@ def mgf_dp(
 
     Needs ``0 < z < 1`` strictly: the remaining-tail bound
     ``z**m * alive / (1 - z)`` is what terminates the sum.  Values at z=1
-    come from :func:`solve_exact` instead.  For strategy B the m=0 presence
-    at the start state is excluded, matching the delayed-barrier bookkeeping
-    of the closed forms.
+    come from :func:`solve_exact` instead.  Where the start is a barrier
+    at t > 0 that does not stop at t = 0 (strategy B), its m=0 presence is
+    excluded, matching the delayed-barrier bookkeeping of the closed forms.
     """
     if not 0.0 < z < 1.0:
         raise ParameterError(f"mass propagation needs 0 < z < 1, got z={z}")
@@ -338,7 +338,7 @@ def mgf_dp(
     while trunc_k <= 1 << 20:
         value = _dp_once(params, strategy, z, state, trunc_k, tol / 4.0)
         if prev is not None and abs(value - prev) < tol:
-            if strategy is Strategy.B and state == i0:
+            if state == i0 and strategy.is_barrier(i0, i0) and not strategy.stops_at_start:
                 value -= 1.0
             return value
         prev = value

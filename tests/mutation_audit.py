@@ -13,14 +13,18 @@ Every mutant is written into a temporary copy of ``src/`` and ``tests/``,
 never into the tree itself; the copy holds each audited module as
 ``ast.unparse`` writes it, as every mutant is written, so a mutant differs
 from the copy in its one token alone.  Phase 1 runs every ``verify --quick``
-check on it and records which checks fail or raise; the mutant is killed if
-one does, or if the run crashes or times out.  Phase 2 runs the tests of the
-closed-form modules with ``-x`` on the mutants phase 1 missed, with
-``--hypothesis-seed=0`` and no examples kept from an earlier mutant.  A
+check on it and records which check functions fail or raise; the mutant is
+killed if one does, or if the run crashes or times out.  Phase 2 runs the
+tests of the closed-form modules with ``-x`` on the mutants phase 1 missed,
+with ``--hypothesis-seed=0`` and no examples kept from an earlier mutant.  A
 mutant that survives both phases must be listed in :data:`EQUIVALENT`, keyed by
 module, source line and mutation, with the reason it changes no answer;
 any other survivor, and any entry of the list that is stale or killed,
-makes the audit exit 1.
+makes the audit exit 1.  So does a check function of verify's identity share
+(``_identity_checks``) that kills no mutant alone, that is, none that every
+other check misses.  The exact-solver and errata checks are exempt: the first
+is the README's agreement guarantee, the second pins each erratum from both
+sides.
 
 Run it as ``python tests/mutation_audit.py`` (standard library only; phase 2
 needs pytest and hypothesis, as the tests do).  It audits the checkout that
@@ -85,8 +89,9 @@ _FLIP = {
 }
 
 # runs in the mutant's copy: each check guarded, so one that raises hides no
-# other; a raise becomes a failing result, which comes back from a forked
-# share of run_all as any other result does
+# other; a raise becomes a failing result named "<check> (raised)", and any
+# other failing result takes its check function's name, so that it names the
+# function when it comes back from a forked share of run_all
 _VERIFY = r"""
 import inspect
 import json
@@ -98,10 +103,14 @@ def guarded(name, check):
 
     def run(*args, **kwargs):
         try:
-            return check(*args, **kwargs)
+            out = check(*args, **kwargs)
         except Exception as exc:
             raised = verify.CheckResult(name + " (raised)", False, type(exc).__name__)
             return [raised] if many else raised
+
+        def named(result):
+            return result if result.passed else verify.CheckResult(name, False, result.name)
+        return [named(result) for result in out] if many else named(out)
     return run
 
 
@@ -111,7 +120,7 @@ for name in dir(verify):
 failed = {}
 for result in verify.run_all(quick=True):
     if not result.passed:
-        failed[result.name] = result.detail if result.name.endswith(" (raised)") else "failed"
+        failed.setdefault(result.name, []).append(result.detail)
 print(json.dumps(failed))
 """
 
@@ -217,13 +226,13 @@ def _run(work: Path, mutant: Mutant, argv: list[str], timeout: float) -> subproc
         shutil.rmtree(work / ".hypothesis", ignore_errors=True)
 
 
-def verify_kills(work: Path, mutant: Mutant) -> dict[str, str]:
-    """The verify checks that fail or raise on ``mutant``; empty if it survives."""
+def verify_kills(work: Path, mutant: Mutant) -> dict[str, list[str]]:
+    """The verify check functions that fail or raise on ``mutant``, each with what failed; empty if it survives."""
     proc = _run(work, mutant, [sys.executable, "-c", _VERIFY], VERIFY_TIMEOUT_S)
     if proc is None:
-        return {"(run)": f"timeout after {VERIFY_TIMEOUT_S} s"}
+        return {"(run)": [f"timeout after {VERIFY_TIMEOUT_S} s"]}
     if proc.returncode:
-        return {"(run)": f"crash, exit {proc.returncode}"}
+        return {"(run)": [f"crash, exit {proc.returncode}"]}
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -252,6 +261,13 @@ def _map(fn, items: list, workdirs: SimpleQueue) -> list:
 
     with ThreadPoolExecutor(JOBS) as pool:
         return list(pool.map(one, items))
+
+
+def identity_checks() -> list[str]:
+    """The check functions that verify's identity share, ``_identity_checks``, calls, in order."""
+    tree = ast.parse((ROOT / "src" / "ruinwalk" / "verify.py").read_text())
+    share = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_identity_checks")
+    return [node.func.id for node in ast.walk(share) if isinstance(node, ast.Call)]
 
 
 def audit() -> dict:
@@ -284,13 +300,26 @@ def audit() -> dict:
              "verify": k, "tests": killers.get(m.key) if not k else None}
             for m, k in zip(found, kills)
         ],
+        "identity_checks": identity_checks(),
         "verify_s": round(verify_s, 1),
         "tests_s": round(tests_s, 1),
     }
 
 
+def tally(report: dict) -> tuple[Counter, Counter]:
+    """Per check function, the mutants it kills and those it kills alone; a raise counts for its function."""
+    kills, alone = Counter(), Counter()
+    for m in report["mutants"]:
+        checks = {name.removesuffix(" (raised)") for name in m["verify"]}
+        kills.update(checks)
+        if len(checks) == 1:
+            alone.update(checks)
+    return kills, alone
+
+
 def judge(report: dict) -> list[str]:
-    """The audit's faults: survivors of both phases not listed as equivalent, and stale or killed entries."""
+    """The audit's faults: survivors of both phases not listed as equivalent, stale or killed entries,
+    and identity checks that kill no mutant alone."""
     faults, keys = [], set()
     for m in report["mutants"]:
         key = m["module"], m["text"], m["mutation"]
@@ -301,6 +330,8 @@ def judge(report: dict) -> list[str]:
         elif key in EQUIVALENT and not survived:
             faults.append(f"listed as equivalent but killed: {key}")
     faults += [f"listed as equivalent but no such mutant: {key}" for key in EQUIVALENT if key not in keys]
+    _, alone = tally(report)
+    faults += [f"identity check {name} kills no mutant alone" for name in report["identity_checks"] if not alone[name]]
     return faults
 
 
@@ -312,14 +343,13 @@ def summary(report: dict) -> list[str]:
         lines.append(f"{module}: {len(mine)} mutants, verify kills {sum(bool(m['verify']) for m in mine)}")
     killed = [m for m in rows if m["verify"]]
     lines.append(f"verify --quick kills {len(killed)} of {len(rows)} mutants in {report['verify_s']} s")
-    by_check, only = Counter(), Counter()
-    for m in killed:
-        by_check.update(list(m["verify"]))
-        if len(m["verify"]) == 1:
-            only.update(list(m["verify"]))
-    width = max(map(len, by_check), default=0)
-    lines.append(f"  {'check':<{width}}  kills  only killer")
-    lines += [f"  {name:<{width}}  {n:5d}  {only[name]:11d}" for name, n in by_check.most_common()]
+    kills, alone = tally(report)
+    identity = report["identity_checks"]
+    names = sorted({*identity, *kills}, key=lambda name: (-kills[name], name))
+    width = max(map(len, names), default=0)
+    lines.append(f"  {'check':<{width}}  kills  alone")
+    lines += [f"  {name:<{width}}  {kills[name]:5d}  {alone[name]:5d}" + ("" if name in identity else "  (exempt)")
+              for name in names]
     missed = [m for m in rows if not m["verify"]]
     tests_killed = sum(m["tests"] is not None for m in missed)
     lines.append(f"the closed-form tests kill {tests_killed} of verify's {len(missed)} survivors "

@@ -140,6 +140,8 @@ class TestTheta:
         for s in GRID_S:
             for i0 in GRID_I0:
                 limit = 2.0 * (i0 / (1.0 - s) + 1.0 - i0)
+                at_half = mgf.characteristic(WalkParams(0.5, s, i0), 1.0).theta
+                assert abs(at_half - limit) <= 1e-12 * max(1.0, abs(limit))
                 tol = 1e-3 * max(1.0, abs(limit))
                 for p in (0.5 - eps, 0.5 + eps):
                     got = mgf.characteristic(WalkParams(p, s, i0), 1.0).theta

@@ -938,6 +938,31 @@ class TestVerifyWorkers:
         here = cpus == 1
         assert proc.stdout.split() == ["0", "True", str(here), str(here)]
 
+    def test_without_quick_oracle_compiles_once(self):
+        # -X importtime logs the forked child's imports on the stderr it
+        # shares, so an oracle compiled there and again here for the Monte
+        # Carlo layer would be listed twice; 2,000 trials are one trial range,
+        # so simulate forks nothing
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import contextlib, io, os\n"
+            "from ruinwalk import cli, parallel\n"
+            "parallel.usable_cpus = lambda: 2\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+            "    code = cli.main(['verify', '--trials', '2000'])\n"
+            "print(code, len(forks), report.getvalue().splitlines()[-1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1", "20/20", "checks", "passed"]
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert imported.count("ruinwalk.oracle") == 1
+
     @pytest.mark.parametrize("how, message", [
         ("raises", "oracle did not converge: the period map's eigenvalues are too close to separate"),
         ("dies", "verify worker 1 ended without a result (exit status 3)"),
@@ -1164,7 +1189,7 @@ class TestSubprocessEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
-            [0, 0, 0, 0], [[], [], [], []], True, "17/17 checks passed"
+            [0, 0, 0, 0], [[], [], [], []], True, "12/12 checks passed"
         ]
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["0.4"] * 3 + ["0.5"] * 3

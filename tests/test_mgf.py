@@ -78,6 +78,10 @@ class TestBarrierValues:
         for params in grid_params():
             for z in (0.3, 0.7, 1.0):
                 a, b = mgf.mgf_a(params, z), mgf.mgf_b(params, z)
+                # at i0, theta's definition gives A's value independently as U_i0 / (q z psi1)
+                char = mgf.characteristic(params, z)
+                want = char.u_i0 / (params.q * z * char.phi.psi1)
+                assert abs(a.at(1) - want) <= 1e-12 * want
                 for k in range(5):
                     ua, vb = a.at(k), b.at(k)
                     delta = 1.0 if k == 1 else 0.0
