@@ -270,19 +270,11 @@ def cmd_sweep(args) -> int:
 # argument plumbing
 
 
-def _add_instance_flags(sub, strategy_all: bool = False) -> None:
+def _add_instance_flags(sub) -> None:
     sub.add_argument("--p", type=float, required=True, help="step-up probability, in (0,1)")
     sub.add_argument("--s", type=float, required=True, help="barrier stop probability, in [0,1]")
     sub.add_argument("--i0", type=int, required=True, help="initial capital / barrier spacing, >= 1")
-    choices = ["A", "B", "C"] + (["all"] if strategy_all else [])
-    default = "all" if strategy_all else None
-    sub.add_argument(
-        "--strategy",
-        choices=choices,
-        required=not strategy_all,
-        default=default,
-        help="stopping strategy" + (" (or 'all')" if strategy_all else ""),
-    )
+    sub.add_argument("--strategy", choices=["A", "B", "C"], required=True, help="stopping strategy")
 
 
 def _add_output_flags(sub) -> None:

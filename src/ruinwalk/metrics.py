@@ -122,7 +122,7 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     ``s b2 (dU_i0/U_i0 - 1 - 2 rate)`` at 2*i0; A's are (1-s) times B's.
     C's share the pole ``1/D`` of the characteristic's ``D = V_i0 - phi2``: with
     ``pole = (dV_i0 + phi2 rate)/D``, ``dV_i0 = -i0 U_i0/q``, they are ``-pole/D``
-    at ruin and ``s w_k (dU_i0/U_i0 - 1 - (k-1) rate - pole)`` at k >= 2.  Past the
+    at ruin and ``s w_2 (dU_i0/U_i0 - 1 - rate - pole)`` at 2*i0.  Past the
     head they are the z-derivatives of the geometric masses
     ``mass * phi2**m``, so the profile's tail carries ``drho = dphi2``.
     At s = 0 only ruin absorbs, so the profile is the ruin entry alone, for
@@ -140,9 +140,8 @@ def time_profile(params: WalkParams, strategy: Strategy) -> Profile:
     if strategy is Strategy.C:
         w = mgf.mgf_c(params, 1.0).head
         pole = (-1.0 / q * params.i0 * char.u_i0 + phi.phi2 * rate) / phi.v_minus_phi2
-        head = [-pole * w[0], 0.0]
-        head += [s * wk * (log_common - (k - 1) * rate - pole) for k, wk in enumerate(w[2:], 2)]
-        mass = s * w[-1]
+        head = [-pole * w[0], 0.0, s * w[2] * (log_common - rate - pole)]
+        mass = s * w[2]
     else:
         b = mgf.mgf_b(params, 1.0).head
         psi1 = phi.psi1

@@ -115,15 +115,15 @@ def mgf_a(params: WalkParams, z: float) -> Profile:
 def mgf_c(params: WalkParams, z: float) -> Profile:
     """Strategy-C generating function on ruin and every barrier k*i0, for 0 <= s <= 1.
 
-    With ``D = V_i0 - phi2``, the characteristic's, the head holds barriers 0..3,
-    ``(1/D, U_i0/(q z D), U_i0 omega**i0/(q z psi1 D), that * phi2)``, and
-    the tail continues it with ``rho = phi2``.
+    With ``D = V_i0 - phi2``, the characteristic's, the head holds barriers 0..2,
+    ``(1/D, U_i0/(q z D), U_i0 omega**i0/(q z psi1 D))``, as every strategy's
+    does, and the tail continues it with ``rho = phi2``.
     """
     char = characteristic(params, z)
     phi, qz, denom = char.phi, params.q * z, char.phi.v_minus_phi2
     # U_i0/(q z) / psi1 is exactly 1 at s = 1, where psi1 is that quotient
     far = char.u_i0 / qz / phi.psi1 * (params.omega_pow / denom)
-    head = (1.0 / denom, char.u_i0 / (qz * denom), far, far * phi.phi2)
+    head = (1.0 / denom, char.u_i0 / (qz * denom), far)
     return Profile(head, phi.phi2, phi.phi2_gap)
 
 

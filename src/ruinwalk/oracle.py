@@ -44,8 +44,8 @@ _MAX_RELATIVE_RESIDUAL = 1e-12
 class ExactSolution(NamedTuple):
     """Absorption profile and killed time profile from the exact solver.
 
-    ``masses`` and ``times`` answer every k: their head runs to the cut's
-    barrier, and their tail is geometric in one period's ratio ``rho``.
+    ``masses`` and ``times`` answer every k: their head holds barriers
+    0..2, and their tail is geometric in one period's ratio ``rho``.
     ``pk``/``et`` list them to ``truncation_k - 1``, the first barrier past
     the head with mass and time below ``tol * 1e-6`` (at most 2**16).
     """
@@ -254,12 +254,12 @@ def solve_exact(
 ) -> ExactSolution:
     """First-step-analysis solution on the untruncated lattice.
 
-    From ``cut = (first barrier multiple + 1) * i0`` up, the presence counts
-    obey a homogeneous recurrence with period i0.  Its minimal solution (a
-    sink infinitely far up) closes the head, states 1..cut, by
-    ``w(cut+1) = r* w(cut)``, r* the attracting fixed point of one period's
-    ratio maps; barrier ``cut/i0 + m`` then has ``rho**m`` times the cut's
-    values.  Times come from dual numbers through the same steps.  With no
+    From ``cut = 2 * i0`` up, where every strategy's stops repeat with
+    period i0, the presence counts obey a homogeneous recurrence.  Its
+    minimal solution (a sink infinitely far up) closes the head, states
+    1..cut, by ``w(cut+1) = r* w(cut)``, r* the attracting fixed point of
+    one period's ratio maps; barrier ``2 + m`` then has ``rho**m`` times
+    the cut's values.  Times come from dual numbers through the same steps.  With no
     stops and no drift (s = 0, p = q) ruin is certain after an infinite
     mean time, reported without iterating.  ``tol`` sets how far ``pk``/``et``
     reach.
@@ -268,7 +268,7 @@ def solve_exact(
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
     strategy = Strategy(strategy)
     p, q, s, i0 = params.p, params.q, params.s, params.i0
-    k_cut = strategy.first_barrier_multiple + 1
+    k_cut = 2  # every strategy's stops are periodic from barrier 2 up, C's first among them
     cut = k_cut * i0
     stop = [s if strategy.is_barrier(j, i0) else 0.0 for j in range(cut + i0 + 2)]
     if (found := _tail_fixed_point(p, q, stop, cut, i0)) is None:  # certain ruin, in infinite time

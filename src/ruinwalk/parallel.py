@@ -25,14 +25,15 @@ def run_shares(work, shares: list, what: str) -> list:
     """``[work(share) for share in shares]``, each share past the first in a forked child.
 
     This process runs ``shares[0]`` and forks a child per other share,
-    which pipes back its pickled result or exception; without ``os.fork``
-    every share runs here.  Results come back in share order, and so does
-    the first failing share's exception, with its type.  A child that ends
+    which pipes back its pickled result or exception; without ``os.fork``,
+    or with fewer than two usable CPUs, every share runs here.  Results
+    come back in share order, and so does the first failing share's
+    exception, with its type.  A child that ends
     without a result raises :class:`WorkerError`, which calls it
     ``what`` worker k, k its share's index; no child outlives the call.
     The caller runs no other thread: a child gets a copy of this one alone.
     """
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or usable_cpus() < 2:
         return [work(share) for share in shares]
     children = []  # (pid, the read end of its pipe), until reaped
     try:

@@ -172,7 +172,7 @@ def check_bc_ratio() -> CheckResult:
 # oracle agreement
 
 
-def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> list[CheckResult]:
+def check_exact_agreement() -> list[CheckResult]:
     """The profiles' fields, from which every barrier's value is computed: heads, means and tails."""
     from . import oracle
 
@@ -204,8 +204,8 @@ def check_exact_agreement(tol_prob: float = 1e-9, tol_time: float = 1e-7) -> lis
             if gap > worst_r:
                 worst_r, where_r = gap, at
     return [
-        _result("absorption profiles match the exact solver", worst_p, tol_prob, f"at {where_p}"),
-        _result("mean times match the exact solver", worst_t, tol_time, f"at {where_t}"),
+        _result("absorption profiles match the exact solver", worst_p, 1e-9, f"at {where_p}"),
+        _result("mean times match the exact solver", worst_t, 1e-7, f"at {where_t}"),
         _result("phi2, 1 - phi2 and dphi2 match the exact solver's tail", worst_r, 1e-12, f"at {where_r}"),
     ]
 
@@ -377,10 +377,7 @@ def run_all(
     # about equally long, the solver's share with oracle's compile; with two
     # CPUs this process runs only the first, and compiles no oracle if quick
     shares = [_identity_checks, lambda: _solver_checks(inject_wrong_mb)]
-    if parallel.usable_cpus() > 1:
-        parts = parallel.run_shares(lambda share: share(), shares, "verify")
-    else:
-        parts = [share() for share in shares]
+    parts = parallel.run_shares(lambda share: share(), shares, "verify")
     checks = [check for part in parts for check in part]
     if not quick:
         checks.extend(check_monte_carlo(trials=trials, seed=seed))

@@ -18,7 +18,8 @@ from ruinwalk.core import Strategy, WalkParams
 
 
 def _precision(params: WalkParams) -> int:
-    return 120 + max(0, -math.floor(math.log10(params.s)))
+    # at s = 0 the barrier roots are the step roots' powers, whose gap cancels ~32 digits at most
+    return 120 + (max(0, -math.floor(math.log10(params.s))) if params.s else 0)
 
 
 def _step_roots(p: Decimal, z: Decimal) -> tuple[Decimal, Decimal]:
@@ -64,7 +65,7 @@ def barrier_roots(params: WalkParams, z: float = 1.0) -> dict:
 
 
 def v_minus_phi2(params: WalkParams, z: float = 1.0) -> float:
-    """Strategy C's denominator ``V_i0 - phi2 = tau1**i0 + tau2**i0 - phi2`` at z, for 0 < s < 1."""
+    """Strategy C's denominator ``V_i0 - phi2 = tau1**i0 + tau2**i0 - phi2`` at z, for 0 <= s < 1."""
     with localcontext() as ctx:
         ctx.prec = _precision(params)
         found = _roots(params, z)

@@ -64,9 +64,6 @@ EQUIVALENT = {
         "rise is inf on this path, so (1-s) sqrt(disc) is not finite and phi_roots raises whatever fall is",
     ("charpoly", "rise, fall, top = math.inf, 0.0, math.inf", "0.0 -> 1.0"):
         "rise is inf on this path, so (1-s) sqrt(disc) is not finite and phi_roots raises whatever fall is",
-    ("charpoly", "low = params.omega_pow * psi1_gap / psi1 if roots.tau1 == 1.0 else roots.tau2 ** params.i0 - phi2",
-     "1.0 -> 0.0"):
-        "where tau1 = 1, D = 1 + low, and omega**i0 - phi2 gives it within 2 ulps and never below 1",
     ("mgf", "return mgf_states(params, strategy, z, (position,))[0]", "0 -> -1"):
         "the list holds one value, so its first item is its last",
     ("mgf", "return mgf_states(params, strategy, z, (position,))[0]", "0 -> -1 #2"):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ruinwalk import charpoly as cp
 from ruinwalk import metrics, mgf
@@ -9,6 +9,16 @@ from ruinwalk.core import ParameterError, Strategy, UnsupportedRegimeError, Walk
 
 import decimal_reference as ref
 from conftest import GRID_I0, GRID_S, SQRT3, grid_params
+
+
+def _at_z_one_near_the_double_root(test):
+    # tau1 is exactly 1 at z = 1 for p <= 1/2, so D = 1 + (tau2**i0 - phi2),
+    # and near p = 1/2 that difference cancels: tau2**i0 and phi2 both near 1
+    for p in (0.49999999999999994, 0.5 - 1e-12, 0.5):
+        for s in (0.0, 1e-300, 1e-16):
+            for i0 in (1, 8, 60):
+                test = example(p=p, s=s, i0=i0, z=1.0)(test)
+    return test
 
 
 class TestTauRoots:
@@ -232,6 +242,7 @@ class TestBarrierRootGaps:
         i0=st.integers(1, 60),
         z=st.one_of(st.just(1.0), st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0 ** e), st.floats(0.01, 1.0)),
     )
+    @_at_z_one_near_the_double_root
     @settings(max_examples=400, deadline=None)
     def test_c_denominator_is_as_accurate_as_the_sum_of_powers(self, p, s, i0, z):
         # V_i0 - phi2 against decimal, within 4 ulps of the error of

@@ -63,10 +63,11 @@ class TestBarrierValues:
                 fn(WalkParams(0.5, 0.5, 200), 0.01)
 
     def test_profile_head_spans_the_first_barriers_and_tail_is_phi2(self):
-        # the head runs to the first barrier multiple + 1, the head metrics uses
+        # every strategy's head runs to barrier 2, the head metrics uses
         params = WalkParams(0.45, 0.3, 3)
         phi2 = mgf.characteristic(params, 0.8).phi.phi2
-        for fn, last in ((mgf.mgf_a, 2), (mgf.mgf_b, 2), (mgf.mgf_c, 3)):
+        last = 2
+        for fn in (mgf.mgf_a, mgf.mgf_b, mgf.mgf_c):
             prof = fn(params, 0.8)
             assert len(prof.head) == last + 1
             assert (prof.rho, prof.gap, prof.drho, prof.mass) == (phi2, 1.0 - phi2, 0.0, 0.0)

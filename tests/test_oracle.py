@@ -135,8 +135,7 @@ class TestSolveExact:
             oracle, "solve_banded", lambda f, rhs: calls.append(len(rhs)) or solve(f, rhs)
         )
         sol = oracle.solve_exact(WalkParams(0.5, 0.1, 2), strategy)
-        cut = (strategy.first_barrier_multiple + 1) * 2
-        assert calls == [cut, cut]  # the masses' and the times' solve, on the head only
+        assert calls == [4, 4]  # the masses' and the times' solve, on the head 1..2*i0 only
         assert 0 < sol.squarings <= 64
         assert sol.fixed_point_residual < 1e-15
         ref = oracle._solve_truncated(WalkParams(0.5, 0.1, 2), strategy, 512)
